@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .deviation import covariance, sigma_envelope
+from .deviation import expectation, sigma_envelope
 from .functions import QQ_ONE, QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
 from .operators import Truncation, fiber_diagonal, fiber_unit
 from .words import DEFAULT_BUDGET, IDENTITY, BudgetError, FreeGroup, Word, mul
@@ -84,12 +84,6 @@ def shifted_functions(inp: CocycleInput) -> list[LocallyConstantFunction]:
     return out
 
 
-def _bilinear_cov(
-    phi: LocallyConstantFunction, psi: LocallyConstantFunction, h: Word
-) -> GaussianRational:
-    return covariance(phi, psi.conjugate(), h)
-
-
 def _pairings(degree: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     pairs_a = [(i, i + 1) for i in range(0, degree, 2)]
     pairs_b = [(degree, 0)] + [(i, i + 1) for i in range(1, degree - 1, 2)]
@@ -137,6 +131,9 @@ def cocycle_value(
     psis = shifted_functions(inp)
     pairs_a, pairs_b = _pairings(inp.degree)
     sign = QQ_ONE if ((inp.degree + 1) // 2) % 2 == 0 else -QQ_ONE
+    # the bilinear pairing cov(psi_i, psi_j)(h) = E(psi_i psi_j)(h) -
+    # E(psi_i)(h) E(psi_j)(h); each pair's product is built once
+    products = {pair: psis[pair[0]] * psis[pair[1]] for pair in pairs_a + pairs_b}
 
     partial = QQ_ZERO
     sphere_abs: list[float] = []
@@ -144,12 +141,17 @@ def cocycle_value(
     for m in range(radius + 1):
         sphere_sum = QQ_ZERO
         for h in group.iter_sphere(m):
+            means = [expectation(psi, h) for psi in psis]
+            covs = {
+                (i, j): expectation(prod, h) - means[i] * means[j]
+                for (i, j), prod in products.items()
+            }
             term_a = QQ_ONE
-            for i, j in pairs_a:
-                term_a = term_a * _bilinear_cov(psis[i], psis[j], h)
+            for pair in pairs_a:
+                term_a = term_a * covs[pair]
             term_b = QQ_ONE
-            for i, j in pairs_b:
-                term_b = term_b * _bilinear_cov(psis[i], psis[j], h)
+            for pair in pairs_b:
+                term_b = term_b * covs[pair]
             sphere_sum = sphere_sum + (term_a - term_b)
         partial = partial + sphere_sum
         sphere_abs.append(math.sqrt(float(sphere_sum.abs2())))

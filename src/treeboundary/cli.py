@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 from .boundary import BoundaryPoint, VisualStructure, weak_distance_to_delta
 from .chern import CocycleInput, cocycle_value, trace_oracle_report
-from .deviation import DeviationProfile, ProfileRow, _expectation_abs_sq, deviation_sq, expectation
+from .deviation import DeviationProfile, deviation_sq
 from .functions import LocallyConstantFunction
 from .operators import (
     OPERATOR_BUDGET,
@@ -202,37 +202,6 @@ def _cmd_growth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _profile_rows(phi: LocallyConstantFunction, words: list[Word]) -> list[ProfileRow]:
-    rows = []
-    for g in words:
-        e = expectation(phi, g)
-        rows.append(ProfileRow(g, len(g), e, _expectation_abs_sq(phi, g) - e.abs2()))
-    return rows
-
-
-def _compute_profile(
-    phi: LocallyConstantFunction,
-    radius: int,
-    label: str,
-    budget: int,
-    workers: int,
-) -> DeviationProfile:
-    if workers <= 1:
-        return DeviationProfile.compute(phi, radius, label=label, budget=budget)
-    group = phi.group
-    if group.growth_count(radius) > budget:
-        raise BudgetError(group.growth_count(radius), budget)
-    ball = list(group.iter_ball(radius))
-    step = max(1, -(-len(ball) // workers))
-    chunks = [ball[i : i + step] for i in range(0, len(ball), step)]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_profile_rows, [phi] * len(chunks), chunks))
-    rows = [row for part in parts for row in part]
-    return DeviationProfile(label, radius, rows)
-
-
 def _cmd_deviation(args: argparse.Namespace) -> int:
     config = _load_config(args)
     rank = _setting(args, config, "rank", None)
@@ -242,9 +211,8 @@ def _cmd_deviation(args: argparse.Namespace) -> int:
     phi, group, label = _load_function_file(phi_path, None, rank)
     radius = int(_setting(args, config, "radius", 4))
     budget, _ = _budget(args, config)
-    workers = int(_setting(args, config, "workers", 1))
     out = _out_dir(args, config)
-    profile = _compute_profile(phi, radius, label, budget, workers)
+    profile = DeviationProfile.compute(phi, radius, label=label, budget=budget)
     obj = profile.to_json_obj()
     obj["rank"] = group.n
     _write_json(out / "deviation.json", obj)
@@ -567,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rank(sp)
     sp.add_argument("--phi", help="function JSON file")
     sp.add_argument("--R", "--radius", dest="radius", type=int)
-    sp.add_argument("--workers", type=int, help="parallel row computation")
     _add_common(sp)
     sp.set_defaults(func=_cmd_deviation)
 

@@ -11,6 +11,13 @@ formula (1/2) iint |phi(gx) - phi(gy)|^2 dmu dmu on the common refinement of
 depth k + |g|, where the action is cylinder-constant; the two routes must
 agree exactly and tests enforce that agreement as a hard identity.
 
+Prefix classes: the pushforward mass of a depth-k cylinder [w] under g
+depends on g only through |g| and the common prefix length of g and w (see
+``boundary``).  So for |g| = m >= k, E(phi)(g) and sigma^2(phi)(g) depend
+only on the class (prefix_k g, m).  ``DeviationProfile.compute`` evaluates
+each class once and shares the values across its rows; a sphere of radius
+m >= k has at most |S_k| classes.
+
 Profiles (all statistics over a ball) are exact row-by-row and stream in
 canonical order, so CSV/JSON output is deterministic.
 """
@@ -25,20 +32,22 @@ from fractions import Fraction
 from itertools import combinations
 from typing import IO, Iterable
 
-from .words import DEFAULT_BUDGET, BudgetError, FreeGroup, Word, mul, word_to_str
+from .words import DEFAULT_BUDGET, BudgetError, Word, word_to_str
 from .boundary import Cylinder, VisualStructure, depth_mass, pushforward_mass
-from .functions import GaussianRational, LocallyConstantFunction, QQ_ZERO
+from .functions import GaussianRational, LocallyConstantFunction
 
 _frac = lambda x: f"{x.numerator}/{x.denominator}"
 
 
 def expectation(phi: LocallyConstantFunction, g: Word) -> GaussianRational:
     """E(phi)(g) = sum over depth-k cells of phi(w) * (g_*mu)([w])."""
-    total = QQ_ZERO
+    re = im = Fraction(0)
     for w, v in phi.values.items():
         if v:
-            total = total + v * pushforward_mass(g, Cylinder(w), phi.group)
-    return total
+            mass = pushforward_mass(g, Cylinder(w), phi.group)
+            re += v.re * mass
+            im += v.im * mass
+    return GaussianRational(re, im)
 
 
 def _expectation_abs_sq(phi: LocallyConstantFunction, g: Word) -> Fraction:
@@ -69,18 +78,32 @@ def deviation_sq_pairsum(
     On a depth k+|g| cell [u] the value phi(g .) is phi at the depth-k
     prefix of the reduced product g u, so the double integral collapses to
     a finite sum over distinct value pairs weighted by their masses.
+
+    Every cell is visited as a letter tuple; the cells are counted by the
+    depth-k prefix of g u, and each prefix is then mapped to its value once.
     """
     group = phi.group
-    d = phi.depth + len(g)
+    k, m = phi.depth, len(g)
+    d = k + m
+    if group.sphere_count(d) > budget:
+        raise BudgetError(group.sphere_count(d), budget)
+    a, ginv = g.letters, g.inverse().letters
+    prefixes: dict[tuple[int, ...], int] = {}
+    for u in group.iter_sphere_letters(d):
+        # g u cancels exactly the common prefix of g^-1 and u
+        j = 0
+        while j < m and u[j] == ginv[j]:
+            j += 1
+        key = (a[: m - j] + u[j : j + k])[:k]
+        prefixes[key] = prefixes.get(key, 0) + 1
     counts: dict[GaussianRational, int] = {}
-    for u in group.sphere(d, budget=budget):
-        v = phi.values[mul(g, u).prefix(phi.depth)]
-        counts[v] = counts.get(v, 0) + 1
-    cell = depth_mass(d, group)
+    for key, c in prefixes.items():
+        v = phi.values[Word(key)]
+        counts[v] = counts.get(v, 0) + c
     total = Fraction(0)
     for (v1, c1), (v2, c2) in combinations(counts.items(), 2):
-        total += (v1 - v2).abs2() * (c1 * cell) * (c2 * cell)
-    return total
+        total += (v1 - v2).abs2() * (c1 * c2)
+    return total * depth_mass(d, group) ** 2
 
 
 def covariance(
@@ -143,14 +166,25 @@ class DeviationProfile:
         label: str = "phi",
         budget: int = DEFAULT_BUDGET,
     ) -> "DeviationProfile":
+        """Rows for every g in B_radius, one evaluation per prefix class.
+
+        The class key (prefix_k g, |g|) is g itself when |g| < k, so short
+        words are evaluated directly.
+        """
         group = phi.group
         if group.growth_count(radius) > budget:
             raise BudgetError(group.growth_count(radius), budget)
+        k = phi.depth
+        classes: dict[tuple[tuple[int, ...], int], tuple[GaussianRational, Fraction]] = {}
         rows = []
         for g in group.iter_ball(radius):
-            e = expectation(phi, g)
-            s = _expectation_abs_sq(phi, g) - e.abs2()
-            rows.append(ProfileRow(g, len(g), e, s))
+            m = len(g)
+            key = (g.letters[:k], m)
+            stats = classes.get(key)
+            if stats is None:
+                e = expectation(phi, g)
+                stats = classes[key] = (e, _expectation_abs_sq(phi, g) - e.abs2())
+            rows.append(ProfileRow(g, m, *stats))
         return cls(label, radius, rows)
 
     def sphere_max_sq(self) -> list[Fraction]:

@@ -209,23 +209,33 @@ class FreeGroup:
         q = 2 * self.n - 1
         return 1 + 2 * self.n * (q**R - 1) // (q - 1)
 
-    def iter_sphere(self, m: int) -> Iterator[Word]:
-        """All reduced words of length m, lexicographic."""
+    def iter_sphere_letters(self, m: int) -> Iterator[tuple[int, ...]]:
+        """Letter tuples of all reduced words of length m, lexicographic."""
         if m == 0:
-            yield IDENTITY
+            yield ()
             return
         two_n = 2 * self.n
+        if m == 1:
+            yield from ((x,) for x in range(two_n))
+            return
+        # follow[x]: the letters that may come after x, ascending
+        follow = [tuple(y for y in range(two_n) if y != x ^ 1) for x in range(two_n)]
 
         def rec(prefix: tuple[int, ...]):
-            if len(prefix) == m:
-                yield Word(prefix)
-                return
-            last = prefix[-1] if prefix else None
-            for x in range(two_n):
-                if last is not None and x == last ^ 1:
-                    continue
-                yield from rec(prefix + (x,))
-        yield from rec(())
+            ys = follow[prefix[-1]]
+            if len(prefix) == m - 1:  # last letter: no deeper generator
+                for y in ys:
+                    yield prefix + (y,)
+            else:
+                for y in ys:
+                    yield from rec(prefix + (y,))
+
+        for x in range(two_n):
+            yield from rec((x,))
+
+    def iter_sphere(self, m: int) -> Iterator[Word]:
+        """All reduced words of length m, lexicographic."""
+        yield from map(Word, self.iter_sphere_letters(m))
 
     def sphere(self, m: int, budget: int = DEFAULT_BUDGET) -> list[Word]:
         count = self.sphere_count(m)

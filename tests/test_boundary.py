@@ -58,7 +58,9 @@ def test_preimage_matches_deep_enumeration_exhaustive():
             mass = sum(
                 (cylinder_measure(d, F2) for d in parts), Fraction(0)
             )
-            assert mass == oracle_preimage_mass(g, c, F2)
+            oracle = oracle_preimage_mass(g, c, F2)
+            assert mass == oracle
+            assert pushforward_mass(g, c, F2) == oracle
 
 
 def test_preimage_matches_deep_enumeration_rank3_sample():
@@ -71,7 +73,9 @@ def test_preimage_matches_deep_enumeration_rank3_sample():
             (cylinder_measure(d, F3) for d in preimage_cylinder(g, c, F3)),
             Fraction(0),
         )
-        assert mass == oracle_preimage_mass(g, c, F3)
+        oracle = oracle_preimage_mass(g, c, F3)
+        assert mass == oracle
+        assert pushforward_mass(g, c, F3) == oracle
 
 
 def test_pushforward_is_probability_and_additive():

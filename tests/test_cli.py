@@ -63,24 +63,6 @@ def test_deviation_golden_row(tmp_path):
     assert "b,1,1/12,0/1,11/144" in (tmp_path / "deviation.csv").read_text()
 
 
-def test_deviation_workers_identical(tmp_path):
-    phi = write_phi(tmp_path)
-    out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    assert run_cli(["deviation", "--phi", phi, "--R", 3, "--out", out1]) == 0
-    assert (
-        run_cli(
-            ["deviation", "--phi", phi, "--R", 3, "--workers", 3, "--out", out2]
-        )
-        == 0
-    )
-    assert (out1 / "deviation.csv").read_bytes() == (
-        out2 / "deviation.csv"
-    ).read_bytes()
-    assert (out1 / "deviation.json").read_bytes() == (
-        out2 / "deviation.json"
-    ).read_bytes()
-
-
 def test_deviation_requires_phi(tmp_path, capsys):
     assert run_cli(["deviation", "--out", tmp_path]) == 2
     assert "needs --phi" in capsys.readouterr().err

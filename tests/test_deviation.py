@@ -156,6 +156,31 @@ def test_powers_of_a_frozen_values():
             assert Fraction(1, 3) < s / expected[m - 2] < Fraction(1, 2)
 
 
+def test_profile_rows_match_per_element_statistics():
+    # prefix-class sharing must reproduce the per-g values exactly; the
+    # depth-2 function exercises the directly evaluated rows with |g| < k
+    rng = random.Random(7)
+    values = [0, 1, Fraction(1, 2), 1j, (Fraction(-2, 3), 1)]
+    random_depth2 = LocallyConstantFunction(
+        F2, 2, {w: rng.choice(values) for w in F2.sphere(2)}
+    )
+    dense_f3 = LocallyConstantFunction(
+        F3,
+        1,
+        {
+            w: GaussianRational(Fraction(i + 1, 7), Fraction(3 - i, 5))
+            for i, w in enumerate(F3.sphere(1))
+        },
+    )
+    for phi, radius in ((random_depth2, 4), (dense_f3, 3)):
+        profile = DeviationProfile.compute(phi, radius)
+        assert [r.g for r in profile.rows] == phi.group.ball(radius)
+        for row in profile.rows:
+            assert row.length == len(row.g)
+            assert row.expectation == expectation(phi, row.g)
+            assert row.deviation_sq == deviation_sq(phi, row.g)
+
+
 def test_profile_golden_csv_row():
     profile = DeviationProfile.compute(IA, 2, label="indicator_a")
     buf = io.StringIO()
