@@ -292,7 +292,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     out = _out_dir(args, config)
 
     trunc = Truncation(vs, radius, level)
-    report = verify_pi_identity(phi, trunc, budget=dense_budget)
+    trunc.check_dense_budget(dense_budget)
+    report = verify_pi_identity(phi, trunc)
     values = commutator_singular_values(phi, trunc)
     expected = []
     for h in trunc.group_basis:

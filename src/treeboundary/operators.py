@@ -14,24 +14,30 @@ therefore only claimed on the exactness window ``function depth + R <= m``,
 where both effects vanish; operators built outside the window carry
 ``window_exact=False`` instead of raising.
 
-Matrices are dense complex binary64 and immutable after build; entries come
-from exact rational data converted at the end.  Matrix assembly is
-embarrassingly parallel by column but the dimensions admitted by the budget
-(<= 6000) do not justify a pool; everything here is single-threaded.
+Every operator here is block-structured over h in B_R: P = I x outer(v, v)
+with v the constant unit vector of the fiber, lambda(phi) is block-diagonal
+with diagonal blocks, and lambda(g) permutes blocks with zero padding.  The
+Pi(phi) identity, the commutator spectra and the homotopy inequality are
+computed block by block and never hold more than one dim_fiber x dim_fiber
+block.  The crossed-product routes (``rep_crossed``, the compression
+identity and the conditional lower bound) and the explicit constructors
+``projection_P``, ``rep_function``, ``rep_group`` and
+``homotopy_projection`` still materialize dense complex binary64 matrices
+of size dim x dim, guarded by ``check_dense_budget``; entries come from
+exact rational data converted at the end.  Everything is single-threaded.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .boundary import Cylinder, VisualStructure, cylinder_measure, depth_mass
+from .boundary import Cylinder, VisualStructure, cylinder_measure
 from .deviation import deviation_sq, expectation
 from .functions import QQ_ZERO, LocallyConstantFunction, translate
 from .svd import operator_norm, singular_values
@@ -108,22 +114,6 @@ class TruncatedOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def write_csv(self, fp: IO[str]) -> None:
-        writer = csv.writer(fp)
-        for row in self.matrix:
-            writer.writerow(
-                [f"{z.real:.17g}{z.imag:+.17g}j" for z in row]
-            )
-
-    def save_npy(self, path) -> None:
-        np.save(path, self.matrix)
-
-
-@dataclass
-class TruncationBasis:
-    pairs: list[tuple[Word, Word]]
-    gram: np.ndarray
-
 
 def _extensions(group: FreeGroup, prefix: Word, depth: int) -> Iterator[Word]:
     """Reduced words of the given length extending ``prefix``, lex order."""
@@ -135,22 +125,6 @@ def _extensions(group: FreeGroup, prefix: Word, depth: int) -> Iterator[Word]:
         if last is not None and letter == inverse_letter(last):
             continue
         yield from _extensions(group, Word(prefix.letters + (letter,)), depth)
-
-
-def build(trunc: Truncation, budget: int = OPERATOR_BUDGET) -> TruncationBasis:
-    """Materialize the basis and its Gram matrix (identity by disjointness)."""
-    trunc.check_dense_budget(budget)
-    group = trunc.group
-    pairs = [(h, c) for h in trunc.group_basis for c in trunc.cylinders]
-    level_mass = depth_mass(trunc.m, group)
-    fiber = np.zeros((trunc.dim_fiber, trunc.dim_fiber))
-    for i, c in enumerate(trunc.cylinders):
-        for j, d in enumerate(trunc.cylinders):
-            # same-depth cylinders are equal or disjoint
-            overlap = cylinder_measure(Cylinder(c), group) if c == d else Fraction(0)
-            fiber[i, j] = float(overlap / level_mass)
-    gram = np.kron(np.eye(trunc.dim_group), fiber)
-    return TruncationBasis(pairs=pairs, gram=gram)
 
 
 def fiber_unit(trunc: Truncation) -> np.ndarray:
@@ -260,7 +234,7 @@ class PiIdentityReport:
 
 
 def verify_pi_identity(
-    phi: LocallyConstantFunction, trunc: Truncation, budget: int = OPERATOR_BUDGET
+    phi: LocallyConstantFunction, trunc: Truncation
 ) -> PiIdentityReport:
     """Check Pi(phi)*Pi(phi) = diag(sigma^2) and P lambda(phi) P = diag(E).
 
@@ -269,28 +243,28 @@ def verify_pi_identity(
     kron(diag(sigma^2(phi)(h)), outer(v, v)) with v the constant unit vector;
     the compression of P lambda(phi) P to l2(B_R) must be diag(E(phi)(h)).
     Both comparisons use exact rational deviation data on the right side.
+
+    Every operator involved is block-diagonal over h, so both sides are
+    compared block by block: Pi_h = (1 - vv*) diag(conj d_h) vv* with d_h the
+    fiber diagonal of phi at h, and the compression at h is v* diag(d_h) v.
+    The errors are maxima over h; off-diagonal blocks vanish on both sides.
     """
     if not trunc.window_exact(phi.depth):
         raise ValueError("exactness window requires depth(phi) + R <= m")
-    trunc.check_dense_budget(budget)
-    P = projection_P(trunc, budget).matrix
-    L_star = rep_function(phi.conjugate(), trunc, budget).matrix
-    eye = np.eye(trunc.dim, dtype=complex)
-    Pi = (eye - P) @ L_star @ P
-
     v = fiber_unit(trunc)
-    sigma_sq = np.array(
-        [float(deviation_sq(phi, h)) for h in trunc.group_basis]
-    )
-    target = np.kron(np.diag(sigma_sq), np.outer(v, v)).astype(complex)
-    pi_error = float(np.max(np.abs(Pi.conj().T @ Pi - target)))
-
-    V = _group_embedding(trunc)
-    compressed = V.conj().T @ rep_function(phi, trunc, budget).matrix @ V
-    means = np.diag(
-        np.array([expectation(phi, h).to_complex() for h in trunc.group_basis])
-    )
-    compression_error = float(np.max(np.abs(compressed - means)))
+    vv = np.outer(v, v).astype(complex)
+    complement = np.eye(trunc.dim_fiber, dtype=complex) - vv
+    pi_error = 0.0
+    compression_error = 0.0
+    for h in trunc.group_basis:
+        d = fiber_diagonal(phi, h, trunc)
+        Pi = (complement * np.conj(d)) @ vv
+        target = float(deviation_sq(phi, h)) * vv
+        pi_error = max(pi_error, float(np.max(np.abs(Pi.conj().T @ Pi - target))))
+        mean = complex((v * d) @ v)
+        compression_error = max(
+            compression_error, abs(mean - expectation(phi, h).to_complex())
+        )
     return PiIdentityReport(pi_error=pi_error, compression_error=compression_error)
 
 
@@ -301,8 +275,13 @@ def commutator_singular_values(
 
     The commutator is block-diagonal over h with rank-<=2 blocks
     [outer(v, v), diag(d_h)], so the values are computed per block without
-    materializing the full matrix.  For real-valued phi on the exactness
-    window the nonzero values are {sigma(phi)(h)} each twice.
+    materializing the full matrix.  On the exactness window the nonzero
+    values are {sigma(phi)(h)} each twice, for complex phi as well as real:
+    v is real, so the block is outer(v, w) - outer(w, v) with w = d_h v, and
+    the 2x2 Gram problem of this rank-2 block has trace 2 sigma^2 and
+    determinant sigma^4.  The values are still computed numerically from
+    the actual blocks, so that comparing them with the deviation table
+    remains a cross-check that can fail.
     """
     if not trunc.window_exact(phi.depth):
         raise ValueError("exactness window requires depth(phi) + R <= m")
@@ -346,7 +325,9 @@ def homotopy_projection_check(
     eta2: LocallyConstantFunction,
     trunc: Truncation,
 ) -> tuple[float, float]:
-    """Return (||P(eta1) - P(eta2)||, 2 ||eta1 - eta2||_{L2}) and assert <=.
+    """Return (||P(eta1) - P(eta2)||, 2 ||eta1 - eta2||_{L2}).
+
+    Raises AssertionError when the inequality fails (also under ``-O``).
 
     P(eta) is block-diagonal with the same rank-one block in every fiber, so
     the operator norm of the difference is the norm of a single block.
@@ -354,7 +335,8 @@ def homotopy_projection_check(
     diff_block = _homotopy_block(eta1, trunc) - _homotopy_block(eta2, trunc)
     norm_diff = operator_norm(diff_block)
     bound = 2.0 * math.sqrt(float((eta1 - eta2).l2_norm_sq()))
-    assert norm_diff <= bound + 1e-12, (norm_diff, bound)
+    if not norm_diff <= bound + 1e-12:
+        raise AssertionError((norm_diff, bound))
     return norm_diff, bound
 
 

@@ -1,66 +1,23 @@
-"""One-sided Jacobi singular values for small dense complex matrices.
+"""Singular values, operator norms and Schatten norms of dense complex matrices.
 
-Cyclic sweeps orthogonalize column pairs: the phase of the Gram cross term
-is absorbed into one column, then a small-angle (|t| <= 1) real Jacobi
-rotation zeroes it.  Small angles keep the iteration quadratically
-convergent; on convergence the column norms are the singular values.
-Adequate for the matrix sizes this package builds (a few thousand at most,
-typically a few hundred); numpy is used only for column arithmetic.
+A thin layer over LAPACK (``numpy.linalg.svd`` without singular vectors).
+The operators of this package are block-structured, so the matrices that
+reach it are single blocks of a few dozen rows, or small test oracles.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-_EPS = 1e-13
-_MAX_SWEEPS = 60
 
-
-def singular_values(matrix: np.ndarray, tol: float = _EPS) -> np.ndarray:
+def singular_values(matrix: np.ndarray) -> np.ndarray:
     """All singular values of a 2-d complex array, descending."""
-    a = np.array(matrix, dtype=complex, order="F", copy=True)
+    a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2:
         raise ValueError("need a 2-d array")
-    if a.shape[0] < a.shape[1]:
-        a = a.conj().T.copy(order="F")
-    rows, cols = a.shape
-    if cols == 0:
+    if 0 in a.shape:
         return np.zeros(0)
-    for _ in range(_MAX_SWEEPS):
-        off = 0.0
-        for i in range(cols - 1):
-            for j in range(i + 1, cols):
-                ci = a[:, i]
-                cj = a[:, j]
-                aa = float(np.real(np.vdot(ci, ci)))
-                bb = float(np.real(np.vdot(cj, cj)))
-                cc = complex(np.vdot(ci, cj))
-                mag = abs(cc)
-                scale = math.sqrt(aa * bb)
-                if scale == 0.0 or mag <= tol * scale:
-                    continue
-                off = max(off, mag / scale)
-                # absorb the cross-term phase into column j, then zero the
-                # real 2x2 Gram block [[aa, mag], [mag, bb]] with the
-                # smaller-angle rotation (Rutishauser's choice of t)
-                cjt = cj * np.conj(cc / mag)
-                tau = (bb - aa) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (
-                    abs(tau) + math.sqrt(1.0 + tau * tau)
-                )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                new_i = c * ci - s * cjt
-                new_j = s * ci + c * cjt
-                a[:, i] = new_i
-                a[:, j] = new_j
-        if off <= tol:
-            break
-    values = np.sqrt(np.real(np.sum(np.conj(a) * a, axis=0)))
-    values.sort()
-    return values[::-1]
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def operator_norm(matrix: np.ndarray) -> float:

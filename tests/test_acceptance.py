@@ -127,7 +127,7 @@ def test_criterion_4_operator_identities_612():
     phi = LocallyConstantFunction.indicator(F2, F2.word("a"))
     trunc = Truncation(VS2, 2, 3)
     assert trunc.dim == 612
-    report = verify_pi_identity(phi, trunc, budget=6000)
+    report = verify_pi_identity(phi, trunc)
     assert report.pi_error <= 1e-10
     assert report.compression_error <= 1e-10
     values = commutator_singular_values(phi, trunc)

@@ -175,6 +175,13 @@ def test_budget_exit_code(tmp_path):
     )
 
 
+def test_spectrum_dense_budget_exit_code(tmp_path, capsys):
+    # dim 612 over an explicit budget of 100: exit 3, not an invariant failure
+    args = ["spectrum", "--R", 2, "--m", 3, "--budget", 100, "--out", tmp_path]
+    assert run_cli(args) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_bad_budget_is_usage_error(tmp_path):
     assert run_cli(["growth", "--n", 2, "--budget", -5, "--out", tmp_path]) == 2
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from treeboundary import operators
 from treeboundary import (
     BudgetError,
     FreeGroup,
@@ -15,7 +16,6 @@ from treeboundary import (
     Truncation,
     VisualStructure,
     Word,
-    build,
     commutator_singular_values,
     conditional_lower_bound_check,
     deviation_sq,
@@ -58,12 +58,6 @@ def test_dimensions(t23, t12):
     assert t12.dim == 5 * 12
     tiny = Truncation(VS2, 0, 1)
     assert tiny.dim == 4
-
-
-def test_basis_gram_is_identity(t12):
-    basis = build(t12)
-    assert len(basis.pairs) == t12.dim
-    assert np.max(np.abs(basis.gram - np.eye(t12.dim))) <= 1e-14
 
 
 def test_dense_budget_guard(t23):
@@ -119,7 +113,7 @@ def test_rep_group_covariance(t12):
 
 
 def test_pi_identity_frozen_truncation(t23):
-    report = verify_pi_identity(IA, t23, budget=6000)
+    report = verify_pi_identity(IA, t23)
     assert report.pi_error <= 1e-10
     assert report.compression_error <= 1e-10
 
@@ -129,6 +123,64 @@ def test_pi_identity_complex_function(t12):
     report = verify_pi_identity(phi, t12)
     assert report.pi_error <= 1e-12
     assert report.compression_error <= 1e-12
+
+
+# a dense complex depth-1 function: every value nonzero, real and imaginary
+DENSE = (
+    (Fraction(2, 5), Fraction(-3, 7)) * IA
+    + (Fraction(-1, 3), Fraction(5, 11)) * IB
+    + (Fraction(4, 13), Fraction(1, 2)) * LocallyConstantFunction.indicator(F2, F2.word("A"))
+    + (Fraction(-6, 17), Fraction(-2, 9)) * LocallyConstantFunction.indicator(F2, F2.word("B"))
+)
+
+
+def test_pi_identity_matches_dense_oracle(t23):
+    # the dense 612 x 612 route, kept here only as the oracle
+    assert t23.dim == 612
+    P = projection_P(t23).matrix
+    L = rep_function(DENSE, t23).matrix
+    L_star = rep_function(DENSE.conjugate(), t23).matrix
+    Pi = (np.eye(t23.dim) - P) @ L_star @ P
+    v = fiber_unit(t23)
+    sigma_sq = [float(deviation_sq(DENSE, h)) for h in t23.group_basis]
+    target = np.kron(np.diag(sigma_sq), np.outer(v, v))
+    dense_pi_error = float(np.max(np.abs(Pi.conj().T @ Pi - target)))
+    V = operators._group_embedding(t23)
+    means = np.diag([expectation(DENSE, h).to_complex() for h in t23.group_basis])
+    dense_compression_error = float(np.max(np.abs(V.conj().T @ L @ V - means)))
+
+    report = verify_pi_identity(DENSE, t23)
+    assert abs(report.pi_error - dense_pi_error) <= 1e-13
+    assert abs(report.compression_error - dense_compression_error) <= 1e-13
+    assert report.pi_error <= 1e-10
+    assert report.compression_error <= 1e-10
+
+
+def test_commutator_values_match_dense_svd(t23):
+    P = projection_P(t23).matrix
+    L = rep_function(DENSE, t23).matrix
+    want = np.linalg.svd(P @ L - L @ P, compute_uv=False)
+    got = commutator_singular_values(DENSE, t23)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_pi_identity_has_teeth(t12, monkeypatch):
+    exact_sq, exact_mean = operators.deviation_sq, operators.expectation
+    with monkeypatch.context() as m:
+        m.setattr(operators, "deviation_sq", lambda phi, h: exact_sq(phi, h) + 1e-6)
+        report = verify_pi_identity(DENSE, t12)
+        assert report.pi_error > 1e-10
+        assert report.compression_error <= 1e-12
+    with monkeypatch.context() as m:
+        m.setattr(
+            operators,
+            "expectation",
+            lambda phi, h: exact_mean(phi, h) + Fraction(1, 10**6),
+        )
+        report = verify_pi_identity(DENSE, t12)
+        assert report.compression_error > 1e-10
+        assert report.pi_error <= 1e-12
 
 
 def test_pi_identity_window_enforced():
@@ -183,6 +235,17 @@ def test_homotopy_inequality_random_pairs(t12):
     # identical pair: both sides exactly zero
     norm_diff, bound = homotopy_projection_check(eta1, eta1, t12)
     assert norm_diff == 0.0 and bound == 0.0
+
+
+def test_homotopy_check_raises_on_violation(t12, monkeypatch):
+    # an explicit raise, so the check still fails under python -O
+    rng = random.Random(6)
+    eta1 = random_unit_function(F2, 1, rng)
+    eta2 = random_unit_function(F2, 2, rng)
+    _, bound = homotopy_projection_check(eta1, eta2, t12)
+    monkeypatch.setattr(operators, "operator_norm", lambda block: bound + 1)
+    with pytest.raises(AssertionError):
+        homotopy_projection_check(eta1, eta2, t12)
 
 
 def test_homotopy_requires_exact_unit(t12):

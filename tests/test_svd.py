@@ -1,4 +1,4 @@
-"""Jacobi singular values against the LAPACK oracle."""
+"""Singular values and Schatten norms: shape contract and numerical identities."""
 
 import numpy as np
 import pytest
@@ -59,3 +59,16 @@ def test_unitary_invariance():
     assert np.max(
         np.abs(singular_values(q @ a) - singular_values(a))
     ) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_rejects_non_matrix(shape):
+    with pytest.raises(ValueError):
+        singular_values(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_empty_shapes_give_no_values(shape):
+    values = singular_values(np.zeros(shape))
+    assert values.shape == (0,)
+    assert operator_norm(np.zeros(shape)) == 0.0
