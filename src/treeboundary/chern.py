@@ -18,7 +18,11 @@ Two independent routes to the same number:
   (2P - 1)[P, lambda(a^0)] ... [P, lambda(a^n)] directly.  Every commutator
   is block rank <= 2, so the product collapses to at most 2^(n+1) rank-one
   chains per group basis element and the dense matrix is never materialized
-  (the dense budget does not apply; only enumeration budgets do).
+  (the dense budget does not apply; only enumeration budgets do).  The
+  fiber blocks come from ``operators.fiber_diagonal``, which evaluates
+  (p_i h)^-1 . phi_i per depth-m cylinder from phi_i's own table, not from a
+  translated table, and uses no pushforward closed form, so the oracle
+  stays independent of ``cocycle_value``.
 
 For degree 1 the per-sphere bounds do not decay and the tail is reported as
 infinity; the value is still computed but uncertified.
@@ -32,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .deviation import expectation, sigma_envelope
+from .deviation import expectation, sigma_envelope, sphere_envelope_constant
 from .functions import QQ_ONE, QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
 from .operators import Truncation, fiber_diagonal, fiber_unit
 from .words import DEFAULT_BUDGET, IDENTITY, BudgetError, FreeGroup, Word, mul
@@ -196,18 +200,21 @@ def _suffix_products(inp: CocycleInput) -> list[Word]:
     return out
 
 
-def _per_h_envelope(inp: CocycleInput, points: list[Word]) -> float:
+def _per_h_envelope(
+    inp: CocycleInput, points: list[Word], constants: list[float]
+) -> float:
     """Certified bound on a single fiber trace: 2 prod_i sigma-envelopes.
 
     The fiber factor of [P, lambda(a^i)] at group position p_i h is a rank-2
     commutator with both singular values equal to sigma(phi_i)(p_i h); the
     product of the n+1 factors has rank <= 2, so its trace against the
     unitary (2P-1) is at most 2 prod_i sigma_i, and compression to depth m
-    only shrinks each variance.
+    only shrinks each variance.  ``constants`` holds each term's
+    ``sphere_envelope_constant``, computed once per report.
     """
     bound = 2.0
-    for (phi, _), point in zip(inp.terms, points):
-        bound *= sigma_envelope(phi, len(point))
+    for (phi, _), point, constant in zip(inp.terms, points, constants):
+        bound *= sigma_envelope(phi, len(point), constant)
     return bound
 
 
@@ -223,8 +230,8 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
         # every chain lands in an off-diagonal block: the trace is exactly 0
         return TraceOracleReport(0j, 0.0, 0, 0)
 
-    group = trunc.group
     suffixes = _suffix_products(inp)
+    constants = [sphere_envelope_constant(phi) for phi, _ in inp.terms]
     v = fiber_unit(trunc)
     total = 0j
     correction = 0.0
@@ -234,14 +241,14 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
         points = [mul(p, h) for p in suffixes]
         if any(len(point) > trunc.R for point in points):
             chain_exits += 1
-            correction += _per_h_envelope(inp, points)
+            correction += _per_h_envelope(inp, points, constants)
             continue
         if any(
             phi.depth + len(point) > trunc.m
             for (phi, _), point in zip(inp.terms, points)
         ):
             inexact_blocks += 1
-            correction += 2.0 * _per_h_envelope(inp, points)
+            correction += 2.0 * _per_h_envelope(inp, points, constants)
         # chain of rank-2 blocks [outer(v,v), diag(d_i)] = v y^T - y v^T
         # with y = d_i * v; products of rank-1 terms stay rank one:
         # (x y^T)(z w^T) = (y . z) (x w^T), plain dots throughout.

@@ -93,6 +93,14 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]])
 # ----------------------------------------------------------------------
 # config resolution
 
+# config keys that name files; every other key except "p" holds a scalar
+_CONFIG_PATHS = ("out", "phi", "input")
+
+
+def _finite_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _load_config(args: argparse.Namespace) -> dict[str, Any]:
     if getattr(args, "config", None) is None:
         return {}
@@ -102,6 +110,15 @@ def _load_config(args: argparse.Namespace) -> dict[str, Any]:
         raise ValueError(f"bad config file {args.config}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a JSON object")
+    for key, value in obj.items():
+        if key == "p":
+            ok = isinstance(value, list) and all(map(_finite_number, value))
+        elif key in _CONFIG_PATHS:
+            ok = isinstance(value, str)
+        else:
+            ok = value is None or isinstance(value, str) or _finite_number(value)
+        if not ok:
+            raise ValueError(f"config key {key!r} has a malformed value {value!r}")
     return obj
 
 
@@ -151,6 +168,11 @@ def _visual(args: argparse.Namespace, config: dict, group: FreeGroup) -> VisualS
     return VisualStructure(group, float(eps))
 
 
+# what a malformed value table raises: a missing key, a non-pair value, a
+# zero denominator ("1/0")
+_TABLE_ERRORS = (KeyError, TypeError, IndexError, ZeroDivisionError)
+
+
 def _load_function_file(
     path: str, group: FreeGroup | None, rank_flag: int | None
 ) -> tuple[LocallyConstantFunction, FreeGroup, str]:
@@ -167,7 +189,7 @@ def _load_function_file(
         group = FreeGroup(int(rank))
     try:
         phi = LocallyConstantFunction.from_json_obj(obj, group)
-    except (KeyError, TypeError) as exc:
+    except _TABLE_ERRORS as exc:
         raise ValueError(f"bad function file {path}: {exc}") from exc
     return phi, group, Path(path).stem
 
@@ -368,7 +390,7 @@ def _cmd_chern(args: argparse.Namespace) -> int:
     for entry in obj["terms"]:
         try:
             phi = LocallyConstantFunction.from_json_obj(entry["phi"], group)
-        except (KeyError, TypeError) as exc:
+        except _TABLE_ERRORS as exc:
             raise ValueError(f"bad term in {input_path}: {exc}") from exc
         terms.append((phi, group.word(entry.get("g", "1"))))
     inp = CocycleInput(int(degree), terms)

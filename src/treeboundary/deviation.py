@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import IO, Iterable
 
 from .words import DEFAULT_BUDGET, BudgetError, Word, word_to_str
-from .boundary import Cylinder, VisualStructure, depth_mass, pushforward_mass
+from .boundary import Cylinder, depth_mass, pushforward_mass
 from .functions import GaussianRational, LocallyConstantFunction
 
 _frac = lambda x: f"{x.numerator}/{x.denominator}"
@@ -135,10 +135,17 @@ def sphere_envelope_constant(phi: LocallyConstantFunction) -> float:
     )
 
 
-def sigma_envelope(phi: LocallyConstantFunction, m: int) -> float:
-    """The certified bound K(k) (2n-1)^(-(m-k)/2) on sigma(phi) at sphere m."""
+def sigma_envelope(
+    phi: LocallyConstantFunction, m: int, constant: float | None = None
+) -> float:
+    """The certified bound K(k) (2n-1)^(-(m-k)/2) on sigma(phi) at sphere m.
+
+    ``constant`` passes a precomputed ``sphere_envelope_constant(phi)``.
+    """
+    if constant is None:
+        constant = sphere_envelope_constant(phi)
     n2 = 2 * phi.group.n
-    return sphere_envelope_constant(phi) * (n2 - 1) ** (-(m - phi.depth) / 2.0)
+    return constant * (n2 - 1) ** (-(m - phi.depth) / 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -229,28 +236,3 @@ class DeviationProfile:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2)
-
-
-def fit_length_decay_constant(
-    profile: DeviationProfile,
-    phi: LocallyConstantFunction,
-    vs: VisualStructure,
-    max_length: int | None = None,
-) -> float:
-    """Smallest C with sigma(g) <= C * lip_bound(phi) * exp(-eps |g|) on the data.
-
-    The constant is meaningful when epsilon < entropy / 2, where the true
-    deviation decays strictly faster than exp(-eps m); fitted on low spheres
-    it then dominates later ones with margin.  It is an empirical fit, not a
-    closed form.
-    """
-    lip = phi.lip_bound(vs)
-    if lip == 0:
-        raise ValueError("constant functions admit no decay fit")
-    best = 0.0
-    for row in profile.rows:
-        if max_length is not None and row.length > max_length:
-            continue
-        sigma = math.sqrt(float(row.deviation_sq))
-        best = max(best, sigma / (lip * math.exp(-vs.epsilon * row.length)))
-    return best

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .words import DEFAULT_BUDGET, FreeGroup, Word, mul, word_from_str, word_to_str
-from .boundary import BoundaryPoint, Cylinder, VisualStructure, depth_mass
+from .boundary import BoundaryPoint, Cylinder, depth_mass
 
 RationalLike = Union[int, Fraction, "GaussianRational", tuple, complex]
 
@@ -245,12 +245,6 @@ class LocallyConstantFunction:
 
     def sup_norm(self) -> float:
         return float(self.sup_norm_sq()) ** 0.5
-
-    def lip_bound(self, vs: VisualStructure) -> float:
-        """2 ||phi||_inf exp(epsilon k), a Lipschitz constant for d_epsilon."""
-        import math
-
-        return 2.0 * self.sup_norm() * math.exp(vs.epsilon * self.depth)
 
     def integral(self) -> GaussianRational:
         m = depth_mass(self.depth, self.group)

@@ -17,6 +17,10 @@ where both effects vanish; operators built outside the window carry
 Every operator here is block-structured over h in B_R: P = I x outer(v, v)
 with v the constant unit vector of the fiber, lambda(phi) is block-diagonal
 with diagonal blocks, and lambda(g) permutes blocks with zero padding.  The
+diagonal block at h (``fiber_diagonal``) is evaluated cell by cell from
+phi's own table: each depth-m cylinder reads the value of phi at its
+reduced product with h, or the exact average over its extensions where
+that product does not fix one value; no translated table is built.  The
 Pi(phi) identity, the commutator spectra and the homotopy inequality are
 computed block by block and never hold more than one dim_fiber x dim_fiber
 block.  The crossed-product routes (``rep_crossed``, the compression
@@ -39,9 +43,9 @@ import numpy as np
 
 from .boundary import Cylinder, VisualStructure, cylinder_measure
 from .deviation import deviation_sq, expectation
-from .functions import QQ_ZERO, LocallyConstantFunction, translate
+from .functions import QQ_ZERO, LocallyConstantFunction
 from .svd import operator_norm, singular_values
-from .words import BudgetError, FreeGroup, Word, inverse_letter, mul
+from .words import BudgetError, FreeGroup, Word, common_prefix_len, inverse_letter, mul
 
 OPERATOR_BUDGET = 6000
 
@@ -115,16 +119,19 @@ class TruncatedOperator:
         return self.matrix.shape[0]
 
 
-def _extensions(group: FreeGroup, prefix: Word, depth: int) -> Iterator[Word]:
-    """Reduced words of the given length extending ``prefix``, lex order."""
+def _extensions(
+    group: FreeGroup, prefix: tuple[int, ...], depth: int
+) -> Iterator[tuple[int, ...]]:
+    """Letter tuples of the reduced words of the given length extending
+    ``prefix``, lex order."""
     if len(prefix) == depth:
         yield prefix
         return
-    last = prefix.letters[-1] if prefix.letters else None
+    last = prefix[-1] if prefix else None
     for letter in range(group.alphabet_size):
         if last is not None and letter == inverse_letter(last):
             continue
-        yield from _extensions(group, Word(prefix.letters + (letter,)), depth)
+        yield from _extensions(group, prefix + (letter,), depth)
 
 
 def fiber_unit(trunc: Truncation) -> np.ndarray:
@@ -142,25 +149,42 @@ def fiber_diagonal(
 
     Multiplication by a function preserves every cylinder, so the compression
     is always diagonal; the entry at c is the conditional average of
-    h^{-1}.phi over c, which equals its single value on c exactly when
-    depth(phi) + |h| <= m.
+    h^{-1}.phi over c, i.e. of phi(h .) over [c].
+
+    Each entry is read off phi's own table.  The letters of c that cancel
+    against h are the common prefix of h^{-1} and c, of length j; the
+    reduced product is r = h[:|h|-j] + c[j:].  If j < m, h maps every point
+    of [c] into [r], so when |r| >= k = depth(phi) the entry is phi(r[:k]);
+    this covers every cell when k + |h| <= m.  On the remaining cells (all
+    of c cancels, or r is shorter than k) the value of phi(h .) is fixed on
+    each extension u of c to depth k + |h|, and the entry is the exact
+    average over those extensions, counted by their depth-k key and
+    converted once.
     """
-    group = trunc.group
-    shifted = translate(h.inverse(), phi)
-    if shifted.depth <= trunc.m:
-        refined = shifted.refine(trunc.m)
-        return np.array(
-            [refined.values[c].to_complex() for c in trunc.cylinders]
-        )
-    weight = Fraction(1, (group.alphabet_size - 1) ** (shifted.depth - trunc.m))
-    out = np.zeros(trunc.dim_fiber, dtype=complex)
-    for i, c in enumerate(trunc.cylinders):
-        total = sum(
-            (shifted.values[u] for u in _extensions(group, c, shifted.depth)),
-            start=QQ_ZERO,
-        )
-        out[i] = (total * weight).to_complex()
-    return out
+    k, m = phi.depth, trunc.m
+    a, ainv = h.letters, h.inverse().letters
+    L = len(a)
+    values = {w.letters: v for w, v in phi.values.items()}
+    as_complex = {key: v.to_complex() for key, v in values.items()}
+    out = []
+    for c in trunc.cylinders:
+        u = c.letters
+        j = 0
+        while j < L and j < m and u[j] == ainv[j]:
+            j += 1
+        r = a[: L - j] + u[j:]
+        if j < m and len(r) >= k:
+            out.append(as_complex[r[:k]])
+            continue
+        counts: dict[tuple[int, ...], int] = {}
+        for ext in _extensions(trunc.group, u, k + L):
+            i = common_prefix_len(ainv, ext)
+            key = (a[: L - i] + ext[i:])[:k]
+            counts[key] = counts.get(key, 0) + 1
+        total = sum((values[key] * n for key, n in counts.items()), start=QQ_ZERO)
+        weight = Fraction(1, (trunc.group.alphabet_size - 1) ** (k + L - m))
+        out.append((total * weight).to_complex())
+    return np.array(out, dtype=complex)
 
 
 def projection_P(trunc: Truncation, budget: int = OPERATOR_BUDGET) -> TruncatedOperator:

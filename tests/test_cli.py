@@ -283,3 +283,31 @@ def test_bad_function_file(tmp_path):
     bad = tmp_path / "phi.json"
     bad.write_text("[1, 2, 3]")
     assert run_cli(["deviation", "--phi", bad, "--out", tmp_path]) == 2
+
+
+def test_zero_denominator_is_usage_error(tmp_path, capsys):
+    phi_path = write_phi(tmp_path)
+    phi = json.loads(phi_path.read_text())
+    phi["values"]["a"] = ["1/0", "0/1"]
+    phi_path.write_text(json.dumps(phi))
+    assert run_cli(["deviation", "--phi", phi_path, "--out", tmp_path]) == 2
+    assert "error:" in capsys.readouterr().err
+    # a bare string where a [re, im] pair belongs
+    phi["values"]["a"] = "1"
+    phi_path.write_text(json.dumps(phi))
+    assert run_cli(["deviation", "--phi", phi_path, "--out", tmp_path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+    terms_path = write_terms(tmp_path)
+    terms = json.loads(terms_path.read_text())
+    terms["terms"][2]["phi"]["values"]["b"] = ["0/1", "1/0"]
+    terms_path.write_text(json.dumps(terms))
+    assert run_cli(["chern", "--input", terms_path, "--out", tmp_path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_list_valued_config_setting_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"radius": [1]}))
+    assert run_cli(["growth", "--n", 2, "--config", config, "--out", tmp_path]) == 2
+    assert "error:" in capsys.readouterr().err

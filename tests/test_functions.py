@@ -17,12 +17,10 @@ from treeboundary import (
     QQ_I,
     QQ_ONE,
     QQ_ZERO,
-    VisualStructure,
     Word,
     boundary_action,
     random_unit_function,
     translate,
-    visual_distance,
 )
 
 F2 = FreeGroup(2)
@@ -139,22 +137,6 @@ def test_translate_is_algebra_automorphism():
     assert translate(g, ia * ib) == translate(g, ia) * translate(g, ib)
     assert translate(g, ia + ib) == translate(g, ia) + translate(g, ib)
     assert translate(g, ia.conjugate()) == translate(g, ia).conjugate()
-
-
-def test_lip_bound_is_a_lipschitz_constant():
-    vs = VisualStructure(F2, 1.0)
-    ia = LocallyConstantFunction.indicator(F2, F2.word("ab"))
-    L = ia.lip_bound(vs)
-    pts = [
-        BoundaryPoint(IDENTITY, F2.word("a")),
-        BoundaryPoint(IDENTITY, F2.word("ab")),
-        BoundaryPoint(F2.word("ab"), F2.word("b")),
-        BoundaryPoint(F2.word("B"), F2.word("a")),
-    ]
-    for x in pts:
-        for y in pts:
-            gap = abs(ia.eval(x).to_complex() - ia.eval(y).to_complex())
-            assert gap <= L * visual_distance(x, y, vs) + 1e-12
 
 
 def test_random_unit_function_exact_norm():

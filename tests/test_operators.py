@@ -11,8 +11,10 @@ from treeboundary import operators
 from treeboundary import (
     BudgetError,
     FreeGroup,
+    GaussianRational,
     IDENTITY,
     LocallyConstantFunction,
+    QQ_ZERO,
     Truncation,
     VisualStructure,
     Word,
@@ -20,6 +22,7 @@ from treeboundary import (
     conditional_lower_bound_check,
     deviation_sq,
     expectation,
+    fiber_diagonal,
     fiber_unit,
     homotopy_projection,
     homotopy_projection_check,
@@ -163,6 +166,64 @@ def test_commutator_values_match_dense_svd(t23):
     got = commutator_singular_values(DENSE, t23)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _translated_fiber_diagonal(phi, h, trunc):
+    """The translated-table route, kept here only as the oracle: build
+    h^-1.phi at depth k + |h|, then refine it to depth m, or average it over
+    each depth-m cell when it is deeper."""
+    shifted = translate(h.inverse(), phi)
+    if shifted.depth <= trunc.m:
+        refined = shifted.refine(trunc.m)
+        return np.array([refined.values[c].to_complex() for c in trunc.cylinders])
+    sums = {}
+    for u, value in shifted.values.items():
+        key = u.letters[: trunc.m]
+        sums[key] = sums.get(key, QQ_ZERO) + value
+    q = trunc.group.alphabet_size - 1
+    weight = Fraction(1, q ** (shifted.depth - trunc.m))
+    return np.array([(sums[c.letters] * weight).to_complex() for c in trunc.cylinders])
+
+
+def _random_complex_function(group, depth, rng):
+    def part():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((3, 7, 11)))
+
+    cells = group.sphere(depth)
+    return LocallyConstantFunction(
+        group, depth, {w: GaussianRational(part(), part()) for w in cells}
+    )
+
+
+@pytest.mark.parametrize(
+    "rank, depth, m", [(2, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 2), (3, 2, 1)]
+)
+def test_fiber_diagonal_matches_translated_tables(rank, depth, m):
+    # every h in B_{m+1}: exact blocks (depth + |h| <= m) and averaged ones
+    group = FreeGroup(rank)
+    trunc = Truncation(VisualStructure(group, math.log(2 * rank - 1)), 0, m)
+    phi = _random_complex_function(group, depth, random.Random(10 * rank + depth))
+    values = {v.to_complex() for v in phi.values.values()}
+    averaged = False
+    for h in group.iter_ball(m + 1):
+        want = _translated_fiber_diagonal(phi, h, trunc)
+        got = fiber_diagonal(phi, h, trunc)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), h  # bitwise, not approximate
+        averaged = averaged or not values.issuperset(want.tolist())
+    assert averaged  # some cell took a conditional average, not one value
+
+    # teeth: moving a single value of phi changes some block
+    w = next(iter(phi.values))
+    moved = LocallyConstantFunction(
+        group, depth, {**phi.values, w: phi.values[w] + Fraction(1, 10**6)}
+    )
+    assert any(
+        not np.array_equal(
+            fiber_diagonal(moved, h, trunc), _translated_fiber_diagonal(phi, h, trunc)
+        )
+        for h in group.iter_ball(m + 1)
+    )
 
 
 def test_pi_identity_has_teeth(t12, monkeypatch):
