@@ -86,16 +86,6 @@ class Cylinder:
     def disjoint(self, other: "Cylinder") -> bool:
         return not self.contains(other) and not other.contains(self)
 
-    def children(self, group: FreeGroup) -> list["Cylinder"]:
-        """The 2n-1 (or 2n at the root) reduced one-letter extensions."""
-        last = self.prefix.letters[-1] if self.prefix.letters else None
-        out = []
-        for x in range(2 * group.n):
-            if last is not None and x == last ^ 1:
-                continue
-            out.append(Cylinder(Word(self.prefix.letters + (x,))))
-        return out
-
 
 @dataclass(frozen=True)
 class BoundaryPoint:

@@ -28,12 +28,13 @@ from typing import Any, Sequence
 
 from .boundary import BoundaryPoint, VisualStructure, weak_distance_to_delta
 from .chern import CocycleInput, cocycle_value, trace_oracle_report
-from .deviation import DeviationProfile, deviation_sq
+from .deviation import DeviationProfile
 from .functions import LocallyConstantFunction
 from .operators import (
     OPERATOR_BUDGET,
     Truncation,
     commutator_singular_values,
+    match_deviation_table,
     verify_pi_identity,
 )
 from .summability import (
@@ -131,24 +132,42 @@ def _setting(args: argparse.Namespace, config: dict, key: str, default: Any) -> 
     return value
 
 
+def _integer(value: Any, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int; a non-integral value, or one below ``minimum``,
+    is a usage error."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        number = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from exc
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {number}")
+    return number
+
+
+def _int_setting(
+    args: argparse.Namespace,
+    config: dict,
+    key: str,
+    default: int | None,
+    minimum: int | None = None,
+) -> int | None:
+    value = _setting(args, config, key, default)
+    return None if value is None else _integer(value, key, minimum)
+
+
 def _budget(args: argparse.Namespace, config: dict) -> tuple[int, bool]:
     """Resolved enumeration budget and whether it was set explicitly."""
     value = getattr(args, "budget", None)
     if value is None:
         value = config.get("budget")
+    name = "budget"
     if value is None:
-        raw = os.environ.get(ENV_BUDGET)
-        if raw is not None:
-            try:
-                value = int(raw)
-            except ValueError as exc:
-                raise ValueError(f"{ENV_BUDGET} must be an integer") from exc
+        value, name = os.environ.get(ENV_BUDGET), ENV_BUDGET
     if value is None:
         return DEFAULT_BUDGET, False
-    value = int(value)
-    if value <= 0:
-        raise ValueError("budget must be positive")
-    return value, True
+    return _integer(value, name, 1), True
 
 
 def _out_dir(args: argparse.Namespace, config: dict) -> Path:
@@ -158,7 +177,7 @@ def _out_dir(args: argparse.Namespace, config: dict) -> Path:
 
 
 def _group(args: argparse.Namespace, config: dict, fallback: int = 2) -> FreeGroup:
-    return FreeGroup(int(_setting(args, config, "rank", fallback)))
+    return FreeGroup(_int_setting(args, config, "rank", fallback))
 
 
 def _visual(args: argparse.Namespace, config: dict, group: FreeGroup) -> VisualStructure:
@@ -186,7 +205,7 @@ def _load_function_file(
         )
     if group is None:
         rank = rank_flag if rank_flag is not None else obj.get("rank", 2)
-        group = FreeGroup(int(rank))
+        group = FreeGroup(_integer(rank, "rank"))
     try:
         phi = LocallyConstantFunction.from_json_obj(obj, group)
     except _TABLE_ERRORS as exc:
@@ -200,7 +219,7 @@ def _load_function_file(
 def _cmd_growth(args: argparse.Namespace) -> int:
     config = _load_config(args)
     group = _group(args, config)
-    radius = int(_setting(args, config, "radius", 3))
+    radius = _int_setting(args, config, "radius", 3, 0)
     budget, _ = _budget(args, config)
     out = _out_dir(args, config)
     rows = []
@@ -231,7 +250,7 @@ def _cmd_deviation(args: argparse.Namespace) -> int:
     if phi_path is None:
         raise ValueError("deviation needs --phi FILE")
     phi, group, label = _load_function_file(phi_path, None, rank)
-    radius = int(_setting(args, config, "radius", 4))
+    radius = _int_setting(args, config, "radius", 4, 0)
     budget, _ = _budget(args, config)
     out = _out_dir(args, config)
     profile = DeviationProfile.compute(phi, radius, label=label, budget=budget)
@@ -248,7 +267,7 @@ def _cmd_summability(args: argparse.Namespace) -> int:
     config = _load_config(args)
     group = _group(args, config)
     vs = _visual(args, config, group)
-    radius = int(_setting(args, config, "radius", 5))
+    radius = _int_setting(args, config, "radius", 5, 0)
     ps = _setting(args, config, "p", None) or [2.0, 3.0]
     budget, _ = _budget(args, config)
     out = _out_dir(args, config)
@@ -299,15 +318,14 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     rank = _setting(args, config, "rank", None)
     phi_path = _setting(args, config, "phi", None)
     if phi_path is None:
-        group = FreeGroup(int(rank) if rank is not None else 2)
+        group = FreeGroup(_integer(rank if rank is not None else 2, "rank"))
         phi = LocallyConstantFunction.indicator(group, Word((0,)))
         label = "indicator_a"
     else:
         phi, group, label = _load_function_file(phi_path, None, rank)
     vs = _visual(args, config, group)
-    radius = int(_setting(args, config, "radius", 1))
-    level = _setting(args, config, "m", None)
-    level = int(level) if level is not None else phi.depth + radius
+    radius = _int_setting(args, config, "radius", 1, 0)
+    level = _int_setting(args, config, "m", phi.depth + radius, 1)
     budget, explicit = _budget(args, config)
     dense_budget = budget if explicit else OPERATOR_BUDGET
     ps = _setting(args, config, "p", None) or [2.0, 3.0]
@@ -317,18 +335,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     trunc.check_dense_budget(dense_budget)
     report = verify_pi_identity(phi, trunc)
     values = commutator_singular_values(phi, trunc)
-    expected = []
-    for h in trunc.group_basis:
-        s = math.sqrt(float(deviation_sq(phi, h)))
-        if s > 1e-9:
-            expected.extend([s, s])
-    expected.sort(reverse=True)
-    nonzero = [float(v) for v in values if v > 1e-9]
-    match_error = (
-        max((abs(x - y) for x, y in zip(nonzero, expected)), default=0.0)
-        if len(nonzero) == len(expected)
-        else math.inf
-    )
+    match = match_deviation_table(phi, trunc, values)
+    nonzero = match.nonzero
     schatten = []
     for p in ps:
         p = float(p)
@@ -349,7 +357,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "dim": trunc.dim,
         "pi_identity_error": _fmt(report.pi_error),
         "compression_error": _fmt(report.compression_error),
-        "deviation_match_error": _fmt(match_error),
+        "deviation_match_error": _fmt(match.error),
         "singular_values": [_fmt(v) for v in values],
         "schatten": schatten,
     }
@@ -378,11 +386,11 @@ def _cmd_chern(args: argparse.Namespace) -> int:
     rank = _setting(args, config, "rank", None)
     if rank is None:
         rank = obj.get("rank", 2)
-    group = FreeGroup(int(rank))
+    group = FreeGroup(_integer(rank, "rank"))
     degree = _setting(args, config, "degree", None)
     if degree is None:
         degree = obj.get("degree", len(obj.get("terms", [])) - 1)
-    radius = int(_setting(args, config, "radius", 4))
+    radius = _int_setting(args, config, "radius", 4, 0)
     budget, _ = _budget(args, config)
     out = _out_dir(args, config)
 
@@ -393,7 +401,7 @@ def _cmd_chern(args: argparse.Namespace) -> int:
         except _TABLE_ERRORS as exc:
             raise ValueError(f"bad term in {input_path}: {exc}") from exc
         terms.append((phi, group.word(entry.get("g", "1"))))
-    inp = CocycleInput(int(degree), terms)
+    inp = CocycleInput(_integer(degree, "degree", 1), terms)
     value = cocycle_value(inp, radius, budget=budget)
     report = {
         "rank": group.n,
@@ -412,17 +420,17 @@ def _cmd_chern(args: argparse.Namespace) -> int:
             for m, (s, b) in enumerate(zip(value.sphere_abs, value.sphere_bounds))
         ],
     }
-    oracle_r = _setting(args, config, "oracle_R", None)
-    oracle_m = _setting(args, config, "oracle_m", None)
+    oracle_r = _int_setting(args, config, "oracle_R", None, 0)
+    oracle_m = _int_setting(args, config, "oracle_m", None, 1)
     if oracle_r is not None and oracle_m is not None:
         vs = _visual(args, config, group)
-        trunc = Truncation(vs, int(oracle_r), int(oracle_m))
+        trunc = Truncation(vs, oracle_r, oracle_m)
         oracle = trace_oracle_report(inp, trunc)
         gap = abs(oracle.value - value.value)
         allowance = value.tail_bound + oracle.window_correction
         report["oracle"] = {
-            "R": int(oracle_r),
-            "m": int(oracle_m),
+            "R": oracle_r,
+            "m": oracle_m,
             "value": _complex_obj(oracle.value),
             "window_correction": _fmt(oracle.window_correction),
             "chain_exits": oracle.chain_exits,
@@ -452,8 +460,8 @@ def _cmd_furstenberg(args: argparse.Namespace) -> int:
     g = group.word(str(_setting(args, config, "g", "a")))
     if g.is_identity:
         raise ValueError("the driving element must not be the identity")
-    max_power = int(_setting(args, config, "max_power", 10))
-    depth = int(_setting(args, config, "depth", 1))
+    max_power = _int_setting(args, config, "max_power", 10, 1)
+    depth = _int_setting(args, config, "depth", 1, 1)
     budget, _ = _budget(args, config)
     out = _out_dir(args, config)
     omega = BoundaryPoint(IDENTITY, g)
@@ -481,11 +489,9 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     config = _load_config(args)
     group = _group(args, config)
     vs = _visual(args, config, group)
-    radius = int(_setting(args, config, "radius", 2))
-    seed = int(_setting(args, config, "seed", 0))
+    radius = _int_setting(args, config, "radius", 2, 0)
+    seed = _int_setting(args, config, "seed", 0)
     tol_scale = float(_setting(args, config, "tol_scale", 1.0))
-    workers = _setting(args, config, "workers", None)
-    workers = int(workers) if workers is not None else (os.cpu_count() or 1)
     budget, _ = _budget(args, config)
     out = _out_dir(args, config)
     ctx = VerifyContext(
@@ -496,7 +502,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         tol_scale=tol_scale,
         budget=budget,
     )
-    results = run_all(ctx, workers=workers)
+    results = run_all(ctx)
     ok = all(r.ok for r in results)
     obj = {
         "rank": group.n,
@@ -605,7 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--tol-scale", dest="tol_scale", type=float)
     sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--workers", type=int)
     _add_common(sp)
     sp.set_defaults(func=_cmd_verify_all)
 

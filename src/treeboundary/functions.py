@@ -97,10 +97,6 @@ class GaussianRational:
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
 

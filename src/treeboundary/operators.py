@@ -20,15 +20,13 @@ with diagonal blocks, and lambda(g) permutes blocks with zero padding.  The
 diagonal block at h (``fiber_diagonal``) is evaluated cell by cell from
 phi's own table: each depth-m cylinder reads the value of phi at its
 reduced product with h, or the exact average over its extensions where
-that product does not fix one value; no translated table is built.  The
-Pi(phi) identity, the commutator spectra and the homotopy inequality are
-computed block by block and never hold more than one dim_fiber x dim_fiber
-block.  The crossed-product routes (``rep_crossed``, the compression
-identity and the conditional lower bound) and the explicit constructors
-``projection_P``, ``rep_function``, ``rep_group`` and
-``homotopy_projection`` still materialize dense complex binary64 matrices
-of size dim x dim, guarded by ``check_dense_budget``; entries come from
-exact rational data converted at the end.  Everything is single-threaded.
+that product does not fix one value; no translated table is built.  Every
+identity and inequality here is checked block by block and never holds a
+matrix larger than dim_fiber x dim_fiber.  The constructors
+``projection_P``, ``rep_function``, ``rep_group``, ``rep_crossed`` and
+``homotopy_projection`` materialize dense complex binary64 dim x dim
+matrices, guarded by ``check_dense_budget``; they are only a small test
+oracle, and no route here calls them.  Everything is single-threaded.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +43,7 @@ from .boundary import Cylinder, VisualStructure, cylinder_measure
 from .deviation import deviation_sq, expectation
 from .functions import QQ_ZERO, LocallyConstantFunction
 from .svd import operator_norm, singular_values
-from .words import BudgetError, FreeGroup, Word, common_prefix_len, inverse_letter, mul
+from .words import BudgetError, FreeGroup, Word, common_prefix_len, mul
 
 OPERATOR_BUDGET = 6000
 
@@ -82,10 +80,6 @@ class Truncation:
     def group_index(self) -> dict[Word, int]:
         return {h: i for i, h in enumerate(self.group_basis)}
 
-    @cached_property
-    def cylinder_index(self) -> dict[Word, int]:
-        return {c: i for i, c in enumerate(self.cylinders)}
-
     @property
     def dim_group(self) -> int:
         return self.group.growth_count(self.R)
@@ -119,27 +113,18 @@ class TruncatedOperator:
         return self.matrix.shape[0]
 
 
-def _extensions(
-    group: FreeGroup, prefix: tuple[int, ...], depth: int
-) -> Iterator[tuple[int, ...]]:
-    """Letter tuples of the reduced words of the given length extending
-    ``prefix``, lex order."""
-    if len(prefix) == depth:
-        yield prefix
-        return
-    last = prefix[-1] if prefix else None
-    for letter in range(group.alphabet_size):
-        if last is not None and letter == inverse_letter(last):
-            continue
-        yield from _extensions(group, prefix + (letter,), depth)
-
-
 def fiber_unit(trunc: Truncation) -> np.ndarray:
     """Coordinates of the constant function 1 (a unit vector) in the fiber basis."""
     group = trunc.group
     return np.array(
         [math.sqrt(float(cylinder_measure(Cylinder(c), group))) for c in trunc.cylinders]
     )
+
+
+def fiber_projection(trunc: Truncation) -> np.ndarray:
+    """The fiber block outer(v, v) of P, with v = ``fiber_unit(trunc)``."""
+    v = fiber_unit(trunc)
+    return np.outer(v, v).astype(complex)
 
 
 def fiber_diagonal(
@@ -177,7 +162,7 @@ def fiber_diagonal(
             out.append(as_complex[r[:k]])
             continue
         counts: dict[tuple[int, ...], int] = {}
-        for ext in _extensions(trunc.group, u, k + L):
+        for ext in trunc.group.iter_sphere_letters(k + L, u):
             i = common_prefix_len(ainv, ext)
             key = (a[: L - i] + ext[i:])[:k]
             counts[key] = counts.get(key, 0) + 1
@@ -190,9 +175,7 @@ def fiber_diagonal(
 def projection_P(trunc: Truncation, budget: int = OPERATOR_BUDGET) -> TruncatedOperator:
     """Orthogonal projection onto the constants in every fiber (rank |B_R|)."""
     trunc.check_dense_budget(budget)
-    v = fiber_unit(trunc)
-    block = np.outer(v, v).astype(complex)
-    matrix = np.kron(np.eye(trunc.dim_group), block)
+    matrix = np.kron(np.eye(trunc.dim_group), fiber_projection(trunc))
     return TruncatedOperator(matrix, "P", trunc)
 
 
@@ -242,13 +225,6 @@ def rep_crossed(
         matrix += lf.matrix @ lg.matrix
         exact = exact and lf.window_exact
     return TruncatedOperator(matrix, "lambda(a)", trunc, window_exact=exact)
-
-
-def _group_embedding(trunc: Truncation) -> np.ndarray:
-    """Isometry l2(B_R) -> truncation sending delta_h to delta_h x constant 1."""
-    return np.kron(np.eye(trunc.dim_group), fiber_unit(trunc).reshape(-1, 1)).astype(
-        complex
-    )
 
 
 @dataclass
@@ -320,17 +296,47 @@ def commutator_singular_values(
     return values
 
 
+@dataclass
+class DeviationMatch:
+    """Commutator singular values paired with the deviation table."""
+
+    nonzero: list[float]  # the values above 1e-9, descending
+    expected: int  # twice the number of h with sigma(phi)(h) above 1e-9
+    error: float  # largest gap of the pairing; inf when the counts differ
+
+
+def match_deviation_table(
+    phi: LocallyConstantFunction, trunc: Truncation, values: np.ndarray
+) -> DeviationMatch:
+    """Pair the nonzero values of ``commutator_singular_values(phi, trunc)``
+    with the sorted table {sigma(phi)(h) : h in B_R}, each taken twice."""
+    expected = []
+    for h in trunc.group_basis:
+        s = math.sqrt(float(deviation_sq(phi, h)))
+        if s > 1e-9:
+            expected.extend([s, s])
+    expected.sort(reverse=True)
+    nonzero = [float(v) for v in values if v > 1e-9]
+    error = (
+        max((abs(x - y) for x, y in zip(nonzero, expected)), default=0.0)
+        if len(nonzero) == len(expected)
+        else math.inf
+    )
+    return DeviationMatch(nonzero=nonzero, expected=len(expected), error=error)
+
+
 def homotopy_projection(
     eta: LocallyConstantFunction, trunc: Truncation, budget: int = OPERATOR_BUDGET
 ) -> TruncatedOperator:
     """P(eta) = M(conj(eta)) P M(eta) for an exactly L2-normalized eta."""
-    block = _homotopy_block(eta, trunc)
+    block = homotopy_block(eta, trunc)
     trunc.check_dense_budget(budget)
     matrix = np.kron(np.eye(trunc.dim_group), block)
     return TruncatedOperator(matrix, "P(eta)", trunc)
 
 
-def _homotopy_block(eta: LocallyConstantFunction, trunc: Truncation) -> np.ndarray:
+def homotopy_block(eta: LocallyConstantFunction, trunc: Truncation) -> np.ndarray:
+    """The fiber block outer(w, conj w), w = conj(eta) v, of P(eta)."""
     if eta.group != trunc.group:
         raise ValueError("function and truncation use different groups")
     if eta.l2_norm_sq() != 1:
@@ -356,7 +362,7 @@ def homotopy_projection_check(
     P(eta) is block-diagonal with the same rank-one block in every fiber, so
     the operator norm of the difference is the norm of a single block.
     """
-    diff_block = _homotopy_block(eta1, trunc) - _homotopy_block(eta2, trunc)
+    diff_block = homotopy_block(eta1, trunc) - homotopy_block(eta2, trunc)
     norm_diff = operator_norm(diff_block)
     bound = 2.0 * math.sqrt(float((eta1 - eta2).l2_norm_sq()))
     if not norm_diff <= bound + 1e-12:
@@ -364,71 +370,75 @@ def homotopy_projection_check(
     return norm_diff, bound
 
 
-def conditional_lower_bound_check(
-    terms: CrossedTerms,
-    trunc: Truncation,
-    tol: float = 1e-9,
-    budget: int = OPERATOR_BUDGET,
-) -> bool:
-    """Check ||Pi(a) delta_h||_2 >= sigma(E(a))(h) for h in B_{R//2}.
+def pi_delta_norms(terms: CrossedTerms, trunc: Truncation) -> dict[Word, float]:
+    """||Pi(a) delta_h||_2 for every h in B_{R//2}, with delta_h standing
+    for delta_h x v and a = sum phi_g . g supported in B_{R//2}, so that
+    every vector in play stays inside the truncation.
 
-    a = sum phi_g . g must be supported in B_{R//2} so that every vector in
-    play stays inside the truncation; E(a) is the coefficient at the
-    identity.  delta_h stands for delta_h tensor constant-1.
+    Pi(a) = (1 - P) lambda(a)* P, and P fixes delta_h x v, which
+    lambda(a)* sends to the sum of delta_{g^-1 h} x conj(d_h(phi_g)) v.
+    These fiber vectors are summed per target and 1 - P removes the
+    constant part of each; no operator is formed.
     """
     half = trunc.R // 2
-    group = trunc.group
     for phi, g in terms:
         if len(g) > half:
             raise ValueError("support must lie in the half ball B_{R//2}")
         if phi.depth + half > trunc.m:
             raise ValueError("exactness window requires depth(phi) + R//2 <= m")
-    trunc.check_dense_budget(budget)
-    A = rep_crossed(terms, trunc, budget).matrix
-    P = projection_P(trunc, budget).matrix
-    eye = np.eye(trunc.dim, dtype=complex)
-    Pi = (eye - P) @ A.conj().T @ P
-
-    identity_part = LocallyConstantFunction.constant(group, 0)
-    for phi, g in terms:
-        if g.is_identity:
-            identity_part = identity_part + phi
-
     v = fiber_unit(trunc)
-    dim_f = trunc.dim_fiber
-    ok = True
-    for h in group.iter_ball(half):
-        column = np.zeros(trunc.dim, dtype=complex)
-        i = trunc.group_index[h]
-        column[i * dim_f : (i + 1) * dim_f] = v
-        lhs = float(np.linalg.norm(Pi @ column))
-        rhs = math.sqrt(float(deviation_sq(identity_part, h)))
-        ok = ok and lhs >= rhs - tol
-    return ok
+    norms = {}
+    for h in trunc.group.iter_ball(half):
+        fibers: dict[Word, np.ndarray] = {}
+        for phi, g in terms:
+            target = mul(g.inverse(), h)
+            x = np.conj(fiber_diagonal(phi, h, trunc)) * v
+            fibers[target] = fibers.get(target, 0) + x
+        norm_sq = 0.0
+        for x in fibers.values():
+            y = x - (v @ x) * v
+            norm_sq += float(np.vdot(y, y).real)
+        norms[h] = math.sqrt(norm_sq)
+    return norms
 
 
-def verify_compression_identity(
-    terms: CrossedTerms, trunc: Truncation, budget: int = OPERATOR_BUDGET
-) -> float:
+def conditional_lower_bound_check(
+    terms: CrossedTerms, trunc: Truncation, tol: float = 1e-9
+) -> bool:
+    """Check ||Pi(a) delta_h||_2 >= sigma(E(a))(h) for h in B_{R//2}.
+
+    E(a) is the coefficient of a = sum phi_g . g at the identity; the left
+    side comes from ``pi_delta_norms``.
+    """
+    norms = pi_delta_norms(terms, trunc)
+    zero = LocallyConstantFunction.constant(trunc.group, 0)
+    identity_part = sum((phi for phi, g in terms if g.is_identity), zero)
+    return all(
+        lhs >= math.sqrt(float(deviation_sq(identity_part, h))) - tol
+        for h, lhs in norms.items()
+    )
+
+
+def verify_compression_identity(terms: CrossedTerms, trunc: Truncation) -> float:
     """Max-abs error of P lambda(a) P against multiplication-by-E composed
     with translation on l2(B_R): entry (gh, h) must equal E(phi_g)(gh).
 
-    Out-of-ball targets gh are dropped on both sides (zero-padding), so the
-    comparison is entrywise on the full |B_R| x |B_R| compressed matrix.
+    lambda(phi_g) lambda(g) sends delta_h x v to delta_gh x d_gh(phi_g) v, so
+    the compressed entry (gh, h) is v* diag(d_gh(phi_g)) v, summed over the
+    terms.  Out-of-ball targets gh are dropped on both sides (zero-padding),
+    so the comparison is entrywise on the full |B_R| x |B_R| compressed
+    matrix.
     """
     for phi, _ in terms:
         if not trunc.window_exact(phi.depth):
             raise ValueError("exactness window requires depth(phi) + R <= m")
-    trunc.check_dense_budget(budget)
-    A = rep_crossed(terms, trunc, budget).matrix
-    V = _group_embedding(trunc)
-    compressed = V.conj().T @ A @ V
-    expected = np.zeros((trunc.dim_group, trunc.dim_group), dtype=complex)
+    v = fiber_unit(trunc)
+    error = np.zeros((trunc.dim_group, trunc.dim_group), dtype=complex)
     for phi, g in terms:
         for j, h in enumerate(trunc.group_basis):
             target = mul(g, h)
             i = trunc.group_index.get(target)
-            if i is None:
-                continue
-            expected[i, j] += expectation(phi, target).to_complex()
-    return float(np.max(np.abs(compressed - expected)))
+            if i is not None:
+                error[i, j] += (v * fiber_diagonal(phi, target, trunc)) @ v
+                error[i, j] -= expectation(phi, target).to_complex()
+    return float(np.max(np.abs(error)))

@@ -2,7 +2,7 @@
 2n-valent tree.
 
 Letters are encoded as integers ``0 .. 2n-1``: generator ``j`` is ``2j`` and
-its inverse is ``2j + 1``, so that ``inverse_letter(i) == i ^ 1``.  This makes
+its inverse is ``2j + 1``, so letter i has inverse ``i ^ 1``.  This makes
 free reduction branchless and fixes a canonical letter order.  All
 enumeration is length-then-lexicographic on this encoding, so every
 downstream floating-point reduction sees elements in the same order.
@@ -34,10 +34,6 @@ class BudgetError(Exception):
         )
         self.requested = requested
         self.budget = budget
-
-
-def inverse_letter(i: int) -> int:
-    return i ^ 1
 
 
 @total_ordering
@@ -185,11 +181,6 @@ class FreeGroup:
             if not isinstance(x, int) or not (0 <= x < 2 * self.n):
                 raise ValueError(f"letter {x} outside alphabet of size {2 * self.n}")
 
-    def reduce(self, letters: Iterable[int]) -> Word:
-        letters = tuple(letters)
-        self.check_letters(letters)
-        return reduce_letters(letters)
-
     def word(self, s: str) -> Word:
         return word_from_str(s, self.n)
 
@@ -209,20 +200,21 @@ class FreeGroup:
         q = 2 * self.n - 1
         return 1 + 2 * self.n * (q**R - 1) // (q - 1)
 
-    def iter_sphere_letters(self, m: int) -> Iterator[tuple[int, ...]]:
-        """Letter tuples of all reduced words of length m, lexicographic."""
-        if m == 0:
-            yield ()
+    def iter_sphere_letters(
+        self, m: int, prefix: tuple[int, ...] = ()
+    ) -> Iterator[tuple[int, ...]]:
+        """Letter tuples of the reduced words of length m that extend the
+        reduced letter tuple ``prefix`` (all of them by default), lexicographic."""
+        if len(prefix) >= m:
+            if len(prefix) == m:
+                yield prefix
             return
         two_n = 2 * self.n
-        if m == 1:
-            yield from ((x,) for x in range(two_n))
-            return
         # follow[x]: the letters that may come after x, ascending
         follow = [tuple(y for y in range(two_n) if y != x ^ 1) for x in range(two_n)]
 
         def rec(prefix: tuple[int, ...]):
-            ys = follow[prefix[-1]]
+            ys = follow[prefix[-1]] if prefix else range(two_n)
             if len(prefix) == m - 1:  # last letter: no deeper generator
                 for y in ys:
                     yield prefix + (y,)
@@ -230,8 +222,7 @@ class FreeGroup:
                 for y in ys:
                     yield from rec(prefix + (y,))
 
-        for x in range(two_n):
-            yield from rec((x,))
+        yield from rec(prefix)
 
     def iter_sphere(self, m: int) -> Iterator[Word]:
         """All reduced words of length m, lexicographic."""

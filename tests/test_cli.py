@@ -257,8 +257,6 @@ def test_verify_all_byte_identical(tmp_path):
                     2,
                     "--seed",
                     0,
-                    "--workers",
-                    4,
                     "--out",
                     out,
                 ]
@@ -311,3 +309,51 @@ def test_list_valued_config_setting_is_usage_error(tmp_path, capsys):
     config.write_text(json.dumps({"radius": [1]}))
     assert run_cli(["growth", "--n", 2, "--config", config, "--out", tmp_path]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["growth", "--n", 2, "--R", -1], None),  # wrote an empty table
+        (["growth"], {"rank": 2.5}),  # was truncated to rank 2
+        (["growth", "--n", 2], {"radius": 1.5}),
+        (["growth", "--n", 2], {"radius": "2.5"}),
+        (["furstenberg", "--n", 2, "--max-power", -2], None),  # wrote empty rows
+        (["furstenberg", "--n", 2, "--depth", 0], None),
+        (["verify-all", "--n", 2], {"seed": 0.5}),
+        (["growth", "--n", 2], {"budget": 0}),
+    ],
+)
+def test_out_of_range_integer_setting_is_usage_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", path]
+    assert run_cli(argv + ["--out", tmp_path / "out"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before any output
+
+
+def test_integral_settings_still_accepted(tmp_path):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"rank": 2.0, "radius": "2"}))
+    assert run_cli(["growth", "--config", config, "--out", tmp_path]) == 0
+    obj = json.loads((tmp_path / "growth.json").read_text())
+    assert (obj["rank"], obj["radius"]) == (2, 2)
+
+
+def test_non_integral_rank_in_function_file_is_usage_error(tmp_path, capsys):
+    phi_path = write_phi(tmp_path)
+    phi = json.loads(phi_path.read_text())
+    phi["rank"] = 2.5
+    phi_path.write_text(json.dumps(phi))
+    assert run_cli(["deviation", "--phi", phi_path, "--out", tmp_path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_verify_all_passes_at_higher_rank(tmp_path, rank):
+    # dim 27,750 (n = 3) and 178,360 (n = 4) for the conditional lower bound
+    assert run_cli(["verify-all", "--n", rank, "--R", 2, "--out", tmp_path]) == 0
+    obj = json.loads((tmp_path / "verify-all.json").read_text())
+    assert obj["ok"] and all(c["ok"] for c in obj["checks"])

@@ -137,6 +137,13 @@ DENSE = (
 )
 
 
+def _group_embedding(trunc):
+    """Isometry l2(B_R) -> truncation sending delta_h to delta_h x constant 1."""
+    return np.kron(np.eye(trunc.dim_group), fiber_unit(trunc).reshape(-1, 1)).astype(
+        complex
+    )
+
+
 def test_pi_identity_matches_dense_oracle(t23):
     # the dense 612 x 612 route, kept here only as the oracle
     assert t23.dim == 612
@@ -148,7 +155,7 @@ def test_pi_identity_matches_dense_oracle(t23):
     sigma_sq = [float(deviation_sq(DENSE, h)) for h in t23.group_basis]
     target = np.kron(np.diag(sigma_sq), np.outer(v, v))
     dense_pi_error = float(np.max(np.abs(Pi.conj().T @ Pi - target)))
-    V = operators._group_embedding(t23)
+    V = _group_embedding(t23)
     means = np.diag([expectation(DENSE, h).to_complex() for h in t23.group_basis])
     dense_compression_error = float(np.max(np.abs(V.conj().T @ L @ V - means)))
 
@@ -315,9 +322,93 @@ def test_homotopy_requires_exact_unit(t12):
         homotopy_projection(near_one, t12)
 
 
+@pytest.fixture(scope="module")
+def t24():
+    return Truncation(VS2, 2, 4)
+
+
+# a crossed-product element supported in B_1 with dense complex coefficients;
+# two terms share g = a, so their fiber vectors land on one target
+CROSSED = [
+    (DENSE, IDENTITY),
+    (DENSE.conjugate() * IB, F2.word("a")),
+    (IA, F2.word("a")),
+    (IA + IB, F2.word("B")),
+]
+
+
+def _dense_crossed_oracle(terms, trunc):
+    """The dense route, kept here only as the oracle: lambda(a) from
+    rep_crossed and P from projection_P; returns the compression error on
+    B_R and ||Pi(a) delta_h|| for h in B_{R//2}."""
+    A = rep_crossed(terms, trunc).matrix
+    V = _group_embedding(trunc)
+    expected = np.zeros((trunc.dim_group, trunc.dim_group), dtype=complex)
+    for phi, g in terms:
+        for j, h in enumerate(trunc.group_basis):
+            i = trunc.group_index.get(mul(g, h))
+            if i is not None:
+                expected[i, j] += expectation(phi, mul(g, h)).to_complex()
+    compression_error = float(np.max(np.abs(V.conj().T @ A @ V - expected)))
+    P = projection_P(trunc).matrix
+    norms = {}
+    for h in F2.iter_ball(trunc.R // 2):
+        column = V[:, trunc.group_index[h]]
+        y = A.conj().T @ (P @ column)
+        norms[h] = float(np.linalg.norm(y - P @ y))
+    return compression_error, norms
+
+
+@pytest.fixture(scope="module")
+def crossed_oracle(t24):
+    return _dense_crossed_oracle(CROSSED, t24)
+
+
+def test_crossed_product_routes_match_dense_oracle(t24, crossed_oracle):
+    # the dense 1,836 x 1,836 route against the block-wise one
+    assert t24.dim == 1836
+    dense_error, dense_norms = crossed_oracle
+    error = verify_compression_identity(CROSSED, t24)
+    assert abs(error - dense_error) <= 1e-12
+    assert error <= 1e-12
+    norms = operators.pi_delta_norms(CROSSED, t24)
+    assert list(norms) == list(dense_norms) == list(F2.iter_ball(1))
+    for h, norm in norms.items():
+        assert abs(norm - dense_norms[h]) <= 1e-12, h
+    assert min(norms.values()) > 0.1  # nonzero, so the comparison means something
+    assert conditional_lower_bound_check(CROSSED, t24)
+
+
+def test_crossed_product_routes_have_teeth(t24, crossed_oracle, monkeypatch):
+    # moving one value of one term's function moves the block-wise operator
+    # side but not the expectation table, nor the dense oracle's norms
+    _, dense_norms = crossed_oracle
+    w = next(iter(DENSE.values))
+    moved = LocallyConstantFunction(
+        F2, 1, {**DENSE.values, w: DENSE.values[w] + Fraction(1, 10**6)}
+    )
+    exact = operators.fiber_diagonal
+    monkeypatch.setattr(
+        operators,
+        "fiber_diagonal",
+        lambda phi, h, trunc: exact(moved if phi is DENSE else phi, h, trunc),
+    )
+    assert verify_compression_identity(CROSSED, t24) > 1e-10
+    norms = operators.pi_delta_norms(CROSSED, t24)
+    assert max(abs(norms[h] - dense_norms[h]) for h in norms) > 1e-10
+
+
 def test_conditional_lower_bound(t23):
     terms = [(IA, IDENTITY), (IB, F2.word("a"))]
     assert conditional_lower_bound_check(terms, t23)
+
+
+def test_conditional_lower_bound_can_fail(t23, monkeypatch):
+    monkeypatch.setattr(
+        operators, "pi_delta_norms", lambda terms, trunc: {IDENTITY: 0.0}
+    )
+    # sigma(E(a))(1) = sigma(IA)(1) = sqrt(3)/4 > 0, so a zero left side fails
+    assert not conditional_lower_bound_check([(IA, IDENTITY)], t23)
 
 
 def test_conditional_lower_bound_validates_support(t23):

@@ -1,4 +1,4 @@
-"""The invariant suite: registry, determinism, parallel stability."""
+"""The invariant suite: registry, determinism, tolerance scaling."""
 
 import math
 
@@ -49,13 +49,6 @@ def test_registry_names_are_stable(serial_results):
 def test_runs_are_deterministic(serial_results):
     again = run_all(make_ctx())
     assert [(r.name, r.ok, r.detail) for r in again] == [
-        (r.name, r.ok, r.detail) for r in serial_results
-    ]
-
-
-def test_parallel_matches_serial(serial_results):
-    parallel = run_all(make_ctx(), workers=4)
-    assert [(r.name, r.ok, r.detail) for r in parallel] == [
         (r.name, r.ok, r.detail) for r in serial_results
     ]
 

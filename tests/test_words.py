@@ -122,6 +122,18 @@ def test_ball_matches_closed_form_small_ranks():
             assert ball == sorted(ball)  # length-then-lex order
 
 
+def test_sphere_letters_with_prefix_are_the_extensions():
+    # oracle: filter the whole sphere by its prefix
+    for group in (F2, F3):
+        for m in range(0, 4):
+            sphere = list(group.iter_sphere_letters(m))
+            for k in range(0, m + 2):
+                for prefix in group.iter_sphere_letters(k):
+                    want = [u for u in sphere if u[:k] == prefix]
+                    assert list(group.iter_sphere_letters(m, prefix)) == want
+    assert list(F2.iter_sphere_letters(2, (0,))) == [(0, 0), (0, 2), (0, 3)]
+
+
 def test_sphere_budget_enforced():
     with pytest.raises(BudgetError) as err:
         F2.sphere(10, budget=100)
