@@ -9,9 +9,15 @@ Exit codes: 0 success, 1 invariant violation, 2 usage or input error,
 
 Reports are deterministic: fixed key order, floats rendered as 17
 significant digits (lossless binary64 round-trip), rationals as "p/q".
-Settings resolve as flag > config file (--config, JSON object keyed by the
-long option names) > environment (TREEBOUNDARY_BUDGET, budget only) >
-built-in default.
+
+Input contract: ``SETTINGS`` declares each setting once (flags, kind, help)
+and ``COMMANDS`` gives each subcommand's settings and defaults; the parser
+is generated from both.  A setting resolves as flag > config file (--config,
+a JSON object keyed by setting name) > environment (TREEBOUNDARY_BUDGET,
+budget only) > default, and every value, whatever its source, passes its
+kind's check.  Function and terms files are checked by ``_table`` and
+``_cocycle_input``; their errors name the file.  A subcommand reads all its
+input and computes its report before it creates the output directory.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .boundary import BoundaryPoint, VisualStructure, weak_distance_to_delta
 from .chern import CocycleInput, cocycle_value, trace_oracle_report
@@ -78,6 +84,15 @@ def _stringify(obj: Any) -> Any:
     return obj
 
 
+def _out_dir(settings: argparse.Namespace) -> Path:
+    out = Path(settings.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a place that cannot be written
+        raise ValueError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
 def _write_json(path: Path, obj: Any) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
@@ -92,148 +107,220 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]])
 
 
 # ----------------------------------------------------------------------
-# config resolution
+# kinds: each takes a value from a flag (a string), a config file or an
+# input file, and its name for the error, and returns the checked value
 
-# config keys that name files; every other key except "p" holds a scalar
-_CONFIG_PATHS = ("out", "phi", "input")
-
-
-def _finite_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
+Kind = Callable[[Any, str], Any]
 
 
-def _load_config(args: argparse.Namespace) -> dict[str, Any]:
-    if getattr(args, "config", None) is None:
-        return {}
-    try:
-        obj = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"bad config file {args.config}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ValueError("config file must hold a JSON object")
-    for key, value in obj.items():
-        if key == "p":
-            ok = isinstance(value, list) and all(map(_finite_number, value))
-        elif key in _CONFIG_PATHS:
-            ok = isinstance(value, str)
-        else:
-            ok = value is None or isinstance(value, str) or _finite_number(value)
-        if not ok:
-            raise ValueError(f"config key {key!r} has a malformed value {value!r}")
-    return obj
+def _integer(minimum: int | None = None) -> Kind:
+    """An integer, at least ``minimum`` if given; ``2.0`` and ``"2"`` pass,
+    ``2.5`` and booleans do not."""
+
+    def check(value: Any, name: str) -> int:
+        try:
+            number = int(value)
+        except (TypeError, ValueError, OverflowError):  # a list, "2.5", nan, inf
+            number = None
+        if number is None or type(value) is bool or isinstance(value, float) and number != value:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and number < minimum:
+            raise ValueError(f"{name} must be at least {minimum}, got {number}")
+        return number
+
+    return check
 
 
-def _setting(args: argparse.Namespace, config: dict, key: str, default: Any) -> Any:
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key)
-    if value is None:
-        value = default
+def _finite(minimum: float, inclusive: bool) -> Kind:
+    """A finite number above ``minimum`` (or equal to it, if ``inclusive``)."""
+
+    def check(value: Any, name: str) -> float:
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):  # a list, "x", 10**400
+            number = math.nan
+        above = number >= minimum if inclusive else number > minimum
+        if isinstance(value, bool) or not (math.isfinite(number) and above):
+            relation = ">=" if inclusive else ">"
+            raise ValueError(f"{name} must be a finite number {relation} {minimum}, got {value!r}")
+        return number
+
+    return check
+
+
+_positive = _finite(0, inclusive=False)
+
+
+def _exponents(value: Any, name: str) -> list[float]:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{name} must be a non-empty list of numbers, got {value!r}")
+    return [_positive(v, name) for v in value]
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float, str)) and not isinstance(value, bool)
+
+
+def _text(value: Any, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
     return value
 
 
-def _integer(value: Any, name: str, minimum: int | None = None) -> int:
-    """``value`` as an int; a non-integral value, or one below ``minimum``,
-    is a usage error."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        number = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from exc
-    if minimum is not None and number < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {number}")
-    return number
+class Setting(NamedTuple):
+    flags: tuple[str, ...]
+    kind: Kind
+    help: str
 
 
-def _int_setting(
-    args: argparse.Namespace,
-    config: dict,
-    key: str,
-    default: int | None,
-    minimum: int | None = None,
-) -> int | None:
-    value = _setting(args, config, key, default)
-    return None if value is None else _integer(value, key, minimum)
+SETTINGS = {
+    "rank": Setting(("--n", "--rank"), _integer(2), "free group rank"),
+    "phi": Setting(("--phi",), _text, "function JSON file"),
+    "input": Setting(("--input",), _text, "terms JSON file"),
+    "degree": Setting(("--degree",), _integer(1), "odd cocycle degree"),
+    "radius": Setting(("--R", "--radius"), _integer(0), "ball radius"),
+    "m": Setting(("--m",), _integer(1), "fiber depth (default depth(phi)+R)"),
+    "oracle_R": Setting(("--oracle-R",), _integer(0), "trace oracle ball radius"),
+    "oracle_m": Setting(("--oracle-m",), _integer(1), "trace oracle fiber depth"),
+    "epsilon": Setting(("--epsilon",), _positive, "visual parameter (default ln(2n-1))"),
+    "p": Setting(("--p",), _exponents, "exponent, repeatable"),
+    "g": Setting(("--g",), _text, "driving element"),
+    "max_power": Setting(("--max-power",), _integer(1), "largest power of g"),
+    "depth": Setting(("--depth",), _integer(1), "cylinder depth for the distance"),
+    "seed": Setting(("--seed",), _integer(), "random seed"),
+    "tol_scale": Setting(
+        ("--tol-scale",), _finite(0, inclusive=True), "multiplier of every float tolerance"
+    ),
+    "out": Setting(("--out",), _text, "output directory"),
+    "budget": Setting(("--budget",), _integer(1), f"enumeration cap (env {ENV_BUDGET})"),
+}
 
 
-def _budget(args: argparse.Namespace, config: dict) -> tuple[int, bool]:
-    """Resolved enumeration budget and whether it was set explicitly."""
-    value = getattr(args, "budget", None)
-    if value is None:
-        value = config.get("budget")
-    name = "budget"
-    if value is None:
-        value, name = os.environ.get(ENV_BUDGET), ENV_BUDGET
-    if value is None:
-        return DEFAULT_BUDGET, False
-    return _integer(value, name, 1), True
-
-
-def _out_dir(args: argparse.Namespace, config: dict) -> Path:
-    out = Path(_setting(args, config, "out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _group(args: argparse.Namespace, config: dict, fallback: int = 2) -> FreeGroup:
-    return FreeGroup(_int_setting(args, config, "rank", fallback))
-
-
-def _visual(args: argparse.Namespace, config: dict, group: FreeGroup) -> VisualStructure:
-    eps = _setting(args, config, "epsilon", None)
-    if eps is None:
-        eps = math.log(2 * group.n - 1)
-    return VisualStructure(group, float(eps))
-
-
-# what a malformed value table raises: a missing key, a non-pair value, a
-# zero denominator ("1/0")
-_TABLE_ERRORS = (KeyError, TypeError, IndexError, ZeroDivisionError)
-
-
-def _load_function_file(
-    path: str, group: FreeGroup | None, rank_flag: int | None
-) -> tuple[LocallyConstantFunction, FreeGroup, str]:
+def _read_json(path: str, what: str) -> dict:
     try:
         obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"bad function file {path}: {exc}") from exc
-    if not isinstance(obj, dict) or "values" not in obj:
-        raise ValueError(
-            f"function file {path} must hold an object with a 'values' table"
-        )
-    if group is None:
-        rank = rank_flag if rank_flag is not None else obj.get("rank", 2)
-        group = FreeGroup(_integer(rank, "rank"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise ValueError(f"bad {what} file {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} file {path} must hold a JSON object")
+    return obj
+
+
+def _read_config(path: str | None) -> dict[str, Any]:
+    """The settings in the config file, each checked by its kind; a key
+    that names no setting is an error, a null value is no value."""
+    if path is None:
+        return {}
+    config = {}
+    for key, value in _read_json(path, "config").items():
+        if key not in SETTINGS:
+            raise ValueError(f"config file {path}: {key!r} is not a setting")
+        if value is not None:
+            config[key] = SETTINGS[key].kind(value, f"{key} in config file {path}")
+    return config
+
+
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Every setting of ``args.command``: flag > config > environment
+    (budget only) > default, each value through its setting's kind."""
+    config = _read_config(args.config)
+    settings = argparse.Namespace()
+    for name, default in COMMANDS[args.command][2].items():
+        value = getattr(args, name)
+        if value is not None:
+            value = SETTINGS[name].kind(value, name)
+        elif name in config:
+            value = config[name]
+        elif name == "budget" and ENV_BUDGET in os.environ:
+            value = SETTINGS[name].kind(os.environ[ENV_BUDGET], ENV_BUDGET)
+        else:
+            value = default
+        setattr(settings, name, value)
+    return settings
+
+
+def _file_setting(
+    settings: argparse.Namespace, name: str, obj: dict, default: Any, where: str
+) -> Any:
+    """A setting an input file may also give: flag > config > the file's key
+    > ``default``."""
+    value = getattr(settings, name)
+    if value is None:
+        value = SETTINGS[name].kind(obj.get(name, default), f"{name} in {where}")
+    return value
+
+
+def _table(obj: Any, group: FreeGroup, where: str) -> LocallyConstantFunction:
+    """The function table ``obj``: "depth" an integer >= 0 and "values" an
+    object mapping each depth-cell word to a [re, im] pair of numbers."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("values"), dict):
+        raise ValueError(f"{where} needs a 'values' object")
+    depth = _integer(0)(obj.get("depth"), f"depth in {where}")
+    for key, pair in obj["values"].items():
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+            raise ValueError(f"{where}: {key!r} must map to an [re, im] pair, got {pair!r}")
+    table = {"depth": depth, "values": obj["values"]}
     try:
-        phi = LocallyConstantFunction.from_json_obj(obj, group)
-    except _TABLE_ERRORS as exc:
-        raise ValueError(f"bad function file {path}: {exc}") from exc
-    return phi, group, Path(path).stem
+        return LocallyConstantFunction.from_json_obj(table, group)
+    except (ValueError, ArithmeticError) as exc:  # a bad literal, cell or count; "1/0"; inf
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _function(settings: argparse.Namespace) -> tuple[LocallyConstantFunction, str]:
+    """The --phi function and its label; without --phi, the indicator of [a]."""
+    if settings.phi is None:
+        group = FreeGroup(2 if settings.rank is None else settings.rank)
+        return LocallyConstantFunction.indicator(group, Word((0,))), "indicator_a"
+    where = f"function file {settings.phi}"
+    obj = _read_json(settings.phi, "function")
+    group = FreeGroup(_file_setting(settings, "rank", obj, 2, where))
+    return _table(obj, group, where), Path(settings.phi).stem
+
+
+def _cocycle_input(settings: argparse.Namespace) -> CocycleInput:
+    """The terms file: "terms" a non-empty list of objects, each with a
+    function table "phi" and a word string "g" (default "1")."""
+    path = settings.input
+    if path is None:
+        raise ValueError("chern needs --input terms.json")
+    where = f"terms file {path}"
+    obj = _read_json(path, "terms")
+    entries = obj.get("terms")
+    if not (isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries)):
+        raise ValueError(f"{where} needs a non-empty 'terms' list of objects")
+    group = FreeGroup(_file_setting(settings, "rank", obj, 2, where))
+    degree = _file_setting(settings, "degree", obj, len(entries) - 1, where)
+    terms = []
+    for i, entry in enumerate(entries):
+        term = f"term {i} of {where}"
+        phi = _table(entry.get("phi"), group, term)
+        g = _text(entry.get("g", "1"), f"g in {term}")
+        try:
+            terms.append((phi, group.word(g)))
+        except ValueError as exc:  # a letter outside the alphabet
+            raise ValueError(f"{term}: {exc}") from exc
+    return CocycleInput(degree, terms)
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each takes its resolved settings
 
-def _cmd_growth(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    group = _group(args, config)
-    radius = _int_setting(args, config, "radius", 3, 0)
-    budget, _ = _budget(args, config)
-    out = _out_dir(args, config)
+
+def _cmd_growth(s: argparse.Namespace) -> int:
+    group = FreeGroup(s.rank)
     rows = []
-    for r in range(radius + 1):
+    for r in range(s.radius + 1):
         closed = group.growth_count(r)
-        enumerated = len(group.ball(r, budget=budget))
+        enumerated = len(group.ball(r, budget=s.budget))
         rows.append((r, closed, enumerated))
     obj = {
         "rank": group.n,
-        "radius": radius,
+        "radius": s.radius,
         "rows": [
             {"R": r, "closed_form": c, "enumerated": e} for r, c, e in rows
         ],
     }
+    out = _out_dir(s)
     _write_json(out / "growth.json", obj)
     _write_csv(out / "growth.csv", ["R", "closed_form", "enumerated"], rows)
     bad = [r for r, c, e in rows if c != e]
@@ -243,19 +330,14 @@ def _cmd_growth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_deviation(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    rank = _setting(args, config, "rank", None)
-    phi_path = _setting(args, config, "phi", None)
-    if phi_path is None:
+def _cmd_deviation(s: argparse.Namespace) -> int:
+    if s.phi is None:
         raise ValueError("deviation needs --phi FILE")
-    phi, group, label = _load_function_file(phi_path, None, rank)
-    radius = _int_setting(args, config, "radius", 4, 0)
-    budget, _ = _budget(args, config)
-    out = _out_dir(args, config)
-    profile = DeviationProfile.compute(phi, radius, label=label, budget=budget)
+    phi, label = _function(s)
+    profile = DeviationProfile.compute(phi, s.radius, label=label, budget=s.budget)
     obj = profile.to_json_obj()
-    obj["rank"] = group.n
+    obj["rank"] = phi.group.n
+    out = _out_dir(s)
     _write_json(out / "deviation.json", obj)
     with (out / "deviation.csv").open("w", newline="") as fp:
         profile.write_csv(fp)
@@ -263,28 +345,18 @@ def _cmd_deviation(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_summability(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    group = _group(args, config)
-    vs = _visual(args, config, group)
-    radius = _int_setting(args, config, "radius", 5, 0)
-    ps = _setting(args, config, "p", None) or [2.0, 3.0]
-    budget, _ = _budget(args, config)
-    out = _out_dir(args, config)
-    phi_path = _setting(args, config, "phi", None)
-    if phi_path is None:
-        phi = LocallyConstantFunction.indicator(group, Word((0,)))
-        label = "indicator_a"
-    else:
-        phi, group, label = _load_function_file(phi_path, group, None)
-    profile = DeviationProfile.compute(phi, radius, label=label, budget=budget)
-    reports = [lp_report(profile, float(p), vs) for p in ps]
-    surrogate = dplus_surrogate_check(group, vs, radius)
+def _cmd_summability(s: argparse.Namespace) -> int:
+    phi, label = _function(s)
+    group = phi.group
+    vs = VisualStructure(group, s.epsilon or math.log(2 * group.n - 1))
+    profile = DeviationProfile.compute(phi, s.radius, label=label, budget=s.budget)
+    reports = [lp_report(profile, p, vs) for p in s.p]
+    surrogate = dplus_surrogate_check(group, vs, s.radius)
     obj = {
         "rank": group.n,
         "epsilon": _fmt(vs.epsilon),
         "phi": label,
-        "radius": radius,
+        "radius": s.radius,
         "dimension": _fmt(hausdorff_dimension(vs)),
         "threshold": _fmt(summability_threshold(vs)),
         "decay_exponent_fit": _fmt(decay_exponent_fit(profile)),
@@ -298,13 +370,14 @@ def _cmd_summability(args: argparse.Namespace) -> int:
         ),
         "reports": [_stringify(r.to_json_obj()) for r in reports],
     }
-    _write_json(out / "summability.json", obj)
     rows = []
     for report in reports:
-        for m, s in enumerate(report.sphere_sums):
+        for m, sphere_sum in enumerate(report.sphere_sums):
             prev = report.sphere_sums[m - 1] if m else 0.0
-            ratio = _fmt(s / prev) if m and prev > 0 and s > 0 else ""
-            rows.append((_fmt(report.p), m, _fmt(s), ratio, report.verdict))
+            ratio = _fmt(sphere_sum / prev) if m and prev > 0 and sphere_sum > 0 else ""
+            rows.append((_fmt(report.p), m, _fmt(sphere_sum), ratio, report.verdict))
+    out = _out_dir(s)
+    _write_json(out / "summability.json", obj)
     _write_csv(
         out / "summability.csv",
         ["p", "m", "sphere_sum", "ratio", "verdict"],
@@ -313,33 +386,19 @@ def _cmd_summability(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    rank = _setting(args, config, "rank", None)
-    phi_path = _setting(args, config, "phi", None)
-    if phi_path is None:
-        group = FreeGroup(_integer(rank if rank is not None else 2, "rank"))
-        phi = LocallyConstantFunction.indicator(group, Word((0,)))
-        label = "indicator_a"
-    else:
-        phi, group, label = _load_function_file(phi_path, None, rank)
-    vs = _visual(args, config, group)
-    radius = _int_setting(args, config, "radius", 1, 0)
-    level = _int_setting(args, config, "m", phi.depth + radius, 1)
-    budget, explicit = _budget(args, config)
-    dense_budget = budget if explicit else OPERATOR_BUDGET
-    ps = _setting(args, config, "p", None) or [2.0, 3.0]
-    out = _out_dir(args, config)
-
-    trunc = Truncation(vs, radius, level)
-    trunc.check_dense_budget(dense_budget)
+def _cmd_spectrum(s: argparse.Namespace) -> int:
+    phi, label = _function(s)
+    group = phi.group
+    vs = VisualStructure(group, s.epsilon or math.log(2 * group.n - 1))
+    level = phi.depth + s.radius if s.m is None else s.m
+    trunc = Truncation(vs, s.radius, level)
+    trunc.check_dense_budget(s.budget)
     report = verify_pi_identity(phi, trunc)
     values = commutator_singular_values(phi, trunc)
     match = match_deviation_table(phi, trunc, values)
     nonzero = match.nonzero
     schatten = []
-    for p in ps:
-        p = float(p)
+    for p in s.p:
         norm = sum(v**p for v in nonzero) ** (1.0 / p) if nonzero else 0.0
         schatten.append(
             {
@@ -351,7 +410,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     obj = {
         "rank": group.n,
         "phi": label,
-        "R": radius,
+        "R": s.radius,
         "m": level,
         "epsilon": _fmt(vs.epsilon),
         "dim": trunc.dim,
@@ -361,6 +420,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "singular_values": [_fmt(v) for v in values],
         "schatten": schatten,
     }
+    out = _out_dir(s)
     _write_json(out / "spectrum.json", obj)
     _write_csv(
         out / "spectrum.csv",
@@ -370,43 +430,18 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_chern(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    input_path = _setting(args, config, "input", None)
-    if input_path is None:
-        raise ValueError("chern needs --input terms.json")
-    try:
-        obj = json.loads(Path(input_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"bad terms file {input_path}: {exc}") from exc
-    if not isinstance(obj, dict) or not obj.get("terms"):
-        raise ValueError(
-            f"terms file {input_path} must hold an object with a 'terms' list"
-        )
-    rank = _setting(args, config, "rank", None)
-    if rank is None:
-        rank = obj.get("rank", 2)
-    group = FreeGroup(_integer(rank, "rank"))
-    degree = _setting(args, config, "degree", None)
-    if degree is None:
-        degree = obj.get("degree", len(obj.get("terms", [])) - 1)
-    radius = _int_setting(args, config, "radius", 4, 0)
-    budget, _ = _budget(args, config)
-    out = _out_dir(args, config)
-
-    terms = []
-    for entry in obj["terms"]:
-        try:
-            phi = LocallyConstantFunction.from_json_obj(entry["phi"], group)
-        except _TABLE_ERRORS as exc:
-            raise ValueError(f"bad term in {input_path}: {exc}") from exc
-        terms.append((phi, group.word(entry.get("g", "1"))))
-    inp = CocycleInput(_integer(degree, "degree", 1), terms)
-    value = cocycle_value(inp, radius, budget=budget)
+def _cmd_chern(s: argparse.Namespace) -> int:
+    inp = _cocycle_input(s)
+    group = inp.group
+    value = cocycle_value(inp, s.radius, budget=s.budget)
+    spheres = [
+        (m, _fmt(a), _fmt(b))
+        for m, (a, b) in enumerate(zip(value.sphere_abs, value.sphere_bounds))
+    ]
     report = {
         "rank": group.n,
         "degree": inp.degree,
-        "radius": radius,
+        "radius": s.radius,
         "group_product": word_to_str(inp.group_product),
         "value": _complex_obj(value.value),
         "tail_bound": _fmt(value.tail_bound),
@@ -415,22 +450,17 @@ def _cmd_chern(args: argparse.Namespace) -> int:
             "re": _frac(value.exact_partial.re),
             "im": _frac(value.exact_partial.im),
         },
-        "spheres": [
-            {"m": m, "abs": _fmt(s), "bound": _fmt(b)}
-            for m, (s, b) in enumerate(zip(value.sphere_abs, value.sphere_bounds))
-        ],
+        "spheres": [{"m": m, "abs": a, "bound": b} for m, a, b in spheres],
     }
-    oracle_r = _int_setting(args, config, "oracle_R", None, 0)
-    oracle_m = _int_setting(args, config, "oracle_m", None, 1)
-    if oracle_r is not None and oracle_m is not None:
-        vs = _visual(args, config, group)
-        trunc = Truncation(vs, oracle_r, oracle_m)
+    if s.oracle_R is not None and s.oracle_m is not None:
+        vs = VisualStructure(group, s.epsilon or math.log(2 * group.n - 1))
+        trunc = Truncation(vs, s.oracle_R, s.oracle_m)
         oracle = trace_oracle_report(inp, trunc)
         gap = abs(oracle.value - value.value)
         allowance = value.tail_bound + oracle.window_correction
         report["oracle"] = {
-            "R": oracle_r,
-            "m": oracle_m,
+            "R": s.oracle_R,
+            "m": s.oracle_m,
             "value": _complex_obj(oracle.value),
             "window_correction": _fmt(oracle.window_correction),
             "chain_exits": oracle.chain_exits,
@@ -439,82 +469,67 @@ def _cmd_chern(args: argparse.Namespace) -> int:
             "allowance": _fmt(allowance),
             "consistent": bool(gap <= allowance),
         }
+    out = _out_dir(s)
     _write_json(out / "chern.json", report)
-    _write_csv(
-        out / "chern.csv",
-        ["m", "sphere_abs", "sphere_bound"],
-        [
-            (m, _fmt(s), _fmt(b))
-            for m, (s, b) in enumerate(zip(value.sphere_abs, value.sphere_bounds))
-        ],
-    )
+    _write_csv(out / "chern.csv", ["m", "sphere_abs", "sphere_bound"], spheres)
     if "oracle" in report and not report["oracle"]["consistent"]:
         print("trace oracle outside the certified allowance", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
 
 
-def _cmd_furstenberg(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    group = _group(args, config)
-    g = group.word(str(_setting(args, config, "g", "a")))
+def _cmd_furstenberg(s: argparse.Namespace) -> int:
+    group = FreeGroup(s.rank)
+    g = group.word(s.g)
     if g.is_identity:
         raise ValueError("the driving element must not be the identity")
-    max_power = _int_setting(args, config, "max_power", 10, 1)
-    depth = _int_setting(args, config, "depth", 1, 1)
-    budget, _ = _budget(args, config)
-    out = _out_dir(args, config)
     omega = BoundaryPoint(IDENTITY, g)
     rows = []
     power = IDENTITY
-    for m in range(1, max_power + 1):
+    for m in range(1, s.max_power + 1):
         power = mul(power, g)
-        d = weak_distance_to_delta(power, omega, depth, group, budget=budget)
+        d = weak_distance_to_delta(power, omega, s.depth, group, budget=s.budget)
         rows.append((m, _frac(d), _fmt(float(d))))
     obj = {
         "rank": group.n,
         "g": word_to_str(g),
         "endpoint": str(omega),
-        "depth": depth,
+        "depth": s.depth,
         "rows": [
             {"m": m, "distance": d, "distance_float": f} for m, d, f in rows
         ],
     }
+    out = _out_dir(s)
     _write_json(out / "furstenberg.json", obj)
     _write_csv(out / "furstenberg.csv", ["m", "distance", "distance_float"], rows)
     return EXIT_OK
 
 
-def _cmd_verify_all(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    group = _group(args, config)
-    vs = _visual(args, config, group)
-    radius = _int_setting(args, config, "radius", 2, 0)
-    seed = _int_setting(args, config, "seed", 0)
-    tol_scale = float(_setting(args, config, "tol_scale", 1.0))
-    budget, _ = _budget(args, config)
-    out = _out_dir(args, config)
+def _cmd_verify_all(s: argparse.Namespace) -> int:
+    group = FreeGroup(s.rank)
+    vs = VisualStructure(group, s.epsilon or math.log(2 * group.n - 1))
     ctx = VerifyContext(
         group=group,
         vs=vs,
-        radius=radius,
-        seed=seed,
-        tol_scale=tol_scale,
-        budget=budget,
+        radius=s.radius,
+        seed=s.seed,
+        tol_scale=s.tol_scale,
+        budget=s.budget,
     )
     results = run_all(ctx)
     ok = all(r.ok for r in results)
     obj = {
         "rank": group.n,
-        "radius": radius,
+        "radius": s.radius,
         "epsilon": _fmt(vs.epsilon),
-        "seed": seed,
-        "tol_scale": _fmt(tol_scale),
+        "seed": s.seed,
+        "tol_scale": _fmt(s.tol_scale),
         "ok": ok,
         "checks": [
             {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
         ],
     }
+    out = _out_dir(s)
     _write_json(out / "verify-all.json", obj)
     _write_csv(
         out / "verify-all.csv",
@@ -529,99 +544,79 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # parser
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON settings file; explicit flags win")
-    sp.add_argument("--out", help="output directory (default .)")
-    sp.add_argument(
-        "--budget",
-        type=int,
-        help=f"enumeration cap (default {DEFAULT_BUDGET}, env {ENV_BUDGET})",
-    )
+# subcommand -> (runner, help, {setting: default}); a default of None means
+# unset, or worked out by the subcommand from its other inputs
+_COMMON = {"out": ".", "budget": DEFAULT_BUDGET}
+COMMANDS = {
+    "growth": (
+        _cmd_growth, "ball sizes, enumerated and closed form", dict(_COMMON, rank=2, radius=3)
+    ),
+    "deviation": (
+        _cmd_deviation,
+        "expectation/deviation profile over a ball",
+        dict(_COMMON, rank=None, phi=None, radius=4),
+    ),
+    "summability": (
+        _cmd_summability,
+        "Schatten sphere sums and verdicts",
+        dict(_COMMON, rank=None, phi=None, radius=5, epsilon=None, p=[2.0, 3.0]),
+    ),
+    "spectrum": (
+        _cmd_spectrum,
+        "truncated operator identities and spectra",
+        dict(_COMMON, budget=OPERATOR_BUDGET, rank=None, phi=None, radius=1, m=None,
+             epsilon=None, p=[2.0, 3.0]),
+    ),
+    "chern": (
+        _cmd_chern,
+        "cyclic cocycle value with certified tail",
+        dict(_COMMON, degree=None, rank=None, input=None, radius=4, oracle_R=None,
+             oracle_m=None, epsilon=None),
+    ),
+    "furstenberg": (
+        _cmd_furstenberg,
+        "weak-* convergence of g^m mu to a point mass",
+        dict(_COMMON, rank=2, g="a", max_power=10, depth=1),
+    ),
+    "verify-all": (
+        _cmd_verify_all,
+        "run the full invariant suite",
+        dict(_COMMON, rank=2, radius=2, seed=0, tol_scale=1.0, epsilon=None),
+    ),
+}
 
 
-def _add_rank(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--n", "--rank", dest="rank", type=int, help="free group rank (default 2)"
-    )
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a malformed command line is a usage error like any other bad input
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treeboundary",
         description="Exact boundary dynamics for free groups: reports on "
         "deviation profiles, summability, operator truncations, and cyclic "
         "cocycles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("growth", help="ball sizes, enumerated and closed form")
-    _add_rank(sp)
-    sp.add_argument("--R", "--radius", dest="radius", type=int)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_growth)
-
-    sp = sub.add_parser("deviation", help="expectation/deviation profile over a ball")
-    _add_rank(sp)
-    sp.add_argument("--phi", help="function JSON file")
-    sp.add_argument("--R", "--radius", dest="radius", type=int)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_deviation)
-
-    sp = sub.add_parser("summability", help="Schatten sphere sums and verdicts")
-    _add_rank(sp)
-    sp.add_argument("--phi", help="function JSON file (default indicator [a])")
-    sp.add_argument("--R", "--radius", dest="radius", type=int)
-    sp.add_argument("--epsilon", type=float, help="visual parameter (default ln(2n-1))")
-    sp.add_argument("--p", action="append", type=float, help="exponent, repeatable")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_summability)
-
-    sp = sub.add_parser("spectrum", help="truncated operator identities and spectra")
-    _add_rank(sp)
-    sp.add_argument("--phi", help="function JSON file (default indicator [a])")
-    sp.add_argument("--R", "--radius", dest="radius", type=int)
-    sp.add_argument("--m", type=int, help="fiber depth (default depth(phi)+R)")
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--p", action="append", type=float, help="Schatten exponent")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_spectrum)
-
-    sp = sub.add_parser("chern", help="cyclic cocycle value with certified tail")
-    sp.add_argument("--degree", dest="degree", type=int, help="odd degree")
-    _add_rank(sp)
-    sp.add_argument("--input", help="terms JSON file")
-    sp.add_argument("--radius", "--R", dest="radius", type=int)
-    sp.add_argument("--oracle-R", dest="oracle_R", type=int, help="trace oracle ball radius")
-    sp.add_argument("--oracle-m", dest="oracle_m", type=int, help="trace oracle fiber depth")
-    sp.add_argument("--epsilon", type=float)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_chern)
-
-    sp = sub.add_parser("furstenberg", help="weak-* convergence of g^m mu to a point mass")
-    _add_rank(sp)
-    sp.add_argument("--g", help="driving element (default a)")
-    sp.add_argument("--max-power", dest="max_power", type=int)
-    sp.add_argument("--depth", type=int, help="cylinder depth for the distance")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_furstenberg)
-
-    sp = sub.add_parser("verify-all", help="run the full invariant suite")
-    _add_rank(sp)
-    sp.add_argument("--R", "--radius", dest="radius", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--tol-scale", dest="tol_scale", type=float)
-    sp.add_argument("--epsilon", type=float)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_verify_all)
-
+    for command, (_, help_text, defaults) in COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name, default in defaults.items():
+            flags, kind, text = SETTINGS[name]
+            if default is not None:
+                text = f"{text} (default {default})"
+            action = "append" if kind is _exponents else "store"
+            sp.add_argument(*flags, dest=name, action=action, help=text)
+        sp.add_argument("--config", help="JSON settings file; explicit flags win")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return COMMANDS[args.command][0](_resolve(args))
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

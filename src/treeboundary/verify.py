@@ -48,7 +48,7 @@ from .summability import (
     lp_report,
     summability_threshold,
 )
-from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Word, gromov_product, mul
+from .words import DEFAULT_BUDGET, IDENTITY, BudgetError, FreeGroup, Word, gromov_product, mul
 
 
 @dataclass(frozen=True)
@@ -384,12 +384,16 @@ def _chern(ctx: VerifyContext) -> tuple[bool, str]:
 def run_all(ctx: VerifyContext, workers: int = 1) -> list[CheckResult]:
     """Run every registered check serially, in registration order.
 
-    ``workers`` is ignored; the checks always run in this process.
+    A check that raises has failed, except that a ``BudgetError`` propagates:
+    running out of budget is no invariant violation.  ``workers`` is
+    ignored; the checks always run in this process.
     """
     results = []
     for name, fn in _REGISTRY:
         try:
             ok, detail = fn(ctx)
+        except BudgetError:
+            raise
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append(CheckResult(name=name, ok=ok, detail=detail))

@@ -1,12 +1,18 @@
 """CLI surface: exit codes, report schemas, precedence, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeboundary import FreeGroup, LocallyConstantFunction
 from treeboundary.cli import main
@@ -322,6 +328,17 @@ def test_list_valued_config_setting_is_usage_error(tmp_path, capsys):
         (["furstenberg", "--n", 2, "--depth", 0], None),
         (["verify-all", "--n", 2], {"seed": 0.5}),
         (["growth", "--n", 2], {"budget": 0}),
+        # float settings: epsilon and every p finite and > 0, tol_scale finite and >= 0
+        (["summability", "--R", 4, "--epsilon", "inf"], None),  # ZeroDivisionError
+        (["summability", "--R", 4, "--p", "inf"], None),  # OverflowError
+        (["summability", "--p", "nan"], None),  # "cannot convert float NaN", after --out
+        (["spectrum", "--R", 1, "--p", 0], None),  # ZeroDivisionError
+        (["spectrum", "--R", 1, "--p", -1], None),  # exit 0 with meaningless norms
+        (["spectrum", "--R", 1, "--p", "nan"], None),
+        (["verify-all", "--n", 2, "--R", 1, "--tol-scale", -1], None),  # exit 1
+        (["verify-all", "--n", 2, "--R", 1, "--tol-scale", "nan"], None),
+        (["growth"], {"radius": True}),  # booleans are not numbers
+        (["spectrum"], {"p": [True]}),
     ],
 )
 def test_out_of_range_integer_setting_is_usage_error(tmp_path, capsys, argv, config):
@@ -334,12 +351,62 @@ def test_out_of_range_integer_setting_is_usage_error(tmp_path, capsys, argv, con
     assert not (tmp_path / "out").exists()  # rejected before any output
 
 
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("deviation", ["values"], [1, 2]),  # AttributeError
+        ("deviation", ["depth"], 1.5),  # "the depth-1.5 partition has 6.93 cells"
+        ("deviation", ["values", "a"], ["x/y", "0"]),  # the error did not name the file
+        ("summability", ["values", "a"], ["1/0", "0/1"]),  # wrote --out first
+        ("chern", ["terms"], 5),  # TypeError
+        ("chern", ["terms", 0, "g"], 5),  # TypeError
+        ("chern", ["terms", 2, "phi", "values", "b"], ["0/1", "1/0"]),  # wrote --out first
+    ],
+)
+def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, path, value):
+    file = write_terms(tmp_path) if command == "chern" else write_phi(tmp_path)
+    obj = json.loads(file.read_text())
+    _set(obj, path, value)
+    file.write_text(json.dumps(obj))
+    flag = "--input" if command == "chern" else "--phi"
+    assert run_cli([command, flag, file, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and str(file) in err
+    assert not (tmp_path / "out").exists()  # rejected before any output
+
+
+def test_out_path_that_is_a_file_is_usage_error(tmp_path, capsys):
+    (tmp_path / "out").write_text("")
+    assert run_cli(["growth", "--out", tmp_path / "out"]) == 2  # FileExistsError
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_all_budget_stop_exits_three(tmp_path, capsys):
+    # the checks enumerate B_2 (161 elements) against a budget of 100
+    args = ["verify-all", "--n", 2, "--R", 2, "--budget", 100, "--out", tmp_path / "out"]
+    assert run_cli(args) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+
+
 def test_integral_settings_still_accepted(tmp_path):
     config = tmp_path / "conf.json"
     config.write_text(json.dumps({"rank": 2.0, "radius": "2"}))
     assert run_cli(["growth", "--config", config, "--out", tmp_path]) == 0
     obj = json.loads((tmp_path / "growth.json").read_text())
     assert (obj["rank"], obj["radius"]) == (2, 2)
+
+
+def test_summability_takes_the_function_file_rank(tmp_path):
+    # like deviation and spectrum: flag > config > the file's "rank" > 2
+    phi = write_phi(tmp_path, rank=3)
+    assert run_cli(["summability", "--phi", phi, "--R", 4, "--out", tmp_path]) == 0
+    assert json.loads((tmp_path / "summability.json").read_text())["rank"] == 3
 
 
 def test_non_integral_rank_in_function_file_is_usage_error(tmp_path, capsys):
@@ -357,3 +424,98 @@ def test_verify_all_passes_at_higher_rank(tmp_path, rank):
     assert run_cli(["verify-all", "--n", rank, "--R", 2, "--out", tmp_path]) == 0
     obj = json.loads((tmp_path / "verify-all.json").read_text())
     assert obj["ok"] and all(c["ok"] for c in obj["checks"])
+
+
+# ----------------------------------------------------------------------
+# contract fuzz: every subcommand, settings from flags and config, valid
+# small values and malformed ones
+
+_MALFORMED = st.sampled_from(
+    [-1, -0.5, 0.5, 2.5, math.nan, math.inf, -math.inf, True, False, "x", "", [1], [], {}]
+)
+_VALID = {
+    "rank": st.sampled_from([2, 2, 3]),  # the input files are over F_2
+    "degree": st.sampled_from([1, 3, 3]),  # the terms file has four terms
+    "m": st.integers(1, 2),
+    "oracle_R": st.integers(0, 2),
+    "oracle_m": st.integers(1, 2),
+    "epsilon": st.floats(0.5, 2.0),
+    "p": st.lists(st.floats(1.0, 4.0), min_size=1, max_size=2),
+    "g": st.sampled_from(["a", "B", "aB", "1", "z"]),
+    "max_power": st.integers(1, 4),
+    "depth": st.integers(1, 2),
+    "seed": st.integers(-3, 3),
+    "tol_scale": st.sampled_from([0.0, 0.5, 1.0, 2.0]),  # 0 fails some checks
+    "budget": st.sampled_from([50, 10**6, 10**7]),  # 50 stops most reports
+}
+# radii stay small so that every report runs in well under a second
+_RADIUS = {
+    "growth": (0, 3),
+    "deviation": (0, 2),
+    "summability": (3, 4),
+    "spectrum": (0, 1),
+    "chern": (0, 2),
+    "verify-all": (0, 1),
+}
+_FILES = {"phi": "phi.json", "input": "terms.json"}
+# every setting of each subcommand but --out, and the flags that differ from --<name>
+_COMMANDS = {
+    "growth": ["rank", "radius", "budget"],
+    "deviation": ["rank", "phi", "radius", "budget"],
+    "summability": ["rank", "phi", "radius", "epsilon", "p", "budget"],
+    "spectrum": ["rank", "phi", "radius", "m", "epsilon", "p", "budget"],
+    "chern": ["degree", "rank", "input", "radius", "oracle_R", "oracle_m", "epsilon", "budget"],
+    "furstenberg": ["rank", "g", "max_power", "depth", "budget"],
+    "verify-all": ["rank", "radius", "seed", "tol_scale", "epsilon", "budget"],
+}
+_FLAGS = {
+    "rank": "--n",
+    "radius": "--R",
+    "oracle_R": "--oracle-R",
+    "oracle_m": "--oracle-m",
+    "max_power": "--max-power",
+    "tol_scale": "--tol-scale",
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_main_keeps_the_exit_code_contract(data):
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_phi(tmp, name="phi.json")
+        terms = json.loads(write_terms(tmp).read_text())
+        if data.draw(st.integers(0, 3)) == 0:  # one malformed entry in each input file
+            (tmp / "phi.json").write_text(json.dumps({"depth": 1, "values": {"a": ["1/0"]}}))
+            terms["terms"][1]["g"] = data.draw(_MALFORMED)
+            (tmp / "terms.json").write_text(json.dumps(terms))
+        argv, config = [command], {}
+        for name in _COMMANDS[command]:
+            source = data.draw(st.sampled_from(["none", "flag", "config"]))
+            if source == "none":
+                continue
+            if name in _FILES:
+                value = str(tmp / _FILES[name])
+            elif data.draw(st.integers(0, 5)) == 0:
+                value = data.draw(_MALFORMED)
+            elif name == "radius":
+                value = data.draw(st.integers(*_RADIUS[command]))
+            else:
+                value = data.draw(_VALID[name])
+            if source == "config":
+                config[name] = value
+                continue
+            flag = _FLAGS.get(name, f"--{name}")
+            for item in value if isinstance(value, list) and name == "p" else [value]:
+                argv.append(f"{flag}={item}")
+        if config:
+            (tmp / "conf.json").write_text(json.dumps(config))
+            argv.append(f"--config={tmp / 'conf.json'}")
+        argv.append(f"--out={tmp / 'out'}")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, config)
+        assert code != 1 or command in ("verify-all", "chern"), (argv, config, err.getvalue())
+        assert "Traceback" not in err.getvalue()
