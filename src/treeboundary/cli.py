@@ -131,30 +131,40 @@ def _integer(minimum: int | None = None) -> Kind:
     return check
 
 
-def _finite(minimum: float, inclusive: bool) -> Kind:
-    """A finite number above ``minimum`` (or equal to it, if ``inclusive``)."""
+def _finite(minimum: float, maximum: float = math.inf) -> Kind:
+    """A finite number from ``minimum`` to ``maximum``, both included."""
 
     def check(value: Any, name: str) -> float:
         try:
             number = float(value)
         except (TypeError, ValueError, OverflowError):  # a list, "x", 10**400
             number = math.nan
-        above = number >= minimum if inclusive else number > minimum
-        if isinstance(value, bool) or not (math.isfinite(number) and above):
-            relation = ">=" if inclusive else ">"
-            raise ValueError(f"{name} must be a finite number {relation} {minimum}, got {value!r}")
+        if isinstance(value, bool) or not (math.isfinite(number) and minimum <= number <= maximum):
+            bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+            raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
         return number
 
     return check
 
 
-_positive = _finite(0, inclusive=False)
+# The bounds of p and epsilon keep every report finite in binary64 for balls
+# and spectra of fewer than 2^64 elements and function values below 2^15.
+# p >= 1/8: spectrum's (sum of v^p)^(1/p) <= N^(1/p) max v stays below 2^1024
+# for N < 2^64 singular values under 2^512.  p <= 64: each power v^p and
+# sigma^p, and each sphere sum of them, stays below 2^1024, and an even p
+# raises each exact sigma^2 to at most the 32nd power.
+P_RANGE = (2.0**-3, 2.0**6)
+# epsilon >= 2^-1000: the dimension D = ln(2n-1)/epsilon stays finite.
+# epsilon <= 16: the sorted-decay bound C j^(-1/D), with C = (n/(n-1))^(1/D),
+# stays a normal number (above 2^-932) for every ball size j < 2^64.
+EPSILON_RANGE = (2.0**-1000, 16.0)
+_exponent = _finite(*P_RANGE)
 
 
 def _exponents(value: Any, name: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ValueError(f"{name} must be a non-empty list of numbers, got {value!r}")
-    return [_positive(v, name) for v in value]
+    return [_exponent(v, name) for v in value]
 
 
 def _is_number(value: Any) -> bool:
@@ -182,14 +192,16 @@ SETTINGS = {
     "m": Setting(("--m",), _integer(1), "fiber depth (default depth(phi)+R)"),
     "oracle_R": Setting(("--oracle-R",), _integer(0), "trace oracle ball radius"),
     "oracle_m": Setting(("--oracle-m",), _integer(1), "trace oracle fiber depth"),
-    "epsilon": Setting(("--epsilon",), _positive, "visual parameter (default ln(2n-1))"),
-    "p": Setting(("--p",), _exponents, "exponent, repeatable"),
+    "epsilon": Setting(
+        ("--epsilon",), _finite(*EPSILON_RANGE), "visual parameter, at most 16 (default ln(2n-1))"
+    ),
+    "p": Setting(("--p",), _exponents, "exponent from 1/8 to 64, repeatable"),
     "g": Setting(("--g",), _text, "driving element"),
     "max_power": Setting(("--max-power",), _integer(1), "largest power of g"),
     "depth": Setting(("--depth",), _integer(1), "cylinder depth for the distance"),
     "seed": Setting(("--seed",), _integer(), "random seed"),
     "tol_scale": Setting(
-        ("--tol-scale",), _finite(0, inclusive=True), "multiplier of every float tolerance"
+        ("--tol-scale",), _finite(0), "multiplier of every float tolerance"
     ),
     "out": Setting(("--out",), _text, "output directory"),
     "budget": Setting(("--budget",), _integer(1), f"enumeration cap (env {ENV_BUDGET})"),
@@ -335,10 +347,10 @@ def _cmd_deviation(s: argparse.Namespace) -> int:
         raise ValueError("deviation needs --phi FILE")
     phi, label = _function(s)
     profile = DeviationProfile.compute(phi, s.radius, label=label, budget=s.budget)
-    obj = profile.to_json_obj()
-    obj["rank"] = phi.group.n
     out = _out_dir(s)
-    _write_json(out / "deviation.json", obj)
+    with (out / "deviation.json").open("w") as fp:
+        profile.write_json(fp, rank=phi.group.n)
+    print(f"wrote {out / 'deviation.json'}")
     with (out / "deviation.csv").open("w", newline="") as fp:
         profile.write_csv(fp)
     print(f"wrote {out / 'deviation.csv'}")

@@ -15,22 +15,27 @@ Prefix classes: the pushforward mass of a depth-k cylinder [w] under g
 depends on g only through |g| and the common prefix length of g and w (see
 ``boundary``).  So for |g| = m >= k, E(phi)(g) and sigma^2(phi)(g) depend
 only on the class (prefix_k g, m).  ``DeviationProfile.compute`` evaluates
-each class once and shares the values across its rows; a sphere of radius
-m >= k has at most |S_k| classes.
+each class once; a sphere of radius m >= k has |S_k| classes, each of
+multiplicity |S_m| / |S_k|.  Everything after ``compute`` works per class
+too: a ``ProfileClass`` formats its three "p/q" strings once, the CSV and
+JSON writers fill each row into its class's fragments (so a row costs its
+word string and one concatenation), and ``summability`` sums spheres by
+class and multiplicity.
 
-Profiles (all statistics over a ball) are exact row-by-row and stream in
-canonical order, so CSV/JSON output is deterministic.
+Profiles are exact and their rows stay in canonical ball order, so CSV/JSON
+output is deterministic: ``write_json`` writes the very bytes of
+``json.dumps(..., indent=2, sort_keys=True)`` of the row-by-row object.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from typing import IO, Iterable
+from typing import IO, Callable, NamedTuple
 
 from .words import DEFAULT_BUDGET, BudgetError, Word, word_to_str
 from .boundary import Cylinder, depth_mass, pushforward_mass
@@ -151,19 +156,61 @@ def sigma_envelope(
 # ----------------------------------------------------------------------
 # profiles
 
-@dataclass(frozen=True)
-class ProfileRow:
-    g: Word
+@dataclass(eq=False)
+class ProfileClass:
+    """The statistics shared by the rows of one prefix class (prefix_k g, |g|).
+
+    The three "p/q" strings are formatted once, when the class is made;
+    ``multiplicity`` counts the rows of the class.
+    """
+
     length: int
     expectation: GaussianRational
     deviation_sq: Fraction
+    multiplicity: int = 0
+    re_str: str = field(init=False)
+    im_str: str = field(init=False)
+    sigma_str: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.re_str = _frac(self.expectation.re)
+        self.im_str = _frac(self.expectation.im)
+        self.sigma_str = _frac(self.deviation_sq)
+
+
+class ProfileRow(NamedTuple):
+    """One element g of the ball and the prefix class it belongs to."""
+
+    g: Word
+    cls: ProfileClass
+
+    @property
+    def length(self) -> int:
+        return self.cls.length
+
+    @property
+    def expectation(self) -> GaussianRational:
+        return self.cls.expectation
+
+    @property
+    def deviation_sq(self) -> Fraction:
+        return self.cls.deviation_sq
 
 
 @dataclass
 class DeviationProfile:
+    """Rows in canonical ball order, and the prefix classes of each sphere.
+
+    ``spheres[m]`` lists the classes of sphere m in order of first row; the
+    rows of one class are consecutive (canonical order is lexicographic, so
+    a depth-k prefix is a run), so sphere m's rows are its classes, each
+    repeated ``multiplicity`` times, in that order.
+    """
+
     phi_label: str
     radius: int
     rows: list[ProfileRow]
+    spheres: list[list[ProfileClass]]
 
     @classmethod
     def compute(
@@ -182,57 +229,69 @@ class DeviationProfile:
         if group.growth_count(radius) > budget:
             raise BudgetError(group.growth_count(radius), budget)
         k = phi.depth
-        classes: dict[tuple[tuple[int, ...], int], tuple[GaussianRational, Fraction]] = {}
+        classes: dict[tuple[tuple[int, ...], int], ProfileClass] = {}
+        spheres: list[list[ProfileClass]] = [[] for _ in range(radius + 1)]
         rows = []
         for g in group.iter_ball(radius):
             m = len(g)
             key = (g.letters[:k], m)
-            stats = classes.get(key)
-            if stats is None:
+            c = classes.get(key)
+            if c is None:
                 e = expectation(phi, g)
-                stats = classes[key] = (e, _expectation_abs_sq(phi, g) - e.abs2())
-            rows.append(ProfileRow(g, m, *stats))
-        return cls(label, radius, rows)
+                c = classes[key] = ProfileClass(m, e, _expectation_abs_sq(phi, g) - e.abs2())
+                spheres[m].append(c)
+            c.multiplicity += 1
+            rows.append(ProfileRow(g, c))
+        return cls(label, radius, rows, spheres)
 
     def sphere_max_sq(self) -> list[Fraction]:
         """max sigma^2 per sphere, index = word length."""
-        out = [Fraction(0)] * (self.radius + 1)
-        for row in self.rows:
-            if row.deviation_sq > out[row.length]:
-                out[row.length] = row.deviation_sq
+        return [max(c.deviation_sq for c in s) for s in self.spheres]
+
+    def sphere_rows(self, m: int) -> list[ProfileRow]:
+        start = sum(c.multiplicity for s in self.spheres[:m] for c in s)
+        return self.rows[start : start + sum(c.multiplicity for c in self.spheres[m])]
+
+    @cached_property
+    def _words(self) -> list[str]:
+        return [word_to_str(r.g) for r in self.rows]
+
+    def _render(self, fragments: Callable[[ProfileClass], tuple[str, str]]) -> list[str]:
+        """Each row as its class's prefix, its word and its class's suffix;
+        the fragments are made once per class, whose rows are a run."""
+        out, words, start = [], self._words, 0
+        for sphere in self.spheres:
+            for c in sphere:
+                prefix, suffix = fragments(c)
+                end = start + c.multiplicity
+                out += [prefix + w + suffix for w in words[start:end]]
+                start = end
         return out
 
-    def sphere_rows(self, m: int) -> Iterable[ProfileRow]:
-        return (r for r in self.rows if r.length == m)
-
     def write_csv(self, fp: IO[str]) -> None:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["g", "|g|", "Re E", "Im E", "sigma^2"])
-        for r in self.rows:
-            writer.writerow(
-                [
-                    word_to_str(r.g),
-                    r.length,
-                    _frac(r.expectation.re),
-                    _frac(r.expectation.im),
-                    _frac(r.deviation_sq),
-                ]
+        """Columns g, |g|, Re E, Im E, sigma^2; no field needs quoting."""
+        rows = self._render(lambda c: ("", f",{c.length},{c.re_str},{c.im_str},{c.sigma_str}\n"))
+        fp.write("g,|g|,Re E,Im E,sigma^2\n")
+        fp.write("".join(rows))
+
+    def write_json(self, fp: IO[str], rank: int) -> None:
+        """The bytes of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
+        for obj = {"phi", "radius", "rank", "rows"}, each row an object with
+        keys "deviation_sq", "expectation" ([re, im]), "g" and "length".
+
+        The header goes through ``json.dumps`` (its keys sort before
+        "rows"); each row is filled into its class's fragments, which need
+        no escaping.
+        """
+        head = {"phi": self.phi_label, "radius": self.radius, "rank": rank}
+        rows = self._render(
+            lambda c: (
+                f'    {{\n      "deviation_sq": "{c.sigma_str}",\n      "expectation": [\n'
+                f'        "{c.re_str}",\n        "{c.im_str}"\n      ],\n      "g": "',
+                f'",\n      "length": {c.length}\n    }}',
             )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "phi": self.phi_label,
-            "radius": self.radius,
-            "rows": [
-                {
-                    "g": word_to_str(r.g),
-                    "length": r.length,
-                    "expectation": [_frac(r.expectation.re), _frac(r.expectation.im)],
-                    "deviation_sq": _frac(r.deviation_sq),
-                }
-                for r in self.rows
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
+        )
+        fp.write(json.dumps(head, indent=2, sort_keys=True)[:-2])
+        fp.write(',\n  "rows": [\n')
+        fp.write(",\n".join(rows))
+        fp.write("\n  ]\n}\n")

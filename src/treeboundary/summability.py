@@ -7,24 +7,26 @@ converge for exponents above the threshold.  Verdicts from finite data are
 necessarily heuristic; reports always carry the raw sphere sums so callers
 can assert ratios instead of truth of an infinite statement.
 
-Sphere sums accumulate in canonical enumeration order with compensated
-(Kahan) summation; for even integer p they are computed exactly first as
-rationals and converted once.
+Sphere sums work on the profile's prefix classes with their multiplicities:
+for even integer p they are computed exactly first as rationals and
+converted once; for any other p each class's sigma^p is computed once and
+the rows' terms accumulate in canonical enumeration order with compensated
+(Kahan) summation.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .words import FreeGroup
 from .boundary import VisualStructure
-from .deviation import DeviationProfile
+from .deviation import DeviationProfile, ProfileClass
 
 DEFAULT_MARGIN = 0.05
 
@@ -71,15 +73,23 @@ class SummabilityReport:
             "threshold": self.threshold,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
 
+def _sphere_sum(classes: Sequence[ProfileClass], p: float) -> float:
+    """sum of sigma^p over the rows of one sphere, given as its classes.
 
-def _sphere_sum(rows, p: float) -> float:
+    Even p: the exact rational sum of multiplicity * (sigma^2)^(p/2),
+    converted once.  Any other p: each class's float sigma^p once, then a
+    Kahan sum over the rows in canonical order (each class a run of
+    ``multiplicity`` equal terms), bitwise the row-by-row sum.
+    """
     if p == int(p) and int(p) % 2 == 0:
         half = int(p) // 2
-        return float(sum((r.deviation_sq**half for r in rows), Fraction(0)))
-    return _kahan_sum(float(r.deviation_sq) ** (p / 2.0) for r in rows)
+        return float(sum((c.multiplicity * c.deviation_sq**half for c in classes), Fraction(0)))
+    return _kahan_sum(
+        chain.from_iterable(
+            repeat(float(c.deviation_sq) ** (p / 2.0), c.multiplicity) for c in classes
+        )
+    )
 
 
 def _verdict(sphere_sums: Sequence[float], ratios: Sequence[float], margin: float) -> str:
@@ -105,10 +115,7 @@ def lp_report(
         raise ValueError("summability reports need a profile of radius >= 4")
     if p <= 0:
         raise ValueError("p must be positive")
-    sums = [
-        _sphere_sum(list(profile.sphere_rows(m)), p)
-        for m in range(profile.radius + 1)
-    ]
+    sums = [_sphere_sum(classes, p) for classes in profile.spheres]
     ratios = []
     for prev, cur in zip(sums, sums[1:]):
         if prev > 0.0 and cur > 0.0:

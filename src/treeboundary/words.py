@@ -122,14 +122,14 @@ def gromov_product(g: Word, h: Word) -> int:
     return d // 2
 
 
+# letter x serializes as _LETTER_CHARS[x]: a A b B ... z Z
+_LETTER_CHARS = "".join(c + c.upper() for c in "abcdefghijklmnopqrstuvwxyz")
+
+
 def word_to_str(w: Word) -> str:
     if not w.letters:
         return "1"
-    out = []
-    for x in w.letters:
-        j = x >> 1
-        out.append(chr(ord("A" if x & 1 else "a") + j))
-    return "".join(out)
+    return "".join([_LETTER_CHARS[x] for x in w.letters])
 
 
 def word_from_str(s: str, n: int | None = None) -> Word:

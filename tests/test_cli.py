@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeboundary import FreeGroup, LocallyConstantFunction
-from treeboundary.cli import main
+from treeboundary.cli import EPSILON_RANGE, P_RANGE, main
 
 F2 = FreeGroup(2)
 
@@ -339,6 +339,10 @@ def test_list_valued_config_setting_is_usage_error(tmp_path, capsys):
         (["verify-all", "--n", 2, "--R", 1, "--tol-scale", "nan"], None),
         (["growth"], {"radius": True}),  # booleans are not numbers
         (["spectrum"], {"p": [True]}),
+        (["summability", "--R", 4, "--epsilon", "5e-324"], None),  # reported dimension "inf"
+        (["summability", "--R", 4, "--epsilon", 17], None),  # above EPSILON_RANGE
+        (["summability", "--R", 4, "--p", 65], None),  # above P_RANGE
+        (["spectrum", "--R", 1, "--p", 0.1], None),  # below P_RANGE
     ],
 )
 def test_out_of_range_integer_setting_is_usage_error(tmp_path, capsys, argv, config):
@@ -349,6 +353,41 @@ def test_out_of_range_integer_setting_is_usage_error(tmp_path, capsys, argv, con
     assert run_cli(argv + ["--out", tmp_path / "out"]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # rejected before any output
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["summability", "--R", 4, "--p", "1e300"],  # raised exact sigma^2 to 5e299: no end
+        ["summability", "--R", 4, "--epsilon", "1e300"],  # OverflowError in the sorted decay
+        ["summability", "--R", 4, "--epsilon", 1000],  # ZeroDivisionError there
+        ["spectrum", "--R", 1, "--p", "1e-300"],  # OverflowError in the Schatten norm
+    ],
+)
+def test_extreme_settings_end_quickly_without_traceback(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeboundary.cli", *map(str, argv), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["summability", "--R", 6, "--p", P_RANGE[0], "--p", P_RANGE[1], "--p", 63],
+        ["summability", "--R", 6, "--epsilon", EPSILON_RANGE[0]],
+        ["summability", "--R", 6, "--epsilon", EPSILON_RANGE[1]],
+        ["spectrum", "--R", 1, "--p", P_RANGE[0], "--p", P_RANGE[1], "--epsilon", EPSILON_RANGE[1]],
+    ],
+)
+def test_settings_at_their_bounds_give_finite_reports(tmp_path, argv):
+    assert run_cli(argv + ["--out", tmp_path]) == 0
+    report = (tmp_path / f"{argv[0]}.json").read_text()
+    assert all(f'"{x}"' not in report for x in ("inf", "-inf", "nan"))  # floats as strings
 
 
 def _set(obj, path, value):
@@ -433,14 +472,19 @@ def test_verify_all_passes_at_higher_rank(tmp_path, rank):
 _MALFORMED = st.sampled_from(
     [-1, -0.5, 0.5, 2.5, math.nan, math.inf, -math.inf, True, False, "x", "", [1], [], {}]
 )
+# finite numbers just outside the accepted range of p and epsilon
+_OUT_OF_RANGE = {
+    "epsilon": st.sampled_from([1e-310, EPSILON_RANGE[0] / 2, 16.5, 1e300]),
+    "p": st.sampled_from([1e-300, P_RANGE[0] / 2, 65.0, 1e6, 1e300]),
+}
 _VALID = {
     "rank": st.sampled_from([2, 2, 3]),  # the input files are over F_2
     "degree": st.sampled_from([1, 3, 3]),  # the terms file has four terms
     "m": st.integers(1, 2),
     "oracle_R": st.integers(0, 2),
     "oracle_m": st.integers(1, 2),
-    "epsilon": st.floats(0.5, 2.0),
-    "p": st.lists(st.floats(1.0, 4.0), min_size=1, max_size=2),
+    "epsilon": st.floats(*EPSILON_RANGE),  # the whole accepted range
+    "p": st.lists(st.floats(*P_RANGE), min_size=1, max_size=2),
     "g": st.sampled_from(["a", "B", "aB", "1", "z"]),
     "max_power": st.integers(1, 4),
     "depth": st.integers(1, 2),
@@ -498,7 +542,7 @@ def test_main_keeps_the_exit_code_contract(data):
             if name in _FILES:
                 value = str(tmp / _FILES[name])
             elif data.draw(st.integers(0, 5)) == 0:
-                value = data.draw(_MALFORMED)
+                value = data.draw(_MALFORMED | _OUT_OF_RANGE.get(name, st.nothing()))
             elif name == "radius":
                 value = data.draw(st.integers(*_RADIUS[command]))
             else:

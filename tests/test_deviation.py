@@ -1,6 +1,8 @@
 """Expectation, deviation, covariance: exact identities and envelopes."""
 
+import csv
 import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -24,6 +26,7 @@ from treeboundary import (
     mul,
     sigma_envelope,
     sphere_envelope_constant,
+    word_to_str,
 )
 
 F2 = FreeGroup(2)
@@ -193,8 +196,11 @@ def test_profile_golden_csv_row():
 
 def test_profile_json_shape():
     profile = DeviationProfile.compute(IA, 2)
-    obj = profile.to_json_obj()
+    buf = io.StringIO()
+    profile.write_json(buf, rank=2)
+    obj = json.loads(buf.getvalue())
     assert obj["radius"] == 2
+    assert obj["rank"] == 2
     assert len(obj["rows"]) == 17
     row_b = next(r for r in obj["rows"] if r["g"] == "b")
     assert row_b == {
@@ -210,3 +216,63 @@ def test_profile_budget():
 
     with pytest.raises(BudgetError):
         DeviationProfile.compute(IA, 9, budget=1000)
+
+
+# a label that JSON must escape: a quote, a backslash and a non-ASCII letter
+ODD_LABEL = 'we"ird\\lab\u00e9l'
+
+
+def _dense_function(group, depth, seed):
+    rng = random.Random(seed)
+    values = [0, 1, Fraction(-2, 3), 1j, (Fraction(5, 7), Fraction(-1, 3))]
+    return LocallyConstantFunction(
+        group, depth, {w: rng.choice(values) for w in group.sphere(depth)}
+    )
+
+
+def _row_by_row_reports(profile, rank):
+    """The deviation report as it was written one row at a time: a dict
+    through json.dumps, and csv.writer over per-row "p/q" strings."""
+    frac = lambda x: f"{x.numerator}/{x.denominator}"
+    obj = {
+        "phi": profile.phi_label,
+        "radius": profile.radius,
+        "rank": rank,
+        "rows": [
+            {
+                "g": word_to_str(r.g),
+                "length": r.length,
+                "expectation": [frac(r.expectation.re), frac(r.expectation.im)],
+                "deviation_sq": frac(r.deviation_sq),
+            }
+            for r in profile.rows
+        ],
+    }
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["g", "|g|", "Re E", "Im E", "sigma^2"])
+    for r in profile.rows:
+        writer.writerow(
+            [
+                word_to_str(r.g),
+                r.length,
+                frac(r.expectation.re),
+                frac(r.expectation.im),
+                frac(r.deviation_sq),
+            ]
+        )
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n", buf.getvalue()
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+def test_profile_writers_match_the_row_by_row_oracle(group, depth):
+    phi = _dense_function(group, depth, seed=10 * group.n + depth)
+    for radius in range(6):
+        profile = DeviationProfile.compute(phi, radius, label=ODD_LABEL)
+        want_json, want_csv = _row_by_row_reports(profile, group.n)
+        got_json, got_csv = io.StringIO(), io.StringIO()
+        profile.write_json(got_json, rank=group.n)
+        profile.write_csv(got_csv)
+        assert got_json.getvalue() == want_json
+        assert got_csv.getvalue() == want_csv

@@ -1,6 +1,8 @@
 """Schatten summability diagnostics against the growth/decay arithmetic."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -114,3 +116,42 @@ def test_report_json_shape(profile_r6):
     assert obj["verdict"] == "converging"
     assert len(obj["sphere_sums"]) == 7
     assert obj["threshold"] == 2.0
+
+
+def _kahan(xs):
+    total = carry = 0.0
+    for x in xs:
+        y = x - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+def test_sphere_sums_match_the_row_by_row_oracle(group, depth):
+    # the per-class sums against the rows of each sphere, bitwise: exact
+    # rational sums for even p, Kahan sums in canonical row order otherwise
+    rng = random.Random(group.n + 10 * depth)
+    values = [0, 1, Fraction(-2, 3), 1j, (Fraction(5, 7), Fraction(-1, 3))]
+    phi = LocallyConstantFunction(
+        group, depth, {w: rng.choice(values) for w in group.sphere(depth)}
+    )
+    profile = DeviationProfile.compute(phi, 5 if group is F2 else 4)
+    vs = VisualStructure(group, math.log(2 * group.n - 1))
+    spheres = [
+        [r.deviation_sq for r in profile.rows if r.length == m]
+        for m in range(profile.radius + 1)
+    ]
+    assert profile.sphere_max_sq() == [max(s) for s in spheres]
+    for m, sigma_sq in enumerate(spheres):
+        assert [r.deviation_sq for r in profile.sphere_rows(m)] == sigma_sq
+    for p in (2.0, 4.0):
+        got = lp_report(profile, p, vs).sphere_sums
+        want = [float(sum((s ** int(p / 2) for s in ss), Fraction(0))) for ss in spheres]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    for p in (3.0, 2.5):
+        got = lp_report(profile, p, vs).sphere_sums
+        want = [_kahan(float(s) ** (p / 2.0) for s in ss) for ss in spheres]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
