@@ -12,7 +12,11 @@ Two independent routes to the same number:
   the bilinear pairing E(phi psi) - E(phi) E(psi) (the trace of a product of
   commutators is multilinear in the phi_i, so no conjugation enters).  The
   partial sum over B_R is exact rational; the tail over |h| > R is bounded
-  by per-sphere envelopes summed as a geometric series.
+  by per-sphere envelopes summed as a geometric series.  With K the largest
+  depth among the psi_i and the pair products, every expectation in the
+  summand depends on h only through the prefix class (prefix_K h, |h|), so
+  sphere m is summed as |S_min(m,K)| class terms, each evaluated at one
+  member of its class and weighted by the class size |S_m| / |S_min(m,K)|.
 
 * ``trace_oracle`` computes the truncated trace of
   (2P - 1)[P, lambda(a^0)] ... [P, lambda(a^n)] directly.  Every commutator
@@ -20,9 +24,12 @@ Two independent routes to the same number:
   chains per group basis element and the dense matrix is never materialized
   (the dense budget does not apply; only enumeration budgets do).  The
   fiber blocks come from ``operators.fiber_diagonal``, which evaluates
-  (p_i h)^-1 . phi_i per depth-m cylinder from phi_i's own table, not from a
-  translated table, and uses no pushforward closed form, so the oracle
-  stays independent of ``cocycle_value``.
+  (p_i h)^-1 . phi_i on the depth-m cylinders, run by run of cells with one
+  value, from phi_i's own table, not from a translated table, and uses no
+  pushforward closed form, so the oracle stays independent of
+  ``cocycle_value``.  ``trace_oracle_report`` enumerates B_R and the
+  depth-m sphere with no budget of its own; callers guard both with
+  ``Truncation.check_enumeration_budget``.
 
 For degree 1 the per-sphere bounds do not decay and the tail is reported as
 infinity; the value is still computed but uncertified.
@@ -126,7 +133,11 @@ class CertifiedValue:
 def cocycle_value(
     inp: CocycleInput, radius: int, budget: int = DEFAULT_BUDGET
 ) -> CertifiedValue:
-    """Exact partial sum over B_radius plus a closed-form geometric tail."""
+    """Exact partial sum over B_radius plus a closed-form geometric tail.
+
+    Each sphere is summed per prefix class (see the module docstring); the
+    class sums are exact, so the result equals the sum over every h.
+    """
     group = inp.group
     if group.growth_count(radius) > budget:
         raise BudgetError(group.growth_count(radius), budget)
@@ -138,13 +149,19 @@ def cocycle_value(
     # the bilinear pairing cov(psi_i, psi_j)(h) = E(psi_i psi_j)(h) -
     # E(psi_i)(h) E(psi_j)(h); each pair's product is built once
     products = {pair: psis[pair[0]] * psis[pair[1]] for pair in pairs_a + pairs_b}
+    # every E(.)(h) above depends on h only through (prefix_K h, |h|)
+    K = max(f.depth for f in (*psis, *products.values()))
 
     partial = QQ_ZERO
     sphere_abs: list[float] = []
     sphere_bounds: list[float] = []
     for m in range(radius + 1):
+        k = min(m, K)
+        multiplicity = group.sphere_count(m) // group.sphere_count(k)
         sphere_sum = QQ_ZERO
-        for h in group.iter_sphere(m):
+        for w in group.iter_sphere_letters(k):
+            # one member of the class: w extended by repeating its last letter
+            h = Word(w + (w[-1] if w else 0,) * (m - k))
             means = [expectation(psi, h) for psi in psis]
             covs = {
                 (i, j): expectation(prod, h) - means[i] * means[j]
@@ -156,7 +173,7 @@ def cocycle_value(
             term_b = QQ_ONE
             for pair in pairs_b:
                 term_b = term_b * covs[pair]
-            sphere_sum = sphere_sum + (term_a - term_b)
+            sphere_sum = sphere_sum + (term_a - term_b) * multiplicity
         partial = partial + sphere_sum
         sphere_abs.append(math.sqrt(float(sphere_sum.abs2())))
         sphere_bounds.append(sphere_term_bound(psis, m, group))

@@ -445,6 +445,11 @@ def _cmd_spectrum(s: argparse.Namespace) -> int:
 def _cmd_chern(s: argparse.Namespace) -> int:
     inp = _cocycle_input(s)
     group = inp.group
+    trunc = None
+    if s.oracle_R is not None and s.oracle_m is not None:
+        vs = VisualStructure(group, s.epsilon or math.log(2 * group.n - 1))
+        trunc = Truncation(vs, s.oracle_R, s.oracle_m)
+        trunc.check_enumeration_budget(s.budget)
     value = cocycle_value(inp, s.radius, budget=s.budget)
     spheres = [
         (m, _fmt(a), _fmt(b))
@@ -464,9 +469,7 @@ def _cmd_chern(s: argparse.Namespace) -> int:
         },
         "spheres": [{"m": m, "abs": a, "bound": b} for m, a, b in spheres],
     }
-    if s.oracle_R is not None and s.oracle_m is not None:
-        vs = VisualStructure(group, s.epsilon or math.log(2 * group.n - 1))
-        trunc = Truncation(vs, s.oracle_R, s.oracle_m)
+    if trunc is not None:
         oracle = trace_oracle_report(inp, trunc)
         gap = abs(oracle.value - value.value)
         allowance = value.tail_bound + oracle.window_correction
@@ -634,6 +637,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:  # an exact value beyond binary64, from a function value
+        print(f"error: a value is too large for the report's float fields: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Union
 
 from .words import DEFAULT_BUDGET, FreeGroup, Word, mul, word_from_str, word_to_str
@@ -167,6 +168,16 @@ class LocallyConstantFunction:
                 f"cylinder of depth {len(w)} does not determine a level-{self.depth} value"
             )
         return self.values[w.prefix(self.depth)]
+
+    @cached_property
+    def letter_values(self) -> dict[tuple[int, ...], GaussianRational]:
+        """The table keyed by the letter tuples of its cells."""
+        return {w.letters: v for w, v in self.values.items()}
+
+    @cached_property
+    def letter_complex(self) -> dict[tuple[int, ...], complex]:
+        """``letter_values`` converted to complex, each value once."""
+        return {w: v.to_complex() for w, v in self.letter_values.items()}
 
     def refine(self, depth: int, budget: int = DEFAULT_BUDGET) -> "LocallyConstantFunction":
         if depth < self.depth:

@@ -17,10 +17,12 @@ where both effects vanish; operators built outside the window carry
 Every operator here is block-structured over h in B_R: P = I x outer(v, v)
 with v the constant unit vector of the fiber, lambda(phi) is block-diagonal
 with diagonal blocks, and lambda(g) permutes blocks with zero padding.  The
-diagonal block at h (``fiber_diagonal``) is evaluated cell by cell from
-phi's own table: each depth-m cylinder reads the value of phi at its
-reduced product with h, or the exact average over its extensions where
-that product does not fix one value; no translated table is built.  Every
+diagonal block at h (``fiber_diagonal``) is read from phi's own table: a
+depth-m cylinder takes the value of phi at its reduced product with h, or
+the exact average over its extensions where that product does not fix one
+value; no translated table is built.  Cylinders whose entry is fixed by a
+common prefix are consecutive in lex order, so the block is walked as the
+prefix tree of the sphere and each such run is emitted at once.  Every
 identity and inequality here is checked block by block and never holds a
 matrix larger than dim_fiber x dim_fiber.  The constructors
 ``projection_P``, ``rep_function``, ``rep_group``, ``rep_crossed`` and
@@ -97,6 +99,13 @@ class Truncation:
         if self.dim > budget:
             raise BudgetError(self.dim, budget)
 
+    def check_enumeration_budget(self, budget: int) -> None:
+        """Guard the enumerations of the block-wise routes: B_R and the
+        depth-m sphere, each against ``budget``."""
+        for count in (self.dim_group, self.dim_fiber):
+            if count > budget:
+                raise BudgetError(count, budget)
+
     def window_exact(self, depth: int) -> bool:
         return depth + self.R <= self.m
 
@@ -139,36 +148,53 @@ def fiber_diagonal(
     Each entry is read off phi's own table.  The letters of c that cancel
     against h are the common prefix of h^{-1} and c, of length j; the
     reduced product is r = h[:|h|-j] + c[j:].  If j < m, h maps every point
-    of [c] into [r], so when |r| >= k = depth(phi) the entry is phi(r[:k]);
-    this covers every cell when k + |h| <= m.  On the remaining cells (all
-    of c cancels, or r is shorter than k) the value of phi(h .) is fixed on
-    each extension u of c to depth k + |h|, and the entry is the exact
-    average over those extensions, counted by their depth-k key and
-    converted once.
+    of [c] into [r], so when |r| >= k = depth(phi) the entry is phi(r[:k]),
+    which depends on c only through j and c[j : j + max(0, k - (|h| - j))].
+    The cells are walked as the lexicographic prefix tree of the depth-m
+    sphere: a prefix of length t that fixes j and those letters fixes the
+    entry of all its (2n-1)^(m-t) cells, which are consecutive, so the value
+    is emitted once as a run.  On the remaining cells (all of c cancels, or
+    r is shorter than k) the value of phi(h .) is fixed on each extension u
+    of c to depth k + |h|, and the entry is the exact average over those
+    extensions, counted by their depth-k key and converted once.
     """
     k, m = phi.depth, trunc.m
+    group = trunc.group
+    follow = group.follow
     a, ainv = h.letters, h.inverse().letters
     L = len(a)
-    values = {w.letters: v for w, v in phi.values.items()}
-    as_complex = {key: v.to_complex() for key, v in values.items()}
-    out = []
-    for c in trunc.cylinders:
-        u = c.letters
-        j = 0
-        while j < L and j < m and u[j] == ainv[j]:
-            j += 1
-        r = a[: L - j] + u[j:]
-        if j < m and len(r) >= k:
-            out.append(as_complex[r[:k]])
-            continue
+    values, as_complex = phi.letter_values, phi.letter_complex
+    weight = Fraction(1, (group.alphabet_size - 1) ** max(0, k + L - m))
+    out: list[complex] = []
+
+    def average(u: tuple[int, ...]) -> complex:
         counts: dict[tuple[int, ...], int] = {}
-        for ext in trunc.group.iter_sphere_letters(k + L, u):
+        for ext in group.iter_sphere_letters(k + L, u):
             i = common_prefix_len(ainv, ext)
             key = (a[: L - i] + ext[i:])[:k]
             counts[key] = counts.get(key, 0) + 1
         total = sum((values[key] * n for key, n in counts.items()), start=QQ_ZERO)
-        weight = Fraction(1, (trunc.group.alphabet_size - 1) ** (k + L - m))
-        out.append((total * weight).to_complex())
+        return (total * weight).to_complex()
+
+    def walk(prefix: tuple[int, ...], j: int | None) -> None:
+        # j is None while prefix still agrees with h^-1, so the
+        # cancellation length is not fixed yet
+        t = len(prefix)
+        if j is None and t == min(L, m):
+            j = t
+        if j is not None:
+            if j == m or L + m - 2 * j < k:
+                out.extend(map(average, group.iter_sphere_letters(m, prefix)))
+                return
+            end = j + max(0, k - (L - j))
+            if t >= end:
+                value = as_complex[(a[: L - j] + prefix[j:end])[:k]]
+                out.extend([value] * (group.sphere_count(m) // group.sphere_count(t)))
+                return
+        for y in follow[prefix[-1]] if prefix else range(group.alphabet_size):
+            walk(prefix + (y,), j if j is not None or y == ainv[t] else t)
+
+    walk((), None)
     return np.array(out, dtype=complex)
 
 

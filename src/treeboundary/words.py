@@ -19,7 +19,7 @@ recover the canonical order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from typing import Iterable, Iterator
 
 DEFAULT_BUDGET = 10**7
@@ -29,9 +29,11 @@ class BudgetError(Exception):
     """An enumeration would exceed the configured element budget."""
 
     def __init__(self, requested: int, budget: int):
-        super().__init__(
-            f"enumeration of {requested} elements exceeds budget {budget}"
-        )
+        # a count past 1000 bits is named by its binary order, so that the
+        # message never meets the int-to-str digit limit
+        bits = requested.bit_length()
+        count = requested if bits <= 1000 else f"more than 2^{bits - 1}"
+        super().__init__(f"enumeration of {count} elements exceeds budget {budget}")
         self.requested = requested
         self.budget = budget
 
@@ -200,6 +202,12 @@ class FreeGroup:
         q = 2 * self.n - 1
         return 1 + 2 * self.n * (q**R - 1) // (q - 1)
 
+    @cached_property
+    def follow(self) -> tuple[tuple[int, ...], ...]:
+        """follow[x]: the letters that may come after letter x, ascending."""
+        two_n = 2 * self.n
+        return tuple(tuple(y for y in range(two_n) if y != x ^ 1) for x in range(two_n))
+
     def iter_sphere_letters(
         self, m: int, prefix: tuple[int, ...] = ()
     ) -> Iterator[tuple[int, ...]]:
@@ -209,12 +217,10 @@ class FreeGroup:
             if len(prefix) == m:
                 yield prefix
             return
-        two_n = 2 * self.n
-        # follow[x]: the letters that may come after x, ascending
-        follow = [tuple(y for y in range(two_n) if y != x ^ 1) for x in range(two_n)]
+        follow, letters = self.follow, range(2 * self.n)
 
         def rec(prefix: tuple[int, ...]):
-            ys = follow[prefix[-1]] if prefix else range(two_n)
+            ys = follow[prefix[-1]] if prefix else letters
             if len(prefix) == m - 1:  # last letter: no deeper generator
                 for y in ys:
                     yield prefix + (y,)

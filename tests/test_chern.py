@@ -1,10 +1,12 @@
 """Cyclic cocycle values: exact partial sums, certified tails, trace oracle."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from treeboundary import chern
 from treeboundary import (
     CocycleInput,
     FreeGroup,
@@ -16,6 +18,8 @@ from treeboundary import (
     Truncation,
     VisualStructure,
     cocycle_value,
+    expectation,
+    shifted_functions,
     trace_oracle,
     trace_oracle_dense,
     trace_oracle_report,
@@ -201,3 +205,107 @@ def test_report_counts():
     assert report.chain_exits > 0  # R=4 window does lose chains
     assert report.inexact_blocks > 0  # m=4 < depth + |p_i h| in places
     assert report.window_correction > 0.0
+
+
+# ----------------------------------------------------------------------
+# per-prefix-class sums against the per-h loop
+
+
+def _per_h_sphere_sums(inp, radius):
+    """The per-h loop, kept here only as the oracle: the exact sum of
+    term_a - term_b over every h of each sphere, evaluated one h at a time."""
+    psis = shifted_functions(inp)
+    n = inp.degree
+    pairs_a = [(i, i + 1) for i in range(0, n, 2)]
+    pairs_b = [(n, 0)] + [(i, i + 1) for i in range(1, n - 1, 2)]
+    products = {(i, j): psis[i] * psis[j] for i, j in pairs_a + pairs_b}
+    sums = []
+    for m in range(radius + 1):
+        total = QQ_ZERO
+        for h in inp.group.iter_sphere(m):
+            means = [expectation(psi, h) for psi in psis]
+            cov = {
+                (i, j): expectation(prod, h) - means[i] * means[j]
+                for (i, j), prod in products.items()
+            }
+            term_a = term_b = GaussianRational(Fraction(1))
+            for pair in pairs_a:
+                term_a = term_a * cov[pair]
+            for pair in pairs_b:
+                term_b = term_b * cov[pair]
+            total = total + (term_a - term_b)
+        sums.append(total)
+    return sums
+
+
+def _random_function(group, depth, seed):
+    rng = random.Random(seed)
+
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.choice((3, 5, 7, 11)))
+
+    return LocallyConstantFunction(
+        group, depth, {w: GaussianRational(part(), part()) for w in group.sphere(depth)}
+    )
+
+
+def _terms(group, depths, elements, seed):
+    return [
+        (_random_function(group, d, seed + i), group.word(g))
+        for i, (d, g) in enumerate(zip(depths, elements))
+    ]
+
+
+F3 = FreeGroup(3)
+# name: (input, largest radius, whether some partial sum is nonzero); a
+# constant term, or degree 1 with its symmetric pairing, gives exact zeros
+CLASS_CASES = {
+    "F2 degree 3 depth 1": (CocycleInput(3, REGRESSION_TERMS), 5, True),
+    "F2 degree 3 depths 1-2": (
+        CocycleInput(3, _terms(F2, (2, 1, 1, 2), ("a", "b", "B", "A"), 1)), 5, True
+    ),
+    "F2 degree 3 depths 0-2": (
+        CocycleInput(3, _terms(F2, (1, 0, 2, 1), ("b", "a", "A", "B"), 3)), 3, False
+    ),
+    "F2 degree 1 depths 1-2": (CocycleInput(1, _terms(F2, (2, 1), ("ab", "BA"), 5)), 4, False),
+    "F2 degree 1 depth 0, K = 0": (CocycleInput(1, _terms(F2, (0, 0), ("1", "1"), 7)), 5, False),
+    "F3 degree 3 depths 1-2": (
+        CocycleInput(3, _terms(F3, (1, 2, 2, 1), ("c", "C", "b", "B"), 9)), 3, True
+    ),
+    "F3 degree 1 depth 1": (CocycleInput(1, _terms(F3, (1, 1), ("B", "b"), 11)), 3, False),
+    "F2 product not the identity": (
+        CocycleInput(3, _terms(F2, (1, 1, 1, 1), ("a", "b", "A", "B"), 13)), 3, False
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_CASES))
+def test_class_sums_equal_the_per_h_loop(name):
+    inp, radius, nonzero = CLASS_CASES[name]
+    if inp.group_product != IDENTITY:
+        for r in range(radius + 1):
+            cv = cocycle_value(inp, r)
+            assert (cv.exact_partial, cv.sphere_abs, cv.sphere_bounds) == (QQ_ZERO, [], [])
+        return
+    sums = _per_h_sphere_sums(inp, radius)
+    sign = GaussianRational(Fraction((-1) ** ((inp.degree + 1) // 2)))
+    for r in range(radius + 1):
+        cv = cocycle_value(inp, r)
+        assert cv.exact_partial == sign * sum(sums[: r + 1], QQ_ZERO)
+        assert cv.sphere_abs == [math.sqrt(float(s.abs2())) for s in sums[: r + 1]]
+    assert any(sums) == nonzero
+
+
+def test_cocycle_value_evaluates_each_prefix_class_once(monkeypatch):
+    # 8 expectations (4 psi_i, 4 pair products) per prefix class
+    # (prefix_K h, |h|); K = 2 for the regression input
+    calls = []
+
+    def counted(phi, h):
+        calls.append(h)
+        return expectation(phi, h)
+
+    monkeypatch.setattr(chern, "expectation", counted)
+    cocycle_value(CocycleInput(3, REGRESSION_TERMS), 6)
+    K = 2
+    assert len(calls) == 8 * sum(F2.sphere_count(min(m, K)) for m in range(7))

@@ -376,6 +376,60 @@ def test_extreme_settings_end_quickly_without_traceback(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "oracle_R, oracle_m",
+    [
+        (40, 2),  # |B_40| elements: ran for more than 30 s
+        (3, 100000),  # RecursionError in the depth-m sphere enumeration
+    ],
+)
+def test_trace_oracle_beyond_budget_exits_three(tmp_path, oracle_R, oracle_m):
+    argv = ["chern", "--input", write_terms(tmp_path), "--radius", 1,
+            "--oracle-R", oracle_R, "--oracle-m", oracle_m, "--out", tmp_path / "out"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeboundary.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "budget exceeded" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def _with_large_value(obj):
+    obj["values"]["a"] = ["1e200", "0"]  # sigma^2 near 10^400 has no binary64 value
+    return obj
+
+
+@pytest.mark.parametrize("command", ["summability", "chern", "deviation"])
+def test_values_too_large_for_float_fields(tmp_path, command):
+    if command == "chern":
+        obj = json.loads(write_terms(tmp_path).read_text())
+        _with_large_value(obj["terms"][0]["phi"])
+        argv = ["chern", "--input", tmp_path / "terms.json", "--radius", 2]
+    else:
+        obj = _with_large_value(json.loads(write_phi(tmp_path, name="phi.json").read_text()))
+        argv = [command, "--phi", tmp_path / "phi.json", "--R", 4]
+    (tmp_path / ("terms.json" if command == "chern" else "phi.json")).write_text(json.dumps(obj))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeboundary.cli", *map(str, argv), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert "Traceback" not in proc.stderr
+    if command == "deviation":  # every field is exact
+        assert proc.returncode == 0, proc.stderr
+        # E at the identity: the mean 10^200 / 4 of the four cells, exact
+        assert f'"{10**200 // 4}/1"' in (tmp_path / "out" / "deviation.json").read_text()
+    else:
+        assert proc.returncode == 2
+        assert "error: a value is too large for the report's float fields" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["summability", "--R", 6, "--p", P_RANGE[0], "--p", P_RANGE[1], "--p", 63],
