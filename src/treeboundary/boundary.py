@@ -309,16 +309,14 @@ def pushforward(
     return CylinderMeasure(group, depth, table)
 
 
-def comparability_constants(
-    g: Word, depth: int, group: FreeGroup, budget: int = DEFAULT_BUDGET
-) -> tuple[Fraction, Fraction]:
+def comparability_constants(g: Word, depth: int, group: FreeGroup) -> tuple[Fraction, Fraction]:
     """min and max of (g_*mu)([w]) / mu([w]) over depth-k cylinders."""
     if depth < 1:
         raise ValueError("comparability needs depth >= 1")
     base = depth_mass(depth, group)
     ratios = [
         pushforward_mass(g, Cylinder(w), group) / base
-        for w in group.sphere(depth, budget=budget)
+        for w in group.sphere(depth)
     ]
     return min(ratios), max(ratios)
 

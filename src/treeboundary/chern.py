@@ -15,10 +15,11 @@ Two independent routes to the same number:
   by per-sphere envelopes summed as a geometric series.  With K the largest
   depth among the psi_i and the pair products, every expectation in the
   summand depends on h only through the prefix class (prefix_K h, |h|), so
-  sphere m is summed as |S_min(m,K)| class terms, each evaluated at one
-  member of its class and weighted by the class size |S_m| / |S_min(m,K)|.
+  sphere m is summed over ``FreeGroup.prefix_classes(m, K)``: |S_min(m,K)|
+  class terms, each evaluated at the class's member and weighted by its
+  size |S_m| / |S_min(m,K)|, the same walk that deviation profiles use.
 
-* ``trace_oracle`` computes the truncated trace of
+* ``trace_oracle_report`` computes the truncated trace of
   (2P - 1)[P, lambda(a^0)] ... [P, lambda(a^n)] directly.  Every commutator
   is block rank <= 2, so the product collapses to at most 2^(n+1) rank-one
   chains per group basis element and the dense matrix is never materialized
@@ -46,7 +47,7 @@ import numpy as np
 from .deviation import expectation, sigma_envelope, sphere_envelope_constant
 from .functions import QQ_ONE, QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
 from .operators import Truncation, fiber_diagonal, fiber_unit
-from .words import DEFAULT_BUDGET, IDENTITY, BudgetError, FreeGroup, Word, mul
+from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Word, mul
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,7 @@ def cocycle_value(
     class sums are exact, so the result equals the sum over every h.
     """
     group = inp.group
-    if group.growth_count(radius) > budget:
-        raise BudgetError(group.growth_count(radius), budget)
+    group.check_budget(budget, R=radius)
     if inp.group_product != IDENTITY:
         return CertifiedValue(0j, radius, 0.0, QQ_ZERO, [], [])
     psis = shifted_functions(inp)
@@ -156,12 +156,8 @@ def cocycle_value(
     sphere_abs: list[float] = []
     sphere_bounds: list[float] = []
     for m in range(radius + 1):
-        k = min(m, K)
-        multiplicity = group.sphere_count(m) // group.sphere_count(k)
         sphere_sum = QQ_ZERO
-        for w in group.iter_sphere_letters(k):
-            # one member of the class: w extended by repeating its last letter
-            h = Word(w + (w[-1] if w else 0,) * (m - k))
+        for _, h, size in group.prefix_classes(m, K):
             means = [expectation(psi, h) for psi in psis]
             covs = {
                 (i, j): expectation(prod, h) - means[i] * means[j]
@@ -173,7 +169,7 @@ def cocycle_value(
             term_b = QQ_ONE
             for pair in pairs_b:
                 term_b = term_b * covs[pair]
-            sphere_sum = sphere_sum + (term_a - term_b) * multiplicity
+            sphere_sum = sphere_sum + (term_a - term_b) * size
         partial = partial + sphere_sum
         sphere_abs.append(math.sqrt(float(sphere_sum.abs2())))
         sphere_bounds.append(sphere_term_bound(psis, m, group))
@@ -294,10 +290,6 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
         chain_exits=chain_exits,
         inexact_blocks=inexact_blocks,
     )
-
-
-def trace_oracle(inp: CocycleInput, trunc: Truncation) -> complex:
-    return trace_oracle_report(inp, trunc).value
 
 
 def trace_oracle_dense(inp: CocycleInput, trunc: Truncation) -> complex:

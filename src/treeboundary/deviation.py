@@ -13,16 +13,17 @@ agree exactly and tests enforce that agreement as a hard identity.
 
 Prefix classes: the pushforward mass of a depth-k cylinder [w] under g
 depends on g only through |g| and the common prefix length of g and w (see
-``boundary``).  So for |g| = m >= k, E(phi)(g) and sigma^2(phi)(g) depend
-only on the class (prefix_k g, m).  ``DeviationProfile.compute`` evaluates
-each class once; a sphere of radius m >= k has |S_k| classes, each of
-multiplicity |S_m| / |S_k|.  Everything after ``compute`` works per class
-too: a ``ProfileClass`` formats its three "p/q" strings once, the CSV and
-JSON writers fill each row into its class's fragments (so a row costs its
-word string and one concatenation), and ``summability`` sums spheres by
-class and multiplicity.
+``boundary``).  So E(phi)(g) and sigma^2(phi)(g) depend only on the class
+(prefix_k g, |g|), which is g itself when |g| < k.  ``FreeGroup.prefix_classes``
+walks those classes; ``DeviationProfile.compute`` evaluates each once, at
+one member, and enumerates no element of the ball: a profile holds its
+classes, each with its prefix and its size |S_m| / |S_min(m,k)|.  The CSV
+and JSON writers expand each class's prefix into the word strings of its
+members and fill them into the class's "p/q" fragments, made once per
+class; ``summability`` sums spheres by class and multiplicity; the per-row
+view ``rows`` is built only when asked for.
 
-Profiles are exact and their rows stay in canonical ball order, so CSV/JSON
+Profiles are exact and their rows come in canonical ball order, so CSV/JSON
 output is deterministic: ``write_json`` writes the very bytes of
 ``json.dumps(..., indent=2, sort_keys=True)`` of the row-by-row object.
 """
@@ -37,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import IO, Callable, NamedTuple
 
-from .words import DEFAULT_BUDGET, BudgetError, Word, word_to_str
+from .words import DEFAULT_BUDGET, FreeGroup, Word, word_to_str
 from .boundary import Cylinder, depth_mass, pushforward_mass
 from .functions import GaussianRational, LocallyConstantFunction
 
@@ -71,13 +72,7 @@ def deviation_sq(phi: LocallyConstantFunction, g: Word) -> Fraction:
     return s
 
 
-def deviation(phi: LocallyConstantFunction, g: Word) -> float:
-    return math.sqrt(float(deviation_sq(phi, g)))
-
-
-def deviation_sq_pairsum(
-    phi: LocallyConstantFunction, g: Word, budget: int = DEFAULT_BUDGET
-) -> Fraction:
+def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
     """sigma^2 via (1/2) iint |phi(gx)-phi(gy)|^2, grouped by value.
 
     On a depth k+|g| cell [u] the value phi(g .) is phi at the depth-k
@@ -90,8 +85,7 @@ def deviation_sq_pairsum(
     group = phi.group
     k, m = phi.depth, len(g)
     d = k + m
-    if group.sphere_count(d) > budget:
-        raise BudgetError(group.sphere_count(d), budget)
+    group.check_budget(DEFAULT_BUDGET, m=d)
     a, ginv = g.letters, g.inverse().letters
     prefixes: dict[tuple[int, ...], int] = {}
     for u in group.iter_sphere_letters(d):
@@ -158,16 +152,18 @@ def sigma_envelope(
 
 @dataclass(eq=False)
 class ProfileClass:
-    """The statistics shared by the rows of one prefix class (prefix_k g, |g|).
+    """One prefix class (prefix_k g, |g|) of a profile and its statistics.
 
-    The three "p/q" strings are formatted once, when the class is made;
-    ``multiplicity`` counts the rows of the class.
+    The class holds the ``multiplicity`` words of length ``length`` that
+    extend ``prefix``; the three "p/q" strings are formatted once, when the
+    class is made.
     """
 
     length: int
+    prefix: tuple[int, ...]
     expectation: GaussianRational
     deviation_sq: Fraction
-    multiplicity: int = 0
+    multiplicity: int
     re_str: str = field(init=False)
     im_str: str = field(init=False)
     sigma_str: str = field(init=False)
@@ -179,37 +175,26 @@ class ProfileClass:
 
 
 class ProfileRow(NamedTuple):
-    """One element g of the ball and the prefix class it belongs to."""
+    """One element g of the ball and the statistics of its class."""
 
     g: Word
-    cls: ProfileClass
-
-    @property
-    def length(self) -> int:
-        return self.cls.length
-
-    @property
-    def expectation(self) -> GaussianRational:
-        return self.cls.expectation
-
-    @property
-    def deviation_sq(self) -> Fraction:
-        return self.cls.deviation_sq
+    length: int
+    expectation: GaussianRational
+    deviation_sq: Fraction
 
 
 @dataclass
 class DeviationProfile:
-    """Rows in canonical ball order, and the prefix classes of each sphere.
+    """The prefix classes of each sphere of B_radius.
 
-    ``spheres[m]`` lists the classes of sphere m in order of first row; the
-    rows of one class are consecutive (canonical order is lexicographic, so
-    a depth-k prefix is a run), so sphere m's rows are its classes, each
-    repeated ``multiplicity`` times, in that order.
+    ``spheres[m]`` lists the classes of sphere m in lexicographic order of
+    prefix, which is canonical order of their members: sphere m's rows are
+    the members of its classes, class by class.
     """
 
     phi_label: str
     radius: int
-    rows: list[ProfileRow]
+    group: FreeGroup
     spheres: list[list[ProfileClass]]
 
     @classmethod
@@ -220,52 +205,50 @@ class DeviationProfile:
         label: str = "phi",
         budget: int = DEFAULT_BUDGET,
     ) -> "DeviationProfile":
-        """Rows for every g in B_radius, one evaluation per prefix class.
+        """One evaluation per prefix class of each sphere of B_radius.
 
-        The class key (prefix_k g, |g|) is g itself when |g| < k, so short
-        words are evaluated directly.
+        The budget caps the ball the profile covers, although no element
+        of it is enumerated here.
         """
         group = phi.group
-        if group.growth_count(radius) > budget:
-            raise BudgetError(group.growth_count(radius), budget)
-        k = phi.depth
-        classes: dict[tuple[tuple[int, ...], int], ProfileClass] = {}
-        spheres: list[list[ProfileClass]] = [[] for _ in range(radius + 1)]
-        rows = []
-        for g in group.iter_ball(radius):
-            m = len(g)
-            key = (g.letters[:k], m)
-            c = classes.get(key)
-            if c is None:
+        group.check_budget(budget, R=radius)
+        spheres = []
+        for m in range(radius + 1):
+            sphere = []
+            for prefix, g, size in group.prefix_classes(m, phi.depth):
                 e = expectation(phi, g)
-                c = classes[key] = ProfileClass(m, e, _expectation_abs_sq(phi, g) - e.abs2())
-                spheres[m].append(c)
-            c.multiplicity += 1
-            rows.append(ProfileRow(g, c))
-        return cls(label, radius, rows, spheres)
+                sphere.append(
+                    ProfileClass(m, prefix, e, _expectation_abs_sq(phi, g) - e.abs2(), size)
+                )
+            spheres.append(sphere)
+        return cls(label, radius, group, spheres)
 
     def sphere_max_sq(self) -> list[Fraction]:
         """max sigma^2 per sphere, index = word length."""
         return [max(c.deviation_sq for c in s) for s in self.spheres]
 
-    def sphere_rows(self, m: int) -> list[ProfileRow]:
-        start = sum(c.multiplicity for s in self.spheres[:m] for c in s)
-        return self.rows[start : start + sum(c.multiplicity for c in self.spheres[m])]
-
     @cached_property
-    def _words(self) -> list[str]:
-        return [word_to_str(r.g) for r in self.rows]
+    def rows(self) -> list[ProfileRow]:
+        """Every g in B_radius with its class, in canonical ball order;
+        built on first access."""
+        return [
+            ProfileRow(Word(u), c.length, c.expectation, c.deviation_sq)
+            for sphere in self.spheres
+            for c in sphere
+            for u in self.group.iter_sphere_letters(c.length, c.prefix)
+        ]
 
     def _render(self, fragments: Callable[[ProfileClass], tuple[str, str]]) -> list[str]:
-        """Each row as its class's prefix, its word and its class's suffix;
-        the fragments are made once per class, whose rows are a run."""
-        out, words, start = [], self._words, 0
+        """Each row as its class's head, its word and its class's tail; the
+        fragments are made once per class, whose members are a run."""
+        out = []
         for sphere in self.spheres:
             for c in sphere:
-                prefix, suffix = fragments(c)
-                end = start + c.multiplicity
-                out += [prefix + w + suffix for w in words[start:end]]
-                start = end
+                head, tail = fragments(c)
+                out += [
+                    head + word_to_str(u) + tail
+                    for u in self.group.iter_sphere_letters(c.length, c.prefix)
+                ]
         return out
 
     def write_csv(self, fp: IO[str]) -> None:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Union
 
-from .words import DEFAULT_BUDGET, FreeGroup, Word, mul, word_from_str, word_to_str
+from .words import FreeGroup, Word, mul, word_from_str, word_to_str
 from .boundary import BoundaryPoint, Cylinder, depth_mass
 
 RationalLike = Union[int, Fraction, "GaussianRational", tuple, complex]
@@ -179,14 +179,14 @@ class LocallyConstantFunction:
         """``letter_values`` converted to complex, each value once."""
         return {w: v.to_complex() for w, v in self.letter_values.items()}
 
-    def refine(self, depth: int, budget: int = DEFAULT_BUDGET) -> "LocallyConstantFunction":
+    def refine(self, depth: int) -> "LocallyConstantFunction":
         if depth < self.depth:
             raise ValueError("cannot refine to a coarser level")
         if depth == self.depth:
             return self
         vals = {
             u: self.values[u.prefix(self.depth)]
-            for u in self.group.sphere(depth, budget=budget)
+            for u in self.group.sphere(depth)
         }
         return LocallyConstantFunction(self.group, depth, vals)
 
@@ -295,9 +295,7 @@ class LocallyConstantFunction:
         return f"<LocallyConstantFunction depth={self.depth} on F_{self.group.n}>"
 
 
-def translate(
-    g: Word, phi: LocallyConstantFunction, budget: int = DEFAULT_BUDGET
-) -> LocallyConstantFunction:
+def translate(g: Word, phi: LocallyConstantFunction) -> LocallyConstantFunction:
     """(g.phi)(xi) = phi(g^-1 xi), a level k + |g| function.
 
     For |u| = k + |g| the cancellation of g^-1 against any point of [u] is
@@ -310,7 +308,7 @@ def translate(
     ginv = g.inverse()
     vals = {
         u: phi.values[mul(ginv, u).prefix(phi.depth)]
-        for u in phi.group.sphere(d, budget=budget)
+        for u in phi.group.sphere(d)
     }
     return LocallyConstantFunction(phi.group, d, vals)
 

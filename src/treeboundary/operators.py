@@ -45,7 +45,7 @@ from .boundary import Cylinder, VisualStructure, cylinder_measure
 from .deviation import deviation_sq, expectation
 from .functions import QQ_ZERO, LocallyConstantFunction
 from .svd import operator_norm, singular_values
-from .words import BudgetError, FreeGroup, Word, common_prefix_len, mul
+from .words import FreeGroup, Word, common_prefix_len, mul
 
 OPERATOR_BUDGET = 6000
 
@@ -96,15 +96,13 @@ class Truncation:
 
     def check_dense_budget(self, budget: int = OPERATOR_BUDGET) -> None:
         """Guard dense materialization; block-wise algorithms skip this."""
-        if self.dim > budget:
-            raise BudgetError(self.dim, budget)
+        self.group.check_budget(budget, R=self.R, m=self.m)
 
     def check_enumeration_budget(self, budget: int) -> None:
         """Guard the enumerations of the block-wise routes: B_R and the
         depth-m sphere, each against ``budget``."""
-        for count in (self.dim_group, self.dim_fiber):
-            if count > budget:
-                raise BudgetError(count, budget)
+        self.group.check_budget(budget, R=self.R)
+        self.group.check_budget(budget, m=self.m)
 
     def window_exact(self, depth: int) -> bool:
         return depth + self.R <= self.m

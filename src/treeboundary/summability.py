@@ -28,8 +28,6 @@ from .words import FreeGroup
 from .boundary import VisualStructure
 from .deviation import DeviationProfile, ProfileClass
 
-DEFAULT_MARGIN = 0.05
-
 
 def hausdorff_dimension(vs: VisualStructure) -> float:
     return vs.entropy / vs.epsilon
@@ -92,25 +90,21 @@ def _sphere_sum(classes: Sequence[ProfileClass], p: float) -> float:
     )
 
 
-def _verdict(sphere_sums: Sequence[float], ratios: Sequence[float], margin: float) -> str:
+def _verdict(sphere_sums: Sequence[float], ratios: Sequence[float]) -> str:
+    """The trend of the last three ratios; one within 5% of 1 is no trend."""
     if all(s == 0.0 for s in sphere_sums):
         return "converging"
     if len(ratios) < 3:
         return "inconclusive"
     last = ratios[-3:]
-    if all(r < 1.0 - margin for r in last):
+    if all(r < 0.95 for r in last):
         return "converging"
-    if all(r > 1.0 + margin for r in last):
+    if all(r > 1.05 for r in last):
         return "diverging"
     return "inconclusive"
 
 
-def lp_report(
-    profile: DeviationProfile,
-    p: float,
-    vs: VisualStructure,
-    margin: float = DEFAULT_MARGIN,
-) -> SummabilityReport:
+def lp_report(profile: DeviationProfile, p: float, vs: VisualStructure) -> SummabilityReport:
     if profile.radius < 4:
         raise ValueError("summability reports need a profile of radius >= 4")
     if p <= 0:
@@ -127,22 +121,22 @@ def lp_report(
         sphere_sums=sums,
         partial_sum=_kahan_sum(sums),
         tail_ratios=ratios,
-        verdict=_verdict(sums, ratios, margin),
+        verdict=_verdict(sums, ratios),
         threshold=summability_threshold(vs),
     )
 
 
-def decay_exponent_fit(profile: DeviationProfile, min_length: int = 1) -> float:
-    """Least-squares slope of log(max sigma over sphere m) against m.
+def decay_exponent_fit(profile: DeviationProfile) -> float:
+    """Least-squares slope of log(max sigma over sphere m) against m, m >= 1.
 
-    The identity row is skipped by default: sigma there is the plain
+    The identity row is skipped: sigma there is the plain
     (untranslated) deviation and always equals the sphere-1 maximum for
     depth-1 indicators, which flattens the head of the regression line and
     biases the asymptotic rate estimate.
     """
     xs, ys = [], []
     for m, s in enumerate(profile.sphere_max_sq()):
-        if m >= min_length and s > 0:
+        if m >= 1 and s > 0:
             xs.append(float(m))
             ys.append(0.5 * math.log(float(s)))
     if len(xs) < 4:

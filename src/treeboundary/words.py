@@ -10,6 +10,9 @@ downstream floating-point reduction sees elements in the same order.
 Words serialize as strings over ``a..z`` (generators) and ``A..Z``
 (inverses); the identity serializes as ``"1"``.
 
+``FreeGroup.prefix_classes`` walks a sphere by classes of a common depth-k
+prefix, the unit that deviation profiles and cocycle sums are built from.
+
 Everything here is immutable and every operation is a pure function, so the
 module is safe to use from concurrent contexts.  Sphere enumeration can be
 partitioned by first letter and the partitions merged in letter order to
@@ -26,7 +29,8 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetError(Exception):
-    """An enumeration would exceed the configured element budget."""
+    """An enumeration would exceed the configured element budget; see
+    ``FreeGroup.check_budget`` for ``requested`` past its cutoff."""
 
     def __init__(self, requested: int, budget: int):
         # a count past 1000 bits is named by its binary order, so that the
@@ -128,10 +132,10 @@ def gromov_product(g: Word, h: Word) -> int:
 _LETTER_CHARS = "".join(c + c.upper() for c in "abcdefghijklmnopqrstuvwxyz")
 
 
-def word_to_str(w: Word) -> str:
-    if not w.letters:
-        return "1"
-    return "".join([_LETTER_CHARS[x] for x in w.letters])
+def word_to_str(w: Word | tuple[int, ...]) -> str:
+    """A word, or the letter tuple of a reduced word, as a string."""
+    letters = w.letters if isinstance(w, Word) else w
+    return "".join([_LETTER_CHARS[x] for x in letters]) or "1"
 
 
 def word_from_str(s: str, n: int | None = None) -> Word:
@@ -173,11 +177,6 @@ class FreeGroup:
     def alphabet_size(self) -> int:
         return 2 * self.n
 
-    def generator(self, j: int) -> Word:
-        if not (0 <= j < self.n):
-            raise ValueError(f"generator index {j} out of range for rank {self.n}")
-        return Word((2 * j,))
-
     def check_letters(self, letters: Iterable[int]) -> None:
         for x in letters:
             if not isinstance(x, int) or not (0 <= x < 2 * self.n):
@@ -201,6 +200,40 @@ class FreeGroup:
             return 1
         q = 2 * self.n - 1
         return 1 + 2 * self.n * (q**R - 1) // (q - 1)
+
+    def check_budget(self, budget: int, R: int | None = None, m: int | None = None) -> None:
+        """Raise BudgetError if |B_R| * |S_m| exceeds ``budget``; a factor
+        whose radius is None is left out.
+
+        The count is at least (2n-1)^(R+m) >= 3^(R+m).  So once R + m
+        reaches b + 1000, b = budget.bit_length(), it exceeds 2^(b+1000) and
+        the budget: the error names that power of two, and the count, a
+        number of about (R + m) log2(2n-1) bits, is never built.
+        """
+        radii = [r for r in (R, m) if r is not None]
+        if any(r < 0 for r in radii):
+            raise ValueError("negative radius")
+        cutoff = budget.bit_length() + 1000
+        if sum(radii) >= cutoff:
+            raise BudgetError(1 << cutoff, budget)
+        count = 1 if R is None else self.growth_count(R)
+        if m is not None:
+            count *= self.sphere_count(m)
+        if count > budget:
+            raise BudgetError(count, budget)
+
+    def prefix_classes(self, m: int, k: int) -> Iterator[tuple[tuple[int, ...], Word, int]]:
+        """The classes of sphere m under g ~ g' iff prefix_k g = prefix_k g',
+        lexicographic: (prefix, member, size) for each.
+
+        The prefix has length min(m, k), so it is g itself when m < k; the
+        member extends the prefix by repeating its last letter (by letter 0
+        for the empty prefix); the size is |S_m| / |S_min(m,k)|.
+        """
+        k = min(m, k)
+        size = self.sphere_count(m) // self.sphere_count(k)
+        for prefix in self.iter_sphere_letters(k):
+            yield prefix, Word(prefix + (prefix[-1] if prefix else 0,) * (m - k)), size
 
     @cached_property
     def follow(self) -> tuple[tuple[int, ...], ...]:
@@ -235,11 +268,9 @@ class FreeGroup:
         yield from map(Word, self.iter_sphere_letters(m))
 
     def sphere(self, m: int, budget: int = DEFAULT_BUDGET) -> list[Word]:
-        count = self.sphere_count(m)
-        if count > budget:
-            raise BudgetError(count, budget)
+        self.check_budget(budget, m=m)
         words = list(self.iter_sphere(m))
-        assert len(words) == count
+        assert len(words) == self.sphere_count(m)
         return words
 
     def iter_ball(self, R: int) -> Iterator[Word]:
@@ -247,7 +278,5 @@ class FreeGroup:
             yield from self.iter_sphere(m)
 
     def ball(self, R: int, budget: int = DEFAULT_BUDGET) -> list[Word]:
-        count = self.growth_count(R)
-        if count > budget:
-            raise BudgetError(count, budget)
+        self.check_budget(budget, R=R)
         return list(self.iter_ball(R))

@@ -20,7 +20,6 @@ from treeboundary import (
     cocycle_value,
     expectation,
     shifted_functions,
-    trace_oracle,
     trace_oracle_dense,
     trace_oracle_report,
 )
@@ -141,7 +140,7 @@ def test_budget_guard():
 def test_trace_routes_agree():
     inp = CocycleInput(3, REGRESSION_TERMS)
     trunc = Truncation(VS2, 3, 4)
-    sparse = trace_oracle(inp, trunc)
+    sparse = trace_oracle_report(inp, trunc).value
     dense = trace_oracle_dense(inp, trunc)
     assert abs(sparse - dense) <= 1e-12
 
@@ -149,7 +148,7 @@ def test_trace_routes_agree():
 def test_trace_routes_agree_complex():
     inp = CocycleInput(3, COMPLEX_TERMS)
     trunc = Truncation(VS2, 3, 4)
-    assert abs(trace_oracle(inp, trunc) - trace_oracle_dense(inp, trunc)) <= 1e-12
+    assert abs(trace_oracle_report(inp, trunc).value - trace_oracle_dense(inp, trunc)) <= 1e-12
 
 
 def test_trace_vanishes_off_identity_product():

@@ -397,6 +397,33 @@ def test_trace_oracle_beyond_budget_exits_three(tmp_path, oracle_R, oracle_m):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--R", 10**7],
+        ["chern", "--radius", 10**7],
+        ["summability", "--R", 10**7],
+        ["deviation", "--R", 10**7],
+        ["furstenberg", "--depth", 10**7, "--max-power", 1],
+        ["chern", "--radius", 1, "--oracle-R", 10**7, "--oracle-m", 2],
+    ],
+    ids=["spectrum", "chern", "summability", "deviation", "furstenberg", "chern-oracle"],
+)
+def test_budget_checks_never_build_the_huge_count(tmp_path, argv):
+    # building |B_R| or |S_m| first took from 4 to 44 s before exit 3
+    files = {"chern": ["--input", write_terms(tmp_path)], "deviation": ["--phi", write_phi(tmp_path)]}
+    argv = [*argv, *files.get(argv[0], []), "--out", tmp_path / "out"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeboundary.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "budget exceeded:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _with_large_value(obj):
     obj["values"]["a"] = ["1e200", "0"]  # sigma^2 near 10^400 has no binary64 value
     return obj

@@ -18,11 +18,13 @@ from treeboundary import (
     IDENTITY,
     LocallyConstantFunction,
     QQ_I,
+    VisualStructure,
     Word,
     covariance,
     deviation_sq,
     deviation_sq_pairsum,
     expectation,
+    lp_report,
     mul,
     sigma_envelope,
     sphere_envelope_constant,
@@ -182,6 +184,33 @@ def test_profile_rows_match_per_element_statistics():
             assert row.length == len(row.g)
             assert row.expectation == expectation(phi, row.g)
             assert row.deviation_sq == deviation_sq(phi, row.g)
+
+
+@pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_profile_walks_prefix_classes_without_enumerating_the_ball(monkeypatch, group, depth):
+    import treeboundary.deviation as deviation_module
+
+    phi = _dense_function(group, depth, seed=depth)
+    vs = VisualStructure(group, math.log(2 * group.n - 1))
+    calls = []
+
+    def counted(phi, g):
+        calls.append(g)
+        return expectation(phi, g)
+
+    def refuse(*args):
+        raise AssertionError("a profile enumerated group elements")
+
+    monkeypatch.setattr(FreeGroup, "iter_ball", refuse)
+    monkeypatch.setattr(FreeGroup, "iter_sphere", refuse)
+    monkeypatch.setattr(deviation_module, "expectation", counted)
+    profile = DeviationProfile.compute(phi, 5)
+    lp_report(profile, 2.0, vs)
+    lp_report(profile, 3.0, vs)
+    profile.write_json(io.StringIO(), rank=group.n)
+    profile.write_csv(io.StringIO())
+    assert len(calls) == sum(group.sphere_count(min(m, depth)) for m in range(6))
 
 
 def test_profile_golden_csv_row():

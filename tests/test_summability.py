@@ -65,7 +65,7 @@ def test_even_p_sphere_sums_exact(profile_r6):
     r2 = lp_report(profile_r6, 2.0, VS2)
     for m in range(7):
         direct = sum(
-            (row.deviation_sq for row in profile_r6.sphere_rows(m)),
+            (row.deviation_sq for row in profile_r6.rows if row.length == m),
             Fraction(0),
         )
         assert r2.sphere_sums[m] == float(direct)
@@ -145,8 +145,6 @@ def test_sphere_sums_match_the_row_by_row_oracle(group, depth):
         for m in range(profile.radius + 1)
     ]
     assert profile.sphere_max_sq() == [max(s) for s in spheres]
-    for m, sigma_sq in enumerate(spheres):
-        assert [r.deviation_sq for r in profile.sphere_rows(m)] == sigma_sq
     for p in (2.0, 4.0):
         got = lp_report(profile, p, vs).sphere_sums
         want = [float(sum((s ** int(p / 2) for s in ss), Fraction(0))) for ss in spheres]

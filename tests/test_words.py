@@ -134,6 +134,43 @@ def test_sphere_letters_with_prefix_are_the_extensions():
     assert list(F2.iter_sphere_letters(2, (0,))) == [(0, 0), (0, 2), (0, 3)]
 
 
+@pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+def test_prefix_classes_partition_the_sphere(group):
+    for k in range(4):
+        for m in range(6):
+            classes = list(group.prefix_classes(m, k))
+            prefixes = [prefix for prefix, _, _ in classes]
+            assert prefixes == sorted(prefixes)
+            assert all(len(prefix) == min(m, k) for prefix in prefixes)
+            assert sum(size for _, _, size in classes) == group.sphere_count(m)
+            for prefix, member, size in classes:
+                assert member == reduce_letters(member.letters)
+                assert len(member) == m
+                assert member.letters[: len(prefix)] == prefix
+                assert size == len(list(group.iter_sphere_letters(m, prefix)))
+            expanded = [u for p in prefixes for u in group.iter_sphere_letters(m, p)]
+            assert list(map(Word, expanded)) == list(group.iter_sphere(m))
+
+
+def test_budget_check_never_builds_a_count_far_past_the_budget():
+    # |B_R| |S_m| on the edge of the budget keeps its exact count
+    F2.check_budget(F2.growth_count(3) * F2.sphere_count(2), R=3, m=2)
+    with pytest.raises(BudgetError) as err:
+        F2.check_budget(F2.growth_count(3) * F2.sphere_count(2) - 1, R=3, m=2)
+    assert err.value.requested == F2.growth_count(3) * F2.sphere_count(2)
+    # a count past 2^1024 with b = budget.bit_length() = 24: exact count up
+    # to the cutoff R + m = 1024, a power of two past it
+    with pytest.raises(BudgetError) as err:
+        F2.check_budget(10**7, R=1000, m=23)
+    assert err.value.requested == F2.growth_count(1000) * F2.sphere_count(23)
+    with pytest.raises(BudgetError) as err:
+        F2.check_budget(10**7, R=10**100, m=1)
+    assert err.value.requested == 2**1024
+    assert "more than 2^1024 elements" in str(err.value)
+    with pytest.raises(ValueError):
+        F2.check_budget(10**7, m=-1)
+
+
 def test_sphere_budget_enforced():
     with pytest.raises(BudgetError) as err:
         F2.sphere(10, budget=100)
