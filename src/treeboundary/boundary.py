@@ -29,12 +29,11 @@ enough for every convergence statement the package checks.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 from .words import (
     DEFAULT_BUDGET,
@@ -43,7 +42,6 @@ from .words import (
     Word,
     common_prefix_len,
     mul,
-    word_from_str,
     word_to_str,
 )
 
@@ -259,41 +257,6 @@ class CylinderMeasure:
         self.group = group
         self.depth = depth
         self.table = dict(sorted(table.items()))
-
-    def mass(self, c: Cylinder | Word) -> Fraction:
-        w = c.prefix if isinstance(c, Cylinder) else c
-        if len(w) == self.depth:
-            return self.table[w]
-        if len(w) < self.depth:
-            p = w.letters
-            return sum(
-                (m for u, m in self.table.items() if u.letters[: len(p)] == p),
-                Fraction(0),
-            )
-        raise ValueError(f"cylinder deeper than table depth {self.depth}")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "depth": self.depth,
-            "masses": {
-                word_to_str(w): f"{m.numerator}/{m.denominator}"
-                for w, m in self.table.items()
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict, group: FreeGroup) -> "CylinderMeasure":
-        table = {
-            word_from_str(k, group.n): Fraction(v) for k, v in obj["masses"].items()
-        }
-        return cls(group, obj["depth"], table)
-
-    @classmethod
-    def from_json(cls, text: str, group: FreeGroup) -> "CylinderMeasure":
-        return cls.from_json_obj(json.loads(text), group)
 
 
 def pushforward(

@@ -28,8 +28,8 @@ Two independent routes to the same number:
   (p_i h)^-1 . phi_i on the depth-m cylinders, run by run of cells with one
   value, from phi_i's own table, not from a translated table, and uses no
   pushforward closed form, so the oracle stays independent of
-  ``cocycle_value``.  ``trace_oracle_report`` enumerates B_R and the
-  depth-m sphere with no budget of its own; callers guard both with
+  ``cocycle_value``.  ``trace_oracle_report`` enumerates B_R and walks the
+  depth-m cells with no budget of its own; callers guard both with
   ``Truncation.check_enumeration_budget``.
 
 For degree 1 the per-sphere bounds do not decay and the tail is reported as
@@ -46,7 +46,7 @@ import numpy as np
 
 from .deviation import expectation, sigma_envelope, sphere_envelope_constant
 from .functions import QQ_ONE, QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
-from .operators import Truncation, fiber_diagonal, fiber_unit
+from .operators import Truncation, fiber_diagonal, fiber_projection, fiber_unit
 from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Word, mul
 
 
@@ -231,14 +231,20 @@ def _per_h_envelope(
     return bound
 
 
-def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleReport:
-    """Rank-one-chain evaluation of the truncated trace, with the certified
-    correction for chains that exit B_R or pass through inexact blocks."""
+def _check_oracle_terms(inp: CocycleInput, trunc: Truncation) -> None:
+    """Each term's translation must stay in B_R and its function must be no
+    deeper than the fiber level."""
     for phi, g in inp.terms:
         if len(g) > trunc.R:
             raise ValueError("term translation leaves the group ball")
         if phi.depth > trunc.m:
             raise ValueError("term function deeper than the fiber level")
+
+
+def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleReport:
+    """Rank-one-chain evaluation of the truncated trace, with the certified
+    correction for chains that exit B_R or pass through inexact blocks."""
+    _check_oracle_terms(inp, trunc)
     if inp.group_product != IDENTITY:
         # every chain lands in an off-diagonal block: the trace is exactly 0
         return TraceOracleReport(0j, 0.0, 0, 0)
@@ -298,16 +304,11 @@ def trace_oracle_dense(inp: CocycleInput, trunc: Truncation) -> complex:
     Independent of the rank-one-chain algebra above (used to cross-check
     it); still block-diagonal in h, so only dim_fiber^2 matrices appear.
     """
-    for phi, g in inp.terms:
-        if len(g) > trunc.R:
-            raise ValueError("term translation leaves the group ball")
-        if phi.depth > trunc.m:
-            raise ValueError("term function deeper than the fiber level")
+    _check_oracle_terms(inp, trunc)
     if inp.group_product != IDENTITY:
         return 0j
     suffixes = _suffix_products(inp)
-    v = fiber_unit(trunc)
-    p_fiber = np.outer(v, v).astype(complex)
+    p_fiber = fiber_projection(trunc)
     sign_block = 2.0 * p_fiber - np.eye(trunc.dim_fiber, dtype=complex)
     total = 0j
     for h in trunc.group_basis:

@@ -403,7 +403,7 @@ def _cmd_spectrum(s: argparse.Namespace) -> int:
     group = phi.group
     vs = VisualStructure(group, s.epsilon or math.log(2 * group.n - 1))
     level = phi.depth + s.radius if s.m is None else s.m
-    trunc = Truncation(vs, s.radius, level)
+    trunc = Truncation(group, s.radius, level)
     trunc.check_dense_budget(s.budget)
     report = verify_pi_identity(phi, trunc)
     values = commutator_singular_values(phi, trunc)
@@ -446,9 +446,11 @@ def _cmd_chern(s: argparse.Namespace) -> int:
     inp = _cocycle_input(s)
     group = inp.group
     trunc = None
-    if s.oracle_R is not None and s.oracle_m is not None:
-        vs = VisualStructure(group, s.epsilon or math.log(2 * group.n - 1))
-        trunc = Truncation(vs, s.oracle_R, s.oracle_m)
+    if (s.oracle_R is None) != (s.oracle_m is None):
+        missing = "--oracle-m" if s.oracle_m is None else "--oracle-R"
+        raise ValueError(f"the trace oracle needs --oracle-R and --oracle-m; {missing} is missing")
+    if s.oracle_R is not None:
+        trunc = Truncation(group, s.oracle_R, s.oracle_m)
         trunc.check_enumeration_budget(s.budget)
     value = cocycle_value(inp, s.radius, budget=s.budget)
     spheres = [
@@ -586,7 +588,7 @@ COMMANDS = {
         _cmd_chern,
         "cyclic cocycle value with certified tail",
         dict(_COMMON, degree=None, rank=None, input=None, radius=4, oracle_R=None,
-             oracle_m=None, epsilon=None),
+             oracle_m=None),
     ),
     "furstenberg": (
         _cmd_furstenberg,

@@ -8,8 +8,11 @@ For a level-k function phi and a group element g:
 
 ``deviation_sq_pairsum`` recomputes sigma^2 through the double-integral
 formula (1/2) iint |phi(gx) - phi(gy)|^2 dmu dmu on the common refinement of
-depth k + |g|, where the action is cylinder-constant; the two routes must
-agree exactly and tests enforce that agreement as a hard identity.
+depth k + |g|, where the action is cylinder-constant: it counts the cells
+of each value along ``FreeGroup.product_runs``, the walk of the tree action
+on cells that operator fibers also read, and uses no pushforward closed
+form.  The two routes must agree exactly and tests enforce that agreement
+as a hard identity.
 
 Prefix classes: the pushforward mass of a depth-k cylinder [w] under g
 depends on g only through |g| and the common prefix length of g and w (see
@@ -18,10 +21,10 @@ depends on g only through |g| and the common prefix length of g and w (see
 walks those classes; ``DeviationProfile.compute`` evaluates each once, at
 one member, and enumerates no element of the ball: a profile holds its
 classes, each with its prefix and its size |S_m| / |S_min(m,k)|.  The CSV
-and JSON writers expand each class's prefix into the word strings of its
-members and fill them into the class's "p/q" fragments, made once per
-class; ``summability`` sums spheres by class and multiplicity; the per-row
-view ``rows`` is built only when asked for.
+and JSON writers share one expansion of each class's prefix into the word
+strings of its members and fill them into the class's "p/q" fragments, made
+once per class; ``summability`` sums spheres by class and multiplicity; the
+per-row view ``rows`` is built only when asked for.
 
 Profiles are exact and their rows come in canonical ball order, so CSV/JSON
 output is deterministic: ``write_json`` writes the very bytes of
@@ -79,22 +82,17 @@ def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
     prefix of the reduced product g u, so the double integral collapses to
     a finite sum over distinct value pairs weighted by their masses.
 
-    Every cell is visited as a letter tuple; the cells are counted by the
-    depth-k prefix of g u, and each prefix is then mapped to its value once.
+    The cells are counted by that prefix along the runs of
+    ``FreeGroup.product_runs(g, k, k + |g|)``, and each prefix is then
+    mapped to its value once.
     """
     group = phi.group
-    k, m = phi.depth, len(g)
-    d = k + m
+    d = phi.depth + len(g)
     group.check_budget(DEFAULT_BUDGET, m=d)
-    a, ginv = g.letters, g.inverse().letters
+    sizes = group.run_sizes(d)
     prefixes: dict[tuple[int, ...], int] = {}
-    for u in group.iter_sphere_letters(d):
-        # g u cancels exactly the common prefix of g^-1 and u
-        j = 0
-        while j < m and u[j] == ginv[j]:
-            j += 1
-        key = (a[: m - j] + u[j : j + k])[:k]
-        prefixes[key] = prefixes.get(key, 0) + 1
+    for p, key in group.product_runs(g, phi.depth, d):
+        prefixes[key] = prefixes.get(key, 0) + sizes[len(p)]
     counts: dict[GaussianRational, int] = {}
     for key, c in prefixes.items():
         v = phi.values[Word(key)]
@@ -238,17 +236,23 @@ class DeviationProfile:
             for u in self.group.iter_sphere_letters(c.length, c.prefix)
         ]
 
+    @cached_property
+    def _members(self) -> list[tuple[ProfileClass, list[str]]]:
+        """Each class with the word strings of its members, expanded once
+        for both writers."""
+        return [
+            (c, [word_to_str(u) for u in self.group.iter_sphere_letters(c.length, c.prefix)])
+            for sphere in self.spheres
+            for c in sphere
+        ]
+
     def _render(self, fragments: Callable[[ProfileClass], tuple[str, str]]) -> list[str]:
         """Each row as its class's head, its word and its class's tail; the
         fragments are made once per class, whose members are a run."""
         out = []
-        for sphere in self.spheres:
-            for c in sphere:
-                head, tail = fragments(c)
-                out += [
-                    head + word_to_str(u) + tail
-                    for u in self.group.iter_sphere_letters(c.length, c.prefix)
-                ]
+        for c, words in self._members:
+            head, tail = fragments(c)
+            out += [head + w + tail for w in words]
         return out
 
     def write_csv(self, fp: IO[str]) -> None:

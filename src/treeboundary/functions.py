@@ -10,7 +10,6 @@ operation, integral and statistic downstream stays exact.  The group acts by
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -276,9 +275,6 @@ class LocallyConstantFunction:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
     @classmethod
     def from_json_obj(cls, obj: dict, group: FreeGroup) -> "LocallyConstantFunction":
         vals = {
@@ -286,10 +282,6 @@ class LocallyConstantFunction:
             for k, v in obj["values"].items()
         }
         return cls(group, obj["depth"], vals)
-
-    @classmethod
-    def from_json(cls, text: str, group: FreeGroup) -> "LocallyConstantFunction":
-        return cls.from_json_obj(json.loads(text), group)
 
     def __repr__(self) -> str:
         return f"<LocallyConstantFunction depth={self.depth} on F_{self.group.n}>"

@@ -15,20 +15,20 @@ where both effects vanish; operators built outside the window carry
 ``window_exact=False`` instead of raising.
 
 Every operator here is block-structured over h in B_R: P = I x outer(v, v)
-with v the constant unit vector of the fiber, lambda(phi) is block-diagonal
-with diagonal blocks, and lambda(g) permutes blocks with zero padding.  The
-diagonal block at h (``fiber_diagonal``) is read from phi's own table: a
-depth-m cylinder takes the value of phi at its reduced product with h, or
-the exact average over its extensions where that product does not fix one
-value; no translated table is built.  Cylinders whose entry is fixed by a
-common prefix are consecutive in lex order, so the block is walked as the
-prefix tree of the sphere and each such run is emitted at once.  Every
-identity and inequality here is checked block by block and never holds a
-matrix larger than dim_fiber x dim_fiber.  The constructors
-``projection_P``, ``rep_function``, ``rep_group``, ``rep_crossed`` and
-``homotopy_projection`` materialize dense complex binary64 dim x dim
-matrices, guarded by ``check_dense_budget``; they are only a small test
-oracle, and no route here calls them.  Everything is single-threaded.
+with v = ``fiber_unit``, the constant unit vector of the fiber, made from
+depth_mass(m) alone; lambda(phi) is block-diagonal with diagonal blocks, and
+lambda(g) permutes blocks with zero padding.  Every fiber is read one way:
+the diagonal block at h (``fiber_diagonal``) takes phi's own table along the
+runs of ``FreeGroup.product_runs``, which give each depth-m cylinder c the
+key prefix_k(h c), or the exact average over its extensions where no key
+is fixed; no translated table is built, and P(eta) reads eta as the block
+at the identity.  Every identity and inequality here is checked block by
+block and never holds a matrix larger than dim_fiber x dim_fiber.  The
+constructors ``projection_P``, ``rep_function``, ``rep_group``,
+``rep_crossed`` and ``homotopy_projection`` materialize dense complex
+binary64 dim x dim matrices, guarded by ``check_dense_budget``; they are
+only a small test oracle, and no route here calls them.  Everything is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary import Cylinder, VisualStructure, cylinder_measure
+from .boundary import depth_mass
 from .deviation import deviation_sq, expectation
 from .functions import QQ_ZERO, LocallyConstantFunction
 from .svd import operator_norm, singular_values
-from .words import FreeGroup, Word, common_prefix_len, mul
+from .words import IDENTITY, FreeGroup, Word, mul
 
 OPERATOR_BUDGET = 6000
 
@@ -56,7 +56,7 @@ CrossedTerms = Sequence[tuple[LocallyConstantFunction, Word]]
 class Truncation:
     """Basis data for the truncation B_R x {depth-m cylinders}."""
 
-    vs: VisualStructure
+    group: FreeGroup
     R: int
     m: int
 
@@ -66,17 +66,9 @@ class Truncation:
         if self.m < 1:
             raise ValueError("function level must be >= 1")
 
-    @property
-    def group(self) -> FreeGroup:
-        return self.vs.group
-
     @cached_property
     def group_basis(self) -> tuple[Word, ...]:
         return tuple(self.group.iter_ball(self.R))
-
-    @cached_property
-    def cylinders(self) -> tuple[Word, ...]:
-        return tuple(self.group.iter_sphere(self.m))
 
     @cached_property
     def group_index(self) -> dict[Word, int]:
@@ -107,6 +99,11 @@ class Truncation:
     def window_exact(self, depth: int) -> bool:
         return depth + self.R <= self.m
 
+    def require_window(self, *depths: int) -> None:
+        """Raise ValueError unless every function depth is on the window."""
+        if not all(map(self.window_exact, depths)):
+            raise ValueError("exactness window requires depth(phi) + R <= m")
+
 
 @dataclass
 class TruncatedOperator:
@@ -121,11 +118,9 @@ class TruncatedOperator:
 
 
 def fiber_unit(trunc: Truncation) -> np.ndarray:
-    """Coordinates of the constant function 1 (a unit vector) in the fiber basis."""
-    group = trunc.group
-    return np.array(
-        [math.sqrt(float(cylinder_measure(Cylinder(c), group))) for c in trunc.cylinders]
-    )
+    """Coordinates of the constant function 1 (a unit vector) in the fiber
+    basis: sqrt(mu(c)) in every depth-m cell c."""
+    return np.full(trunc.dim_fiber, math.sqrt(float(depth_mass(trunc.m, trunc.group))))
 
 
 def fiber_projection(trunc: Truncation) -> np.ndarray:
@@ -143,56 +138,27 @@ def fiber_diagonal(
     is always diagonal; the entry at c is the conditional average of
     h^{-1}.phi over c, i.e. of phi(h .) over [c].
 
-    Each entry is read off phi's own table.  The letters of c that cancel
-    against h are the common prefix of h^{-1} and c, of length j; the
-    reduced product is r = h[:|h|-j] + c[j:].  If j < m, h maps every point
-    of [c] into [r], so when |r| >= k = depth(phi) the entry is phi(r[:k]),
-    which depends on c only through j and c[j : j + max(0, k - (|h| - j))].
-    The cells are walked as the lexicographic prefix tree of the depth-m
-    sphere: a prefix of length t that fixes j and those letters fixes the
-    entry of all its (2n-1)^(m-t) cells, which are consecutive, so the value
-    is emitted once as a run.  On the remaining cells (all of c cancels, or
-    r is shorter than k) the value of phi(h .) is fixed on each extension u
-    of c to depth k + |h|, and the entry is the exact average over those
-    extensions, counted by their depth-k key and converted once.
+    Each entry is read off phi's own table along the runs of
+    ``FreeGroup.product_runs(h, k, m)``, k = depth(phi): a run's cells all
+    take the value phi(prefix_k(h c)).  A cell whose key is not fixed takes
+    the exact average of phi(h .) over its extensions to depth k + |h|, read
+    from the runs under it at that depth and converted once.
     """
     k, m = phi.depth, trunc.m
     group = trunc.group
-    follow = group.follow
-    a, ainv = h.letters, h.inverse().letters
-    L = len(a)
+    d = k + len(h)  # every key is fixed at this depth
     values, as_complex = phi.letter_values, phi.letter_complex
-    weight = Fraction(1, (group.alphabet_size - 1) ** max(0, k + L - m))
+    sizes, deep = group.run_sizes(m), group.run_sizes(d)
     out: list[complex] = []
-
-    def average(u: tuple[int, ...]) -> complex:
+    for p, key in group.product_runs(h, k, m):
+        if key is not None:
+            out.extend([as_complex[key]] * sizes[len(p)])
+            continue
         counts: dict[tuple[int, ...], int] = {}
-        for ext in group.iter_sphere_letters(k + L, u):
-            i = common_prefix_len(ainv, ext)
-            key = (a[: L - i] + ext[i:])[:k]
-            counts[key] = counts.get(key, 0) + 1
+        for u, ukey in group.product_runs(h, k, d, p):
+            counts[ukey] = counts.get(ukey, 0) + deep[len(u)]
         total = sum((values[key] * n for key, n in counts.items()), start=QQ_ZERO)
-        return (total * weight).to_complex()
-
-    def walk(prefix: tuple[int, ...], j: int | None) -> None:
-        # j is None while prefix still agrees with h^-1, so the
-        # cancellation length is not fixed yet
-        t = len(prefix)
-        if j is None and t == min(L, m):
-            j = t
-        if j is not None:
-            if j == m or L + m - 2 * j < k:
-                out.extend(map(average, group.iter_sphere_letters(m, prefix)))
-                return
-            end = j + max(0, k - (L - j))
-            if t >= end:
-                value = as_complex[(a[: L - j] + prefix[j:end])[:k]]
-                out.extend([value] * (group.sphere_count(m) // group.sphere_count(t)))
-                return
-        for y in follow[prefix[-1]] if prefix else range(group.alphabet_size):
-            walk(prefix + (y,), j if j is not None or y == ainv[t] else t)
-
-    walk((), None)
+        out.append((total * Fraction(1, deep[m])).to_complex())  # 1 / cells under c
     return np.array(out, dtype=complex)
 
 
@@ -273,10 +239,9 @@ def verify_pi_identity(
     fiber diagonal of phi at h, and the compression at h is v* diag(d_h) v.
     The errors are maxima over h; off-diagonal blocks vanish on both sides.
     """
-    if not trunc.window_exact(phi.depth):
-        raise ValueError("exactness window requires depth(phi) + R <= m")
+    trunc.require_window(phi.depth)
     v = fiber_unit(trunc)
-    vv = np.outer(v, v).astype(complex)
+    vv = fiber_projection(trunc)
     complement = np.eye(trunc.dim_fiber, dtype=complex) - vv
     pi_error = 0.0
     compression_error = 0.0
@@ -307,8 +272,7 @@ def commutator_singular_values(
     the actual blocks, so that comparing them with the deviation table
     remains a cross-check that can fail.
     """
-    if not trunc.window_exact(phi.depth):
-        raise ValueError("exactness window requires depth(phi) + R <= m")
+    trunc.require_window(phi.depth)
     v = fiber_unit(trunc)
     out: list[np.ndarray] = []
     for h in trunc.group_basis:
@@ -367,10 +331,7 @@ def homotopy_block(eta: LocallyConstantFunction, trunc: Truncation) -> np.ndarra
         raise ValueError("eta must satisfy ||eta||_{L2(mu)} = 1 exactly")
     if eta.depth > trunc.m:
         raise ValueError("eta deeper than the fiber level m")
-    v = fiber_unit(trunc)
-    refined = eta.refine(trunc.m)
-    values = np.array([refined.values[c].to_complex() for c in trunc.cylinders])
-    w = np.conj(values) * v
+    w = np.conj(fiber_diagonal(eta, IDENTITY, trunc)) * fiber_unit(trunc)
     return np.outer(w, np.conj(w))
 
 
@@ -453,9 +414,7 @@ def verify_compression_identity(terms: CrossedTerms, trunc: Truncation) -> float
     so the comparison is entrywise on the full |B_R| x |B_R| compressed
     matrix.
     """
-    for phi, _ in terms:
-        if not trunc.window_exact(phi.depth):
-            raise ValueError("exactness window requires depth(phi) + R <= m")
+    trunc.require_window(*(phi.depth for phi, _ in terms))
     v = fiber_unit(trunc)
     error = np.zeros((trunc.dim_group, trunc.dim_group), dtype=complex)
     for phi, g in terms:

@@ -12,6 +12,9 @@ Words serialize as strings over ``a..z`` (generators) and ``A..Z``
 
 ``FreeGroup.prefix_classes`` walks a sphere by classes of a common depth-k
 prefix, the unit that deviation profiles and cocycle sums are built from.
+``FreeGroup.product_runs`` is the one walk of the tree action on cells: it
+splits the depth-m cells c into lexicographic runs that share the key
+prefix_k(h c), which operator fibers and the pair-sum deviation read.
 
 Everything here is immutable and every operation is a pure function, so the
 module is safe to use from concurrent contexts.  Sphere enumeration can be
@@ -22,7 +25,7 @@ recover the canonical order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from typing import Iterable, Iterator
 
 DEFAULT_BUDGET = 10**7
@@ -201,6 +204,12 @@ class FreeGroup:
         q = 2 * self.n - 1
         return 1 + 2 * self.n * (q**R - 1) // (q - 1)
 
+    @lru_cache(maxsize=None)
+    def run_sizes(self, m: int) -> tuple[int, ...]:
+        """run_sizes(m)[t] = |S_m| / |S_t|: the depth-m cells that extend a
+        depth-t prefix, for t = 0 .. m."""
+        return tuple(self.sphere_count(m) // self.sphere_count(t) for t in range(m + 1))
+
     def check_budget(self, budget: int, R: int | None = None, m: int | None = None) -> None:
         """Raise BudgetError if |B_R| * |S_m| exceeds ``budget``; a factor
         whose radius is None is left out.
@@ -234,6 +243,48 @@ class FreeGroup:
         size = self.sphere_count(m) // self.sphere_count(k)
         for prefix in self.iter_sphere_letters(k):
             yield prefix, Word(prefix + (prefix[-1] if prefix else 0,) * (m - k)), size
+
+    def product_runs(
+        self, h: Word, k: int, m: int, prefix: tuple[int, ...] = ()
+    ) -> list[tuple[tuple[int, ...], tuple[int, ...] | None]]:
+        """The depth-m cells c that extend ``prefix``, lexicographic, in runs
+        (p, key): the ``run_sizes(m)[len(p)]`` cells that extend p all have
+        key = prefix_k(h c).
+
+        The letters of c that cancel against h are the common prefix of
+        h^-1 and c, of length j; then h c = h[:|h|-j] + c[j:], and the key
+        depends on c only through j and c[j : j + max(0, k - (|h| - j))],
+        so the walk down the prefix tree stops as soon as p fixes both.  A
+        cell whose key is not fixed (k >= 1 and all of c cancels, or
+        |h c| < k) is its own run, with key None; at m = k + |h| no such
+        cell exists.
+        """
+        a, ainv = h.letters, h.inverse().letters
+        L = len(a)
+        follow, letters = self.follow, range(2 * self.n)
+        out: list[tuple[tuple[int, ...], tuple[int, ...] | None]] = []
+
+        def walk(p: tuple[int, ...], j: int | None) -> None:
+            # j is None while p still agrees with h^-1, so the
+            # cancellation length is not fixed yet
+            t = len(p)
+            if j is None and t == min(L, m):
+                j = t
+            if j is not None:
+                if (j == m and k > 0) or L + m - 2 * j < k:
+                    out.extend((c, None) for c in self.iter_sphere_letters(m, p))
+                    return
+                end = j + max(0, k - (L - j))
+                if t >= end:
+                    out.append((p, (a[: L - j] + p[j:end])[:k]))
+                    return
+            for y in follow[p[-1]] if p else letters:
+                walk(p + (y,), j if j is not None or y == ainv[t] else t)
+
+        if len(prefix) <= m:
+            i = common_prefix_len(ainv, prefix)
+            walk(prefix, None if i == len(prefix) else i)
+        return out
 
     @cached_property
     def follow(self) -> tuple[tuple[int, ...], ...]:

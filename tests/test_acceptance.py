@@ -125,7 +125,7 @@ def test_criterion_4_operator_identities_612():
     """dim 612: Pi*Pi and P lambda P within 1e-10; spectrum to 1e-9; < 2 min."""
     start = time.monotonic()
     phi = LocallyConstantFunction.indicator(F2, F2.word("a"))
-    trunc = Truncation(VS2, 2, 3)
+    trunc = Truncation(F2, 2, 3)
     assert trunc.dim == 612
     report = verify_pi_identity(phi, trunc)
     assert report.pi_error <= 1e-10
@@ -148,7 +148,7 @@ def test_criterion_4_operator_identities_612():
 
 def test_criterion_5_homotopy_inequality():
     """||P(e1)-P(e2)|| <= 2||e1-e2|| on 50 random unit pairs; P(1) = P."""
-    trunc = Truncation(VS2, 1, 2)
+    trunc = Truncation(F2, 1, 2)
     rng = random.Random(50)
     for i in range(50):
         eta1 = random_unit_function(F2, 1 + (i % 2), rng)
@@ -208,7 +208,7 @@ def test_criterion_7_chern_cocycle():
         ],
     )
     cv = cocycle_value(inp, 4)
-    report = trace_oracle_report(inp, Truncation(VS2, 4, 4))
+    report = trace_oracle_report(inp, Truncation(F2, 4, 4))
     assert abs(cv.value - report.value) <= cv.tail_bound + report.window_correction
     for observed, bound in zip(cv.sphere_abs, cv.sphere_bounds):
         assert observed <= bound + 1e-12

@@ -87,7 +87,7 @@ def test_pushforward_is_probability_and_additive():
             children = [
                 u for u in F2.sphere(2) if u.letters[:1] == w.letters
             ]
-            assert m.mass(w) == sum(
+            assert pushforward(g, 1, F2).table[w] == sum(
                 (m.table[u] for u in children), Fraction(0)
             )
 
@@ -198,13 +198,6 @@ def test_weak_distance_depth_validation():
     omega = BoundaryPoint(IDENTITY, F2.word("a"))
     with pytest.raises(ValueError):
         weak_distance_to_delta(F2.word("a"), omega, 0, F2)
-
-
-def test_cylinder_measure_json_round_trip():
-    m = pushforward(F2.word("ab"), 2, F2)
-    back = CylinderMeasure.from_json(m.to_json(), F2)
-    assert back.table == m.table
-    assert back.depth == m.depth
 
 
 def test_cylinder_measure_validates_table():

@@ -16,7 +16,6 @@ from treeboundary import (
     QQ_I,
     QQ_ZERO,
     Truncation,
-    VisualStructure,
     cocycle_value,
     expectation,
     shifted_functions,
@@ -25,7 +24,6 @@ from treeboundary import (
 )
 
 F2 = FreeGroup(2)
-VS2 = VisualStructure(F2, math.log(3))
 
 IND = {
     s: LocallyConstantFunction.indicator(F2, F2.word(s))
@@ -139,7 +137,7 @@ def test_budget_guard():
 
 def test_trace_routes_agree():
     inp = CocycleInput(3, REGRESSION_TERMS)
-    trunc = Truncation(VS2, 3, 4)
+    trunc = Truncation(F2, 3, 4)
     sparse = trace_oracle_report(inp, trunc).value
     dense = trace_oracle_dense(inp, trunc)
     assert abs(sparse - dense) <= 1e-12
@@ -147,7 +145,7 @@ def test_trace_routes_agree():
 
 def test_trace_routes_agree_complex():
     inp = CocycleInput(3, COMPLEX_TERMS)
-    trunc = Truncation(VS2, 3, 4)
+    trunc = Truncation(F2, 3, 4)
     assert abs(trace_oracle_report(inp, trunc).value - trace_oracle_dense(inp, trunc)) <= 1e-12
 
 
@@ -161,7 +159,7 @@ def test_trace_vanishes_off_identity_product():
             (IND["B"], F2.word("B")),
         ],
     )
-    trunc = Truncation(VS2, 3, 4)
+    trunc = Truncation(F2, 3, 4)
     report = trace_oracle_report(inp, trunc)
     assert report.value == 0j
     assert report.window_correction == 0.0
@@ -170,11 +168,11 @@ def test_trace_vanishes_off_identity_product():
 def test_trace_cross_validates_formula():
     inp = CocycleInput(3, REGRESSION_TERMS)
     cv = cocycle_value(inp, 4)
-    report = trace_oracle_report(inp, Truncation(VS2, 4, 4))
+    report = trace_oracle_report(inp, Truncation(F2, 4, 4))
     gap = abs(report.value - cv.value)
     assert gap <= cv.tail_bound + report.window_correction
     # the wide window R=5, m=6 reproduces the R=4 exact partial closely
-    wide = trace_oracle_report(inp, Truncation(VS2, 5, 6))
+    wide = trace_oracle_report(inp, Truncation(F2, 5, 6))
     assert abs(wide.value - cv.value) <= 1e-8
     assert wide.inexact_blocks == 0
 
@@ -184,7 +182,7 @@ def test_trace_complex_input_locks_bilinear_pairing():
     # sign of the imaginary part and disagree with the trace by ~2 Im
     inp = CocycleInput(3, COMPLEX_TERMS)
     cv = cocycle_value(inp, 4)
-    report = trace_oracle_report(inp, Truncation(VS2, 5, 6))
+    report = trace_oracle_report(inp, Truncation(F2, 5, 6))
     assert abs(report.value - cv.value) <= 1e-8
     assert abs(cv.value.imag) > 1e-3  # the lock is non-vacuous
 
@@ -200,7 +198,7 @@ def test_cyclicity_within_tails():
 
 def test_report_counts():
     inp = CocycleInput(3, REGRESSION_TERMS)
-    report = trace_oracle_report(inp, Truncation(VS2, 4, 4))
+    report = trace_oracle_report(inp, Truncation(F2, 4, 4))
     assert report.chain_exits > 0  # R=4 window does lose chains
     assert report.inexact_blocks > 0  # m=4 < depth + |p_i h| in places
     assert report.window_correction > 0.0

@@ -126,6 +126,20 @@ def test_chern_schema_with_oracle(tmp_path):
     assert obj["group_product"] == "1"
 
 
+@pytest.mark.parametrize(
+    "given, missing", [("--oracle-R", "--oracle-m"), ("--oracle-m", "--oracle-R")]
+)
+def test_chern_lone_oracle_setting_is_usage_error(tmp_path, capsys, given, missing):
+    # the trace oracle needs both settings; one alone must not be dropped
+    terms = write_terms(tmp_path)
+    out = tmp_path / "out"
+    code = run_cli(["chern", "--input", terms, "--radius", 2, given, 3, "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and f"{missing} is missing" in err
+    assert not out.exists()
+
+
 def test_chern_n_flag_is_rank(tmp_path):
     # --n must mean rank here like everywhere else, not collide with --degree.
     terms = write_terms(tmp_path)
@@ -589,7 +603,7 @@ _COMMANDS = {
     "deviation": ["rank", "phi", "radius", "budget"],
     "summability": ["rank", "phi", "radius", "epsilon", "p", "budget"],
     "spectrum": ["rank", "phi", "radius", "m", "epsilon", "p", "budget"],
-    "chern": ["degree", "rank", "input", "radius", "oracle_R", "oracle_m", "epsilon", "budget"],
+    "chern": ["degree", "rank", "input", "radius", "oracle_R", "oracle_m", "budget"],
     "furstenberg": ["rank", "g", "max_power", "depth", "budget"],
     "verify-all": ["rank", "radius", "seed", "tol_scale", "epsilon", "budget"],
 }

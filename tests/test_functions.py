@@ -1,5 +1,6 @@
 """Gaussian-rational scalars and locally constant boundary functions."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -151,7 +152,8 @@ def test_random_unit_function_exact_norm():
 def test_json_round_trip():
     rng = random.Random(5)
     phi = random_unit_function(F2, 2, rng)
-    back = LocallyConstantFunction.from_json(phi.to_json(), F2)
+    text = json.dumps(phi.to_json_obj(), indent=2)
+    back = LocallyConstantFunction.from_json_obj(json.loads(text), F2)
     assert back == phi
     assert back.values == phi.values
 

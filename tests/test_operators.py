@@ -16,7 +16,6 @@ from treeboundary import (
     LocallyConstantFunction,
     QQ_ZERO,
     Truncation,
-    VisualStructure,
     Word,
     commutator_singular_values,
     conditional_lower_bound_check,
@@ -38,7 +37,6 @@ from treeboundary import (
 )
 
 F2 = FreeGroup(2)
-VS2 = VisualStructure(F2, math.log(3))
 
 IA = LocallyConstantFunction.indicator(F2, F2.word("a"))
 IB = LocallyConstantFunction.indicator(F2, F2.word("b"))
@@ -46,12 +44,12 @@ IB = LocallyConstantFunction.indicator(F2, F2.word("b"))
 
 @pytest.fixture(scope="module")
 def t23():
-    return Truncation(VS2, 2, 3)
+    return Truncation(F2, 2, 3)
 
 
 @pytest.fixture(scope="module")
 def t12():
-    return Truncation(VS2, 1, 2)
+    return Truncation(F2, 1, 2)
 
 
 def test_dimensions(t23, t12):
@@ -59,7 +57,7 @@ def test_dimensions(t23, t12):
     assert t23.dim_fiber == 36
     assert t23.dim == 612
     assert t12.dim == 5 * 12
-    tiny = Truncation(VS2, 0, 1)
+    tiny = Truncation(F2, 0, 1)
     assert tiny.dim == 4
 
 
@@ -182,14 +180,16 @@ def _translated_fiber_diagonal(phi, h, trunc):
     shifted = translate(h.inverse(), phi)
     if shifted.depth <= trunc.m:
         refined = shifted.refine(trunc.m)
-        return np.array([refined.values[c].to_complex() for c in trunc.cylinders])
+        return np.array([refined.values[c].to_complex() for c in trunc.group.iter_sphere(trunc.m)])
     sums = {}
     for u, value in shifted.values.items():
         key = u.letters[: trunc.m]
         sums[key] = sums.get(key, QQ_ZERO) + value
     q = trunc.group.alphabet_size - 1
     weight = Fraction(1, q ** (shifted.depth - trunc.m))
-    return np.array([(sums[c.letters] * weight).to_complex() for c in trunc.cylinders])
+    return np.array(
+        [(sums[c.letters] * weight).to_complex() for c in trunc.group.iter_sphere(trunc.m)]
+    )
 
 
 def _random_complex_function(group, depth, rng):
@@ -215,7 +215,7 @@ def test_fiber_diagonal_matches_translated_tables(rank, depth, m):
     # h in B_{m+1}, every h or a seeded sample: exact blocks
     # (depth + |h| <= m), averaged ones, and blocks with |h| > m
     group = FreeGroup(rank)
-    trunc = Truncation(VisualStructure(group, math.log(2 * rank - 1)), 0, m)
+    trunc = Truncation(group, 0, m)
     phi = _random_complex_function(group, depth, random.Random(10 * rank + depth))
     hs = list(group.iter_ball(m + 1))
     if (rank, depth, m) in _FIBER_SAMPLES:
@@ -266,7 +266,7 @@ def test_pi_identity_has_teeth(t12, monkeypatch):
 def test_pi_identity_window_enforced():
     deep = LocallyConstantFunction.indicator(F2, F2.word("ab"))
     with pytest.raises(ValueError):
-        verify_pi_identity(deep, Truncation(VS2, 2, 3))  # 2 + 2 > 3
+        verify_pi_identity(deep, Truncation(F2, 2, 3))  # 2 + 2 > 3
 
 
 def test_commutator_values_match_deviation_table(t12):
@@ -336,7 +336,7 @@ def test_homotopy_requires_exact_unit(t12):
 
 @pytest.fixture(scope="module")
 def t24():
-    return Truncation(VS2, 2, 4)
+    return Truncation(F2, 2, 4)
 
 
 # a crossed-product element supported in B_1 with dense complex coefficients;
@@ -456,11 +456,11 @@ def test_fiber_unit_is_unit(t12):
 
 def test_truncation_validation():
     with pytest.raises(ValueError):
-        Truncation(VS2, -1, 2)
+        Truncation(F2, -1, 2)
     with pytest.raises(ValueError):
-        Truncation(VS2, 1, 0)
-    assert Truncation(VS2, 1, 2).window_exact(1)
-    assert not Truncation(VS2, 1, 2).window_exact(2)
+        Truncation(F2, 1, 0)
+    assert Truncation(F2, 1, 2).window_exact(1)
+    assert not Truncation(F2, 1, 2).window_exact(2)
 
 
 def test_expectation_compression_entries(t12):

@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+from treeboundary import verify
 from treeboundary import (
     DEFAULT_BUDGET,
     FreeGroup,
     VerifyContext,
     VisualStructure,
     check_names,
+    gromov_product,
     run_all,
 )
 
@@ -72,3 +74,25 @@ def test_details_are_reproducible_text(serial_results):
         assert r.detail  # never empty
         for banned in ("time", "elapsed", "seconds"):
             assert banned not in r.detail.lower()
+
+
+def test_hyperbolicity_names_the_first_failing_triple(monkeypatch):
+    # teeth: one Gromov product made too small breaks 0-hyperbolicity; the
+    # matrix check must fail at the triple the plain triple loop finds first
+    ball = F2.ball(2)
+    x0, y0 = F2.word("ab"), F2.word("a")
+
+    def broken(g, h):
+        return 0 if (g, h) == (x0, y0) else gromov_product(g, h)
+
+    first = next(
+        (x, y, z)
+        for x in ball
+        for y in ball
+        for z in ball
+        if broken(x, y) < min(broken(x, z), broken(y, z))
+    )
+    monkeypatch.setattr(verify, "gromov_product", broken)
+    ok, detail = verify._hyperbolicity(make_ctx())
+    assert not ok
+    assert detail == f"0-hyperbolicity fails at ({first[0]}, {first[1]}, {first[2]})"

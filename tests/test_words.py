@@ -152,6 +152,34 @@ def test_prefix_classes_partition_the_sphere(group):
             assert list(map(Word, expanded)) == list(group.iter_sphere(m))
 
 
+@pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+def test_product_runs_partition_the_cells_by_their_key(group):
+    # oracle: mul(h, c) for every cell c under the prefix; the key of c is
+    # fixed unless k >= 1 and all of c cancels, or |h c| < k
+    rng = random.Random(group.n)
+    hs = list(group.iter_ball(4 if group.n == 2 else 2))
+    if group.n == 3:
+        hs += [h for length in (3, 4) for h in rng.sample(group.sphere(length), 8)]
+    for h in hs:
+        for m in range(1, 5):
+            cells = list(group.iter_sphere_letters(m))
+            prefixes = [(), h.inverse().letters[: m - 1], rng.choice(cells)[: rng.randint(1, m)]]
+            for k, prefix in itertools.product(range(4), prefixes):
+                runs = group.product_runs(h, k, m, prefix)
+                expanded = [c for p, _ in runs for c in group.iter_sphere_letters(m, p)]
+                assert expanded == list(group.iter_sphere_letters(m, prefix))
+                for p, key in runs:
+                    assert p[: len(prefix)] == prefix and len(p) <= m
+                    size = len(list(group.iter_sphere_letters(m, p)))
+                    assert group.run_sizes(m)[len(p)] == size
+                    for c in group.iter_sphere_letters(m, p):
+                        r = mul(h, Word(c))
+                        if (k >= 1 and len(r) == len(h) - m) or len(r) < k:
+                            assert key is None and p == c, (h, k, c)
+                        else:
+                            assert key == r.letters[:k], (h, k, c)
+
+
 def test_budget_check_never_builds_a_count_far_past_the_budget():
     # |B_R| |S_m| on the edge of the budget keeps its exact count
     F2.check_budget(F2.growth_count(3) * F2.sphere_count(2), R=3, m=2)
