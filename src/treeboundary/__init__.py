@@ -8,6 +8,8 @@ cyclic cocycle evaluator.  A batch CLI (``treeboundary``) exposes the whole
 pipeline as JSON + CSV reports.
 """
 
+from types import ModuleType as _ModuleType
+
 from .words import (
     BudgetError,
     DEFAULT_BUDGET,
@@ -89,88 +91,16 @@ from .chern import (
     cocycle_value,
     shifted_functions,
     sphere_term_bound,
+    trace_identity,
     trace_oracle_dense,
     trace_oracle_report,
 )
 from .verify import CheckResult, VerifyContext, check_names, run_all
 
-__all__ = [
-    "BoundaryPoint",
-    "BudgetError",
-    "CertifiedValue",
-    "CheckResult",
-    "CocycleInput",
-    "Cylinder",
-    "CylinderMeasure",
-    "DEFAULT_BUDGET",
-    "DeviationProfile",
-    "FreeGroup",
-    "GaussianRational",
-    "IDENTITY",
-    "LocallyConstantFunction",
-    "OPERATOR_BUDGET",
-    "PiIdentityReport",
-    "ProfileRow",
-    "QQ_I",
-    "QQ_ONE",
-    "QQ_ZERO",
-    "SortedDecayCheck",
-    "SummabilityReport",
-    "TraceOracleReport",
-    "TruncatedOperator",
-    "Truncation",
-    "VerifyContext",
-    "VisualStructure",
-    "Word",
-    "boundary_action",
-    "check_names",
-    "cocycle_value",
-    "commutator_singular_values",
-    "comparability_constants",
-    "conditional_lower_bound_check",
-    "covariance",
-    "cylinder_measure",
-    "decay_exponent_fit",
-    "depth_mass",
-    "deviation_sq",
-    "deviation_sq_pairsum",
-    "dplus_surrogate_check",
-    "expectation",
-    "fiber_diagonal",
-    "fiber_unit",
-    "gromov_product",
-    "hausdorff_dimension",
-    "homotopy_projection",
-    "homotopy_projection_check",
-    "lp_report",
-    "mul",
-    "operator_norm",
-    "preimage_cylinder",
-    "projection_P",
-    "pushforward",
-    "pushforward_mass",
-    "random_unit_function",
-    "reduce_letters",
-    "rep_crossed",
-    "rep_function",
-    "rep_group",
-    "run_all",
-    "schatten_norm",
-    "shifted_functions",
-    "sigma_envelope",
-    "singular_values",
-    "sphere_envelope_constant",
-    "sphere_term_bound",
-    "summability_threshold",
-    "trace_oracle_dense",
-    "trace_oracle_report",
-    "translate",
-    "verify_compression_identity",
-    "verify_pi_identity",
-    "visual_distance",
-    "weak_distance_to_delta",
-    "word_from_str",
-    "word_to_str",
-]
+# every name imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -12,12 +12,13 @@ Two independent routes to the same number:
   the bilinear pairing E(phi psi) - E(phi) E(psi) (the trace of a product of
   commutators is multilinear in the phi_i, so no conjugation enters).  The
   partial sum over B_R is exact rational; the tail over |h| > R is bounded
-  by per-sphere envelopes summed as a geometric series.  With K the largest
-  depth among the psi_i and the pair products, every expectation in the
-  summand depends on h only through the prefix class (prefix_K h, |h|), so
-  sphere m is summed over ``FreeGroup.prefix_classes(m, K)``: |S_min(m,K)|
-  class terms, each evaluated at the class's member and weighted by its
-  size |S_m| / |S_min(m,K)|, the same walk that deviation profiles use.
+  by per-sphere envelopes summed as a geometric series.  The signed summand
+  at h (``CocycleSummand``) depends on h only through the prefix class
+  (prefix_K h, |h|), K the largest depth among the psi_i and the pair
+  products, so sphere m is summed over ``FreeGroup.prefix_classes(m, K)``:
+  |S_min(m,K)| class terms, each evaluated once at the class's member and
+  weighted by its size |S_m| / |S_min(m,K)|, the same walk that deviation
+  profiles use.
 
 * ``trace_oracle_report`` computes the truncated trace of
   (2P - 1)[P, lambda(a^0)] ... [P, lambda(a^n)] directly.  Every commutator
@@ -32,6 +33,12 @@ Two independent routes to the same number:
   depth-m cells with no budget of its own; callers guard both with
   ``Truncation.check_enumeration_budget``.
 
+The two routes meet one group element at a time (``trace_identity``): at
+every h whose chain stays in B_R on exact fiber blocks (depth(phi_i) +
+|p_i h| <= m), the fiber trace at h is the signed summand at h, up to
+rounding.  ``trace_oracle_dense`` forms the same traces from dim_fiber x
+dim_fiber products; it is a test oracle, and no route here calls it.
+
 For degree 1 the per-sphere bounds do not decay and the tail is reported as
 infinity; the value is still computed but uncertified.
 """
@@ -44,10 +51,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .deviation import expectation, sigma_envelope, sphere_envelope_constant
+from .deviation import expectation, sigma_envelope
 from .functions import QQ_ONE, QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
 from .operators import Truncation, fiber_diagonal, fiber_projection, fiber_unit
 from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Word, mul
+
+# the per-h identity's tolerance per fiber cell, relative to
+# prod_i ||phi_i||_sup, which bounds both sides: the gap on exact blocks is
+# rounding alone, and it grows with dim_fiber; measured on the benchmark's
+# terms it stays below 1e-18 per cell (2e-16 at m = 5, 5e-14 at m = 11)
+IDENTITY_TOLERANCE = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,45 @@ def _pairings(degree: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]
     return pairs_a, pairs_b
 
 
+class CocycleSummand:
+    """The signed summand sign * (term_a - term_b) of the cocycle sum at h.
+
+    Every expectation in it depends on h only through (prefix_K h, |h|),
+    K = ``depth``, so each class is evaluated at the first of its elements
+    asked for and looked up after; ``classes`` holds the values so far.
+    """
+
+    def __init__(self, inp: CocycleInput):
+        self.psis = shifted_functions(inp)
+        self.pairs_a, self.pairs_b = _pairings(inp.degree)
+        # the bilinear pairing cov(psi_i, psi_j)(h) = E(psi_i psi_j)(h) -
+        # E(psi_i)(h) E(psi_j)(h); each pair's product is built once
+        self.products = {
+            (i, j): self.psis[i] * self.psis[j] for i, j in self.pairs_a + self.pairs_b
+        }
+        self.depth = max(f.depth for f in (*self.psis, *self.products.values()))
+        self.sign = QQ_ONE if ((inp.degree + 1) // 2) % 2 == 0 else -QQ_ONE
+        self.classes: dict[tuple[tuple[int, ...], int], GaussianRational] = {}
+
+    def __call__(self, h: Word) -> GaussianRational:
+        key = (h.letters[: self.depth], len(h))
+        value = self.classes.get(key)
+        if value is None:
+            means = [expectation(psi, h) for psi in self.psis]
+            covs = {
+                (i, j): expectation(prod, h) - means[i] * means[j]
+                for (i, j), prod in self.products.items()
+            }
+            term_a = QQ_ONE
+            for pair in self.pairs_a:
+                term_a = term_a * covs[pair]
+            term_b = QQ_ONE
+            for pair in self.pairs_b:
+                term_b = term_b * covs[pair]
+            value = self.classes[key] = self.sign * (term_a - term_b)
+        return value
+
+
 def sphere_term_bound(
     psis: Sequence[LocallyConstantFunction], m: int, group: FreeGroup
 ) -> float:
@@ -125,6 +177,9 @@ class CertifiedValue:
     exact_partial: GaussianRational
     sphere_abs: list[float]
     sphere_bounds: list[float]
+    # the summands, holding every class of B_radius; None when the group
+    # product is not the identity and every summand vanishes
+    summand: CocycleSummand | None = None
 
     @property
     def certified(self) -> bool:
@@ -143,45 +198,25 @@ def cocycle_value(
     group.check_budget(budget, R=radius)
     if inp.group_product != IDENTITY:
         return CertifiedValue(0j, radius, 0.0, QQ_ZERO, [], [])
-    psis = shifted_functions(inp)
-    pairs_a, pairs_b = _pairings(inp.degree)
-    sign = QQ_ONE if ((inp.degree + 1) // 2) % 2 == 0 else -QQ_ONE
-    # the bilinear pairing cov(psi_i, psi_j)(h) = E(psi_i psi_j)(h) -
-    # E(psi_i)(h) E(psi_j)(h); each pair's product is built once
-    products = {pair: psis[pair[0]] * psis[pair[1]] for pair in pairs_a + pairs_b}
-    # every E(.)(h) above depends on h only through (prefix_K h, |h|)
-    K = max(f.depth for f in (*psis, *products.values()))
-
+    summand = CocycleSummand(inp)
     partial = QQ_ZERO
     sphere_abs: list[float] = []
     sphere_bounds: list[float] = []
     for m in range(radius + 1):
         sphere_sum = QQ_ZERO
-        for _, h, size in group.prefix_classes(m, K):
-            means = [expectation(psi, h) for psi in psis]
-            covs = {
-                (i, j): expectation(prod, h) - means[i] * means[j]
-                for (i, j), prod in products.items()
-            }
-            term_a = QQ_ONE
-            for pair in pairs_a:
-                term_a = term_a * covs[pair]
-            term_b = QQ_ONE
-            for pair in pairs_b:
-                term_b = term_b * covs[pair]
-            sphere_sum = sphere_sum + (term_a - term_b) * size
+        for _, h, size in group.prefix_classes(m, summand.depth):
+            sphere_sum = sphere_sum + summand(h) * size
         partial = partial + sphere_sum
         sphere_abs.append(math.sqrt(float(sphere_sum.abs2())))
-        sphere_bounds.append(sphere_term_bound(psis, m, group))
+        sphere_bounds.append(sphere_term_bound(summand.psis, m, group))
 
-    partial = sign * partial
     # ratio of consecutive per-sphere bounds: sphere count grows by (2n-1),
     # each of the (n+1)/2 envelope pairs shrinks by (2n-1)^-1
     ratio = (2 * group.n - 1) ** ((1 - inp.degree) / 2.0)
     if ratio >= 1.0:
         tail = math.inf
     else:
-        tail = sphere_term_bound(psis, radius + 1, group) / (1.0 - ratio)
+        tail = sphere_term_bound(summand.psis, radius + 1, group) / (1.0 - ratio)
     return CertifiedValue(
         value=partial.to_complex(),
         radius=radius,
@@ -189,6 +224,7 @@ def cocycle_value(
         exact_partial=partial,
         sphere_abs=sphere_abs,
         sphere_bounds=sphere_bounds,
+        summand=summand,
     )
 
 
@@ -198,9 +234,10 @@ def cocycle_value(
 @dataclass
 class TraceOracleReport:
     value: complex
-    window_correction: float
     chain_exits: int
     inexact_blocks: int
+    # the fiber trace at every h whose chain stays in B_R on exact blocks
+    traces: dict[Word, complex]
 
 
 def _suffix_products(inp: CocycleInput) -> list[Word]:
@@ -211,24 +248,6 @@ def _suffix_products(inp: CocycleInput) -> list[Word]:
         suffix = mul(inp.terms[i][1], suffix)
         out[i] = suffix
     return out
-
-
-def _per_h_envelope(
-    inp: CocycleInput, points: list[Word], constants: list[float]
-) -> float:
-    """Certified bound on a single fiber trace: 2 prod_i sigma-envelopes.
-
-    The fiber factor of [P, lambda(a^i)] at group position p_i h is a rank-2
-    commutator with both singular values equal to sigma(phi_i)(p_i h); the
-    product of the n+1 factors has rank <= 2, so its trace against the
-    unitary (2P-1) is at most 2 prod_i sigma_i, and compression to depth m
-    only shrinks each variance.  ``constants`` holds each term's
-    ``sphere_envelope_constant``, computed once per report.
-    """
-    bound = 2.0
-    for (phi, _), point, constant in zip(inp.terms, points, constants):
-        bound *= sigma_envelope(phi, len(point), constant)
-    return bound
 
 
 def _check_oracle_terms(inp: CocycleInput, trunc: Truncation) -> None:
@@ -242,67 +261,97 @@ def _check_oracle_terms(inp: CocycleInput, trunc: Truncation) -> None:
 
 
 def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleReport:
-    """Rank-one-chain evaluation of the truncated trace, with the certified
-    correction for chains that exit B_R or pass through inexact blocks."""
+    """Rank-one-chain evaluation of the truncated trace, fiber by fiber.
+
+    A chain that leaves B_R is dropped (zero padding) and counted in
+    ``chain_exits``; an h with a block past the exactness window still adds
+    its fiber trace to the value, is counted in ``inexact_blocks`` and is
+    left out of ``traces``.
+    """
     _check_oracle_terms(inp, trunc)
     if inp.group_product != IDENTITY:
         # every chain lands in an off-diagonal block: the trace is exactly 0
-        return TraceOracleReport(0j, 0.0, 0, 0)
+        return TraceOracleReport(0j, 0, 0, {})
 
     suffixes = _suffix_products(inp)
-    constants = [sphere_envelope_constant(phi) for phi, _ in inp.terms]
     v = fiber_unit(trunc)
     total = 0j
-    correction = 0.0
     chain_exits = 0
     inexact_blocks = 0
+    traces: dict[Word, complex] = {}
     for h in trunc.group_basis:
         points = [mul(p, h) for p in suffixes]
         if any(len(point) > trunc.R for point in points):
             chain_exits += 1
-            correction += _per_h_envelope(inp, points, constants)
             continue
-        if any(
-            phi.depth + len(point) > trunc.m
+        exact = all(
+            phi.depth + len(point) <= trunc.m
             for (phi, _), point in zip(inp.terms, points)
-        ):
+        )
+        if not exact:
             inexact_blocks += 1
-            correction += 2.0 * _per_h_envelope(inp, points, constants)
         # chain of rank-2 blocks [outer(v,v), diag(d_i)] = v y^T - y v^T
         # with y = d_i * v; products of rank-1 terms stay rank one:
-        # (x y^T)(z w^T) = (y . z) (x w^T), plain dots throughout.
-        chains: list[tuple[complex, np.ndarray, np.ndarray]] = [(1.0 + 0j, None, None)]
-        first = True
+        # (x w^T)(v y^T - y v^T) = (w . v) x y^T - (w . y) x v^T, plain dots
+        chains: list[tuple[complex, np.ndarray, np.ndarray]] | None = None
         for (phi, _), point in zip(inp.terms, points):
-            d = fiber_diagonal(phi, point, trunc)
-            y = d * v
-            if first:
+            y = fiber_diagonal(phi, point, trunc) * v
+            if chains is None:
                 chains = [(1.0 + 0j, v, y), (-1.0 + 0j, y, v)]
-                first = False
                 continue
-            new_chains = []
-            for coeff, x, w in chains:
-                new_chains.append((coeff * np.dot(w, v), x, y))
-                new_chains.append((-coeff * np.dot(w, y), x, v))
-            chains = new_chains
+            chains = [
+                chain
+                for coeff, x, w in chains
+                for chain in ((coeff * np.dot(w, v), x, y), (-coeff * np.dot(w, y), x, v))
+            ]
         # tr((2 outer(v,v) - 1)(x w^T)) = 2 (v.x)(w.v) - (w.x)
+        trace = 0j
         for coeff, x, w in chains:
-            total += coeff * (
-                2.0 * np.dot(v, x) * np.dot(w, v) - np.dot(w, x)
-            )
+            term = coeff * (2.0 * np.dot(v, x) * np.dot(w, v) - np.dot(w, x))
+            total += term
+            trace += term
+        if exact:
+            traces[h] = complex(trace)
     return TraceOracleReport(
         value=complex(total),
-        window_correction=correction,
         chain_exits=chain_exits,
         inexact_blocks=inexact_blocks,
+        traces=traces,
     )
+
+
+@dataclass
+class TraceIdentity:
+    """The per-h identity between the fiber traces and the summands."""
+
+    compared: int  # the exact h of the oracle
+    gap: float  # largest |fiber trace - signed summand| over them
+    tolerance: float  # IDENTITY_TOLERANCE * dim_fiber * prod_i ||phi_i||_sup
+
+    @property
+    def holds(self) -> bool:
+        return self.gap <= self.tolerance
+
+
+def trace_identity(
+    inp: CocycleInput, trunc: Truncation, value: CertifiedValue, oracle: TraceOracleReport
+) -> TraceIdentity:
+    """Compare each of ``oracle.traces``, the oracle of ``inp`` on ``trunc``,
+    with the signed summand at its h, read from ``value.summand`` (a class
+    past its radius is evaluated once)."""
+    gap = max(
+        (abs(trace - value.summand(h).to_complex()) for h, trace in oracle.traces.items()),
+        default=0.0,
+    )
+    scale = trunc.dim_fiber * math.prod(phi.sup_norm() for phi, _ in inp.terms)
+    return TraceIdentity(len(oracle.traces), gap, IDENTITY_TOLERANCE * scale)
 
 
 def trace_oracle_dense(inp: CocycleInput, trunc: Truncation) -> complex:
     """Same trace through explicit fiber-block matrix products.
 
-    Independent of the rank-one-chain algebra above (used to cross-check
-    it); still block-diagonal in h, so only dim_fiber^2 matrices appear.
+    A test oracle for the rank-one-chain algebra above, independent of it;
+    still block-diagonal in h, so only dim_fiber^2 matrices appear.
     """
     _check_oracle_terms(inp, trunc)
     if inp.group_product != IDENTITY:

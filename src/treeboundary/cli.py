@@ -28,12 +28,13 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .boundary import BoundaryPoint, VisualStructure, weak_distance_to_delta
-from .chern import CocycleInput, cocycle_value, trace_oracle_report
+from .chern import CocycleInput, cocycle_value, trace_identity, trace_oracle_report
 from .deviation import DeviationProfile
 from .functions import LocallyConstantFunction
 from .operators import (
@@ -218,15 +219,16 @@ def _read_json(path: str, what: str) -> dict:
     return obj
 
 
-def _read_config(path: str | None) -> dict[str, Any]:
+def _read_config(path: str | None, command: str) -> dict[str, Any]:
     """The settings in the config file, each checked by its kind; a key
-    that names no setting is an error, a null value is no value."""
+    that names no setting of ``command`` is an error, as its flag would be;
+    a null value is no value."""
     if path is None:
         return {}
     config = {}
     for key, value in _read_json(path, "config").items():
-        if key not in SETTINGS:
-            raise ValueError(f"config file {path}: {key!r} is not a setting")
+        if key not in COMMANDS[command][2]:
+            raise ValueError(f"config file {path}: {key!r} is not a setting of {command}")
         if value is not None:
             config[key] = SETTINGS[key].kind(value, f"{key} in config file {path}")
     return config
@@ -235,7 +237,7 @@ def _read_config(path: str | None) -> dict[str, Any]:
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Every setting of ``args.command``: flag > config > environment
     (budget only) > default, each value through its setting's kind."""
-    config = _read_config(args.config)
+    config = _read_config(args.config, args.command)
     settings = argparse.Namespace()
     for name, default in COMMANDS[args.command][2].items():
         value = getattr(args, name)
@@ -320,11 +322,14 @@ def _cocycle_input(settings: argparse.Namespace) -> CocycleInput:
 
 def _cmd_growth(s: argparse.Namespace) -> int:
     group = FreeGroup(s.rank)
+    group.check_budget(s.budget, R=s.radius)
+    # one walk of B_R, counted by length; row r enumerates the lengths <= r
+    counts = Counter(len(g) for g in group.iter_ball(s.radius))
     rows = []
+    enumerated = 0
     for r in range(s.radius + 1):
-        closed = group.growth_count(r)
-        enumerated = len(group.ball(r, budget=s.budget))
-        rows.append((r, closed, enumerated))
+        enumerated += counts[r]
+        rows.append((r, group.growth_count(r), enumerated))
     obj = {
         "rank": group.n,
         "radius": s.radius,
@@ -473,24 +478,26 @@ def _cmd_chern(s: argparse.Namespace) -> int:
     }
     if trunc is not None:
         oracle = trace_oracle_report(inp, trunc)
-        gap = abs(oracle.value - value.value)
-        allowance = value.tail_bound + oracle.window_correction
+        identity = trace_identity(inp, trunc, value, oracle)
         report["oracle"] = {
             "R": s.oracle_R,
             "m": s.oracle_m,
             "value": _complex_obj(oracle.value),
-            "window_correction": _fmt(oracle.window_correction),
             "chain_exits": oracle.chain_exits,
             "inexact_blocks": oracle.inexact_blocks,
-            "gap": _fmt(gap),
-            "allowance": _fmt(allowance),
-            "consistent": bool(gap <= allowance),
+            "gap": _fmt(abs(oracle.value - value.value)),
+            "identity_h": identity.compared,
+            "identity_gap": _fmt(identity.gap),
+            "identity_tolerance": _fmt(identity.tolerance),
+            "consistent": identity.holds,
         }
     out = _out_dir(s)
     _write_json(out / "chern.json", report)
     _write_csv(out / "chern.csv", ["m", "sphere_abs", "sphere_bound"], spheres)
-    if "oracle" in report and not report["oracle"]["consistent"]:
-        print("trace oracle outside the certified allowance", file=sys.stderr)
+    checked = report.get("oracle")
+    if checked and not checked["consistent"]:
+        gap, tol = checked["identity_gap"], checked["identity_tolerance"]
+        print(f"trace oracle off the cocycle summand at some h by {gap} > {tol}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
 

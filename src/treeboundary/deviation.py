@@ -132,17 +132,10 @@ def sphere_envelope_constant(phi: LocallyConstantFunction) -> float:
     )
 
 
-def sigma_envelope(
-    phi: LocallyConstantFunction, m: int, constant: float | None = None
-) -> float:
-    """The certified bound K(k) (2n-1)^(-(m-k)/2) on sigma(phi) at sphere m.
-
-    ``constant`` passes a precomputed ``sphere_envelope_constant(phi)``.
-    """
-    if constant is None:
-        constant = sphere_envelope_constant(phi)
+def sigma_envelope(phi: LocallyConstantFunction, m: int) -> float:
+    """The certified bound K(k) (2n-1)^(-(m-k)/2) on sigma(phi) at sphere m."""
     n2 = 2 * phi.group.n
-    return constant * (n2 - 1) ** (-(m - phi.depth) / 2.0)
+    return sphere_envelope_constant(phi) * (n2 - 1) ** (-(m - phi.depth) / 2.0)
 
 
 # ----------------------------------------------------------------------

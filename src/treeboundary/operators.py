@@ -23,8 +23,10 @@ runs of ``FreeGroup.product_runs``, which give each depth-m cylinder c the
 key prefix_k(h c), or the exact average over its extensions where no key
 is fixed; no translated table is built, and P(eta) reads eta as the block
 at the identity.  Every identity and inequality here is checked block by
-block and never holds a matrix larger than dim_fiber x dim_fiber.  The
-constructors ``projection_P``, ``rep_function``, ``rep_group``,
+block and never holds a matrix larger than dim_fiber x dim_fiber; the Pi
+identity and the Pi(a) delta_h norms need no matrix at all, as
+Pi_h = outer(u, v) is read from the fiber vector u (``_off_constants``).
+The constructors ``projection_P``, ``rep_function``, ``rep_group``,
 ``rep_crossed`` and ``homotopy_projection`` materialize dense complex
 binary64 dim x dim matrices, guarded by ``check_dense_budget``; they are
 only a small test oracle, and no route here calls them.  Everything is
@@ -223,6 +225,11 @@ class PiIdentityReport:
     compression_error: float
 
 
+def _off_constants(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(1 - outer(v, v)) x: the fiber vector x without its constant part."""
+    return x - (v @ x) * v
+
+
 def verify_pi_identity(
     phi: LocallyConstantFunction, trunc: Truncation
 ) -> PiIdentityReport:
@@ -234,22 +241,22 @@ def verify_pi_identity(
     the compression of P lambda(phi) P to l2(B_R) must be diag(E(phi)(h)).
     Both comparisons use exact rational deviation data on the right side.
 
-    Every operator involved is block-diagonal over h, so both sides are
-    compared block by block: Pi_h = (1 - vv*) diag(conj d_h) vv* with d_h the
-    fiber diagonal of phi at h, and the compression at h is v* diag(d_h) v.
-    The errors are maxima over h; off-diagonal blocks vanish on both sides.
+    Every operator involved is block-diagonal over h, and each block is read
+    from fiber vectors: Pi_h = outer(u, v) with u = (1 - vv*)(conj d_h * v),
+    d_h the fiber diagonal of phi at h, so Pi_h* Pi_h = ||u||^2 outer(v, v),
+    whose max-abs gap to sigma^2(h) outer(v, v) is |||u||^2 - sigma^2(h)| /
+    dim_fiber; the compression at h is v* diag(d_h) v.  The errors are
+    maxima over h; off-diagonal blocks vanish on both sides.
     """
     trunc.require_window(phi.depth)
     v = fiber_unit(trunc)
-    vv = fiber_projection(trunc)
-    complement = np.eye(trunc.dim_fiber, dtype=complex) - vv
     pi_error = 0.0
     compression_error = 0.0
     for h in trunc.group_basis:
         d = fiber_diagonal(phi, h, trunc)
-        Pi = (complement * np.conj(d)) @ vv
-        target = float(deviation_sq(phi, h)) * vv
-        pi_error = max(pi_error, float(np.max(np.abs(Pi.conj().T @ Pi - target))))
+        u = _off_constants(np.conj(d) * v, v)
+        gap = abs(float(np.vdot(u, u).real) - float(deviation_sq(phi, h)))
+        pi_error = max(pi_error, gap / trunc.dim_fiber)
         mean = complex((v * d) @ v)
         compression_error = max(
             compression_error, abs(mean - expectation(phi, h).to_complex())
@@ -381,7 +388,7 @@ def pi_delta_norms(terms: CrossedTerms, trunc: Truncation) -> dict[Word, float]:
             fibers[target] = fibers.get(target, 0) + x
         norm_sq = 0.0
         for x in fibers.values():
-            y = x - (v @ x) * v
+            y = _off_constants(x, v)
             norm_sq += float(np.vdot(y, y).real)
         norms[h] = math.sqrt(norm_sq)
     return norms

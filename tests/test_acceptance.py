@@ -36,6 +36,7 @@ from treeboundary import (
     mul,
     projection_P,
     random_unit_function,
+    trace_identity,
     trace_oracle_report,
     verify_pi_identity,
     weak_distance_to_delta,
@@ -176,7 +177,7 @@ def test_criterion_6_furstenberg_rate():
 
 
 def test_criterion_7_chern_cocycle():
-    """Vanishing exact 0; symmetry exact 0; formula vs trace; < 5 min."""
+    """Vanishing exact 0; symmetry exact 0; formula = trace per h; < 5 min."""
     start = time.monotonic()
     ind = {
         s: LocallyConstantFunction.indicator(F2, F2.word(s))
@@ -208,8 +209,11 @@ def test_criterion_7_chern_cocycle():
         ],
     )
     cv = cocycle_value(inp, 4)
-    report = trace_oracle_report(inp, Truncation(F2, 4, 4))
-    assert abs(cv.value - report.value) <= cv.tail_bound + report.window_correction
+    trunc = Truncation(F2, 4, 4)
+    report = trace_oracle_report(inp, trunc)
+    # at each of the 17 h with an exact chain: fiber trace = signed summand
+    identity = trace_identity(inp, trunc, cv, report)
+    assert identity.compared == 17 and identity.gap <= 1e-15
     for observed, bound in zip(cv.sphere_abs, cv.sphere_bounds):
         assert observed <= bound + 1e-12
     assert time.monotonic() - start < 300.0

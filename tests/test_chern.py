@@ -1,12 +1,15 @@
 """Cyclic cocycle values: exact partial sums, certified tails, trace oracle."""
 
+import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from treeboundary import chern
+from treeboundary import chern, verify
+from treeboundary.cli import main
 from treeboundary import (
     CocycleInput,
     FreeGroup,
@@ -16,11 +19,16 @@ from treeboundary import (
     QQ_I,
     QQ_ZERO,
     Truncation,
+    VerifyContext,
+    VisualStructure,
     cocycle_value,
     expectation,
+    mul,
     shifted_functions,
+    trace_identity,
     trace_oracle_dense,
     trace_oracle_report,
+    word_to_str,
 )
 
 F2 = FreeGroup(2)
@@ -162,15 +170,44 @@ def test_trace_vanishes_off_identity_product():
     trunc = Truncation(F2, 3, 4)
     report = trace_oracle_report(inp, trunc)
     assert report.value == 0j
-    assert report.window_correction == 0.0
+    # no chain returns to its own fiber: no h has a trace, the sum no summand
+    assert (report.traces, report.chain_exits, report.inexact_blocks) == ({}, 0, 0)
+    identity = trace_identity(inp, trunc, cocycle_value(inp, 3), report)
+    assert (identity.compared, identity.gap) == (0, 0.0)
+
+
+def _exact_h(inp, trunc):
+    """The h whose chain stays in B_R on exact blocks, found apart from the
+    oracle: every p_i h, p_i = g_i ... g_n, in B_R with depth(phi_i) + |p_i h|
+    at most m."""
+    suffixes = [IDENTITY] * len(inp.terms)
+    for i in range(len(inp.terms)):
+        for _, g in inp.terms[i:]:
+            suffixes[i] = mul(suffixes[i], g)
+    return {
+        h
+        for h in trunc.group_basis
+        if all(
+            len(mul(p, h)) <= trunc.R and phi.depth + len(mul(p, h)) <= trunc.m
+            for p, (phi, _) in zip(suffixes, inp.terms)
+        )
+    }
 
 
 def test_trace_cross_validates_formula():
+    # at every exact h the fiber trace is the signed summand at h, here
+    # from the per-h loop, not from cocycle_value's classes
     inp = CocycleInput(3, REGRESSION_TERMS)
     cv = cocycle_value(inp, 4)
-    report = trace_oracle_report(inp, Truncation(F2, 4, 4))
-    gap = abs(report.value - cv.value)
-    assert gap <= cv.tail_bound + report.window_correction
+    trunc = Truncation(F2, 4, 4)
+    report = trace_oracle_report(inp, trunc)
+    summand = _per_h_summand(inp)
+    assert set(report.traces) == _exact_h(inp, trunc)
+    for h, trace in report.traces.items():
+        assert abs(trace - summand(h).to_complex()) <= 1e-15
+    identity = trace_identity(inp, trunc, cv, report)
+    assert identity.holds and identity.compared == len(report.traces) == 17
+    assert identity.gap <= 1e-15
     # the wide window R=5, m=6 reproduces the R=4 exact partial closely
     wide = trace_oracle_report(inp, Truncation(F2, 5, 6))
     assert abs(wide.value - cv.value) <= 1e-8
@@ -198,41 +235,51 @@ def test_cyclicity_within_tails():
 
 def test_report_counts():
     inp = CocycleInput(3, REGRESSION_TERMS)
-    report = trace_oracle_report(inp, Truncation(F2, 4, 4))
+    trunc = Truncation(F2, 4, 4)
+    report = trace_oracle_report(inp, trunc)
     assert report.chain_exits > 0  # R=4 window does lose chains
     assert report.inexact_blocks > 0  # m=4 < depth + |p_i h| in places
-    assert report.window_correction > 0.0
+    # every h left after both has its trace compared, and the identity holds
+    assert len(report.traces) == trunc.dim_group - report.chain_exits - report.inexact_blocks
+    identity = trace_identity(inp, trunc, cocycle_value(inp, 4), report)
+    assert identity.compared == len(report.traces) > 0 and identity.holds
 
 
 # ----------------------------------------------------------------------
 # per-prefix-class sums against the per-h loop
 
 
-def _per_h_sphere_sums(inp, radius):
-    """The per-h loop, kept here only as the oracle: the exact sum of
-    term_a - term_b over every h of each sphere, evaluated one h at a time."""
+def _per_h_summand(inp):
+    """The per-h formula, kept here only as the oracle: h -> the signed
+    sign * (term_a - term_b) at h, evaluated at h itself."""
     psis = shifted_functions(inp)
     n = inp.degree
     pairs_a = [(i, i + 1) for i in range(0, n, 2)]
     pairs_b = [(n, 0)] + [(i, i + 1) for i in range(1, n - 1, 2)]
     products = {(i, j): psis[i] * psis[j] for i, j in pairs_a + pairs_b}
-    sums = []
-    for m in range(radius + 1):
-        total = QQ_ZERO
-        for h in inp.group.iter_sphere(m):
-            means = [expectation(psi, h) for psi in psis]
-            cov = {
-                (i, j): expectation(prod, h) - means[i] * means[j]
-                for (i, j), prod in products.items()
-            }
-            term_a = term_b = GaussianRational(Fraction(1))
-            for pair in pairs_a:
-                term_a = term_a * cov[pair]
-            for pair in pairs_b:
-                term_b = term_b * cov[pair]
-            total = total + (term_a - term_b)
-        sums.append(total)
-    return sums
+    sign = GaussianRational(Fraction((-1) ** ((n + 1) // 2)))
+
+    def summand(h):
+        means = [expectation(psi, h) for psi in psis]
+        cov = {
+            (i, j): expectation(prod, h) - means[i] * means[j]
+            for (i, j), prod in products.items()
+        }
+        term_a = term_b = GaussianRational(Fraction(1))
+        for pair in pairs_a:
+            term_a = term_a * cov[pair]
+        for pair in pairs_b:
+            term_b = term_b * cov[pair]
+        return sign * (term_a - term_b)
+
+    return summand
+
+
+def _per_h_sphere_sums(inp, radius):
+    """The per-h loop: the exact sum of the signed summand over every h of
+    each sphere, evaluated one h at a time."""
+    summand = _per_h_summand(inp)
+    return [sum(map(summand, inp.group.iter_sphere(m)), QQ_ZERO) for m in range(radius + 1)]
 
 
 def _random_function(group, depth, seed):
@@ -285,10 +332,9 @@ def test_class_sums_equal_the_per_h_loop(name):
             assert (cv.exact_partial, cv.sphere_abs, cv.sphere_bounds) == (QQ_ZERO, [], [])
         return
     sums = _per_h_sphere_sums(inp, radius)
-    sign = GaussianRational(Fraction((-1) ** ((inp.degree + 1) // 2)))
     for r in range(radius + 1):
         cv = cocycle_value(inp, r)
-        assert cv.exact_partial == sign * sum(sums[: r + 1], QQ_ZERO)
+        assert cv.exact_partial == sum(sums[: r + 1], QQ_ZERO)
         assert cv.sphere_abs == [math.sqrt(float(s.abs2())) for s in sums[: r + 1]]
     assert any(sums) == nonzero
 
@@ -306,3 +352,102 @@ def test_cocycle_value_evaluates_each_prefix_class_once(monkeypatch):
     cocycle_value(CocycleInput(3, REGRESSION_TERMS), 6)
     K = 2
     assert len(calls) == 8 * sum(F2.sphere_count(min(m, K)) for m in range(7))
+
+
+# ----------------------------------------------------------------------
+# the per-h identity: fiber trace at h = signed summand at h
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_CASES))
+def test_summand_is_the_per_h_formula_at_every_h(name):
+    # classes past the cocycle's radius are evaluated on demand
+    inp, radius, _ = CLASS_CASES[name]
+    if inp.group_product != IDENTITY:
+        assert cocycle_value(inp, radius).summand is None
+        return
+    summand = cocycle_value(inp, 1).summand
+    per_h = _per_h_summand(inp)
+    for h in inp.group.iter_ball(min(radius, 3)):
+        assert summand(h) == per_h(h)
+
+
+def test_summand_evaluates_a_class_past_the_radius_once(monkeypatch):
+    calls = []
+
+    def counted(phi, h):
+        calls.append(h)
+        return expectation(phi, h)
+
+    monkeypatch.setattr(chern, "expectation", counted)
+    summand = cocycle_value(CocycleInput(3, REGRESSION_TERMS), 2).summand
+    before = len(calls)
+    # K = 2: aab and aaB are one class (aa, 3) of sphere 3; aa and ab are
+    # classes of B_2, evaluated already
+    for s in ("aab", "aaB", "aa", "ab", "aab"):
+        summand(F2.word(s))
+    assert len(calls) - before == 8  # 4 psi_i and 4 pair products, once
+
+
+DENSE_TERMS = _terms(F2, (1, 1, 1, 1), ("a", "A", "b", "B"), 21)
+
+
+@pytest.mark.parametrize("terms", [COMPLEX_TERMS, DENSE_TERMS], ids=["complex", "dense"])
+def test_trace_identity_on_exact_blocks(terms):
+    inp = CocycleInput(3, terms)
+    trunc = Truncation(F2, 5, 5)
+    report = trace_oracle_report(inp, trunc)
+    identity = trace_identity(inp, trunc, cocycle_value(inp, 4), report)
+    assert identity.compared == len(_exact_h(inp, trunc)) == 53
+    scale = math.prod(phi.sup_norm() for phi, _ in terms)
+    assert identity.gap <= 1e-15 * scale
+    assert identity.holds
+
+
+def _perturbed(monkeypatch):
+    """Every fiber diagonal off by 1e-8 in its first cell."""
+    original = chern.fiber_diagonal
+
+    def perturbed(phi, h, trunc):
+        d = original(phi, h, trunc)
+        d[0] += 1e-8
+        return d
+
+    monkeypatch.setattr(chern, "fiber_diagonal", perturbed)
+
+
+def test_trace_identity_fails_at_the_inverse(monkeypatch):
+    inp = CocycleInput(3, COMPLEX_TERMS)
+    trunc = Truncation(F2, 5, 5)
+    cv = cocycle_value(inp, 4)
+    report = trace_oracle_report(inp, trunc)
+    assert trace_identity(inp, trunc, cv, report).holds
+    # the summand read at h^-1 instead of h
+    flipped = dataclasses.replace(
+        report, traces={h.inverse(): trace for h, trace in report.traces.items()}
+    )
+    identity = trace_identity(inp, trunc, cv, flipped)
+    assert not identity.holds and identity.gap > 1e-3
+    # a fiber diagonal off by 1e-8 in one cell
+    _perturbed(monkeypatch)
+    identity = trace_identity(inp, trunc, cv, trace_oracle_report(inp, trunc))
+    assert not identity.holds
+
+
+def test_perturbed_fiber_diagonal_fails_both_consistency_verdicts(monkeypatch, tmp_path):
+    ctx = VerifyContext(F2, VisualStructure(F2, math.log(3)), 2, 0, 1.0)
+    terms = tmp_path / "terms.json"
+    terms.write_text(json.dumps({
+        "rank": 2,
+        "terms": [{"phi": phi.to_json_obj(), "g": word_to_str(g)} for phi, g in REGRESSION_TERMS],
+    }))
+    argv = ["chern", "--input", str(terms), "--radius", "4", "--oracle-R", "4", "--oracle-m", "4"]
+    assert verify._chern(ctx)[0]
+    assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+
+    _perturbed(monkeypatch)
+    ok, detail = verify._chern(ctx)
+    assert not ok and "off the signed summand" in detail
+    assert main(argv + ["--out", str(tmp_path / "bad")]) == 1
+    oracle = json.loads((tmp_path / "bad" / "chern.json").read_text())["oracle"]
+    assert oracle["consistent"] is False and oracle["identity_h"] == 17
+    assert float(oracle["identity_gap"]) > float(oracle["identity_tolerance"])

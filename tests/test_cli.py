@@ -329,6 +329,15 @@ def test_list_valued_config_setting_is_usage_error(tmp_path, capsys):
     config.write_text(json.dumps({"radius": [1]}))
     assert run_cli(["growth", "--n", 2, "--config", config, "--out", tmp_path]) == 2
     assert "error:" in capsys.readouterr().err
+    # a setting of another subcommand is refused as its flag is: growth
+    # never took epsilon, chern no longer does; both were silently dropped
+    terms = write_terms(tmp_path)
+    for argv in (["growth", "--n", 2, "--R", 1], ["chern", "--input", terms, "--radius", 1]):
+        config.write_text(json.dumps({"epsilon": 3.0}))
+        assert run_cli(argv + ["--config", config, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'epsilon'" in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -552,9 +561,10 @@ def test_non_integral_rank_in_function_file_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rank", [3, 4])
+@pytest.mark.parametrize("rank", [3, 4, 5])
 def test_verify_all_passes_at_higher_rank(tmp_path, rank):
-    # dim 27,750 (n = 3) and 178,360 (n = 4) for the conditional lower bound
+    # dim 27,750 (n = 3) and 178,360 (n = 4) for the conditional lower bound;
+    # n = 5 failed the summability witness 0.1 before it scaled with rank
     assert run_cli(["verify-all", "--n", rank, "--R", 2, "--out", tmp_path]) == 0
     obj = json.loads((tmp_path / "verify-all.json").read_text())
     assert obj["ok"] and all(c["ok"] for c in obj["checks"])

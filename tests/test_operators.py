@@ -251,6 +251,8 @@ def test_pi_identity_has_teeth(t12, monkeypatch):
         m.setattr(operators, "deviation_sq", lambda phi, h: exact_sq(phi, h) + 1e-6)
         report = verify_pi_identity(DENSE, t12)
         assert report.pi_error > 1e-10
+        # the max-abs residual of Pi*Pi - sigma^2 vv*: 1e-6 times v_i v_j
+        assert report.pi_error == pytest.approx(1e-6 / t12.dim_fiber, rel=1e-6)
         assert report.compression_error <= 1e-12
     with monkeypatch.context() as m:
         m.setattr(

@@ -1,6 +1,8 @@
 """The invariant suite: registry, determinism, tolerance scaling."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -96,3 +98,34 @@ def test_hyperbolicity_names_the_first_failing_triple(monkeypatch):
     ok, detail = verify._hyperbolicity(make_ctx())
     assert not ok
     assert detail == f"0-hyperbolicity fails at ({first[0]}, {first[1]}, {first[2]})"
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_summability_witness_holds_at_every_rank(n):
+    # the witness sigma^2(1_[a])(e) = (2n-1)/(4n^2) is no weaker than the
+    # former constant 0.1 for n <= 4
+    group = FreeGroup(n)
+    witness = Fraction(2 * n - 1, 4 * n * n)
+    assert n > 4 or witness > Fraction(1, 10)
+    vs = VisualStructure(group, math.log(2 * n - 1))
+    ok, detail = verify._summability(make_ctx(group=group, vs=vs))
+    assert ok, detail
+    assert f">= {witness} " in detail
+
+
+def test_summability_witness_has_teeth(monkeypatch):
+    # a profile with every sigma^2 halved dips below the witness
+    compute = verify.DeviationProfile.compute
+
+    def halved(phi, radius, **kwargs):
+        profile = compute(phi, radius, **kwargs)
+        profile.spheres = [
+            [dataclasses.replace(c, deviation_sq=c.deviation_sq / 2) for c in sphere]
+            for sphere in profile.spheres
+        ]
+        return profile
+
+    monkeypatch.setattr(verify.DeviationProfile, "compute", halved)
+    ok, detail = verify._summability(make_ctx())
+    assert not ok
+    assert detail == "p=2 sphere sum 3/32 below the divergence witness 3/16"
