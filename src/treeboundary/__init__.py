@@ -34,6 +34,7 @@ from .boundary import (
     preimage_cylinder,
     pushforward,
     pushforward_mass,
+    pushforward_weights,
     visual_distance,
     weak_distance_to_delta,
 )

@@ -7,16 +7,20 @@ Cylinder sets (finite reduced prefixes), the canonical visual metric
 
 the boundary action of the group, and exact pushforward measures g_*mu.
 
-Pushforward masses have a closed form.  For |g| = m, a cylinder [w] of
-depth k >= 1 and l the common prefix length of g and w,
+Pushforward masses have one closed form, on integers.  For |g| = L, a
+cylinder [w] of depth k >= 1 and l the common prefix length of g and w,
 
-    (g_*mu)([w]) = depth_mass(m + k - 2l)          if l < k,
-    (g_*mu)([w]) = 1 - depth_mass(m - k + 1)       if l = k,
+    (g_*mu)([w]) = c_l / M,       M = 2n (2n-1)^(L+k-1),
+    c_l = (2n-1)^(2l)             if l < k,
+    c_k = M - (2n-1)^(2k-1)       (l = k, only when L >= k),
 
-so the mass depends on g only through l and m; in particular, for m >= k it
-depends only on (prefix_k g, m).  ``preimage_cylinder`` writes the preimage
-out as disjoint cylinders; it is the independent decomposition that tests
-and ``verify-all`` check the closed form against.
+that is depth_mass(L + k - 2l) for l < k and 1 - depth_mass(L - k + 1) for
+l = k.  So the mass depends on g only through l and L; in particular, for
+L >= k it depends only on (prefix_k g, L).  ``pushforward_weights`` gives M
+and the c_l, so that an expectation is a sum of integers over the one
+denominator M; ``pushforward_mass`` is c_l / M.  ``preimage_cylinder``
+writes the preimage out as disjoint cylinders; it is the independent
+decomposition that tests and ``verify-all`` check the closed form against.
 
 Measures are exact ``fractions.Fraction`` values throughout; the visual
 metric is the only float-valued object in the module.  Distances carry a
@@ -217,21 +221,32 @@ def preimage_cylinder(g: Word, c: Cylinder, group: FreeGroup) -> list[Cylinder]:
     return out
 
 
-def pushforward_mass(g: Word, c: Cylinder, group: FreeGroup) -> Fraction:
-    """(g_* mu)(c) = mu{xi : g.xi in c}, exact, by the closed form.
+@lru_cache(maxsize=None)
+def pushforward_weights(length: int, depth: int, group: FreeGroup) -> tuple[int, tuple[int, ...]]:
+    """M and (c_0, ..., c_k) with (g_*mu)([w]) = c_l / M for |g| = ``length``,
+    |w| = k = ``depth`` and l the common prefix length of g and w.
 
-    Same case split as ``preimage_cylinder``: the single cylinder
-    [g^-1 w] has depth |g| + k - 2l, and the complement of
+    For depth 0 the one cell is the whole boundary: M = 1 and c_0 = 1.
+    """
+    if depth == 0:
+        return 1, (1,)
+    q = 2 * group.n - 1
+    total = 2 * group.n * q ** (length + depth - 1)
+    weights = [q ** (2 * ell) for ell in range(depth)]
+    return total, (*weights, total - q ** (2 * depth - 1))
+
+
+def pushforward_mass(g: Word, c: Cylinder, group: FreeGroup) -> Fraction:
+    """(g_* mu)(c) = mu{xi : g.xi in c}, exact: c_l / M by the closed form of
+    ``pushforward_weights``.
+
+    Same case split as ``preimage_cylinder``: for l < k the single cylinder
+    [g^-1 w] has depth |g| + k - 2l, and for l = k the complement of
     [prefix_{|g|-k+1}(g^-1)] has mass 1 - depth_mass(|g| - k + 1).
     """
     w = c.prefix.letters
-    k = len(w)
-    if k == 0:
-        return Fraction(1)
-    ell = common_prefix_len(g.letters, w)
-    if ell < k:
-        return depth_mass(len(g) + k - 2 * ell, group)
-    return 1 - depth_mass(len(g) - k + 1, group)
+    total, weights = pushforward_weights(len(g), len(w), group)
+    return Fraction(weights[common_prefix_len(g.letters, w)], total)
 
 
 class CylinderMeasure:

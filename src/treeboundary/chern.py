@@ -18,13 +18,16 @@ Two independent routes to the same number:
   products, so sphere m is summed over ``FreeGroup.prefix_classes(m, K)``:
   |S_min(m,K)| class terms, each evaluated once at the class's member and
   weighted by its size |S_m| / |S_min(m,K)|, the same walk that deviation
-  profiles use.
+  profiles use.  A class combines its expectations as Gaussian integers
+  over one denominator and makes one Gaussian rational.
 
 * ``trace_oracle_report`` computes the truncated trace of
   (2P - 1)[P, lambda(a^0)] ... [P, lambda(a^n)] directly.  Every commutator
-  is block rank <= 2, so the product collapses to at most 2^(n+1) rank-one
-  chains per group basis element and the dense matrix is never materialized
-  (the dense budget does not apply; only enumeration budgets do).  The
+  block is [outer(v,v), diag d] = X J X^T with X = [v, d v] and
+  J = [[0, 1], [-1, 0]], so by cyclicity each fiber trace is the trace of
+  a product of 2x2 transfer matrices made of 2n + 2 dot products, and the
+  dense matrix is never materialized (the dense budget does not apply;
+  only enumeration budgets do).  The
   fiber blocks come from ``operators.fiber_diagonal``, which evaluates
   (p_i h)^-1 . phi_i on the depth-m cylinders, run by run of cells with one
   value, from phi_i's own table, not from a translated table, and uses no
@@ -47,12 +50,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .deviation import expectation, sigma_envelope
-from .functions import QQ_ONE, QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
+from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
 from .operators import Truncation, fiber_diagonal, fiber_projection, fiber_unit
 from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Word, mul
 
@@ -120,7 +124,11 @@ class CocycleSummand:
 
     Every expectation in it depends on h only through (prefix_K h, |h|),
     K = ``depth``, so each class is evaluated at the first of its elements
-    asked for and looked up after; ``classes`` holds the values so far.
+    asked for and looked up after; ``classes`` holds the values so far.  A
+    class's expectations are written as Gaussian integers over the lcm T of
+    their denominators; the covariances are then Gaussian integers over T^2
+    and each term over T^(degree+1), and the class makes one
+    ``GaussianRational``.
     """
 
     def __init__(self, inp: CocycleInput):
@@ -132,26 +140,45 @@ class CocycleSummand:
             (i, j): self.psis[i] * self.psis[j] for i, j in self.pairs_a + self.pairs_b
         }
         self.depth = max(f.depth for f in (*self.psis, *self.products.values()))
-        self.sign = QQ_ONE if ((inp.degree + 1) // 2) % 2 == 0 else -QQ_ONE
+        self.sign = 1 if ((inp.degree + 1) // 2) % 2 == 0 else -1
         self.classes: dict[tuple[tuple[int, ...], int], GaussianRational] = {}
 
     def __call__(self, h: Word) -> GaussianRational:
         key = (h.letters[: self.depth], len(h))
         value = self.classes.get(key)
         if value is None:
-            means = [expectation(psi, h) for psi in self.psis]
-            covs = {
-                (i, j): expectation(prod, h) - means[i] * means[j]
-                for (i, j), prod in self.products.items()
-            }
-            term_a = QQ_ONE
-            for pair in self.pairs_a:
-                term_a = term_a * covs[pair]
-            term_b = QQ_ONE
-            for pair in self.pairs_b:
-                term_b = term_b * covs[pair]
-            value = self.classes[key] = self.sign * (term_a - term_b)
+            value = self.classes[key] = self._evaluate(h)
         return value
+
+    def _evaluate(self, h: Word) -> GaussianRational:
+        means = [expectation(psi, h) for psi in self.psis]
+        prods = {pair: expectation(prod, h) for pair, prod in self.products.items()}
+        den = math.lcm(*(x.denominator for e in (*means, *prods.values()) for x in (e.re, e.im)))
+
+        def over(e: GaussianRational) -> tuple[int, int]:
+            return (e.re.numerator * (den // e.re.denominator),
+                    e.im.numerator * (den // e.im.denominator))
+
+        m = [over(e) for e in means]
+        covs = {}
+        for (i, j), e in prods.items():
+            pr, pi = over(e)
+            (ar, ai), (br, bi) = m[i], m[j]
+            covs[(i, j)] = (pr * den - ar * br + ai * bi, pi * den - ar * bi - ai * br)
+
+        def term(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+            re, im = 1, 0
+            for pair in pairs:
+                cr, ci = covs[pair]
+                re, im = re * cr - im * ci, re * ci + im * cr
+            return re, im
+
+        (ar, ai), (br, bi) = term(self.pairs_a), term(self.pairs_b)
+        # both terms have len(pairs) = (degree + 1) / 2 factors over den^2
+        scale = den ** (2 * len(self.pairs_a))
+        return GaussianRational(
+            Fraction(self.sign * (ar - br), scale), Fraction(self.sign * (ai - bi), scale)
+        )
 
 
 def sphere_term_bound(
@@ -260,8 +287,12 @@ def _check_oracle_terms(inp: CocycleInput, trunc: Truncation) -> None:
             raise ValueError("term function deeper than the fiber level")
 
 
+# the 2x2 form of every commutator block, [P, diag d] = X J X^T
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
 def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleReport:
-    """Rank-one-chain evaluation of the truncated trace, fiber by fiber.
+    """Transfer-matrix evaluation of the truncated trace, fiber by fiber.
 
     A chain that leaves B_R is dropped (zero padding) and counted in
     ``chain_exits``; an h with a block past the exactness window still adds
@@ -275,6 +306,7 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
 
     suffixes = _suffix_products(inp)
     v = fiber_unit(trunc)
+    vv = np.dot(v, v)
     total = 0j
     chain_exits = 0
     inexact_blocks = 0
@@ -290,28 +322,23 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
         )
         if not exact:
             inexact_blocks += 1
-        # chain of rank-2 blocks [outer(v,v), diag(d_i)] = v y^T - y v^T
-        # with y = d_i * v; products of rank-1 terms stay rank one:
-        # (x w^T)(v y^T - y v^T) = (w . v) x y^T - (w . y) x v^T, plain dots
-        chains: list[tuple[complex, np.ndarray, np.ndarray]] | None = None
-        for (phi, _), point in zip(inp.terms, points):
-            y = fiber_diagonal(phi, point, trunc) * v
-            if chains is None:
-                chains = [(1.0 + 0j, v, y), (-1.0 + 0j, y, v)]
-                continue
-            chains = [
-                chain
-                for coeff, x, w in chains
-                for chain in ((coeff * np.dot(w, v), x, y), (-coeff * np.dot(w, y), x, v))
-            ]
-        # tr((2 outer(v,v) - 1)(x w^T)) = 2 (v.x)(w.v) - (w.x)
-        trace = 0j
-        for coeff, x, w in chains:
-            term = coeff * (2.0 * np.dot(v, x) * np.dot(w, v) - np.dot(w, x))
-            total += term
-            trace += term
+        # [outer(v,v), diag(d_i)] = v y_i^T - y_i v^T = X_i J X_i^T with
+        # X_i = [v, y_i], y_i = d_i * v; by cyclicity the fiber trace is
+        # tr(J G_01 J G_12 ... J G_{n-1,n} J H), G_ij = X_i^T X_j and
+        # H = X_n^T (2 outer(v,v) - 1) X_0, 2x2 matrices of plain dots
+        ys = [fiber_diagonal(phi, point, trunc) * v for (phi, _), point in zip(inp.terms, points)]
+        vy = [np.dot(v, y) for y in ys]
+        product = _J
+        for i in range(inp.degree):
+            gram = np.array([[vv, vy[i + 1]], [vy[i], np.dot(ys[i], ys[i + 1])]])
+            product = product @ gram @ _J
+        closing = 2.0 * np.outer([vv, vy[-1]], [vv, vy[0]]) - np.array(
+            [[vv, vy[0]], [vy[-1], np.dot(ys[-1], ys[0])]]
+        )  # H
+        trace = complex(np.trace(product @ closing))
+        total += trace
         if exact:
-            traces[h] = complex(trace)
+            traces[h] = trace
     return TraceOracleReport(
         value=complex(total),
         chain_exits=chain_exits,
@@ -350,7 +377,7 @@ def trace_identity(
 def trace_oracle_dense(inp: CocycleInput, trunc: Truncation) -> complex:
     """Same trace through explicit fiber-block matrix products.
 
-    A test oracle for the rank-one-chain algebra above, independent of it;
+    A test oracle for the transfer-matrix algebra above, independent of it;
     still block-diagonal in h, so only dim_fiber^2 matrices appear.
     """
     _check_oracle_terms(inp, trunc)

@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -323,12 +322,12 @@ def _cocycle_input(settings: argparse.Namespace) -> CocycleInput:
 def _cmd_growth(s: argparse.Namespace) -> int:
     group = FreeGroup(s.rank)
     group.check_budget(s.budget, R=s.radius)
-    # one walk of B_R, counted by length; row r enumerates the lengths <= r
-    counts = Counter(len(g) for g in group.iter_ball(s.radius))
+    # one walk of each sphere's letter tuples, counted; row r enumerates
+    # the spheres up to r
     rows = []
     enumerated = 0
     for r in range(s.radius + 1):
-        enumerated += counts[r]
+        enumerated += sum(1 for _ in group.iter_sphere_letters(r))
         rows.append((r, group.growth_count(r), enumerated))
     obj = {
         "rank": group.n,
@@ -502,12 +501,39 @@ def _cmd_chern(s: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_powers(group: FreeGroup, length: int, s: argparse.Namespace) -> None:
+    """Decide from the settings alone whether ``furstenberg`` fits its limits.
+
+    The distance at power m is a fraction over the pushforward denominator
+    2n (2n-1)^(m|g| + k - 1), |g^m| = m|g| for the cyclically reduced g, and
+    its "p/q" string must stay within Python's int-to-str digit limit; the
+    rows take the depth-k cylinder masses once per power.  The digit check
+    comes first, so that the count in the budget message is small.
+    """
+    group.check_budget(s.budget, m=s.depth)
+    limit = sys.get_int_max_str_digits()
+    exponent = s.max_power * length + s.depth - 1
+    if limit and exponent > (limit - math.log10(2 * group.n)) / math.log10(2 * group.n - 1):
+        raise BudgetError(
+            exponent,
+            limit,
+            f"--max-power: the distances at the largest power need more than {limit} "
+            "digits, past Python's int-to-str digit limit",
+        )
+    cells = s.max_power * group.sphere_count(s.depth)
+    if cells > s.budget:
+        raise BudgetError(
+            cells, s.budget, f"--max-power: {cells} cylinder masses exceed budget {s.budget}"
+        )
+
+
 def _cmd_furstenberg(s: argparse.Namespace) -> int:
     group = FreeGroup(s.rank)
     g = group.word(s.g)
     if g.is_identity:
         raise ValueError("the driving element must not be the identity")
     omega = BoundaryPoint(IDENTITY, g)
+    _check_powers(group, len(g), s)
     rows = []
     power = IDENTITY
     for m in range(1, s.max_power + 1):
@@ -642,7 +668,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return COMMANDS[args.command][0](_resolve(args))
     except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+        print(f"error: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,13 @@ For a level-k function phi and a group element g:
     sigma^2(phi)(g) = E(|phi|^2)(g) - |E(phi)(g)|^2          (exact, >= 0)
     cov(phi,psi)(g) = E(phi psi*)(g) - E(phi)(g) E(psi)(g)*  (exact)
 
+Every one of these is computed on integers: with phi(w) = (a + ib) / D
+(``LocallyConstantFunction.numerators``) and (g_*mu)([w]) = c_l / M
+(``boundary.pushforward_weights``, l the common prefix length of g and w),
+E(phi)(g) = (sum a c_l + i sum b c_l) / (D M) and E(|phi|^2)(g) =
+sum (a^2 + b^2) c_l / (D^2 M); the sums are Python ints, and each
+statistic makes one pair of Fractions at the end.
+
 ``deviation_sq_pairsum`` recomputes sigma^2 through the double-integral
 formula (1/2) iint |phi(gx) - phi(gy)|^2 dmu dmu on the common refinement of
 depth k + |g|, where the action is cylinder-constant: it counts the cells
@@ -41,35 +48,52 @@ from fractions import Fraction
 from itertools import combinations
 from typing import IO, Callable, NamedTuple
 
-from .words import DEFAULT_BUDGET, FreeGroup, Word, word_to_str
-from .boundary import Cylinder, depth_mass, pushforward_mass
+from .words import DEFAULT_BUDGET, FreeGroup, Word, common_prefix_len, word_to_str
+from .boundary import depth_mass, pushforward_weights
 from .functions import GaussianRational, LocallyConstantFunction
 
 _frac = lambda x: f"{x.numerator}/{x.denominator}"
 
 
+def _sums(
+    phi: LocallyConstantFunction, g: Word, squares: bool = False
+) -> tuple[int, int, int, int, int]:
+    """Integer sums over the nonzero depth-k cells w of phi, with phi(w) =
+    (a + ib) / D and (g_*mu)([w]) = c / M from ``pushforward_weights``:
+    (sum a c, sum b c, sum (a^2 + b^2) c, D, M), the third 0 unless
+    ``squares``.  So E(phi)(g) = (sum a c + i sum b c) / (D M) and
+    E(|phi|^2)(g) = sum (a^2 + b^2) c / (D^2 M)."""
+    den, cells = phi.numerators
+    total, weights = pushforward_weights(len(g), phi.depth, phi.group)
+    letters = g.letters
+    re = im = sq = 0
+    for w, (a, b) in cells.items():
+        if a or b:
+            c = weights[common_prefix_len(letters, w)]
+            re += a * c
+            im += b * c
+            if squares:
+                sq += (a * a + b * b) * c
+    return re, im, sq, den, total
+
+
 def expectation(phi: LocallyConstantFunction, g: Word) -> GaussianRational:
     """E(phi)(g) = sum over depth-k cells of phi(w) * (g_*mu)([w])."""
-    re = im = Fraction(0)
-    for w, v in phi.values.items():
-        if v:
-            mass = pushforward_mass(g, Cylinder(w), phi.group)
-            re += v.re * mass
-            im += v.im * mass
-    return GaussianRational(re, im)
+    re, im, _, den, total = _sums(phi, g)
+    den *= total
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 def _expectation_abs_sq(phi: LocallyConstantFunction, g: Word) -> Fraction:
-    total = Fraction(0)
-    for w, v in phi.values.items():
-        if v:
-            total += v.abs2() * pushforward_mass(g, Cylinder(w), phi.group)
-    return total
+    """E(|phi|^2)(g)."""
+    _, _, sq, den, total = _sums(phi, g, squares=True)
+    return Fraction(sq, den * den * total)
 
 
 def deviation_sq(phi: LocallyConstantFunction, g: Word) -> Fraction:
-    e = expectation(phi, g)
-    s = _expectation_abs_sq(phi, g) - e.abs2()
+    """sigma^2(phi)(g) = (M sum (a^2 + b^2) c - |sum (a + ib) c|^2) / (D M)^2."""
+    re, im, sq, den, total = _sums(phi, g, squares=True)
+    s = Fraction(sq * total - re * re - im * im, (den * total) ** 2)
     if s < 0:
         raise AssertionError(f"negative deviation {s} at {g}")
     return s
@@ -106,8 +130,17 @@ def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
 def covariance(
     phi: LocallyConstantFunction, psi: LocallyConstantFunction, g: Word
 ) -> GaussianRational:
-    e_prod = expectation(phi * psi.conjugate(), g)
-    return e_prod - expectation(phi, g) * expectation(psi, g).conjugate()
+    """E(phi psi*)(g) - E(phi)(g) E(psi)(g)*, combined as Gaussian integers
+    over the product of the three expectations' denominators."""
+    (pr, pi, _, pd, pm), (ar, ai, _, ad, am), (br, bi, _, bd, bm) = (
+        _sums(f, g) for f in (phi * psi.conjugate(), phi, psi)
+    )
+    p, a, b = pd * pm, ad * am, bd * bm
+    # (pr + i pi) a b - (ar + i ai)(br - i bi) p
+    return GaussianRational(
+        Fraction(pr * a * b - (ar * br + ai * bi) * p, p * a * b),
+        Fraction(pi * a * b - (ai * br - ar * bi) * p, p * a * b),
+    )
 
 
 # ----------------------------------------------------------------------

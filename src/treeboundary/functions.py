@@ -10,6 +10,7 @@ operation, integral and statistic downstream stays exact.  The group acts by
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,14 +170,22 @@ class LocallyConstantFunction:
         return self.values[w.prefix(self.depth)]
 
     @cached_property
-    def letter_values(self) -> dict[tuple[int, ...], GaussianRational]:
-        """The table keyed by the letter tuples of its cells."""
-        return {w.letters: v for w, v in self.values.items()}
+    def letter_complex(self) -> dict[tuple[int, ...], complex]:
+        """The table keyed by the letter tuples of its cells, each value
+        converted to complex once."""
+        return {w.letters: v.to_complex() for w, v in self.values.items()}
 
     @cached_property
-    def letter_complex(self) -> dict[tuple[int, ...], complex]:
-        """``letter_values`` converted to complex, each value once."""
-        return {w: v.to_complex() for w, v in self.letter_values.items()}
+    def numerators(self) -> tuple[int, dict[tuple[int, ...], tuple[int, int]]]:
+        """D, the lcm of the denominators of the values' parts, and the
+        Gaussian-integer numerator (a, b) of each cell's value (a + ib) / D,
+        keyed by the cell's letter tuple."""
+        den = math.lcm(*(x.denominator for v in self.values.values() for x in (v.re, v.im)))
+        return den, {
+            w.letters: (v.re.numerator * (den // v.re.denominator),
+                         v.im.numerator * (den // v.im.denominator))
+            for w, v in self.values.items()
+        }
 
     def refine(self, depth: int) -> "LocallyConstantFunction":
         if depth < self.depth:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -45,7 +44,7 @@ import numpy as np
 
 from .boundary import depth_mass
 from .deviation import deviation_sq, expectation
-from .functions import QQ_ZERO, LocallyConstantFunction
+from .functions import LocallyConstantFunction
 from .svd import operator_norm, singular_values
 from .words import IDENTITY, FreeGroup, Word, mul
 
@@ -144,23 +143,28 @@ def fiber_diagonal(
     ``FreeGroup.product_runs(h, k, m)``, k = depth(phi): a run's cells all
     take the value phi(prefix_k(h c)).  A cell whose key is not fixed takes
     the exact average of phi(h .) over its extensions to depth k + |h|, read
-    from the runs under it at that depth and converted once.
+    from the runs under it at that depth as integer cell counts times phi's
+    Gaussian-integer numerators, and converted once.
     """
     k, m = phi.depth, trunc.m
     group = trunc.group
     d = k + len(h)  # every key is fixed at this depth
-    values, as_complex = phi.letter_values, phi.letter_complex
+    as_complex = phi.letter_complex
+    den, numerators = phi.numerators
     sizes, deep = group.run_sizes(m), group.run_sizes(d)
     out: list[complex] = []
     for p, key in group.product_runs(h, k, m):
         if key is not None:
             out.extend([as_complex[key]] * sizes[len(p)])
             continue
-        counts: dict[tuple[int, ...], int] = {}
+        re = im = 0
         for u, ukey in group.product_runs(h, k, d, p):
-            counts[ukey] = counts.get(ukey, 0) + deep[len(u)]
-        total = sum((values[key] * n for key, n in counts.items()), start=QQ_ZERO)
-        out.append((total * Fraction(1, deep[m])).to_complex())  # 1 / cells under c
+            (a, b), n = numerators[ukey], deep[len(u)]
+            re += a * n
+            im += b * n
+        # the average over the deep[m] cells under c, each part one
+        # correctly rounded integer division
+        out.append(complex(re / (den * deep[m]), im / (den * deep[m])))
     return np.array(out, dtype=complex)
 
 

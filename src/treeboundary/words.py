@@ -35,12 +35,12 @@ class BudgetError(Exception):
     """An enumeration would exceed the configured element budget; see
     ``FreeGroup.check_budget`` for ``requested`` past its cutoff."""
 
-    def __init__(self, requested: int, budget: int):
+    def __init__(self, requested: int, budget: int, message: str | None = None):
         # a count past 1000 bits is named by its binary order, so that the
         # message never meets the int-to-str digit limit
         bits = requested.bit_length()
         count = requested if bits <= 1000 else f"more than 2^{bits - 1}"
-        super().__init__(f"enumeration of {count} elements exceeds budget {budget}")
+        super().__init__(message or f"enumeration of {count} elements exceeds budget {budget}")
         self.requested = requested
         self.budget = budget
 

@@ -12,6 +12,7 @@ from treeboundary import chern, verify
 from treeboundary.cli import main
 from treeboundary import (
     CocycleInput,
+    Cylinder,
     FreeGroup,
     GaussianRational,
     IDENTITY,
@@ -24,6 +25,7 @@ from treeboundary import (
     cocycle_value,
     expectation,
     mul,
+    pushforward_mass,
     shifted_functions,
     trace_identity,
     trace_oracle_dense,
@@ -157,6 +159,28 @@ def test_trace_routes_agree_complex():
     assert abs(trace_oracle_report(inp, trunc).value - trace_oracle_dense(inp, trunc)) <= 1e-12
 
 
+# degree 1 and degree 5, each with a complex term; both products are e.
+# In degree 1 every fiber trace vanishes: the two commutators' diagonals
+# commute, so the bilinear pairing is symmetric and the summand is 0
+OTHER_DEGREES = {
+    "degree 1": (1, [(QQ_I * IND["a"] + IND["b"], F2.word("a")), (IND["A"], F2.word("A"))]),
+    "degree 5": (5, COMPLEX_TERMS + [(IND["a"], F2.word("ab")), (IND["b"], F2.word("BA"))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_DEGREES))
+def test_trace_routes_agree_at_other_degrees(name):
+    degree, terms = OTHER_DEGREES[name]
+    inp = CocycleInput(degree, terms)
+    trunc = Truncation(F2, 3, 4)
+    dense = trace_oracle_dense(inp, trunc)
+    assert abs(trace_oracle_report(inp, trunc).value - dense) <= 1e-12
+    if degree == 1:
+        assert abs(dense) <= 1e-12
+    else:
+        assert abs(dense) > 1e-4  # the agreement is not between two zeros
+
+
 def test_trace_vanishes_off_identity_product():
     inp = CocycleInput(
         3,
@@ -249,9 +273,18 @@ def test_report_counts():
 # per-prefix-class sums against the per-h loop
 
 
-def _per_h_summand(inp):
+def _fraction_expectation(phi, h):
+    """E(phi)(h) as a sum of Fractions, one cell at a time."""
+    return sum(
+        (v * pushforward_mass(h, Cylinder(w), phi.group) for w, v in phi.values.items()),
+        QQ_ZERO,
+    )
+
+
+def _per_h_summand(inp, expectation=expectation):
     """The per-h formula, kept here only as the oracle: h -> the signed
-    sign * (term_a - term_b) at h, evaluated at h itself."""
+    sign * (term_a - term_b) at h, evaluated at h itself, in Gaussian
+    rationals from ``expectation``."""
     psis = shifted_functions(inp)
     n = inp.degree
     pairs_a = [(i, i + 1) for i in range(0, n, 2)]
@@ -389,6 +422,26 @@ def test_summand_evaluates_a_class_past_the_radius_once(monkeypatch):
 
 
 DENSE_TERMS = _terms(F2, (1, 1, 1, 1), ("a", "A", "b", "B"), 21)
+
+
+@pytest.mark.parametrize(
+    "terms", [REGRESSION_TERMS, COMPLEX_TERMS, DENSE_TERMS], ids=["regression", "complex", "dense"]
+)
+def test_summand_classes_equal_a_fraction_recomputation(terms):
+    # the summand's Gaussian-integer combination against Fraction
+    # expectations summed cell by cell and combined in Gaussian rationals;
+    # only the dense terms pair two complex means
+    inp = CocycleInput(3, terms)
+    summand = cocycle_value(inp, 5).summand
+    oracle = _per_h_summand(inp, _fraction_expectation)
+    classes = [
+        (prefix, m, member)
+        for m in range(6)
+        for prefix, member, _ in F2.prefix_classes(m, summand.depth)
+    ]
+    assert len(summand.classes) == len(classes) == 1 + 4 + 12 * 4
+    for prefix, m, member in classes:
+        assert summand.classes[(prefix, m)] == oracle(member)
 
 
 @pytest.mark.parametrize("terms", [COMPLEX_TERMS, DENSE_TERMS], ids=["complex", "dense"])

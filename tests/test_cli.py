@@ -447,6 +447,30 @@ def test_budget_checks_never_build_the_huge_count(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-power", 10**8],  # distances of 4.8e7 digits
+        ["--max-power", 9100],  # 4343 digits: just past the 4300-digit limit
+        ["--max-power", 200, "--depth", 10],  # 200 * 78732 cylinder masses
+    ],
+    ids=["digits", "digits-near-the-limit", "cells"],
+)
+def test_furstenberg_max_power_decided_from_the_settings(tmp_path, argv):
+    # 10^8 ran for 6 s, then exited 2 with Python's int-to-str digit limit
+    argv = ["furstenberg", *argv, "--out", tmp_path / "out"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeboundary.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "error: budget exceeded: --max-power" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def _with_large_value(obj):
     obj["values"]["a"] = ["1e200", "0"]  # sigma^2 near 10^400 has no binary64 value
     return obj

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeboundary import (
+    Cylinder,
     DeviationProfile,
     FreeGroup,
     GaussianRational,
@@ -26,10 +27,12 @@ from treeboundary import (
     expectation,
     lp_report,
     mul,
+    pushforward_mass,
     sigma_envelope,
     sphere_envelope_constant,
     word_to_str,
 )
+from treeboundary.deviation import _expectation_abs_sq
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -120,6 +123,108 @@ def test_covariance_cauchy_schwarz():
     for g in F2.ball(2):
         c = covariance(IA, ib, g)
         assert c.abs2() <= deviation_sq(IA, g) * deviation_sq(ib, g)
+
+
+# ----------------------------------------------------------------------
+# the integer route against the Fraction-per-cell oracle
+
+
+def _fraction_moments(phi, g):
+    """E(phi)(g) and E(|phi|^2)(g) as sums of Fractions, one cell at a
+    time: sum over depth-k cells of phi(w) (g_*mu)([w])."""
+    re = im = abs_sq = Fraction(0)
+    for w, v in phi.values.items():
+        if v:
+            mass = pushforward_mass(g, Cylinder(w), phi.group)
+            re += v.re * mass
+            im += v.im * mass
+            abs_sq += v.abs2() * mass
+    return GaussianRational(re, im), abs_sq
+
+
+def _integer_route_mismatches(phi, radius=4):
+    """(statistic, g) for every g in B_radius where the library's integer
+    sums differ from the Fraction-per-cell oracle."""
+    out = []
+    for g in phi.group.iter_ball(radius):
+        e, abs_sq = _fraction_moments(phi, g)
+        try:
+            sigma_sq = deviation_sq(phi, g)
+        except AssertionError:  # a negative deviation
+            sigma_sq = None
+        for name, value, oracle in (
+            ("expectation", expectation(phi, g), e),
+            ("abs_sq", _expectation_abs_sq(phi, g), abs_sq),
+            ("deviation_sq", sigma_sq, abs_sq - e.abs2()),
+        ):
+            if value != oracle:
+                out.append((name, g))
+    return out
+
+
+# zero parts often, so that zero cells and purely real or imaginary values
+# occur; denominators mixed, so that D is a proper lcm
+PARTS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 7, 9, 11, 25, 101])),
+)
+
+
+def _tables(group, depth):
+    cells = group.sphere(depth)
+    return st.lists(st.tuples(PARTS, PARTS), min_size=len(cells), max_size=len(cells)).map(
+        lambda values: LocallyConstantFunction(group, depth, dict(zip(cells, values)))
+    )
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+def test_integer_sums_equal_the_fraction_per_cell_oracle(group, depth):
+    # every g of B_4 per table; F3 at depth 3 is 150 cells by 937 elements.
+    # Derandomized, the first table is all zeros and the next two mix zero
+    # cells with nonzero ones over several denominators
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(_tables(group, depth))
+    def check(phi):
+        assert _integer_route_mismatches(phi) == []
+
+    check()
+
+
+def _dense_depth2():
+    """Every depth-2 cell of F2 nonzero, with mixed denominators."""
+    return LocallyConstantFunction(F2, 2, {
+        w: (Fraction(i + 1, 3 + i % 4), Fraction(-2 * i - 1, 7 + i % 3))
+        for i, w in enumerate(F2.sphere(2))
+    })
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_integer_sums_fail_with_a_weight_off_by_one(monkeypatch, ell):
+    import treeboundary.deviation as deviation_module
+
+    phi = _dense_depth2()
+    assert _integer_route_mismatches(phi) == []
+    original = deviation_module.pushforward_weights
+
+    def broken(length, depth, group):
+        total, weights = original(length, depth, group)
+        return total, tuple(c + (i == ell) for i, c in enumerate(weights))
+
+    # the oracle's pushforward_mass still reads the true weights
+    monkeypatch.setattr(deviation_module, "pushforward_weights", broken)
+    failed = {name for name, _ in _integer_route_mismatches(phi)}
+    assert failed == {"expectation", "abs_sq", "deviation_sq"}
+
+
+def test_covariance_equals_the_fraction_oracle():
+    phi, psi = _dense_depth2(), QQ_I * IA + LocallyConstantFunction.constant(F2, Fraction(1, 3))
+    for g in F2.ball(3):
+        oracle = (
+            _fraction_moments(phi * psi.conjugate(), g)[0]
+            - _fraction_moments(phi, g)[0] * _fraction_moments(psi, g)[0].conjugate()
+        )
+        assert covariance(phi, psi, g) == oracle
 
 
 def test_envelope_constant_closed_form():
