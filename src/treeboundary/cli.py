@@ -502,16 +502,17 @@ def _cmd_chern(s: argparse.Namespace) -> int:
 
 
 def _check_powers(group: FreeGroup, length: int, s: argparse.Namespace) -> None:
-    """Decide from the settings alone whether ``furstenberg`` fits its limits.
+    """Decide from the settings alone whether ``furstenberg``'s distances can be
+    written out.
 
     The distance at power m is a fraction over the pushforward denominator
     2n (2n-1)^(m|g| + k - 1), |g^m| = m|g| for the cyclically reduced g, and
-    its "p/q" string must stay within Python's int-to-str digit limit; the
-    rows take the depth-k cylinder masses once per power.  The digit check
-    comes first, so that the count in the budget message is small.
+    its "p/q" string must stay within Python's int-to-str digit limit, which
+    versions before 3.10.7 do not have.  The depth's sphere budget, which
+    every row checks, is checked first, so a huge ``--depth`` is named as such.
     """
     group.check_budget(s.budget, m=s.depth)
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     exponent = s.max_power * length + s.depth - 1
     if limit and exponent > (limit - math.log10(2 * group.n)) / math.log10(2 * group.n - 1):
         raise BudgetError(
@@ -519,11 +520,6 @@ def _check_powers(group: FreeGroup, length: int, s: argparse.Namespace) -> None:
             limit,
             f"--max-power: the distances at the largest power need more than {limit} "
             "digits, past Python's int-to-str digit limit",
-        )
-    cells = s.max_power * group.sphere_count(s.depth)
-    if cells > s.budget:
-        raise BudgetError(
-            cells, s.budget, f"--max-power: {cells} cylinder masses exceed budget {s.budget}"
         )
 
 

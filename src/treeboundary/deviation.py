@@ -6,7 +6,8 @@ For a level-k function phi and a group element g:
     sigma^2(phi)(g) = E(|phi|^2)(g) - |E(phi)(g)|^2          (exact, >= 0)
     cov(phi,psi)(g) = E(phi psi*)(g) - E(phi)(g) E(psi)(g)*  (exact)
 
-Every one of these is computed on integers: with phi(w) = (a + ib) / D
+E and sigma^2 are computed on integers, and cov from three such
+expectations: with phi(w) = (a + ib) / D
 (``LocallyConstantFunction.numerators``) and (g_*mu)([w]) = c_l / M
 (``boundary.pushforward_weights``, l the common prefix length of g and w),
 E(phi)(g) = (sum a c_l + i sum b c_l) / (D M) and E(|phi|^2)(g) =
@@ -130,17 +131,8 @@ def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
 def covariance(
     phi: LocallyConstantFunction, psi: LocallyConstantFunction, g: Word
 ) -> GaussianRational:
-    """E(phi psi*)(g) - E(phi)(g) E(psi)(g)*, combined as Gaussian integers
-    over the product of the three expectations' denominators."""
-    (pr, pi, _, pd, pm), (ar, ai, _, ad, am), (br, bi, _, bd, bm) = (
-        _sums(f, g) for f in (phi * psi.conjugate(), phi, psi)
-    )
-    p, a, b = pd * pm, ad * am, bd * bm
-    # (pr + i pi) a b - (ar + i ai)(br - i bi) p
-    return GaussianRational(
-        Fraction(pr * a * b - (ar * br + ai * bi) * p, p * a * b),
-        Fraction(pi * a * b - (ai * br - ar * bi) * p, p * a * b),
-    )
+    e_prod = expectation(phi * psi.conjugate(), g)
+    return e_prod - expectation(phi, g) * expectation(psi, g).conjugate()
 
 
 # ----------------------------------------------------------------------

@@ -452,9 +452,8 @@ def test_budget_checks_never_build_the_huge_count(tmp_path, argv):
     [
         ["--max-power", 10**8],  # distances of 4.8e7 digits
         ["--max-power", 9100],  # 4343 digits: just past the 4300-digit limit
-        ["--max-power", 200, "--depth", 10],  # 200 * 78732 cylinder masses
     ],
-    ids=["digits", "digits-near-the-limit", "cells"],
+    ids=["digits", "digits-near-the-limit"],
 )
 def test_furstenberg_max_power_decided_from_the_settings(tmp_path, argv):
     # 10^8 ran for 6 s, then exited 2 with Python's int-to-str digit limit
