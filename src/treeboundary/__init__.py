@@ -3,9 +3,10 @@
 The package computes, in exact rational arithmetic wherever the mathematics
 is exact: cylinder measures and pushforwards on the boundary, expectation /
 deviation / covariance statistics over the group, summability diagnostics,
-finite operator truncations with their identity checks, and a certified
-cyclic cocycle evaluator.  A batch CLI (``treeboundary``) exposes the whole
-pipeline as JSON + CSV reports.
+finite operator truncations with their identity checks, and a cyclic
+cocycle evaluator.  Sums over the whole group (the cocycle, even-p
+summability) are exact, from a few spheres.  A batch CLI
+(``treeboundary``) exposes the whole pipeline as JSON + CSV reports.
 """
 
 from types import ModuleType as _ModuleType
@@ -55,7 +56,6 @@ from .deviation import (
     deviation_sq_pairsum,
     expectation,
     sigma_envelope,
-    sphere_envelope_constant,
 )
 from .summability import (
     SortedDecayCheck,
@@ -64,6 +64,7 @@ from .summability import (
     dplus_surrogate_check,
     hausdorff_dimension,
     lp_report,
+    sphere_series,
     summability_threshold,
 )
 from .svd import operator_norm, schatten_norm, singular_values
@@ -86,12 +87,11 @@ from .operators import (
     verify_pi_identity,
 )
 from .chern import (
-    CertifiedValue,
     CocycleInput,
+    CocycleValue,
     TraceOracleReport,
     cocycle_value,
     shifted_functions,
-    sphere_term_bound,
     trace_identity,
     trace_oracle_dense,
     trace_oracle_report,

@@ -40,7 +40,6 @@ from functools import lru_cache
 from typing import Union
 
 from .words import (
-    DEFAULT_BUDGET,
     FreeGroup,
     IDENTITY,
     Word,
@@ -274,16 +273,11 @@ class CylinderMeasure:
         self.table = dict(sorted(table.items()))
 
 
-def pushforward(
-    g: Word, depth: int, group: FreeGroup, budget: int = DEFAULT_BUDGET
-) -> CylinderMeasure:
+def pushforward(g: Word, depth: int, group: FreeGroup) -> CylinderMeasure:
     """The measure g_*mu on the depth-k partition, exact."""
     if depth < 1:
         raise ValueError("pushforward needs depth >= 1")
-    table = {
-        w: pushforward_mass(g, Cylinder(w), group)
-        for w in group.sphere(depth, budget=budget)
-    }
+    table = {w: pushforward_mass(g, Cylinder(w), group) for w in group.sphere(depth)}
     return CylinderMeasure(group, depth, table)
 
 
@@ -299,19 +293,12 @@ def comparability_constants(g: Word, depth: int, group: FreeGroup) -> tuple[Frac
     return min(ratios), max(ratios)
 
 
-def weak_distance_to_delta(
-    g: Word,
-    omega: BoundaryPoint,
-    depth: int,
-    group: FreeGroup,
-    budget: int = DEFAULT_BUDGET,
-) -> Fraction:
-    """Total variation distance sum |g_*mu([w]) - delta_omega([w])| at depth k."""
+def weak_distance_to_delta(g: Word, omega: BoundaryPoint, depth: int, group: FreeGroup) -> Fraction:
+    """Total variation distance sum |g_*mu([w]) - delta_omega([w])| at depth k.
+
+    Every cell but [prefix_k omega] adds its mass, and that one adds 1 minus
+    its mass, so the sum is 2 (1 - (g_*mu)([prefix_k omega])).
+    """
     if depth < 1:
         raise ValueError("weak distance needs depth >= 1")
-    measure = pushforward(g, depth, group, budget=budget)
-    target = omega.prefix(depth)
-    return sum(
-        (abs(m - (1 if w == target else 0)) for w, m in measure.table.items()),
-        Fraction(0),
-    )
+    return 2 * (1 - pushforward_mass(g, Cylinder(omega.prefix(depth)), group))

@@ -1,4 +1,4 @@
-"""Cyclic cocycle evaluation with certified tails and a trace oracle.
+"""Cyclic cocycle evaluation, exact over the whole group, and a trace oracle.
 
 Two independent routes to the same number:
 
@@ -11,15 +11,16 @@ Two independent routes to the same number:
   where psi_i shifts phi_i by the prefix product g_0 ... g_{i-1} and cov is
   the bilinear pairing E(phi psi) - E(phi) E(psi) (the trace of a product of
   commutators is multilinear in the phi_i, so no conjugation enters).  The
-  partial sum over B_R is exact rational; the tail over |h| > R is bounded
-  by per-sphere envelopes summed as a geometric series.  The signed summand
-  at h (``CocycleSummand``) depends on h only through the prefix class
-  (prefix_K h, |h|), K the largest depth among the psi_i and the pair
-  products, so sphere m is summed over ``FreeGroup.prefix_classes(m, K)``:
-  |S_min(m,K)| class terms, each evaluated once at the class's member and
-  weighted by its size |S_m| / |S_min(m,K)|, the same walk that deviation
-  profiles use.  A class combines its expectations as Gaussian integers
-  over one denominator and makes one Gaussian rational.
+  partial sum over B_R is exact rational, and so is the sum over the whole
+  group (``CocycleValue.total``, a series that ``summability.sphere_series``
+  solves and checks).  The signed summand at h (``CocycleSummand``) depends
+  on h only through the prefix class (prefix_K h, |h|), K the largest depth
+  among the psi_i and the pair products, so sphere m is summed over
+  ``FreeGroup.prefix_classes(m, K)``: |S_min(m,K)| class terms, each
+  evaluated once at the class's member and weighted by its size
+  |S_m| / |S_min(m,K)|, the same walk that deviation profiles use.  A class
+  combines its expectations as Gaussian integers over one denominator and
+  makes one Gaussian rational.
 
 * ``trace_oracle_report`` computes the truncated trace of
   (2P - 1)[P, lambda(a^0)] ... [P, lambda(a^n)] directly.  Every commutator
@@ -27,13 +28,13 @@ Two independent routes to the same number:
   J = [[0, 1], [-1, 0]], so by cyclicity each fiber trace is the trace of
   a product of 2x2 transfer matrices made of 2n + 2 dot products, and the
   dense matrix is never materialized (the dense budget does not apply;
-  only enumeration budgets do).  The
-  fiber blocks come from ``operators.fiber_diagonal``, which evaluates
-  (p_i h)^-1 . phi_i on the depth-m cylinders, run by run of cells with one
-  value, from phi_i's own table, not from a translated table, and uses no
-  pushforward closed form, so the oracle stays independent of
-  ``cocycle_value``.  ``trace_oracle_report`` enumerates B_R and walks the
-  depth-m cells with no budget of its own; callers guard both with
+  only enumeration budgets do).  The fiber blocks come from
+  ``operators.fiber_diagonal``, which evaluates (p_i h)^-1 . phi_i on the
+  depth-m cylinders, run by run of cells with one value, from phi_i's own
+  table, not from a translated table, and uses no pushforward closed form,
+  so the oracle stays independent of ``cocycle_value``.
+  ``trace_oracle_report`` enumerates B_R and walks the depth-m cells with
+  no budget of its own; callers guard both with
   ``Truncation.check_enumeration_budget``.
 
 The two routes meet one group element at a time (``trace_identity``): at
@@ -42,8 +43,8 @@ every h whose chain stays in B_R on exact fiber blocks (depth(phi_i) +
 rounding.  ``trace_oracle_dense`` forms the same traces from dim_fiber x
 dim_fiber products; it is a test oracle, and no route here calls it.
 
-For degree 1 the per-sphere bounds do not decay and the tail is reported as
-infinity; the value is still computed but uncertified.
+For degree 1 the pairing is symmetric, cov(psi_0, psi_1) = cov(psi_1, psi_0),
+so the two terms cancel at every h and the value is exactly 0.
 """
 
 from __future__ import annotations
@@ -51,14 +52,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
-from .deviation import expectation, sigma_envelope
+from .deviation import expectation
 from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
 from .operators import Truncation, fiber_diagonal, fiber_projection, fiber_unit
-from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Word, mul
+from .summability import sphere_series
+from .words import DEFAULT_BUDGET, IDENTITY, BudgetError, FreeGroup, Word, mul
 
 # the per-h identity's tolerance per fiber cell, relative to
 # prod_i ||phi_i||_sup, which bounds both sides: the gap on exact blocks is
@@ -140,6 +142,7 @@ class CocycleSummand:
             (i, j): self.psis[i] * self.psis[j] for i, j in self.pairs_a + self.pairs_b
         }
         self.depth = max(f.depth for f in (*self.psis, *self.products.values()))
+        self.group, self.degree = inp.group, inp.degree
         self.sign = 1 if ((inp.degree + 1) // 2) % 2 == 0 else -1
         self.classes: dict[tuple[tuple[int, ...], int], GaussianRational] = {}
 
@@ -149,6 +152,13 @@ class CocycleSummand:
         if value is None:
             value = self.classes[key] = self._evaluate(h)
         return value
+
+    def sphere(self, m: int) -> GaussianRational:
+        """The exact sum over sphere m, class by class."""
+        total = QQ_ZERO
+        for _, h, size in self.group.prefix_classes(m, self.depth):
+            total = total + self(h) * size
+        return total
 
     def _evaluate(self, h: Word) -> GaussianRational:
         means = [expectation(psi, h) for psi in self.psis]
@@ -181,78 +191,57 @@ class CocycleSummand:
         )
 
 
-def sphere_term_bound(
-    psis: Sequence[LocallyConstantFunction], m: int, group: FreeGroup
-) -> float:
-    """Certified bound on |sum over sphere m of term_A - term_B|.
-
-    Each cyclic block uses every psi_i exactly once, and every covariance
-    factor obeys |cov(psi, psi')(h)| <= sigma(psi)(h) sigma(psi')(h), so a
-    single product of sphere envelopes bounds both blocks.
-    """
-    product = 1.0
-    for psi in psis:
-        product *= sigma_envelope(psi, m)
-    return 2.0 * group.sphere_count(m) * product
-
-
 @dataclass
-class CertifiedValue:
+class CocycleValue:
     value: complex
     radius: int
-    tail_bound: float
     exact_partial: GaussianRational
-    sphere_abs: list[float]
-    sphere_bounds: list[float]
-    # the summands, holding every class of B_radius; None when the group
-    # product is not the identity and every summand vanishes
+    spheres: list[GaussianRational]  # the exact sphere sums, m = 0..radius
+    # the summands, holding every class evaluated so far; None when the
+    # group product is not the identity and every summand vanishes
     summand: CocycleSummand | None = None
+    budget: int = DEFAULT_BUDGET
 
-    @property
-    def certified(self) -> bool:
-        return math.isfinite(self.tail_bound)
+    @cached_property
+    def total(self) -> GaussianRational:
+        """The exact sum over the whole group, from ``sphere_series``.
+
+        Past K = depth(summand) a class has size (2n-1)^(m-K) and a summand
+        of (degree + 1)/2 covariances, polynomials in x = (2n-1)^-m with no
+        constant term: powers (degree - 1)/2 .. degree of x, J of them, and
+        only degree 1, whose summands vanish, has x^0.  The (J + 1) |S_K|
+        classes of spheres K..K+J are charged against the budget first.
+        """
+        summand = self.summand
+        if summand is None:
+            return QQ_ZERO
+        group, K = summand.group, max(summand.depth, 1)
+        lo, hi = (summand.degree - 1) // 2, summand.degree
+        classes = (hi - lo + 2) * group.sphere_count(K)
+        if classes > self.budget:
+            raise BudgetError(classes, self.budget)
+        return sphere_series(
+            lambda m: self.spheres[m] if m <= self.radius else summand.sphere(m),
+            2 * group.n - 1, K, lo, hi,
+        )
 
 
 def cocycle_value(
     inp: CocycleInput, radius: int, budget: int = DEFAULT_BUDGET
-) -> CertifiedValue:
-    """Exact partial sum over B_radius plus a closed-form geometric tail.
+) -> CocycleValue:
+    """Exact partial sum over B_radius; the exact total over the group is
+    ``total``, computed on first access.
 
     Each sphere is summed per prefix class (see the module docstring); the
     class sums are exact, so the result equals the sum over every h.
     """
-    group = inp.group
-    group.check_budget(budget, R=radius)
+    inp.group.check_budget(budget, R=radius)
     if inp.group_product != IDENTITY:
-        return CertifiedValue(0j, radius, 0.0, QQ_ZERO, [], [])
+        return CocycleValue(0j, radius, QQ_ZERO, [], budget=budget)
     summand = CocycleSummand(inp)
-    partial = QQ_ZERO
-    sphere_abs: list[float] = []
-    sphere_bounds: list[float] = []
-    for m in range(radius + 1):
-        sphere_sum = QQ_ZERO
-        for _, h, size in group.prefix_classes(m, summand.depth):
-            sphere_sum = sphere_sum + summand(h) * size
-        partial = partial + sphere_sum
-        sphere_abs.append(math.sqrt(float(sphere_sum.abs2())))
-        sphere_bounds.append(sphere_term_bound(summand.psis, m, group))
-
-    # ratio of consecutive per-sphere bounds: sphere count grows by (2n-1),
-    # each of the (n+1)/2 envelope pairs shrinks by (2n-1)^-1
-    ratio = (2 * group.n - 1) ** ((1 - inp.degree) / 2.0)
-    if ratio >= 1.0:
-        tail = math.inf
-    else:
-        tail = sphere_term_bound(summand.psis, radius + 1, group) / (1.0 - ratio)
-    return CertifiedValue(
-        value=partial.to_complex(),
-        radius=radius,
-        tail_bound=tail,
-        exact_partial=partial,
-        sphere_abs=sphere_abs,
-        sphere_bounds=sphere_bounds,
-        summand=summand,
-    )
+    spheres = [summand.sphere(m) for m in range(radius + 1)]
+    partial = sum(spheres, QQ_ZERO)
+    return CocycleValue(partial.to_complex(), radius, partial, spheres, summand, budget)
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +350,7 @@ class TraceIdentity:
 
 
 def trace_identity(
-    inp: CocycleInput, trunc: Truncation, value: CertifiedValue, oracle: TraceOracleReport
+    inp: CocycleInput, trunc: Truncation, value: CocycleValue, oracle: TraceOracleReport
 ) -> TraceIdentity:
     """Compare each of ``oracle.traces``, the oracle of ``inp`` on ``trunc``,
     with the signed summand at its h, read from ``value.summand`` (a class

@@ -457,23 +457,21 @@ def _cmd_chern(s: argparse.Namespace) -> int:
         trunc = Truncation(group, s.oracle_R, s.oracle_m)
         trunc.check_enumeration_budget(s.budget)
     value = cocycle_value(inp, s.radius, budget=s.budget)
-    spheres = [
-        (m, _fmt(a), _fmt(b))
-        for m, (a, b) in enumerate(zip(value.sphere_abs, value.sphere_bounds))
-    ]
+    total = value.total
+    spheres = [(m, _fmt(math.sqrt(float(s.abs2())))) for m, s in enumerate(value.spheres)]
     report = {
         "rank": group.n,
         "degree": inp.degree,
         "radius": s.radius,
         "group_product": word_to_str(inp.group_product),
         "value": _complex_obj(value.value),
-        "tail_bound": _fmt(value.tail_bound),
-        "certified": value.certified,
         "partial_exact": {
             "re": _frac(value.exact_partial.re),
             "im": _frac(value.exact_partial.im),
         },
-        "spheres": [{"m": m, "abs": a, "bound": b} for m, a, b in spheres],
+        "total_exact": {"re": _frac(total.re), "im": _frac(total.im)},
+        "total": _complex_obj(total.to_complex()),
+        "spheres": [{"m": m, "abs": a} for m, a in spheres],
     }
     if trunc is not None:
         oracle = trace_oracle_report(inp, trunc)
@@ -492,7 +490,7 @@ def _cmd_chern(s: argparse.Namespace) -> int:
         }
     out = _out_dir(s)
     _write_json(out / "chern.json", report)
-    _write_csv(out / "chern.csv", ["m", "sphere_abs", "sphere_bound"], spheres)
+    _write_csv(out / "chern.csv", ["m", "sphere_abs"], spheres)
     checked = report.get("oracle")
     if checked and not checked["consistent"]:
         gap, tol = checked["identity_gap"], checked["identity_tolerance"]
@@ -508,8 +506,8 @@ def _check_powers(group: FreeGroup, length: int, s: argparse.Namespace) -> None:
     The distance at power m is a fraction over the pushforward denominator
     2n (2n-1)^(m|g| + k - 1), |g^m| = m|g| for the cyclically reduced g, and
     its "p/q" string must stay within Python's int-to-str digit limit, which
-    versions before 3.10.7 do not have.  The depth's sphere budget, which
-    every row checks, is checked first, so a huge ``--depth`` is named as such.
+    versions before 3.10.7 do not have.  The depth's sphere budget is
+    checked first, so a huge ``--depth`` is named as such.
     """
     group.check_budget(s.budget, m=s.depth)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -534,7 +532,7 @@ def _cmd_furstenberg(s: argparse.Namespace) -> int:
     power = IDENTITY
     for m in range(1, s.max_power + 1):
         power = mul(power, g)
-        d = weak_distance_to_delta(power, omega, s.depth, group, budget=s.budget)
+        d = weak_distance_to_delta(power, omega, s.depth, group)
         rows.append((m, _frac(d), _fmt(float(d))))
     obj = {
         "rank": group.n,
@@ -604,7 +602,7 @@ COMMANDS = {
     ),
     "summability": (
         _cmd_summability,
-        "Schatten sphere sums and verdicts",
+        "Schatten sphere sums, exact even-p totals, convergence",
         dict(_COMMON, rank=None, phi=None, radius=5, epsilon=None, p=[2.0, 3.0]),
     ),
     "spectrum": (
@@ -615,7 +613,7 @@ COMMANDS = {
     ),
     "chern": (
         _cmd_chern,
-        "cyclic cocycle value with certified tail",
+        "cyclic cocycle value, exact over the whole group",
         dict(_COMMON, degree=None, rank=None, input=None, radius=4, oracle_R=None,
              oracle_m=None),
     ),

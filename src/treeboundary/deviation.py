@@ -138,29 +138,19 @@ def covariance(
 # ----------------------------------------------------------------------
 # certified sphere envelope
 
-def sphere_envelope_constant(phi: LocallyConstantFunction) -> float:
-    """K(k) with sigma(phi)(g) <= K(k) (2n-1)^(-(|g|-k)/2) for every g.
+def sigma_envelope(phi: LocallyConstantFunction, m: int) -> float:
+    """A certified bound K(k) (2n-1)^(-(m-k)/2) on sigma(phi)(g), |g| = m.
 
-    Write m = |g|, k = depth(phi).  For m >= k the set where the value of
+    Write k = depth(phi).  For m >= k the set where the value of
     phi(g .) is not pinned to phi(prefix_k(g)) is the cylinder
     [prefix_{m-k+1}(g^-1)] of mass rho = (1/2n)(2n-1)^(k-m); the pair-sum
     form of sigma^2 then gives sigma^2 <= 4 ||phi||^2 rho.  For m < k use
-    sigma <= ||phi||.  Both cases sit under
-    sqrt(2) ||phi|| sqrt(2n) (2n-1)^((k-1)/2) * (2n-1)^(-(m-k)/2).
+    sigma <= ||phi||.  Both cases sit under the bound with
+    K(k) = sqrt(2) ||phi|| sqrt(2n) (2n-1)^((k-1)/2).
     """
     n2 = 2 * phi.group.n
-    return (
-        math.sqrt(2.0)
-        * phi.sup_norm()
-        * math.sqrt(n2)
-        * (n2 - 1) ** ((phi.depth - 1) / 2.0)
-    )
-
-
-def sigma_envelope(phi: LocallyConstantFunction, m: int) -> float:
-    """The certified bound K(k) (2n-1)^(-(m-k)/2) on sigma(phi) at sphere m."""
-    n2 = 2 * phi.group.n
-    return sphere_envelope_constant(phi) * (n2 - 1) ** (-(m - phi.depth) / 2.0)
+    constant = math.sqrt(2.0) * phi.sup_norm() * math.sqrt(n2) * (n2 - 1) ** ((phi.depth - 1) / 2.0)
+    return constant * (n2 - 1) ** (-(m - phi.depth) / 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +189,16 @@ class ProfileRow(NamedTuple):
     deviation_sq: Fraction
 
 
-@dataclass
+def sphere_classes(phi: LocallyConstantFunction, m: int) -> list[ProfileClass]:
+    """The prefix classes of sphere m, each evaluated once, at one member."""
+    classes = []
+    for prefix, g, size in phi.group.prefix_classes(m, phi.depth):
+        e = expectation(phi, g)
+        classes.append(ProfileClass(m, prefix, e, _expectation_abs_sq(phi, g) - e.abs2(), size))
+    return classes
+
+
+@dataclass(eq=False)
 class DeviationProfile:
     """The prefix classes of each sphere of B_radius.
 
@@ -210,7 +209,7 @@ class DeviationProfile:
 
     phi_label: str
     radius: int
-    group: FreeGroup
+    phi: LocallyConstantFunction
     spheres: list[list[ProfileClass]]
 
     @classmethod
@@ -226,18 +225,16 @@ class DeviationProfile:
         The budget caps the ball the profile covers, although no element
         of it is enumerated here.
         """
-        group = phi.group
-        group.check_budget(budget, R=radius)
-        spheres = []
-        for m in range(radius + 1):
-            sphere = []
-            for prefix, g, size in group.prefix_classes(m, phi.depth):
-                e = expectation(phi, g)
-                sphere.append(
-                    ProfileClass(m, prefix, e, _expectation_abs_sq(phi, g) - e.abs2(), size)
-                )
-            spheres.append(sphere)
-        return cls(label, radius, group, spheres)
+        phi.group.check_budget(budget, R=radius)
+        return cls(label, radius, phi, [sphere_classes(phi, m) for m in range(radius + 1)])
+
+    @property
+    def group(self) -> FreeGroup:
+        return self.phi.group
+
+    def sphere(self, m: int) -> list[ProfileClass]:
+        """Sphere m's classes, evaluated anew past the profile's radius."""
+        return self.spheres[m] if m <= self.radius else sphere_classes(self.phi, m)
 
     def sphere_max_sq(self) -> list[Fraction]:
         """max sigma^2 per sphere, index = word length."""

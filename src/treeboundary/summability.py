@@ -1,32 +1,38 @@
-"""Summability diagnostics for deviation profiles.
+"""Summability of deviation profiles, summed exactly over the group.
 
 The boundary has Hausdorff dimension D = log(2n-1) / epsilon for the visual
 metric of parameter epsilon, and the operator-theoretic threshold of
-interest is max(2, D): profiles of non-constant functions diverge in l^2 and
-converge for exponents above the threshold.  Verdicts from finite data are
-necessarily heuristic; reports always carry the raw sphere sums so callers
-can assert ratios instead of truth of an infinite statement.
+interest is max(2, D).
 
-Sphere sums work on the profile's prefix classes with their multiplicities:
-for even integer p they are computed exactly first as rationals and
-converted once; for any other p each class's sigma^p is computed once and
-the rows' terms accumulate in canonical enumeration order with compensated
-(Kahan) summation.
+For a level-k function and |h| = m >= k, E(phi)(h) = phi(prefix_k h) + A x
+with x = (2n-1)^-m, so every covariance is a polynomial in x with no
+constant term, and past the largest depth K the |S_K| prefix classes of a
+sphere, each of size (2n-1)^(m-K), sum to a finite series in powers of x:
+``sphere_series`` sums it exactly, for the cocycle (``chern``) and for
+sigma^p at even p (powers p/2 - 1 .. p - 1).  As sigma decays like
+(2n-1)^(-m/2), the sum of sigma^p diverges iff p <= 2 and the p = 2
+constant c_0 is nonzero, that is, sigma does not vanish past depth k.
+
+Sphere sums work on the profile's prefix classes with their multiplicities,
+summed exactly and rounded once: for odd or fractional p the terms are
+each class's float sigma^p.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .words import FreeGroup
 from .boundary import VisualStructure
 from .deviation import DeviationProfile, ProfileClass
+
+T = TypeVar("T")  # an exact number: Fraction or GaussianRational
 
 
 def hausdorff_dimension(vs: VisualStructure) -> float:
@@ -37,15 +43,38 @@ def summability_threshold(vs: VisualStructure) -> float:
     return max(2.0, hausdorff_dimension(vs))
 
 
-def _kahan_sum(xs: Iterable[float]) -> float:
-    total = 0.0
-    carry = 0.0
-    for x in xs:
-        y = x - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
+def sphere_series(sphere: Callable[[int], T], q: int, K: int, lo: int, hi: int) -> T | None:
+    """The exact sum over m >= 0 of ``sphere(m)``, which for m >= K must be
+    sum_{lo <= j <= hi} c_j q^(-jm), lo >= 0.
+
+    The J = hi - lo + 1 coefficients are solved from spheres K..K+J-1, as
+    the polynomial S(m) q^(lo m) in y = q^-m by Newton divided differences,
+    and must predict sphere K+J exactly: a mismatch (a wrong K or power
+    range) raises AssertionError.  Returns sum_{m<K} S(m) +
+    sum_j c_j q^(-jK) / (1 - q^-j), or None when the sum diverges (c_0 != 0).
+    """
+    J = hi - lo + 1
+    ys = [Fraction(1, q**m) for m in range(K, K + J + 1)]
+    values = [sphere(m) * q ** (lo * m) for m in range(K, K + J + 1)]
+    coef = values[:J]
+    for level in range(1, J):
+        for i in range(J - 1, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (ys[i] - ys[i - level])
+    # expand the Newton form into c_lo..c_hi, and evaluate it at y_{K+J}
+    c, predicted = [coef[-1]], coef[-1]
+    for i in range(J - 2, -1, -1):
+        predicted = predicted * (ys[J] - ys[i]) + coef[i]
+        c = [coef[i] - c[0] * ys[i]] + [c[t - 1] - c[t] * ys[i] for t in range(1, len(c))] + [c[-1]]
+    if predicted != values[J]:
+        raise AssertionError(
+            f"sphere {K + J} is off the series in powers {lo}..{hi} of spheres {K}..{K + J - 1}"
+        )
+    if any(cj for j, cj in enumerate(c, lo) if j <= 0):
+        return None
+    head = sum((sphere(m) for m in range(K)), values[0] * 0)
+    # sum_{m >= K} q^(-jm) = 1 / (q^(j(K-1)) (q^j - 1))
+    tail = (cj * Fraction(1, q ** (j * (K - 1)) * (q**j - 1)) for j, cj in enumerate(c, lo) if j)
+    return sum(tail, head)
 
 
 @dataclass
@@ -56,11 +85,12 @@ class SummabilityReport:
     sphere_sums: list[float]          # index m = 0..radius
     partial_sum: float
     tail_ratios: list[float]          # consecutive nonzero sphere-sum ratios
-    verdict: str                      # converging | diverging | inconclusive
+    verdict: str                      # converging | diverging
     threshold: float
+    total: Fraction | None = None     # even p: the exact sum, None if it diverges
 
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "phi": self.phi_label,
             "p": self.p,
             "radius": self.radius,
@@ -70,38 +100,40 @@ class SummabilityReport:
             "verdict": self.verdict,
             "threshold": self.threshold,
         }
+        if _even(self.p):
+            total = self.total
+            obj["total_exact"] = None if total is None else f"{total.numerator}/{total.denominator}"
+        return obj
+
+
+def _even(p: float) -> bool:
+    return p == int(p) and int(p) % 2 == 0
+
+
+def exact_sphere_sum(classes: Sequence[ProfileClass], half: int) -> Fraction:
+    """sum of sigma^(2 half) over the rows of one sphere, given as its
+    classes, exact."""
+    return sum((c.multiplicity * c.deviation_sq**half for c in classes), Fraction(0))
 
 
 def _sphere_sum(classes: Sequence[ProfileClass], p: float) -> float:
-    """sum of sigma^p over the rows of one sphere, given as its classes.
+    """sum of sigma^p over the rows of one sphere, given as its classes: for
+    odd or fractional p, the exact sum of each class's float sigma^p times
+    its multiplicity, rounded once."""
+    if _even(p):
+        return float(exact_sphere_sum(classes, int(p) // 2))
+    terms = (Fraction(float(c.deviation_sq) ** (p / 2.0)) * c.multiplicity for c in classes)
+    return float(sum(terms, Fraction(0)))
 
-    Even p: the exact rational sum of multiplicity * (sigma^2)^(p/2),
-    converted once.  Any other p: each class's float sigma^p once, then a
-    Kahan sum over the rows in canonical order (each class a run of
-    ``multiplicity`` equal terms), bitwise the row-by-row sum.
-    """
-    if p == int(p) and int(p) % 2 == 0:
-        half = int(p) // 2
-        return float(sum((c.multiplicity * c.deviation_sq**half for c in classes), Fraction(0)))
-    return _kahan_sum(
-        chain.from_iterable(
-            repeat(float(c.deviation_sq) ** (p / 2.0), c.multiplicity) for c in classes
-        )
+
+@functools.lru_cache(maxsize=4)
+def _even_total(profile: DeviationProfile, p: int) -> Fraction | None:
+    """The exact sum of sigma^p over the group, p even, once per profile:
+    K = max(depth(phi), 1) and powers p/2 - 1 .. p - 1."""
+    return sphere_series(
+        lambda m: exact_sphere_sum(profile.sphere(m), p // 2),
+        2 * profile.group.n - 1, max(profile.phi.depth, 1), p // 2 - 1, p - 1,
     )
-
-
-def _verdict(sphere_sums: Sequence[float], ratios: Sequence[float]) -> str:
-    """The trend of the last three ratios; one within 5% of 1 is no trend."""
-    if all(s == 0.0 for s in sphere_sums):
-        return "converging"
-    if len(ratios) < 3:
-        return "inconclusive"
-    last = ratios[-3:]
-    if all(r < 0.95 for r in last):
-        return "converging"
-    if all(r > 1.05 for r in last):
-        return "diverging"
-    return "inconclusive"
 
 
 def lp_report(profile: DeviationProfile, p: float, vs: VisualStructure) -> SummabilityReport:
@@ -110,19 +142,18 @@ def lp_report(profile: DeviationProfile, p: float, vs: VisualStructure) -> Summa
     if p <= 0:
         raise ValueError("p must be positive")
     sums = [_sphere_sum(classes, p) for classes in profile.spheres]
-    ratios = []
-    for prev, cur in zip(sums, sums[1:]):
-        if prev > 0.0 and cur > 0.0:
-            ratios.append(cur / prev)
+    ratios = [cur / prev for prev, cur in zip(sums, sums[1:]) if prev > 0.0 and cur > 0.0]
+    diverging = p <= 2 and _even_total(profile, 2) is None
     return SummabilityReport(
         phi_label=profile.phi_label,
         p=p,
         radius=profile.radius,
         sphere_sums=sums,
-        partial_sum=_kahan_sum(sums),
+        partial_sum=math.fsum(sums),
         tail_ratios=ratios,
-        verdict=_verdict(sums, ratios),
+        verdict="diverging" if diverging else "converging",
         threshold=summability_threshold(vs),
+        total=_even_total(profile, int(p)) if _even(p) else None,
     )
 
 

@@ -48,6 +48,7 @@ from .deviation import (
 from .functions import QQ_I, LocallyConstantFunction, random_unit_function
 from .summability import (
     dplus_surrogate_check,
+    exact_sphere_sum,
     hausdorff_dimension,
     lp_report,
     summability_threshold,
@@ -247,10 +248,7 @@ def _summability(ctx: VerifyContext) -> tuple[bool, str]:
     # sigma^2(1_[a])(e) = mu[a] (1 - mu[a]), mu[a] = 1/2n: the p=2 sphere
     # sums start there at m = 0 and rise towards 1/n
     witness = Fraction(2 * group.n - 1, 4 * group.n**2)
-    sums = [
-        sum((c.multiplicity * c.deviation_sq for c in sphere), Fraction(0))
-        for sphere in profile.spheres
-    ]
+    sums = [exact_sphere_sum(sphere, 1) for sphere in profile.spheres]
     if min(sums) < witness:
         return False, f"p=2 sphere sum {min(sums)} below the divergence witness {witness}"
     surrogate = dplus_surrogate_check(group, vs, radius)
@@ -364,13 +362,11 @@ def _chern(ctx: VerifyContext) -> tuple[bool, str]:
     e = IDENTITY
     a, b, A, B = Word((0,)), Word((2,)), Word((1,)), Word((3,))
 
-    symmetric = chern_mod.CocycleInput(3, [(ind[0], e)] * 4)
-    if chern_mod.cocycle_value(symmetric, 3, budget=ctx.budget).exact_partial:
-        return False, "identical-argument cocycle is not exactly 0"
-    vanishing = chern_mod.CocycleInput(3, [(ind[0], a), (ind[1], e), (ind[0], e), (ind[1], e)])
-    cv = chern_mod.cocycle_value(vanishing, 3, budget=ctx.budget)
-    if cv.exact_partial or cv.tail_bound != 0.0:
-        return False, "nontrivial-product cocycle did not vanish exactly"
+    off = [(ind[0], a), (ind[1], e), (ind[0], e), (ind[1], e)]
+    for name, terms in (("identical-argument", [(ind[0], e)] * 4), ("nontrivial-product", off)):
+        cv = chern_mod.cocycle_value(chern_mod.CocycleInput(3, terms), 3, budget=ctx.budget)
+        if cv.exact_partial or cv.total:
+            return False, f"{name} cocycle: partial sum or total not exactly 0"
 
     trunc = ops.Truncation(group, 2, 3)
     terms = [(ind[0], a), (ind[2], A), (ind[1], b), (ind[3], B)]

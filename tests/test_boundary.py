@@ -194,6 +194,25 @@ def test_weak_distance_exact_geometric_decay():
         assert d == 2 * Fraction(1, 4) * Fraction(1, 3) ** (m - 1)
 
 
+def test_weak_distance_equals_the_depth_k_table_sum():
+    # the oracle: sum |g_*mu([w]) - delta_omega([w])| over the whole depth-k
+    # table of the pushforward, for omega = g x^inf (which follows g) and
+    # omega = b^inf
+    rng = random.Random(5)
+    cases = 0
+    for group in (F2, F3):
+        for depth in range(1, 7 if group is F2 else 5):
+            for g in rng.sample(group.ball(4), 3):
+                x = next(x for x in range(2 * group.n) if not g.letters or x != g.letters[-1] ^ 1)
+                for omega in (BoundaryPoint(g, Word((x,))), BoundaryPoint(IDENTITY, Word((2,)))):
+                    target = omega.prefix(depth)
+                    table = pushforward(g, depth, group).table
+                    want = sum((abs(m - (w == target)) for w, m in table.items()), Fraction(0))
+                    assert weak_distance_to_delta(g, omega, depth, group) == want
+                    cases += 1
+    assert cases == 60
+
+
 def test_weak_distance_depth_validation():
     omega = BoundaryPoint(IDENTITY, F2.word("a"))
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Cyclic cocycle values: exact partial sums, certified tails, trace oracle."""
+"""Cyclic cocycle values: exact partial sums, exact totals, trace oracle."""
 
 import dataclasses
 import json
@@ -27,6 +27,7 @@ from treeboundary import (
     mul,
     pushforward_mass,
     shifted_functions,
+    sphere_series,
     trace_identity,
     trace_oracle_dense,
     trace_oracle_report,
@@ -61,8 +62,7 @@ def test_vanishing_when_product_not_identity():
     cv = cocycle_value(inp, 3)
     assert cv.value == 0j
     assert cv.exact_partial == QQ_ZERO
-    assert cv.tail_bound == 0.0
-    assert cv.certified
+    assert cv.total == QQ_ZERO
 
 
 def test_identical_argument_symmetry_exact_zero():
@@ -79,6 +79,7 @@ def test_identical_argument_symmetry_exact_zero():
     cv = cocycle_value(inp, 4)
     assert cv.exact_partial == QQ_ZERO
     assert cv.value == 0j
+    assert cv.total == QQ_ZERO
 
 
 def test_frozen_partial_sums():
@@ -87,8 +88,8 @@ def test_frozen_partial_sums():
     assert cv4.exact_partial == GaussianRational(Fraction(52003, 3779136))
     cv5 = cocycle_value(inp, 5)
     assert cv5.exact_partial == GaussianRational(Fraction(470935, 34012224))
-    assert cv5.tail_bound < cv4.tail_bound
-    assert cv4.certified and cv5.certified
+    # the sum over the whole group does not depend on the radius
+    assert cv4.total == cv5.total == GaussianRational(Fraction(1, 72))
 
 
 def test_frozen_complex_partial():
@@ -107,25 +108,16 @@ def test_multilinearity_exact():
     assert b == GaussianRational(Fraction(3, 7)) * a
 
 
-def test_sphere_bounds_dominate_observed():
-    inp = CocycleInput(3, REGRESSION_TERMS)
-    cv = cocycle_value(inp, 5)
-    assert len(cv.sphere_abs) == 6
-    for observed, bound in zip(cv.sphere_abs, cv.sphere_bounds):
-        assert observed <= bound + 1e-12
-    # bounds decay geometrically at ratio 1/3 for degree 3 in F_2
-    for prev, cur in zip(cv.sphere_bounds[1:], cv.sphere_bounds[2:]):
-        assert cur == pytest.approx(prev / 3.0, rel=1e-12)
-
-
-def test_degree_one_never_certified():
+def test_degree_one_total_is_exactly_zero():
+    # degree 1 allows a constant term in the sphere series, but the pairing
+    # is symmetric, cov(psi_0, psi_1) = cov(psi_1, psi_0), so every summand
+    # and the total vanish exactly
     inp = CocycleInput(
-        1, [(IND["a"], F2.word("a")), (IND["b"], F2.word("A"))]
+        1, [(QQ_I * IND["a"] + IND["b"], F2.word("a")), (IND["b"], F2.word("A"))]
     )
     cv = cocycle_value(inp, 3)
-    assert math.isinf(cv.tail_bound)
-    assert not cv.certified
-    assert cv.exact_partial is not None  # the partial sum itself is fine
+    assert cv.spheres == [QQ_ZERO] * 4
+    assert cv.total == QQ_ZERO
 
 
 def test_input_validation():
@@ -248,13 +240,16 @@ def test_trace_complex_input_locks_bilinear_pairing():
     assert abs(cv.value.imag) > 1e-3  # the lock is non-vacuous
 
 
-def test_cyclicity_within_tails():
-    # rotating the arguments changes the partial sums only within the
-    # combined certified tails
-    rotated = REGRESSION_TERMS[1:] + REGRESSION_TERMS[:1]
-    cv = cocycle_value(CocycleInput(3, REGRESSION_TERMS), 5)
+@pytest.mark.parametrize("terms", [REGRESSION_TERMS, COMPLEX_TERMS], ids=["real", "complex"])
+def test_cyclicity_negates_the_total(terms):
+    # the cyclic-cocycle sign (-1)^n: rotating the arguments by one
+    # negates the sum over the whole group exactly, not its partial sums
+    rotated = terms[1:] + terms[:1]
+    cv = cocycle_value(CocycleInput(3, terms), 5)
     cv_rot = cocycle_value(CocycleInput(3, rotated), 5)
-    assert abs(cv.value - cv_rot.value) <= cv.tail_bound + cv_rot.tail_bound
+    assert cv.total != QQ_ZERO
+    assert cv_rot.total == -cv.total
+    assert cv_rot.exact_partial != -cv.exact_partial
 
 
 def test_report_counts():
@@ -362,13 +357,13 @@ def test_class_sums_equal_the_per_h_loop(name):
     if inp.group_product != IDENTITY:
         for r in range(radius + 1):
             cv = cocycle_value(inp, r)
-            assert (cv.exact_partial, cv.sphere_abs, cv.sphere_bounds) == (QQ_ZERO, [], [])
+            assert (cv.exact_partial, cv.spheres, cv.total) == (QQ_ZERO, [], QQ_ZERO)
         return
     sums = _per_h_sphere_sums(inp, radius)
     for r in range(radius + 1):
         cv = cocycle_value(inp, r)
         assert cv.exact_partial == sum(sums[: r + 1], QQ_ZERO)
-        assert cv.sphere_abs == [math.sqrt(float(s.abs2())) for s in sums[: r + 1]]
+        assert cv.spheres == sums[: r + 1]
     assert any(sums) == nonzero
 
 
@@ -454,6 +449,98 @@ def test_trace_identity_on_exact_blocks(terms):
     scale = math.prod(phi.sup_norm() for phi, _ in terms)
     assert identity.gap <= 1e-15 * scale
     assert identity.holds
+
+
+# the benchmark's seed-1 terms: dense depth-1 functions times a, A, b, B
+BENCHMARK_TERMS = [
+    (LocallyConstantFunction.from_json_obj({"depth": 1, "values": values}, F2), F2.word(g))
+    for g, values in (
+        ("a", {"A": ["4/7", "5/11"], "B": ["-7/13", "-9/17"], "a": ["4/5", "5/7"], "b": ["-10/11", "-11/13"]}),
+        ("A", {"A": ["1/7", "3/11"], "B": ["-11/13", "1/17"], "a": ["3/5", "-4/7"], "b": ["-7/11", "-3/13"]}),
+        ("b", {"A": ["-1/7", "-9/11"], "B": ["-10/13", "-14/17"], "a": ["4/5", "-1/7"], "b": ["1/11", "-7/13"]}),
+        ("B", {"A": ["-4/7", "6/11"], "B": ["-1/13", "-13/17"], "a": ["-3/5", "2/7"], "b": ["-10/11", "-1/13"]}),
+    )
+]
+
+
+def test_benchmark_terms_total_is_pinned():
+    cv = cocycle_value(CocycleInput(3, BENCHMARK_TERMS), 4)
+    assert cv.total == GaussianRational(
+        Fraction(5234513494351164563, 66591200218368325500),
+        Fraction(634330460324606953, 4439413347891221700),
+    )
+    # the exact tail past radius 20 is about 3.5e-11 in modulus
+    tail = cv.total - cocycle_value(CocycleInput(3, BENCHMARK_TERMS), 20, 10**10).exact_partial
+    assert 3e-11 < math.sqrt(float(tail.abs2())) < 4e-11
+
+
+SERIES_CASES = {
+    "regression": CocycleInput(3, REGRESSION_TERMS),
+    "complex": CocycleInput(3, COMPLEX_TERMS),
+    "benchmark": CocycleInput(3, BENCHMARK_TERMS),
+    "degree 5": CocycleInput(*OTHER_DEGREES["degree 5"]),
+    **{name: case[0] for name, case in CLASS_CASES.items() if case[2]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_CASES))
+def test_series_predicts_spheres_K_to_K_plus_8(name):
+    # solved from spheres start..start+J-1, the series must predict sphere
+    # start+J; sliding start from K covers spheres K+J..K+8, each predicted
+    # by the one series fitted on K..K+J-1, and the total never moves
+    inp = SERIES_CASES[name]
+    cv = cocycle_value(inp, 0)
+    summand, q = cv.summand, 2 * inp.group.n - 1
+    K, lo, hi = max(summand.depth, 1), (inp.degree - 1) // 2, inp.degree
+    assert cv.total != QQ_ZERO
+    for start in range(K, K + 9 - (hi - lo + 1)):
+        assert sphere_series(summand.sphere, q, start, lo, hi) == cv.total
+
+
+def _nudged(monkeypatch, length):
+    """The summand of one class, (aa, length), off by 1e-9."""
+    evaluate = chern.CocycleSummand._evaluate
+
+    def nudged(self, h):
+        value = evaluate(self, h)
+        if len(h) == length and h.letters[: self.depth] == (0, 0):
+            value = value + Fraction(1, 10**9)
+        return value
+
+    monkeypatch.setattr(chern.CocycleSummand, "_evaluate", nudged)
+
+
+def test_series_check_sphere_has_teeth(monkeypatch, tmp_path):
+    inp = CocycleInput(3, REGRESSION_TERMS)
+    summand = cocycle_value(inp, 0).summand
+    assert summand.depth == 2
+    # the lowest power dropped
+    with pytest.raises(AssertionError, match="sphere 4 is off the series"):
+        sphere_series(summand.sphere, 3, 2, 2, 3)
+    # one class of sphere K = 2, or of the check sphere 5, moved by 1e-9
+    for length in (2, 5):
+        monkeypatch.undo()
+        _nudged(monkeypatch, length)
+        with pytest.raises(AssertionError, match="sphere 5 is off the series"):
+            cocycle_value(inp, 1).total
+    # the CLI reads the total: an off check sphere is an invariant violation
+    terms = tmp_path / "terms.json"
+    terms.write_text(json.dumps({
+        "rank": 2,
+        "terms": [{"phi": phi.to_json_obj(), "g": word_to_str(g)} for phi, g in REGRESSION_TERMS],
+    }))
+    assert main(["chern", "--input", str(terms), "--radius", "4", "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "chern.json").exists()
+
+
+def test_series_budget_charges_its_classes():
+    from treeboundary import BudgetError
+
+    # K = 2 and powers 1..3: spheres 2..5, 4 x |S_2| = 48 classes
+    inp = CocycleInput(3, REGRESSION_TERMS)
+    with pytest.raises(BudgetError):
+        cocycle_value(inp, 0, budget=47).total
+    assert cocycle_value(inp, 0, budget=48).total == GaussianRational(Fraction(1, 72))
 
 
 def _perturbed(monkeypatch):

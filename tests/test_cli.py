@@ -85,6 +85,8 @@ def test_summability_schema(tmp_path):
     assert obj["dimension"] == "1"
     assert obj["threshold"] == "2"
     assert [r["p"] for r in obj["reports"]] == ["2", "3"]
+    assert obj["reports"][0]["verdict"] == "diverging"
+    assert obj["reports"][0]["total_exact"] is None
     assert obj["reports"][1]["verdict"] == "converging"
     # floats travel as 17-digit strings
     assert isinstance(obj["reports"][0]["sphere_sums"][0], str)
@@ -121,7 +123,9 @@ def test_chern_schema_with_oracle(tmp_path):
     assert code == 0
     obj = json.loads((tmp_path / "chern.json").read_text())
     assert obj["partial_exact"] == {"re": "52003/3779136", "im": "0/1"}
-    assert obj["certified"] is True
+    assert obj["total_exact"] == {"re": "1/72", "im": "0/1"}
+    assert obj["total"] == {"re": "0.013888888888888888", "im": "0"}
+    assert "tail_bound" not in obj and "bound" not in obj["spheres"][0]
     assert obj["oracle"]["consistent"] is True
     assert obj["group_product"] == "1"
 

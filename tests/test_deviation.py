@@ -29,7 +29,6 @@ from treeboundary import (
     mul,
     pushforward_mass,
     sigma_envelope,
-    sphere_envelope_constant,
     word_to_str,
 )
 from treeboundary.deviation import _expectation_abs_sq
@@ -228,8 +227,9 @@ def test_covariance_equals_the_fraction_oracle():
 
 
 def test_envelope_constant_closed_form():
-    # K(1) = sqrt(2) * 1 * 2 = 2 sqrt(2) for a depth-1 indicator in F_2
-    assert sphere_envelope_constant(IA) == pytest.approx(2.0 * math.sqrt(2.0))
+    # K(1) = sqrt(2) * 1 * 2 = 2 sqrt(2) for a depth-1 indicator in F_2, the
+    # envelope at sphere k = 1
+    assert sigma_envelope(IA, 1) == pytest.approx(2.0 * math.sqrt(2.0))
 
 
 def test_envelope_dominates_all_spheres():

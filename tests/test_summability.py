@@ -15,6 +15,7 @@ from treeboundary import (
     dplus_surrogate_check,
     hausdorff_dimension,
     lp_report,
+    sphere_series,
     summability_threshold,
 )
 
@@ -52,7 +53,7 @@ def test_p3_converges_p2_diverges(profile_r6):
     # sphere ratios approach 3 * 3^(-3/2) = 3^(-1/2)
     assert r3.tail_ratios[-1] == pytest.approx(3 ** -0.5, abs=0.02)
     r2 = lp_report(profile_r6, 2.0, VS2)
-    assert r2.verdict in ("diverging", "inconclusive")
+    assert r2.verdict == "diverging" and r2.total is None
     # p = 2 sphere sums approach 1/2 from below: no decay
     assert all(s >= 0.1 for s in r2.sphere_sums)
     assert r2.sphere_sums[-1] == pytest.approx(0.5, abs=0.01)
@@ -83,7 +84,7 @@ def test_constant_function_report_trivial():
     profile = DeviationProfile.compute(one, 4, label="one")
     report = lp_report(profile, 2.0, VS2)
     assert all(s == 0.0 for s in report.sphere_sums)
-    assert report.verdict == "converging"
+    assert report.verdict == "converging" and report.total == 0
 
 
 def test_decay_exponent_fit(profile_r6):
@@ -116,23 +117,17 @@ def test_report_json_shape(profile_r6):
     assert obj["verdict"] == "converging"
     assert len(obj["sphere_sums"]) == 7
     assert obj["threshold"] == 2.0
-
-
-def _kahan(xs):
-    total = carry = 0.0
-    for x in xs:
-        y = x - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
+    assert "total_exact" not in obj  # odd p
+    assert lp_report(profile_r6, 4.0, VS2).to_json_obj()["total_exact"] == "417/3328"
+    assert lp_report(profile_r6, 2.0, VS2).to_json_obj()["total_exact"] is None
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2])
 @pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
 def test_sphere_sums_match_the_row_by_row_oracle(group, depth):
     # the per-class sums against the rows of each sphere, bitwise: exact
-    # rational sums for even p, Kahan sums in canonical row order otherwise
+    # rational sums for even p, otherwise the rows' float terms summed
+    # exactly and rounded once
     rng = random.Random(group.n + 10 * depth)
     values = [0, 1, Fraction(-2, 3), 1j, (Fraction(5, 7), Fraction(-1, 3))]
     phi = LocallyConstantFunction(
@@ -151,5 +146,45 @@ def test_sphere_sums_match_the_row_by_row_oracle(group, depth):
         assert [x.hex() for x in got] == [x.hex() for x in want]
     for p in (3.0, 2.5):
         got = lp_report(profile, p, vs).sphere_sums
-        want = [_kahan(float(s) ** (p / 2.0) for s in ss) for ss in spheres]
+        want = [float(sum((Fraction(float(s) ** (p / 2.0)) for s in ss), Fraction(0))) for ss in spheres]
         assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+# the benchmark's seed-1 dense F2 function
+PHI_F2 = LocallyConstantFunction.from_json_obj(
+    {"depth": 1, "values": {
+        "A": ["-1/7", "5/11"], "B": ["12/13", "-12/17"], "a": ["2/5", "-1/7"], "b": ["-4/11", "9/13"]
+    }},
+    F2,
+)
+
+
+def _sigma_p(profile, m, half):
+    """The exact sum of sigma^(2 half) over sphere m."""
+    return sum((c.multiplicity * c.deviation_sq**half for c in profile.sphere(m)), Fraction(0))
+
+
+def test_even_p_total_is_the_limit_of_the_partial_sums():
+    total = lp_report(DeviationProfile.compute(PHI_F2, 4), 4.0, VS2).total
+    deep = DeviationProfile.compute(PHI_F2, 40, budget=10**20)
+    report = lp_report(deep, 4.0, VS2)
+    assert report.total == total
+    assert float(total) == report.partial_sum == pytest.approx(0.96933314264895, abs=1e-14)
+    # the exact tail past sphere 40
+    partial = sum((_sigma_p(deep, m, 2) for m in range(41)), Fraction(0))
+    assert 0 < total - partial < Fraction(1, 3**38)
+    # p = 2 on the dense function diverges: its sphere sums tend to 1.4536
+    l2 = lp_report(DeviationProfile.compute(PHI_F2, 8), 2.0, VS2)
+    assert l2.verdict == "diverging" and l2.total is None
+    assert l2.sphere_sums[-1] == pytest.approx(1.4536, abs=1e-3)
+
+
+def test_even_p_series_check_sphere_has_teeth():
+    # p = 4: powers 1..3 past K = depth 1; sphere 0 is off the series
+    profile = DeviationProfile.compute(PHI_F2, 4)
+    total = sphere_series(lambda m: _sigma_p(profile, m, 2), 3, 1, 1, 3)
+    assert total == lp_report(profile, 4.0, VS2).total
+    with pytest.raises(AssertionError, match="off the series"):
+        sphere_series(lambda m: _sigma_p(profile, m, 2), 3, 0, 1, 3)
+    with pytest.raises(AssertionError, match="off the series"):
+        sphere_series(lambda m: _sigma_p(profile, m, 2), 3, 1, 2, 3)
