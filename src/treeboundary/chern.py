@@ -29,12 +29,15 @@ Two independent routes to the same number:
   a product of 2x2 transfer matrices made of 2n + 2 dot products, and the
   dense matrix is never materialized (the dense budget does not apply;
   only enumeration budgets do).  The fiber blocks come from
-  ``operators.fiber_diagonal``, which evaluates (p_i h)^-1 . phi_i on the
-  depth-m cylinders, run by run of cells with one value, from phi_i's own
-  table, not from a translated table, and uses no pushforward closed form,
-  so the oracle stays independent of ``cocycle_value``.
-  ``trace_oracle_report`` enumerates B_R and walks the depth-m cells with
-  no budget of its own; callers guard both with
+  ``operators.fiber_runs``, which evaluates (p_i h)^-1 . phi_i on the
+  depth-m cylinders as a few lexicographic runs of cells with one value,
+  from phi_i's own table, not from a translated table, and uses no
+  pushforward closed form, so the oracle stays independent of
+  ``cocycle_value``.  v is constant, so each dot product with v is a sum
+  over the runs of one block and each dot product of two blocks a merge of
+  their run ends: a fiber costs O(runs), not O(dim_fiber), and no array is
+  built.  ``trace_oracle_report`` enumerates B_R with no budget of its
+  own; callers guard it and the depth-m sphere with
   ``Truncation.check_enumeration_budget``.
 
 The two routes meet one group element at a time (``trace_identity``): at
@@ -56,9 +59,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .boundary import depth_mass
 from .deviation import expectation
 from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
-from .operators import Truncation, fiber_diagonal, fiber_projection, fiber_unit
+from .operators import Truncation, fiber_diagonal, fiber_projection, fiber_runs
 from .summability import sphere_series
 from .words import DEFAULT_BUDGET, IDENTITY, BudgetError, FreeGroup, Word, mul
 
@@ -276,8 +280,37 @@ def _check_oracle_terms(inp: CocycleInput, trunc: Truncation) -> None:
             raise ValueError("term function deeper than the fiber level")
 
 
-# the 2x2 form of every commutator block, [P, diag d] = X J X^T
-_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+def _run_sum(runs: list[tuple[int, complex]]) -> complex:
+    """sum_c d_c over the cells of a run list (``fiber_runs``)."""
+    total, start = 0j, 0
+    for end, value in runs:
+        total += (end - start) * value
+        start = end
+    return total
+
+
+def _run_dot(a: list[tuple[int, complex]], b: list[tuple[int, complex]]) -> complex:
+    """sum_c a_c b_c over the cells of two run lists of one fiber: a
+    two-pointer merge of their ends."""
+    total, start = 0j, 0
+    runs_a, runs_b = iter(a), iter(b)
+    (end_a, x), (end_b, y) = next(runs_a), next(runs_b)
+    while True:
+        if end_a < end_b:
+            total += (end_a - start) * (x * y)
+            start = end_a
+            end_a, x = next(runs_a)
+        elif end_b < end_a:
+            total += (end_b - start) * (x * y)
+            start = end_b
+            end_b, y = next(runs_b)
+        else:
+            total += (end_a - start) * (x * y)
+            start = end_a
+            following = next(runs_a, None)
+            if following is None:
+                return total
+            (end_a, x), (end_b, y) = following, next(runs_b)
 
 
 def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleReport:
@@ -294,37 +327,42 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
         return TraceOracleReport(0j, 0, 0, {})
 
     suffixes = _suffix_products(inp)
-    v = fiber_unit(trunc)
-    vv = np.dot(v, v)
+    # v is constant, v_c^2 = w in every cell, so every dot product with v
+    # is w times a run sum
+    w = math.sqrt(float(depth_mass(trunc.m, trunc.group))) ** 2
+    vv = trunc.dim_fiber * w
     total = 0j
     chain_exits = 0
     inexact_blocks = 0
     traces: dict[Word, complex] = {}
+    phis = [phi for phi, _ in inp.terms]
     for h in trunc.group_basis:
         points = [mul(p, h) for p in suffixes]
-        if any(len(point) > trunc.R for point in points):
+        if max(map(len, points)) > trunc.R:
             chain_exits += 1
             continue
-        exact = all(
-            phi.depth + len(point) <= trunc.m
-            for (phi, _), point in zip(inp.terms, points)
-        )
+        exact = all(phi.depth + len(point) <= trunc.m for phi, point in zip(phis, points))
         if not exact:
             inexact_blocks += 1
         # [outer(v,v), diag(d_i)] = v y_i^T - y_i v^T = X_i J X_i^T with
         # X_i = [v, y_i], y_i = d_i * v; by cyclicity the fiber trace is
         # tr(J G_01 J G_12 ... J G_{n-1,n} J H), G_ij = X_i^T X_j and
-        # H = X_n^T (2 outer(v,v) - 1) X_0, 2x2 matrices of plain dots
-        ys = [fiber_diagonal(phi, point, trunc) * v for (phi, _), point in zip(inp.terms, points)]
-        vy = [np.dot(v, y) for y in ys]
-        product = _J
+        # H = X_n^T (2 outer(v,v) - 1) X_0, 2x2 matrices of plain dots,
+        # each a sum over the runs of the fiber blocks d_i
+        runs = [fiber_runs(phi, point, trunc) for phi, point in zip(phis, points)]
+        vy = [w * _run_sum(r) for r in runs]
+        a, b, c, e = 0.0, 1.0, -1.0, 0.0  # J = [[0, 1], [-1, 0]]
         for i in range(inp.degree):
-            gram = np.array([[vv, vy[i + 1]], [vy[i], np.dot(ys[i], ys[i + 1])]])
-            product = product @ gram @ _J
-        closing = 2.0 * np.outer([vv, vy[-1]], [vv, vy[0]]) - np.array(
-            [[vv, vy[0]], [vy[-1], np.dot(ys[-1], ys[0])]]
-        )  # H
-        trace = complex(np.trace(product @ closing))
+            # [[a, b], [c, e]] G_{i,i+1} J, G = [[vv, vy_{i+1}], [vy_i, y_i.y_{i+1}]]
+            yy = w * _run_dot(runs[i], runs[i + 1])
+            x00, x01 = a * vv + b * vy[i], a * vy[i + 1] + b * yy
+            x10, x11 = c * vv + e * vy[i], c * vy[i + 1] + e * yy
+            a, b, c, e = -x01, x00, -x11, x10
+        # H = 2 outer((vv, vy_n), (vv, vy_0)) - [[vv, vy_0], [vy_n, y_n.y_0]]
+        h00, h01 = 2.0 * vv * vv - vv, 2.0 * vv * vy[0] - vy[0]
+        h10 = 2.0 * vy[-1] * vv - vy[-1]
+        h11 = 2.0 * vy[-1] * vy[0] - w * _run_dot(runs[-1], runs[0])
+        trace = complex(a * h00 + b * h10 + c * h01 + e * h11)
         total += trace
         if exact:
             traces[h] = trace

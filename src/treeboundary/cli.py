@@ -32,7 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .boundary import BoundaryPoint, VisualStructure, weak_distance_to_delta
+from .boundary import BoundaryPoint, VisualStructure, pushforward_weights
 from .chern import CocycleInput, cocycle_value, trace_identity, trace_oracle_report
 from .deviation import DeviationProfile
 from .functions import LocallyConstantFunction
@@ -51,7 +51,7 @@ from .summability import (
     summability_threshold,
 )
 from .verify import VerifyContext, run_all
-from .words import DEFAULT_BUDGET, BudgetError, FreeGroup, IDENTITY, Word, mul, word_to_str
+from .words import DEFAULT_BUDGET, BudgetError, FreeGroup, IDENTITY, Word, word_to_str
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -350,6 +350,7 @@ def _cmd_deviation(s: argparse.Namespace) -> int:
     if s.phi is None:
         raise ValueError("deviation needs --phi FILE")
     phi, label = _function(s)
+    phi.group.check_budget(s.budget, R=s.radius)  # the writers expand every row of B_R
     profile = DeviationProfile.compute(phi, s.radius, label=label, budget=s.budget)
     out = _out_dir(s)
     with (out / "deviation.json").open("w") as fp:
@@ -526,13 +527,14 @@ def _cmd_furstenberg(s: argparse.Namespace) -> int:
     g = group.word(s.g)
     if g.is_identity:
         raise ValueError("the driving element must not be the identity")
-    omega = BoundaryPoint(IDENTITY, g)
+    omega = BoundaryPoint(IDENTITY, g)  # checks that g is cyclically reduced
     _check_powers(group, len(g), s)
     rows = []
-    power = IDENTITY
     for m in range(1, s.max_power + 1):
-        power = mul(power, g)
-        d = weak_distance_to_delta(power, omega, s.depth, group)
+        # g^m is the prefix of omega = g^inf of length m|g|, so it shares
+        # min(m|g|, depth) letters with prefix_depth(omega); no power is built
+        total, weights = pushforward_weights(m * len(g), s.depth, group)
+        d = 2 * (1 - Fraction(weights[min(m * len(g), s.depth)], total))
         rows.append((m, _frac(d), _fmt(float(d))))
     obj = {
         "rank": group.n,

@@ -17,10 +17,11 @@ statistic makes one pair of Fractions at the end.
 ``deviation_sq_pairsum`` recomputes sigma^2 through the double-integral
 formula (1/2) iint |phi(gx) - phi(gy)|^2 dmu dmu on the common refinement of
 depth k + |g|, where the action is cylinder-constant: it counts the cells
-of each value along ``FreeGroup.product_runs``, the walk of the tree action
-on cells that operator fibers also read, and uses no pushforward closed
-form.  The two routes must agree exactly and tests enforce that agreement
-as a hard identity.
+outside the cancellation cylinder by arithmetic and those inside along
+``FreeGroup.product_runs``, the walk of the tree action on cells that
+operator fibers also read, and uses no pushforward closed form.  The two
+routes must agree exactly and tests enforce that agreement as a hard
+identity.
 
 Prefix classes: the pushforward mass of a depth-k cylinder [w] under g
 depends on g only through |g| and the common prefix length of g and w (see
@@ -49,7 +50,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import IO, Callable, NamedTuple
 
-from .words import DEFAULT_BUDGET, FreeGroup, Word, common_prefix_len, word_to_str
+from .words import DEFAULT_BUDGET, BudgetError, FreeGroup, Word, common_prefix_len, word_to_str
 from .boundary import depth_mass, pushforward_weights
 from .functions import GaussianRational, LocallyConstantFunction
 
@@ -107,16 +108,21 @@ def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
     prefix of the reduced product g u, so the double integral collapses to
     a finite sum over distinct value pairs weighted by their masses.
 
-    The cells are counted by that prefix along the runs of
-    ``FreeGroup.product_runs(g, k, k + |g|)``, and each prefix is then
+    The cells are counted by that prefix: those outside the cancellation
+    cylinder [q] of ``FreeGroup.cancellation_cylinder`` all have g[:k] and
+    are counted by arithmetic, those of [q] along the runs of
+    ``FreeGroup.product_runs(g, k, k + |g|, q)``; each prefix is then
     mapped to its value once.
     """
     group = phi.group
-    d = phi.depth + len(g)
+    k = phi.depth
+    d = k + len(g)
     group.check_budget(DEFAULT_BUDGET, m=d)
     sizes = group.run_sizes(d)
-    prefixes: dict[tuple[int, ...], int] = {}
-    for p, key in group.product_runs(g, phi.depth, d):
+    q, _ = group.cancellation_cylinder(g, k, d)
+    outside = sizes[0] - sizes[len(q)]
+    prefixes: dict[tuple[int, ...], int] = {g.letters[:k]: outside} if outside else {}
+    for p, key in group.product_runs(g, k, d, q):
         prefixes[key] = prefixes.get(key, 0) + sizes[len(p)]
     counts: dict[GaussianRational, int] = {}
     for key, c in prefixes.items():
@@ -222,10 +228,15 @@ class DeviationProfile:
     ) -> "DeviationProfile":
         """One evaluation per prefix class of each sphere of B_radius.
 
-        The budget caps the ball the profile covers, although no element
-        of it is enumerated here.
+        The budget caps the number of classes evaluated; no element of the
+        ball is enumerated here, so |B_R| is charged only by the callers
+        that expand the rows (the ``deviation`` writers).
         """
-        phi.group.check_budget(budget, R=radius)
+        classes = phi.group.prefix_class_count(radius, phi.depth)
+        if classes > budget:
+            raise BudgetError(
+                classes, budget, f"a profile of {classes} prefix classes exceeds budget {budget}"
+            )
         return cls(label, radius, phi, [sphere_classes(phi, m) for m in range(radius + 1)])
 
     @property

@@ -18,11 +18,14 @@ Every operator here is block-structured over h in B_R: P = I x outer(v, v)
 with v = ``fiber_unit``, the constant unit vector of the fiber, made from
 depth_mass(m) alone; lambda(phi) is block-diagonal with diagonal blocks, and
 lambda(g) permutes blocks with zero padding.  Every fiber is read one way:
-the diagonal block at h (``fiber_diagonal``) takes phi's own table along the
-runs of ``FreeGroup.product_runs``, which give each depth-m cylinder c the
-key prefix_k(h c), or the exact average over its extensions where no key
-is fixed; no translated table is built, and P(eta) reads eta as the block
-at the identity.  Every identity and inequality here is checked block by
+the diagonal block at h is a list of lexicographic runs of cells with one
+value (``fiber_runs``), read off phi's own table: every cell outside one
+cancellation cylinder has the key h[:k], and inside it the runs of
+``FreeGroup.product_runs`` give each depth-m cylinder c the key
+prefix_k(h c), or the exact average over its extensions where no key is
+fixed.  ``fiber_diagonal`` expands the runs into the dense vector; no
+translated table is built, and P(eta) reads eta as the block at the
+identity.  Every identity and inequality here is checked block by
 block and never holds a matrix larger than dim_fiber x dim_fiber; the Pi
 identity and the Pi(a) delta_h norms need no matrix at all, as
 Pi_h = outer(u, v) is read from the fiber vector u (``_off_constants``).
@@ -130,6 +133,74 @@ def fiber_projection(trunc: Truncation) -> np.ndarray:
     return np.outer(v, v).astype(complex)
 
 
+def _same(a: complex, b: complex) -> bool:
+    """Bitwise equality of two finite complex values: == and the same sign
+    on every zero part."""
+    return (
+        a == b
+        and math.copysign(1.0, a.real) == math.copysign(1.0, b.real)
+        and math.copysign(1.0, a.imag) == math.copysign(1.0, b.imag)
+    )
+
+
+def fiber_runs(
+    phi: LocallyConstantFunction, h: Word, trunc: Truncation
+) -> list[tuple[int, complex]]:
+    """The fiber diagonal at h (``fiber_diagonal``) as lexicographic runs
+    (end, value): the cells from the previous run's end (0 for the first)
+    up to ``end`` all take ``value``, and adjacent runs differ in value.
+
+    Every cell outside the cancellation cylinder [q] of
+    ``FreeGroup.cancellation_cylinder(h, k, m)``, k = depth(phi), takes
+    phi(h[:k]), so those cells are at most two runs, counted by arithmetic;
+    only the cells of [q] are walked, along ``FreeGroup.product_runs(h, k,
+    m, q)``, each run taking phi(prefix_k(h c)).  A cell whose key is not
+    fixed takes the exact average of phi(h .) over its extensions to depth
+    k + |h| (``_extension_average``).  A depth-1 block has at most 2n + 1
+    runs.
+    """
+    k, m = phi.depth, trunc.m
+    group = trunc.group
+    as_complex = phi.letter_complex
+    sizes = group.run_sizes(m)
+    q, start = group.cancellation_cylinder(h, k, m)
+    pieces = [(start, as_complex[h.letters[:k]])] if start else []
+    end = start
+    for p, key in group.product_runs(h, k, m, q):
+        if key is None:
+            end += 1
+            pieces.append((end, _extension_average(phi, h, p)))
+        else:
+            end += sizes[len(p)]
+            pieces.append((end, as_complex[key]))
+    if end < sizes[0]:
+        pieces.append((sizes[0], as_complex[h.letters[:k]]))
+    out = pieces[:1]
+    for end, value in pieces[1:]:
+        if _same(value, out[-1][1]):
+            out[-1] = (end, value)
+        else:
+            out.append((end, value))
+    return out
+
+
+def _extension_average(phi: LocallyConstantFunction, h: Word, c: tuple[int, ...]) -> complex:
+    """The exact average of phi(h .) over the depth-m cell c, read from the
+    runs under it at depth k + |h|, where every key is fixed, as integer
+    cell counts times phi's Gaussian-integer numerators; each part is one
+    correctly rounded integer division."""
+    group = phi.group
+    den, numerators = phi.numerators
+    deep = group.run_sizes(phi.depth + len(h))
+    re = im = 0
+    for u, key in group.product_runs(h, phi.depth, len(deep) - 1, c):
+        (a, b), n = numerators[key], deep[len(u)]
+        re += a * n
+        im += b * n
+    count = den * deep[len(c)]
+    return complex(re / count, im / count)
+
+
 def fiber_diagonal(
     phi: LocallyConstantFunction, h: Word, trunc: Truncation
 ) -> np.ndarray:
@@ -137,35 +208,12 @@ def fiber_diagonal(
 
     Multiplication by a function preserves every cylinder, so the compression
     is always diagonal; the entry at c is the conditional average of
-    h^{-1}.phi over c, i.e. of phi(h .) over [c].
-
-    Each entry is read off phi's own table along the runs of
-    ``FreeGroup.product_runs(h, k, m)``, k = depth(phi): a run's cells all
-    take the value phi(prefix_k(h c)).  A cell whose key is not fixed takes
-    the exact average of phi(h .) over its extensions to depth k + |h|, read
-    from the runs under it at that depth as integer cell counts times phi's
-    Gaussian-integer numerators, and converted once.
+    h^{-1}.phi over c, i.e. of phi(h .) over [c].  It is the dense expansion
+    of ``fiber_runs(phi, h, trunc)``, cell by cell.
     """
-    k, m = phi.depth, trunc.m
-    group = trunc.group
-    d = k + len(h)  # every key is fixed at this depth
-    as_complex = phi.letter_complex
-    den, numerators = phi.numerators
-    sizes, deep = group.run_sizes(m), group.run_sizes(d)
-    out: list[complex] = []
-    for p, key in group.product_runs(h, k, m):
-        if key is not None:
-            out.extend([as_complex[key]] * sizes[len(p)])
-            continue
-        re = im = 0
-        for u, ukey in group.product_runs(h, k, d, p):
-            (a, b), n = numerators[ukey], deep[len(u)]
-            re += a * n
-            im += b * n
-        # the average over the deep[m] cells under c, each part one
-        # correctly rounded integer division
-        out.append(complex(re / (den * deep[m]), im / (den * deep[m])))
-    return np.array(out, dtype=complex)
+    runs = fiber_runs(phi, h, trunc)
+    values = np.array([value for _, value in runs], dtype=complex)
+    return np.repeat(values, np.diff([0] + [end for end, _ in runs]))
 
 
 def projection_P(trunc: Truncation, budget: int = OPERATOR_BUDGET) -> TruncatedOperator:

@@ -14,7 +14,10 @@ Words serialize as strings over ``a..z`` (generators) and ``A..Z``
 prefix, the unit that deviation profiles and cocycle sums are built from.
 ``FreeGroup.product_runs`` is the one walk of the tree action on cells: it
 splits the depth-m cells c into lexicographic runs that share the key
-prefix_k(h c), which operator fibers and the pair-sum deviation read.
+prefix_k(h c), which operator fibers and the pair-sum deviation read.  It
+need only walk one cylinder: every cell outside the cancellation cylinder
+``FreeGroup.cancellation_cylinder`` has the key h[:k], so those cells are
+one or two intervals counted by arithmetic.
 
 Everything here is immutable and every operation is a pure function, so the
 module is safe to use from concurrent contexts.  Sphere enumeration can be
@@ -231,6 +234,12 @@ class FreeGroup:
         if count > budget:
             raise BudgetError(count, budget)
 
+    def prefix_class_count(self, R: int, k: int) -> int:
+        """The number of prefix classes (prefix_k g, |g|) in B_R: sum over
+        m <= R of |S_min(m,k)|, from the radii alone."""
+        t = min(R, k)
+        return self.growth_count(t) + (R - t) * self.sphere_count(t)
+
     def prefix_classes(self, m: int, k: int) -> Iterator[tuple[tuple[int, ...], Word, int]]:
         """The classes of sphere m under g ~ g' iff prefix_k g = prefix_k g',
         lexicographic: (prefix, member, size) for each.
@@ -243,6 +252,30 @@ class FreeGroup:
         size = self.sphere_count(m) // self.sphere_count(k)
         for prefix in self.iter_sphere_letters(k):
             yield prefix, Word(prefix + (prefix[-1] if prefix else 0,) * (m - k)), size
+
+    def lex_rank(self, p: tuple[int, ...]) -> int:
+        """The position of the reduced letter tuple p in the lexicographic
+        sphere |p|: each letter passes the letters below it that may follow
+        the one before, each heading a (2n-1)-ary subtree."""
+        q, rank, last = 2 * self.n - 1, 0, None
+        for x in p:
+            rank = rank * q + x - (last is not None and (last ^ 1) < x)
+            last = x
+        return rank
+
+    def cancellation_cylinder(self, h: Word, k: int, m: int) -> tuple[tuple[int, ...], int]:
+        """(q, start): every depth-m cell c outside [q] has key
+        prefix_k(h c) = h[:k], and the run_sizes(m)[|q|] cells of [q] are
+        the ones from lexicographic position ``start`` on.
+
+        q = h^-1[:t], t = max(0, min(|h| - k + 1, |h|, m)): outside [q]
+        fewer than t letters of c cancel against h, and t <= |h| - k + 1,
+        so h c keeps at least k letters of h.
+        """
+        L = len(h)
+        t = max(0, min(L - k + 1, L, m))
+        q = tuple(x ^ 1 for x in reversed(h.letters[L - t :]))
+        return q, self.lex_rank(q) * self.run_sizes(m)[t]
 
     def product_runs(
         self, h: Word, k: int, m: int, prefix: tuple[int, ...] = ()
@@ -259,7 +292,8 @@ class FreeGroup:
         |h c| < k) is its own run, with key None; at m = k + |h| no such
         cell exists.
         """
-        a, ainv = h.letters, h.inverse().letters
+        a = h.letters
+        ainv = tuple(x ^ 1 for x in reversed(a))
         L = len(a)
         follow, letters = self.follow, range(2 * self.n)
         out: list[tuple[tuple[int, ...], tuple[int, ...] | None]] = []

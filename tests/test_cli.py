@@ -170,6 +170,44 @@ def test_furstenberg_exact_rows(tmp_path):
     ]
 
 
+def test_profile_budget_charges_classes_and_the_writers_the_ball(tmp_path, capsys):
+    # |B_20| is about 7e9, past the default budget of 10^7; summability
+    # evaluates the 81 prefix classes of B_20, while deviation writes one row
+    # for every element
+    phi = ["--phi", write_phi(tmp_path)]
+    argv = ["summability", *phi, "--R", 20, "--p", 2, "--p", 2.5, "--p", 3]
+    assert run_cli([*argv, "--out", tmp_path / "s"]) == 0
+    obj = json.loads((tmp_path / "s" / "summability.json").read_text())
+    assert [len(r["sphere_sums"]) for r in obj["reports"]] == [21, 21, 21]
+    capsys.readouterr()
+    assert run_cli(["deviation", *phi, "--R", 20, "--out", tmp_path / "d"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+    # 1 + 4 x 20 = 81 classes against a budget of 80
+    assert run_cli([*argv, "--budget", 80, "--out", tmp_path / "b"]) == 3
+    assert "81 prefix classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rank, g, depth", [(2, "a", 1), (2, "aB", 3), (3, "aBc", 7), (2, "ab", 12)]
+)
+def test_furstenberg_rows_match_the_powers(tmp_path, rank, g, depth):
+    # the report builds no power; the oracle multiplies g^m out and reads
+    # the pushforward mass of the endpoint's depth-k cylinder
+    from treeboundary import BoundaryPoint, IDENTITY, mul, weak_distance_to_delta
+
+    args = ["--n", rank, "--g", g, "--max-power", 12, "--depth", depth]
+    assert run_cli(["furstenberg", *args, "--out", tmp_path]) == 0
+    group = FreeGroup(rank)
+    omega, power, want = BoundaryPoint(IDENTITY, group.word(g)), IDENTITY, []
+    for _ in range(12):
+        power = mul(power, group.word(g))
+        d = weak_distance_to_delta(power, omega, depth, group)
+        want.append(f"{d.numerator}/{d.denominator}")
+    obj = json.loads((tmp_path / "furstenberg.json").read_text())
+    assert [r["distance"] for r in obj["rows"]] == want
+
+
 def test_furstenberg_rejects_identity(tmp_path):
     assert run_cli(["furstenberg", "--g", "1", "--out", tmp_path]) == 2
 

@@ -348,8 +348,17 @@ def test_profile_json_shape():
 def test_profile_budget():
     from treeboundary import BudgetError
 
-    with pytest.raises(BudgetError):
-        DeviationProfile.compute(IA, 9, budget=1000)
+    # the budget charges the 1 + 9 x 4 = 37 prefix classes of B_9, not
+    # the 14,581 elements that no profile enumerates
+    assert F2.prefix_class_count(9, 1) == 37
+    assert sum(len(s) for s in DeviationProfile.compute(IA, 9, budget=37).spheres) == 37
+    with pytest.raises(BudgetError, match="37 prefix classes"):
+        DeviationProfile.compute(IA, 9, budget=36)
+    # a depth-3 function: 1 + 4 + 12 + 36 x 7 classes at radius 9
+    assert F2.prefix_class_count(9, 3) == 269 == sum(
+        F2.sphere_count(min(m, 3)) for m in range(10)
+    )
+    assert F2.prefix_class_count(2, 3) == F2.growth_count(2)
 
 
 # a label that JSON must escape: a quote, a backslash and a non-ASCII letter

@@ -1,5 +1,6 @@
 """Finite truncations of the regular representation and their identities."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -243,6 +244,106 @@ def test_fiber_diagonal_matches_translated_tables(rank, depth, m):
         )
         for h in hs
     )
+
+
+def _reduced(a, b):
+    """The reduced product of two reduced letter tuples."""
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1] == b[j] ^ 1:
+        i, j = i - 1, j + 1
+    return a[:i] + b[j:]
+
+
+def _cell_by_cell(phi, h, m, table):
+    """The fiber diagonal at h, one cell c at a time: phi at the key
+    mul(h, c)[:k], or, where the key is not fixed (k >= 1 and all of c
+    cancels, or |h c| < k), the exact average of phi(h .) over the
+    extensions of c, the mean of its children's averages."""
+    group, k, a = phi.group, phi.depth, h.letters
+
+    def average(c):
+        r = _reduced(a, c)
+        if (k >= 1 and len(r) == len(a) - len(c)) or len(r) < k:
+            children = [average(c + (y,)) for y in group.follow[c[-1]]]
+            return sum(children, QQ_ZERO) * Fraction(1, len(children))
+        return phi.values[Word(r[:k])]
+
+    out = []
+    for c in group.iter_sphere_letters(m):
+        r = _reduced(a, c)
+        if (k >= 1 and len(r) == len(a) - m) or len(r) < k:
+            out.append(average(c).to_complex())
+        else:
+            out.append(table[r[:k]])
+    return np.array(out, dtype=complex)
+
+
+def _fiber_runs_mismatches(group, radius, depth, m):
+    """Check ``fiber_runs`` at every h in B_radius on a complex function of
+    the depth with three values, so that runs of different keys can merge;
+    return the blocks whose expansion is not byte-equal to
+    ``_cell_by_cell``."""
+    rng = random.Random(100 * group.n + 10 * depth + m)
+    values = [
+        QQ_ZERO, GaussianRational(Fraction(1)), GaussianRational(Fraction(1, 3), Fraction(-2, 7))
+    ]
+    phi = LocallyConstantFunction(
+        group, depth, {w: rng.choice(values) for w in group.sphere(depth)}
+    )
+    table = {w.letters: v.to_complex() for w, v in phi.values.items()}
+    trunc = Truncation(group, 0, m)
+    bad = []
+    for h in group.iter_ball(radius):
+        runs = operators.fiber_runs(phi, h, trunc)
+        ends = [end for end, _ in runs]
+        assert ends == sorted(set(ends)) and ends[-1] == trunc.dim_fiber
+        # adjacent runs differ in value
+        assert all(x != y for (_, x), (_, y) in zip(runs, runs[1:]))
+        if depth == 1:
+            assert len(runs) <= 2 * group.n + 1, (h, runs)
+        got = np.repeat(np.array([v for _, v in runs], dtype=complex), np.diff([0] + ends))
+        if got.tobytes() != _cell_by_cell(phi, h, m, table).tobytes():
+            bad.append(h)
+    return bad
+
+
+@pytest.mark.parametrize("group, radius", [(F2, 4), (FreeGroup(3), 3)], ids=["F2", "F3"])
+def test_fiber_runs_expand_to_the_cell_by_cell_block(group, radius):
+    for depth, m in itertools.product(range(4), range(1, 5)):
+        assert _fiber_runs_mismatches(group, radius, depth, m) == [], (depth, m)
+
+
+def test_fiber_runs_keep_the_sign_of_a_zero():
+    # -1/10^400 rounds to -0.0, which == 0.0 but is another binary64 value,
+    # so its runs must not merge with those of 0
+    tiny = GaussianRational(Fraction(-1, 10**400))
+    phi = LocallyConstantFunction(
+        F2, 1, {w: tiny if w.letters == (1,) else QQ_ZERO for w in F2.sphere(1)}
+    )
+    table = {w.letters: v.to_complex() for w, v in phi.values.items()}
+    trunc = Truncation(F2, 0, 2)
+    for h in F2.iter_ball(3):
+        want = _cell_by_cell(phi, h, 2, table)
+        assert fiber_diagonal(phi, h, trunc).tobytes() == want.tobytes(), h
+    assert len(operators.fiber_runs(phi, IDENTITY, trunc)) == 3  # a, A, then b and B
+
+
+def test_fiber_runs_fail_with_the_cancellation_cylinder_one_letter_short(monkeypatch):
+    # q = h^-1[:t + 1]: the cells with exactly t letters cancelled would
+    # take h[:k] by arithmetic, although their key is h[:k-1] c[t]
+    original = FreeGroup.cancellation_cylinder
+
+    def shifted(self, h, k, m):
+        q, start = original(self, h, k, m)
+        if not q:  # t = 0 when |h| < k: no cell has the key h[:k]
+            return q, start
+        q = tuple(x ^ 1 for x in reversed(h.letters))[: min(len(q) + 1, m)]
+        return q, self.lex_rank(q) * self.run_sizes(m)[len(q)]
+
+    monkeypatch.setattr(FreeGroup, "cancellation_cylinder", shifted)
+    # at depth 1, t = min(|h|, m) already, so the shift moves nothing
+    for depth in (2, 3):
+        assert _fiber_runs_mismatches(F2, 3, depth, 3)
 
 
 def test_pi_identity_has_teeth(t12, monkeypatch):

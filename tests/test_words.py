@@ -180,6 +180,13 @@ def test_product_runs_partition_the_cells_by_their_key(group):
                             assert key == r.letters[:k], (h, k, c)
 
 
+@pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+def test_lex_rank_is_the_position_in_the_sphere(group):
+    for m in range(4):
+        ranks = [group.lex_rank(p) for p in group.iter_sphere_letters(m)]
+        assert ranks == list(range(group.sphere_count(m)))
+
+
 def test_budget_check_never_builds_a_count_far_past_the_budget():
     # |B_R| |S_m| on the edge of the budget keeps its exact count
     F2.check_budget(F2.growth_count(3) * F2.sphere_count(2), R=3, m=2)
