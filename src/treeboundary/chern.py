@@ -35,16 +35,18 @@ Two independent routes to the same number:
   pushforward closed form, so the oracle stays independent of
   ``cocycle_value``.  v is constant, so each dot product with v is a sum
   over the runs of one block and each dot product of two blocks a merge of
-  their run ends: a fiber costs O(runs), not O(dim_fiber), and no array is
-  built.  ``trace_oracle_report`` enumerates B_R with no budget of its
-  own; callers guard it and the depth-m sphere with
+  their run ends (``operators.run_sum``, ``operators.run_dot``): a fiber
+  costs O(runs), not O(dim_fiber), and no array is built.
+  ``trace_oracle_report`` enumerates B_R with no budget of its own;
+  callers guard it and the depth-m sphere with
   ``Truncation.check_enumeration_budget``.
 
 The two routes meet one group element at a time (``trace_identity``): at
 every h whose chain stays in B_R on exact fiber blocks (depth(phi_i) +
 |p_i h| <= m), the fiber trace at h is the signed summand at h, up to
 rounding.  ``trace_oracle_dense`` forms the same traces from dim_fiber x
-dim_fiber products; it is a test oracle, and no route here calls it.
+dim_fiber products; it is a test oracle that imports numpy in its own body,
+and no route here calls it.
 
 For degree 1 the pairing is symmetric, cov(psi_0, psi_1) = cov(psi_1, psi_0),
 so the two terms cancel at every h and the value is exactly 0.
@@ -57,12 +59,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .boundary import depth_mass
 from .deviation import expectation
 from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
-from .operators import Truncation, fiber_diagonal, fiber_projection, fiber_runs
+from .operators import Truncation, fiber_diagonal, fiber_projection, fiber_runs, run_dot, run_sum
 from .summability import sphere_series
 from .words import DEFAULT_BUDGET, IDENTITY, BudgetError, FreeGroup, Word, mul
 
@@ -280,39 +280,6 @@ def _check_oracle_terms(inp: CocycleInput, trunc: Truncation) -> None:
             raise ValueError("term function deeper than the fiber level")
 
 
-def _run_sum(runs: list[tuple[int, complex]]) -> complex:
-    """sum_c d_c over the cells of a run list (``fiber_runs``)."""
-    total, start = 0j, 0
-    for end, value in runs:
-        total += (end - start) * value
-        start = end
-    return total
-
-
-def _run_dot(a: list[tuple[int, complex]], b: list[tuple[int, complex]]) -> complex:
-    """sum_c a_c b_c over the cells of two run lists of one fiber: a
-    two-pointer merge of their ends."""
-    total, start = 0j, 0
-    runs_a, runs_b = iter(a), iter(b)
-    (end_a, x), (end_b, y) = next(runs_a), next(runs_b)
-    while True:
-        if end_a < end_b:
-            total += (end_a - start) * (x * y)
-            start = end_a
-            end_a, x = next(runs_a)
-        elif end_b < end_a:
-            total += (end_b - start) * (x * y)
-            start = end_b
-            end_b, y = next(runs_b)
-        else:
-            total += (end_a - start) * (x * y)
-            start = end_a
-            following = next(runs_a, None)
-            if following is None:
-                return total
-            (end_a, x), (end_b, y) = following, next(runs_b)
-
-
 def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleReport:
     """Transfer-matrix evaluation of the truncated trace, fiber by fiber.
 
@@ -350,18 +317,18 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
         # H = X_n^T (2 outer(v,v) - 1) X_0, 2x2 matrices of plain dots,
         # each a sum over the runs of the fiber blocks d_i
         runs = [fiber_runs(phi, point, trunc) for phi, point in zip(phis, points)]
-        vy = [w * _run_sum(r) for r in runs]
+        vy = [w * run_sum(r) for r in runs]
         a, b, c, e = 0.0, 1.0, -1.0, 0.0  # J = [[0, 1], [-1, 0]]
         for i in range(inp.degree):
             # [[a, b], [c, e]] G_{i,i+1} J, G = [[vv, vy_{i+1}], [vy_i, y_i.y_{i+1}]]
-            yy = w * _run_dot(runs[i], runs[i + 1])
+            yy = w * run_dot(runs[i], runs[i + 1])
             x00, x01 = a * vv + b * vy[i], a * vy[i + 1] + b * yy
             x10, x11 = c * vv + e * vy[i], c * vy[i + 1] + e * yy
             a, b, c, e = -x01, x00, -x11, x10
         # H = 2 outer((vv, vy_n), (vv, vy_0)) - [[vv, vy_0], [vy_n, y_n.y_0]]
         h00, h01 = 2.0 * vv * vv - vv, 2.0 * vv * vy[0] - vy[0]
         h10 = 2.0 * vy[-1] * vv - vy[-1]
-        h11 = 2.0 * vy[-1] * vy[0] - w * _run_dot(runs[-1], runs[0])
+        h11 = 2.0 * vy[-1] * vy[0] - w * run_dot(runs[-1], runs[0])
         trace = complex(a * h00 + b * h10 + c * h01 + e * h11)
         total += trace
         if exact:
@@ -407,6 +374,8 @@ def trace_oracle_dense(inp: CocycleInput, trunc: Truncation) -> complex:
     A test oracle for the transfer-matrix algebra above, independent of it;
     still block-diagonal in h, so only dim_fiber^2 matrices appear.
     """
+    import numpy as np
+
     _check_oracle_terms(inp, trunc)
     if inp.group_product != IDENTITY:
         return 0j

@@ -112,7 +112,7 @@ def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
     cylinder [q] of ``FreeGroup.cancellation_cylinder`` all have g[:k] and
     are counted by arithmetic, those of [q] along the runs of
     ``FreeGroup.product_runs(g, k, k + |g|, q)``; each prefix is then
-    mapped to its value once.
+    mapped to its value's numerators once.
     """
     group = phi.group
     k = phi.depth
@@ -124,14 +124,18 @@ def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
     prefixes: dict[tuple[int, ...], int] = {g.letters[:k]: outside} if outside else {}
     for p, key in group.product_runs(g, k, d, q):
         prefixes[key] = prefixes.get(key, 0) + sizes[len(p)]
-    counts: dict[GaussianRational, int] = {}
+    # values as Gaussian-integer numerators (a, b) over one denominator D
+    den, numerators = phi.numerators
+    counts: dict[tuple[int, int], int] = {}
     for key, c in prefixes.items():
-        v = phi.values[Word(key)]
+        v = numerators[key]
         counts[v] = counts.get(v, 0) + c
-    total = Fraction(0)
-    for (v1, c1), (v2, c2) in combinations(counts.items(), 2):
-        total += (v1 - v2).abs2() * (c1 * c2)
-    return total * depth_mass(d, group) ** 2
+    total = sum(
+        ((a1 - a2) ** 2 + (b1 - b2) ** 2) * c1 * c2
+        for ((a1, b1), c1), ((a2, b2), c2) in combinations(counts.items(), 2)
+    )
+    mass = depth_mass(d, group)
+    return Fraction(total * mass.numerator**2, (den * mass.denominator) ** 2)
 
 
 def covariance(

@@ -17,43 +17,55 @@ where both effects vanish; operators built outside the window carry
 Every operator here is block-structured over h in B_R: P = I x outer(v, v)
 with v = ``fiber_unit``, the constant unit vector of the fiber, made from
 depth_mass(m) alone; lambda(phi) is block-diagonal with diagonal blocks, and
-lambda(g) permutes blocks with zero padding.  Every fiber is read one way:
-the diagonal block at h is a list of lexicographic runs of cells with one
-value (``fiber_runs``), read off phi's own table: every cell outside one
+lambda(g) permutes blocks with zero padding.  Every fiber vector is a list
+of lexicographic runs of cells with one value.  The diagonal block at h is
+read off phi's own table (``fiber_runs``): every cell outside one
 cancellation cylinder has the key h[:k], and inside it the runs of
 ``FreeGroup.product_runs`` give each depth-m cylinder c the key
 prefix_k(h c), or the exact average over its extensions where no key is
-fixed.  ``fiber_diagonal`` expands the runs into the dense vector; no
-translated table is built, and P(eta) reads eta as the block at the
-identity.  Every identity and inequality here is checked block by
-block and never holds a matrix larger than dim_fiber x dim_fiber; the Pi
-identity and the Pi(a) delta_h norms need no matrix at all, as
-Pi_h = outer(u, v) is read from the fiber vector u (``_off_constants``).
-The constructors ``projection_P``, ``rep_function``, ``rep_group``,
-``rep_crossed`` and ``homotopy_projection`` materialize dense complex
-binary64 dim x dim matrices, guarded by ``check_dense_budget``; they are
-only a small test oracle, and no route here calls them.  Everything is
-single-threaded.
+fixed; no translated table is built, and P(eta) reads eta as the block at
+the identity.
+
+Every identity, inequality and spectrum here is a rank-one identity or a
+2 x 2 Gram problem in each fiber, evaluated in plain complex arithmetic as
+sums over the common runs of its fiber vectors (``segments``): the Pi
+identity and the Pi(a) delta_h norms read Pi_h = outer(u, v) from the fiber
+vector u, the commutator block [outer(v, v), diag d] has rank <= 2 and the
+singular values of the Gram problem of (v, d v), and P(eta1) - P(eta2) is a
+difference of two rank-one blocks.  Each value is computed from the fiber
+data, not asserted from a closed form, so every cross-check against the
+exact deviation table can still fail.  No route here needs numpy.
+
+``fiber_diagonal`` (the dense expansion of the runs), ``fiber_projection``
+and the constructors ``projection_P``, ``rep_function``, ``rep_group``,
+``rep_crossed`` and ``homotopy_projection``, which materialize dense complex
+binary64 dim x dim matrices guarded by ``check_dense_budget``, are a small
+test oracle: they import numpy in their own bodies, and no route here calls
+them.  Everything is single-threaded.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .boundary import depth_mass
 from .deviation import deviation_sq, expectation
 from .functions import LocallyConstantFunction
-from .svd import operator_norm, singular_values
 from .words import IDENTITY, FreeGroup, Word, mul
+
+if TYPE_CHECKING:
+    import numpy as np
 
 OPERATOR_BUDGET = 6000
 
 CrossedTerms = Sequence[tuple[LocallyConstantFunction, Word]]
+# a fiber vector: runs (end, value) of lexicographic cells with one value,
+# the cells from the previous run's end (0 for the first) up to ``end``
+Runs = list[tuple[int, complex]]
 
 
 @dataclass(frozen=True)
@@ -109,28 +121,117 @@ class Truncation:
             raise ValueError("exactness window requires depth(phi) + R <= m")
 
 
-@dataclass
-class TruncatedOperator:
-    matrix: np.ndarray
-    label: str
-    trunc: Truncation
-    window_exact: bool = True
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def fiber_unit(trunc: Truncation) -> np.ndarray:
+def fiber_unit(trunc: Truncation) -> Runs:
     """Coordinates of the constant function 1 (a unit vector) in the fiber
-    basis: sqrt(mu(c)) in every depth-m cell c."""
-    return np.full(trunc.dim_fiber, math.sqrt(float(depth_mass(trunc.m, trunc.group))))
+    basis, as one run: sqrt(mu(c)) in every depth-m cell c."""
+    return [(trunc.dim_fiber, math.sqrt(float(depth_mass(trunc.m, trunc.group))))]
 
 
-def fiber_projection(trunc: Truncation) -> np.ndarray:
-    """The fiber block outer(v, v) of P, with v = ``fiber_unit(trunc)``."""
-    v = fiber_unit(trunc)
-    return np.outer(v, v).astype(complex)
+def segments(a: Runs, b: Runs) -> Iterator[tuple[int, complex, complex]]:
+    """(count, a_c, b_c) over the maximal cell ranges on which two run lists
+    of one fiber are both constant, in order: a merge of their run ends."""
+    start = 0
+    runs_a, runs_b = iter(a), iter(b)
+    (end_a, x), (end_b, y) = next(runs_a), next(runs_b)
+    while True:
+        if end_a < end_b:
+            yield end_a - start, x, y
+            start = end_a
+            end_a, x = next(runs_a)
+        elif end_b < end_a:
+            yield end_b - start, x, y
+            start = end_b
+            end_b, y = next(runs_b)
+        else:
+            yield end_a - start, x, y
+            following = next(runs_a, None)
+            if following is None:
+                return
+            start = end_a
+            (end_a, x), (end_b, y) = following, next(runs_b)
+
+
+def run_sum(runs: Runs) -> complex:
+    """sum_c d_c over the cells of a run list."""
+    total, start = 0j, 0
+    for end, value in runs:
+        total += (end - start) * value
+        start = end
+    return total
+
+
+def run_dot(a: Runs, b: Runs) -> complex:
+    """sum_c a_c b_c over the cells of two run lists of one fiber (no
+    conjugation): the merge of ``segments``, inline, as the trace oracle
+    makes several per group element."""
+    total, start = 0j, 0
+    runs_a, runs_b = iter(a), iter(b)
+    (end_a, x), (end_b, y) = next(runs_a), next(runs_b)
+    while True:
+        if end_a < end_b:
+            total += (end_a - start) * (x * y)
+            start = end_a
+            end_a, x = next(runs_a)
+        elif end_b < end_a:
+            total += (end_b - start) * (x * y)
+            start = end_b
+            end_b, y = next(runs_b)
+        else:
+            total += (end_a - start) * (x * y)
+            start = end_a
+            following = next(runs_a, None)
+            if following is None:
+                return total
+            (end_a, x), (end_b, y) = following, next(runs_b)
+
+
+def run_map(f: Callable[[complex, complex], complex], a: Runs, b: Runs) -> Runs:
+    """The fiber vector f(a_c, b_c), cell by cell, as runs."""
+    out, end = [], 0
+    for n, x, y in segments(a, b):
+        end += n
+        out.append((end, f(x, y)))
+    return out
+
+
+def _abs_sq(z: complex) -> float:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _conj_times(x: complex, y: complex) -> complex:
+    return x.conjugate() * y
+
+
+def _norm_sq(x: Runs) -> float:
+    return run_sum([(end, _abs_sq(value)) for end, value in x]).real
+
+
+def _residual_sq(x: Runs, v: Runs, c: complex) -> float:
+    """||x - c v||^2."""
+    return sum(n * _abs_sq(a - c * b) for n, a, b in segments(x, v))
+
+
+def _off_constants_sq(x: Runs, v: Runs) -> float:
+    """||(1 - outer(v, v)) x||^2: the fiber vector x without its constant
+    part (v real, so outer(v, v) is P's block)."""
+    return _residual_sq(x, v, run_dot(v, x))
+
+
+def _gram(x: Runs, y: Runs) -> tuple[float, float]:
+    """(||x||^2, r) for the Gram matrix of (x, y), with r = ||y - (<x, y> /
+    ||x||^2) x||^2, so that its determinant ||x||^2 ||y||^2 - |<x, y>|^2 is
+    ||x||^2 r, a sum of squares free of cancellation."""
+    xx = _norm_sq(x)
+    if not xx:
+        return xx, _norm_sq(y)
+    xy = sum((n * _conj_times(a, b) for n, a, b in segments(x, y)), 0j)
+    return xx, _residual_sq(y, x, xy / xx)
+
+
+def _compress(d: Runs, v: Runs) -> complex:
+    """v* diag(d) v, v real: the fiber diagonal d compressed to the
+    constants."""
+    return sum((n * (x * y * x) for n, x, y in segments(v, d)), 0j)
 
 
 def _same(a: complex, b: complex) -> bool:
@@ -143,12 +244,10 @@ def _same(a: complex, b: complex) -> bool:
     )
 
 
-def fiber_runs(
-    phi: LocallyConstantFunction, h: Word, trunc: Truncation
-) -> list[tuple[int, complex]]:
+def fiber_runs(phi: LocallyConstantFunction, h: Word, trunc: Truncation) -> Runs:
     """The fiber diagonal at h (``fiber_diagonal``) as lexicographic runs
-    (end, value): the cells from the previous run's end (0 for the first)
-    up to ``end`` all take ``value``, and adjacent runs differ in value.
+    (end, value): the cells from the previous run's end (0 for the first) up
+    to ``end`` all take ``value``, and adjacent runs differ in value.
 
     Every cell outside the cancellation cylinder [q] of
     ``FreeGroup.cancellation_cylinder(h, k, m)``, k = depth(phi), takes
@@ -201,6 +300,14 @@ def _extension_average(phi: LocallyConstantFunction, h: Word, c: tuple[int, ...]
     return complex(re / count, im / count)
 
 
+def _expand(runs: Runs) -> np.ndarray:
+    """The dense complex vector of a run list."""
+    import numpy as np
+
+    values = np.array([value for _, value in runs], dtype=complex)
+    return np.repeat(values, np.diff([0] + [end for end, _ in runs]))
+
+
 def fiber_diagonal(
     phi: LocallyConstantFunction, h: Word, trunc: Truncation
 ) -> np.ndarray:
@@ -209,15 +316,36 @@ def fiber_diagonal(
     Multiplication by a function preserves every cylinder, so the compression
     is always diagonal; the entry at c is the conditional average of
     h^{-1}.phi over c, i.e. of phi(h .) over [c].  It is the dense expansion
-    of ``fiber_runs(phi, h, trunc)``, cell by cell.
+    of ``fiber_runs(phi, h, trunc)``, cell by cell: a test oracle.
     """
-    runs = fiber_runs(phi, h, trunc)
-    values = np.array([value for _, value in runs], dtype=complex)
-    return np.repeat(values, np.diff([0] + [end for end, _ in runs]))
+    return _expand(fiber_runs(phi, h, trunc))
+
+
+def fiber_projection(trunc: Truncation) -> np.ndarray:
+    """The dense fiber block outer(v, v) of P, with v = ``fiber_unit(trunc)``:
+    a test oracle."""
+    import numpy as np
+
+    v = _expand(fiber_unit(trunc))
+    return np.outer(v, v)
+
+
+@dataclass
+class TruncatedOperator:
+    matrix: np.ndarray
+    label: str
+    trunc: Truncation
+    window_exact: bool = True
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
 
 def projection_P(trunc: Truncation, budget: int = OPERATOR_BUDGET) -> TruncatedOperator:
     """Orthogonal projection onto the constants in every fiber (rank |B_R|)."""
+    import numpy as np
+
     trunc.check_dense_budget(budget)
     matrix = np.kron(np.eye(trunc.dim_group), fiber_projection(trunc))
     return TruncatedOperator(matrix, "P", trunc)
@@ -227,6 +355,8 @@ def rep_function(
     phi: LocallyConstantFunction, trunc: Truncation, budget: int = OPERATOR_BUDGET
 ) -> TruncatedOperator:
     """lambda_mu(phi): block-diagonal, block at h = multiplication by h^{-1}.phi."""
+    import numpy as np
+
     if phi.group != trunc.group:
         raise ValueError("function and truncation use different groups")
     trunc.check_dense_budget(budget)
@@ -242,6 +372,8 @@ def rep_function(
 
 def rep_group(g: Word, trunc: Truncation, budget: int = OPERATOR_BUDGET) -> TruncatedOperator:
     """lambda(g): delta_h -> delta_{gh}, zero when gh leaves B_R."""
+    import numpy as np
+
     trunc.group.check_letters(g.letters)
     trunc.check_dense_budget(budget)
     dim_f = trunc.dim_fiber
@@ -260,6 +392,8 @@ def rep_crossed(
     terms: CrossedTerms, trunc: Truncation, budget: int = OPERATOR_BUDGET
 ) -> TruncatedOperator:
     """Representation of sum_g phi_g . g as sum lambda(phi_g) lambda(g)."""
+    import numpy as np
+
     trunc.check_dense_budget(budget)
     matrix = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     exact = True
@@ -277,11 +411,6 @@ class PiIdentityReport:
     compression_error: float
 
 
-def _off_constants(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(1 - outer(v, v)) x: the fiber vector x without its constant part."""
-    return x - (v @ x) * v
-
-
 def verify_pi_identity(
     phi: LocallyConstantFunction, trunc: Truncation
 ) -> PiIdentityReport:
@@ -296,51 +425,50 @@ def verify_pi_identity(
     Every operator involved is block-diagonal over h, and each block is read
     from fiber vectors: Pi_h = outer(u, v) with u = (1 - vv*)(conj d_h * v),
     d_h the fiber diagonal of phi at h, so Pi_h* Pi_h = ||u||^2 outer(v, v),
-    whose max-abs gap to sigma^2(h) outer(v, v) is |||u||^2 - sigma^2(h)| /
-    dim_fiber; the compression at h is v* diag(d_h) v.  The errors are
+    whose max-abs gap to sigma^2(h) outer(v, v) is |||u||^2 - sigma^2(h)|
+    max_c v_c^2; the compression at h is v* diag(d_h) v.  The errors are
     maxima over h; off-diagonal blocks vanish on both sides.
     """
     trunc.require_window(phi.depth)
     v = fiber_unit(trunc)
+    scale = max(_abs_sq(x) for _, x in v)
     pi_error = 0.0
     compression_error = 0.0
     for h in trunc.group_basis:
-        d = fiber_diagonal(phi, h, trunc)
-        u = _off_constants(np.conj(d) * v, v)
-        gap = abs(float(np.vdot(u, u).real) - float(deviation_sq(phi, h)))
-        pi_error = max(pi_error, gap / trunc.dim_fiber)
-        mean = complex((v * d) @ v)
+        d = fiber_runs(phi, h, trunc)
+        u_sq = _off_constants_sq(run_map(_conj_times, d, v), v)
+        pi_error = max(pi_error, abs(u_sq - float(deviation_sq(phi, h))) * scale)
         compression_error = max(
-            compression_error, abs(mean - expectation(phi, h).to_complex())
+            compression_error, abs(_compress(d, v) - expectation(phi, h).to_complex())
         )
     return PiIdentityReport(pi_error=pi_error, compression_error=compression_error)
 
 
 def commutator_singular_values(
     phi: LocallyConstantFunction, trunc: Truncation
-) -> np.ndarray:
-    """Singular values of [P, lambda(phi)], descending.
+) -> list[float]:
+    """Singular values of [P, lambda(phi)], descending, all ``trunc.dim`` of
+    them.
 
-    The commutator is block-diagonal over h with rank-<=2 blocks
-    [outer(v, v), diag(d_h)], so the values are computed per block without
-    materializing the full matrix.  On the exactness window the nonzero
-    values are {sigma(phi)(h)} each twice, for complex phi as well as real:
-    v is real, so the block is outer(v, w) - outer(w, v) with w = d_h v, and
-    the 2x2 Gram problem of this rank-2 block has trace 2 sigma^2 and
-    determinant sigma^4.  The values are still computed numerically from
-    the actual blocks, so that comparing them with the deviation table
-    remains a cross-check that can fail.
+    The commutator is block-diagonal over h, and its block [outer(v, v),
+    diag(d_h)] = outer(v, y) - outer(y, v), y = d_h v, is zero off the span
+    of v and y: its nonzero singular values are those of the 2 x 2 problem
+    J G with G the Gram matrix of (v, y) and J = [[0, 1], [-1, 0]], a
+    complex skew-symmetric pair, so both are sqrt(det G) (``_gram``), and
+    the other dim_fiber - 2 values are exact zeros.  On the exactness window
+    sqrt(det G) = sigma(phi)(h), for complex phi as well as real.  The values
+    are computed from the fiber vectors, so that comparing them with the
+    deviation table remains a cross-check that can fail.
     """
     trunc.require_window(phi.depth)
     v = fiber_unit(trunc)
-    out: list[np.ndarray] = []
+    values: list[float] = []
     for h in trunc.group_basis:
-        d = fiber_diagonal(phi, h, trunc)
-        block = np.outer(v, d * v) - np.outer(d * v, v)
-        out.append(singular_values(block))
-    values = np.concatenate(out)
-    values[::-1].sort()
-    return values
+        vv, r = _gram(v, run_map(operator.mul, fiber_runs(phi, h, trunc), v))
+        s = math.sqrt(vv * r)
+        values += [s, s]
+    values.sort(reverse=True)
+    return values + [0.0] * (trunc.dim - len(values))
 
 
 @dataclass
@@ -353,7 +481,7 @@ class DeviationMatch:
 
 
 def match_deviation_table(
-    phi: LocallyConstantFunction, trunc: Truncation, values: np.ndarray
+    phi: LocallyConstantFunction, trunc: Truncation, values: Sequence[float]
 ) -> DeviationMatch:
     """Pair the nonzero values of ``commutator_singular_values(phi, trunc)``
     with the sorted table {sigma(phi)(h) : h in B_R}, each taken twice."""
@@ -372,26 +500,38 @@ def match_deviation_table(
     return DeviationMatch(nonzero=nonzero, expected=len(expected), error=error)
 
 
-def homotopy_projection(
-    eta: LocallyConstantFunction, trunc: Truncation, budget: int = OPERATOR_BUDGET
-) -> TruncatedOperator:
-    """P(eta) = M(conj(eta)) P M(eta) for an exactly L2-normalized eta."""
-    block = homotopy_block(eta, trunc)
-    trunc.check_dense_budget(budget)
-    matrix = np.kron(np.eye(trunc.dim_group), block)
-    return TruncatedOperator(matrix, "P(eta)", trunc)
-
-
-def homotopy_block(eta: LocallyConstantFunction, trunc: Truncation) -> np.ndarray:
-    """The fiber block outer(w, conj w), w = conj(eta) v, of P(eta)."""
+def homotopy_vector(eta: LocallyConstantFunction, trunc: Truncation) -> Runs:
+    """The fiber vector w = conj(eta) v at the identity; P(eta) = M(conj(eta))
+    P M(eta) has the block outer(w, conj w) in every fiber."""
     if eta.group != trunc.group:
         raise ValueError("function and truncation use different groups")
     if eta.l2_norm_sq() != 1:
         raise ValueError("eta must satisfy ||eta||_{L2(mu)} = 1 exactly")
     if eta.depth > trunc.m:
         raise ValueError("eta deeper than the fiber level m")
-    w = np.conj(fiber_diagonal(eta, IDENTITY, trunc)) * fiber_unit(trunc)
-    return np.outer(w, np.conj(w))
+    return run_map(_conj_times, fiber_runs(eta, IDENTITY, trunc), fiber_unit(trunc))
+
+
+def homotopy_projection(
+    eta: LocallyConstantFunction, trunc: Truncation, budget: int = OPERATOR_BUDGET
+) -> TruncatedOperator:
+    """P(eta) = M(conj(eta)) P M(eta) for an exactly L2-normalized eta."""
+    import numpy as np
+
+    w = _expand(homotopy_vector(eta, trunc))
+    trunc.check_dense_budget(budget)
+    matrix = np.kron(np.eye(trunc.dim_group), np.outer(w, np.conj(w)))
+    return TruncatedOperator(matrix, "P(eta)", trunc)
+
+
+def rank_one_difference_norm(w1: Runs, w2: Runs) -> float:
+    """||outer(w1, conj w1) - outer(w2, conj w2)||, from the Gram matrix of
+    (w1, w2): on their span the difference has trace a - b and determinant
+    -(a b - |<w1, w2>|^2) = -a r (``_gram``), a = ||w1||^2, b = ||w2||^2,
+    so its norm is (|a - b| + sqrt((a - b)^2 + 4 a r)) / 2."""
+    a, r = _gram(w1, w2)
+    b = _norm_sq(w2)
+    return (abs(a - b) + math.sqrt((a - b) ** 2 + 4.0 * a * r)) / 2.0
 
 
 def homotopy_projection_check(
@@ -404,10 +544,12 @@ def homotopy_projection_check(
     Raises AssertionError when the inequality fails (also under ``-O``).
 
     P(eta) is block-diagonal with the same rank-one block in every fiber, so
-    the operator norm of the difference is the norm of a single block.
+    the operator norm of the difference is that of a single block, a
+    difference of two rank-one blocks (``rank_one_difference_norm``).
     """
-    diff_block = homotopy_block(eta1, trunc) - homotopy_block(eta2, trunc)
-    norm_diff = operator_norm(diff_block)
+    norm_diff = rank_one_difference_norm(
+        homotopy_vector(eta1, trunc), homotopy_vector(eta2, trunc)
+    )
     bound = 2.0 * math.sqrt(float((eta1 - eta2).l2_norm_sq()))
     if not norm_diff <= bound + 1e-12:
         raise AssertionError((norm_diff, bound))
@@ -433,16 +575,12 @@ def pi_delta_norms(terms: CrossedTerms, trunc: Truncation) -> dict[Word, float]:
     v = fiber_unit(trunc)
     norms = {}
     for h in trunc.group.iter_ball(half):
-        fibers: dict[Word, np.ndarray] = {}
+        fibers: dict[Word, Runs] = {}
         for phi, g in terms:
             target = mul(g.inverse(), h)
-            x = np.conj(fiber_diagonal(phi, h, trunc)) * v
-            fibers[target] = fibers.get(target, 0) + x
-        norm_sq = 0.0
-        for x in fibers.values():
-            y = _off_constants(x, v)
-            norm_sq += float(np.vdot(y, y).real)
-        norms[h] = math.sqrt(norm_sq)
+            x = run_map(_conj_times, fiber_runs(phi, h, trunc), v)
+            fibers[target] = run_map(operator.add, fibers[target], x) if target in fibers else x
+        norms[h] = math.sqrt(sum(_off_constants_sq(x, v) for x in fibers.values()))
     return norms
 
 
@@ -471,16 +609,18 @@ def verify_compression_identity(terms: CrossedTerms, trunc: Truncation) -> float
     the compressed entry (gh, h) is v* diag(d_gh(phi_g)) v, summed over the
     terms.  Out-of-ball targets gh are dropped on both sides (zero-padding),
     so the comparison is entrywise on the full |B_R| x |B_R| compressed
-    matrix.
+    matrix, whose other entries are 0 on both sides.
     """
     trunc.require_window(*(phi.depth for phi, _ in terms))
     v = fiber_unit(trunc)
-    error = np.zeros((trunc.dim_group, trunc.dim_group), dtype=complex)
+    error: dict[tuple[int, int], complex] = {}
     for phi, g in terms:
         for j, h in enumerate(trunc.group_basis):
             target = mul(g, h)
             i = trunc.group_index.get(target)
             if i is not None:
-                error[i, j] += (v * fiber_diagonal(phi, target, trunc)) @ v
-                error[i, j] -= expectation(phi, target).to_complex()
-    return float(np.max(np.abs(error)))
+                entry = error.get((i, j), 0j)
+                entry += _compress(fiber_runs(phi, target, trunc), v)
+                entry -= expectation(phi, target).to_complex()
+                error[i, j] = entry
+    return max(map(abs, error.values()), default=0.0)

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
-import numpy as np
-
 from .words import FreeGroup
 from .boundary import VisualStructure
 from .deviation import DeviationProfile, ProfileClass
@@ -163,17 +161,20 @@ def decay_exponent_fit(profile: DeviationProfile) -> float:
     The identity row is skipped: sigma there is the plain
     (untranslated) deviation and always equals the sphere-1 maximum for
     depth-1 indicators, which flattens the head of the regression line and
-    biases the asymptotic rate estimate.
+    biases the asymptotic rate estimate.  Each log is taken of the exact
+    maximum, whose float may underflow to 0 at large radii.
     """
     xs, ys = [], []
     for m, s in enumerate(profile.sphere_max_sq()):
         if m >= 1 and s > 0:
             xs.append(float(m))
-            ys.append(0.5 * math.log(float(s)))
+            ys.append(0.5 * (math.log(s.numerator) - math.log(s.denominator)))
     if len(xs) < 4:
         raise ValueError("need at least 4 spheres with nonzero deviation")
-    slope = np.polyfit(np.array(xs), np.array(ys), 1)[0]
-    return float(slope)
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    return sxy / sxx
 
 
 @dataclass
@@ -198,10 +199,12 @@ class SortedDecayCheck:
 def dplus_surrogate_check(group: FreeGroup, vs: VisualStructure, radius: int) -> SortedDecayCheck:
     D = hausdorff_dimension(vs)
     C = (group.n / (group.n - 1)) ** (1.0 / D)
+    q = 2 * group.n - 1
     worst = 0.0
     for m in range(radius + 1):
         j = group.growth_count(m)  # last (smallest-index) slot of value exp(-eps m)
-        value = math.exp(-vs.epsilon * m)
-        bound = C * j ** (-1.0 / D)
-        worst = max(worst, value / bound)
+        # value_j j^(1/D) / C = (j / q^m)^(1/D) / C, as eps D = log q: one
+        # correctly rounded integer quotient, where j passes the float range
+        # and exp(-eps m) underflows at large radii
+        worst = max(worst, (j / q**m) ** (1.0 / D) / C)
     return SortedDecayCheck(C=C, dimension=D, max_ratio=worst, ok=worst <= 1.0 + 1e-12)

@@ -1,17 +1,24 @@
 """Singular values, operator norms and Schatten norms of dense complex matrices.
 
-A thin layer over LAPACK (``numpy.linalg.svd`` without singular vectors).
-The operators of this package are block-structured, so the matrices that
-reach it are single blocks of a few dozen rows, or small test oracles.
+A thin layer over LAPACK (``numpy.linalg.svd`` without singular vectors),
+kept as a test oracle: every operator of this package is block-structured,
+and each spectrum and norm that a report needs is a closed form on fiber
+vectors (``operators``), so no report route calls this module.  Each
+function imports numpy in its own body.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """All singular values of a 2-d complex array, descending."""
+    import numpy as np
+
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2:
         raise ValueError("need a 2-d array")
@@ -26,6 +33,8 @@ def operator_norm(matrix: np.ndarray) -> float:
 
 
 def schatten_norm(matrix: np.ndarray, p: float) -> float:
+    import numpy as np
+
     if p <= 0:
         raise ValueError("p must be positive")
     values = singular_values(matrix)

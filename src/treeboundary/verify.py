@@ -6,10 +6,12 @@ triples.  Details are deterministic strings (exact rationals or 17-digit
 floats, never timings), so two runs with the same configuration produce
 identical reports.
 
-The operator and cocycle checks read fiber vectors: ``operator-pi-identity``
-compares ||u||^2 with the exact sigma^2 per h, and ``chern-consistency`` the
-fiber trace at each exact h with the signed cocycle summand at h; only the
-idempotence check of outer(v, v) is dense.
+The operator and cocycle checks read fiber vectors as runs:
+``operator-pi-identity`` checks P through the rank-one identities of
+outer(v, v) and compares ||u||^2 with the exact sigma^2 per h, and
+``chern-consistency`` the fiber trace at each exact h with the signed
+cocycle summand at h.  No check builds a matrix or needs numpy; the dense
+oracles belong to the tests.
 
 ``tol_scale`` multiplies every floating-point tolerance.  Scale 1 is the
 standard gate; scale 0 demands exact float equality and is expected to fail
@@ -24,8 +26,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 from . import chern as chern_mod
 from . import operators as ops
@@ -114,15 +114,27 @@ def _growth(ctx: VerifyContext) -> tuple[bool, str]:
 @_check("hyperbolicity")
 def _hyperbolicity(ctx: VerifyContext) -> tuple[bool, str]:
     """(x, y) >= min((x, z), (y, z)) on every triple of B_2, from the matrix
-    G of Gromov products: row x of G against min(G[x, z], G[y, z]) over
-    every (y, z) at once, so the first failure in (x, y, z) order is named."""
+    G of Gromov products: the pair (x, y) fails iff S_t(x) & S_t(y) != 0,
+    with t = G[x][y] + 1 and S_t(x) the bit set {z : G[x][z] >= t}, and the
+    lowest set bit names the first failing z in (x, y, z) order."""
     ball = ctx.group.ball(2, budget=ctx.budget)
-    G = np.array([[gromov_product(x, y) for y in ball] for x in ball])
+    G = [[gromov_product(x, y) for y in ball] for x in ball]
+    top = max(map(max, G)) + 1
+    # above[x][t] = S_t(x)
+    above = []
+    for row in G:
+        masks = [0] * (top + 1)
+        for z, value in enumerate(row):
+            masks[value] |= 1 << z
+        for t in range(top - 1, -1, -1):
+            masks[t] |= masks[t + 1]
+        above.append(masks)
     for i, x in enumerate(ball):
-        fails = G[i][:, None] < np.minimum(G[i][None, :], G)
-        if fails.any():
-            y, z = divmod(int(np.argmax(fails)), len(ball))
-            return False, f"0-hyperbolicity fails at ({x}, {ball[y]}, {ball[z]})"
+        for j, t in enumerate(G[i]):
+            fails = above[i][t + 1] & above[j][t + 1]
+            if fails:
+                z = (fails & -fails).bit_length() - 1
+                return False, f"0-hyperbolicity fails at ({x}, {ball[j]}, {ball[z]})"
     return True, f"Gromov product 0-hyperbolic on {len(ball) ** 3} triples from B_2"
 
 
@@ -266,14 +278,17 @@ def _pi_identity(ctx: VerifyContext) -> tuple[bool, str]:
     R = min(ctx.radius, 2)
     trunc = ops.Truncation(group, R, 1 + R)
     phi = _indicators(group)[0]
-    # P = I x outer(v, v): its fiber block decides idempotence and adjointness
-    block = ops.fiber_projection(trunc)
+    # P = I x outer(v, v): P^2 - P = (v.v - 1) outer(v, v), P - P* has the
+    # entries 2i Im(v_i v_j), and the trace of P is |B_R| v.v
+    v = ops.fiber_unit(trunc)
+    vv = ops.run_dot(v, v)
+    values = [x for _, x in v]
     tol_p = 1e-12 * ctx.tol_scale
-    if float(np.max(np.abs(block @ block - block))) > tol_p:
+    if abs(vv - 1) * max(abs(x) for x in values) ** 2 > tol_p:
         return False, "P is not idempotent"
-    if float(np.max(np.abs(block - block.conj().T))) > tol_p:
+    if 2 * max(abs((x * y).imag) for x in values for y in values) > tol_p:
         return False, "P is not self-adjoint"
-    rank = trunc.dim_group * float(np.trace(block).real)
+    rank = trunc.dim_group * vv.real
     if abs(rank - trunc.dim_group) > 1e-9 * ctx.tol_scale:
         return False, f"rank of P is {_fmt(rank)}, expected {trunc.dim_group}"
     report = ops.verify_pi_identity(phi, trunc)
@@ -310,9 +325,12 @@ def _homotopy(ctx: VerifyContext) -> tuple[bool, str]:
     trunc = ops.Truncation(group, 1, 2)
     rng = random.Random(ctx.seed)
     one = LocallyConstantFunction.constant(group, 1)
-    p_one = ops.homotopy_block(one, trunc)
-    p_ref = ops.fiber_projection(trunc)
-    if float(np.max(np.abs(p_one - p_ref))) > 1e-12 * ctx.tol_scale:
+    # P(1) has the block outer(w, conj w), P the block outer(v, v): their
+    # max-abs gap over the pairs of runs of (w, v)
+    w = ops.homotopy_vector(one, trunc)
+    pairs = [(y, x) for _, y, x in ops.segments(w, ops.fiber_unit(trunc))]
+    gap = max(abs(y * t.conjugate() - x * u) for y, x in pairs for t, u in pairs)
+    if gap > 1e-12 * ctx.tol_scale:
         return False, "P(1) differs from the fiberwise mean projection"
     worst = 0.0
     for _ in range(10):

@@ -131,7 +131,7 @@ def test_criterion_4_operator_identities_612():
     report = verify_pi_identity(phi, trunc)
     assert report.pi_error <= 1e-10
     assert report.compression_error <= 1e-10
-    values = commutator_singular_values(phi, trunc)
+    values = np.array(commutator_singular_values(phi, trunc))
     expected = sorted(
         (
             math.sqrt(float(deviation_sq(phi, h)))

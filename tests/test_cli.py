@@ -559,6 +559,60 @@ def test_settings_at_their_bounds_give_finite_reports(tmp_path, argv):
     assert all(f'"{x}"' not in report for x in ("inf", "-inf", "nan"))  # floats as strings
 
 
+def test_summability_past_the_float_range_of_the_ball(tmp_path):
+    # |B_700| and the sorted-decay slot j pass the float range, and the
+    # float of the largest sigma^2 underflows to 0 although it is positive
+    phi = write_phi(tmp_path, name="dense.json")
+    obj = json.loads(phi.read_text())
+    obj["values"] = {"a": ["2/5", "-3/7"], "A": ["4/13", "1/2"], "b": ["-1/3", "5/11"], "B": ["-6/17", "-2/9"]}
+    phi.write_text(json.dumps(obj))
+    argv = ["summability", "--phi", phi, "--R", 700, "--p", 2, "--p", 3, "--out", tmp_path]
+    assert run_cli(argv) == 0
+    report = json.loads((tmp_path / "summability.json").read_text())
+    assert report["sorted_decay"]["ok"] is True
+    assert -0.6 < float(report["decay_exponent_fit"]) < -0.5  # log(3) / 2 = 0.549...
+
+
+# a small run of every subcommand that writes a report
+_ROUTES = {
+    "deviation": ["--phi", "{phi}", "--R", "3"],
+    "summability": ["--phi", "{phi}", "--R", "4", "--p", "2", "--p", "3"],
+    "spectrum": ["--phi", "{phi}", "--R", "1"],
+    "chern": ["--input", "{terms}", "--radius", "2", "--oracle-R", "2", "--oracle-m", "2"],
+    "verify-all": ["--n", "2", "--R", "2"],
+    "growth": ["--n", "2", "--R", "3"],
+    "furstenberg": ["--g", "a", "--max-power", "3"],
+}
+
+
+def _modules_after(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that then prints whether numpy
+    was imported."""
+    import treeboundary
+
+    env = dict(os.environ, PYTHONPATH=str(Path(treeboundary.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_package_import_loads_no_numpy():
+    proc = _modules_after("import treeboundary")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("command", sorted(_ROUTES))
+def test_report_routes_load_no_numpy(tmp_path, command):
+    # every report is plain Python: numpy serves only the dense test oracles
+    paths = {"phi": write_phi(tmp_path), "terms": write_terms(tmp_path)}
+    argv = [command, *(a.format(**paths) for a in _ROUTES[command]), "--out", str(tmp_path / "out")]
+    proc = _modules_after(f"from treeboundary.cli import main\nassert main({argv!r}) == 0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
+
+
 def _set(obj, path, value):
     for key in path[:-1]:
         obj = obj[key]
@@ -626,10 +680,11 @@ def test_non_integral_rank_in_function_file_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rank", [3, 4, 5])
+@pytest.mark.parametrize("rank", [3, 4, 5, 8])
 def test_verify_all_passes_at_higher_rank(tmp_path, rank):
     # dim 27,750 (n = 3) and 178,360 (n = 4) for the conditional lower bound;
-    # n = 5 failed the summability witness 0.1 before it scaled with rank
+    # n = 5 failed the summability witness 0.1 before it scaled with rank;
+    # at n = 8 the dense fiber block of P, 3,600^2 complex entries, is gone
     assert run_cli(["verify-all", "--n", rank, "--R", 2, "--out", tmp_path]) == 0
     obj = json.loads((tmp_path / "verify-all.json").read_text())
     assert obj["ok"] and all(c["ok"] for c in obj["checks"])

@@ -27,6 +27,7 @@ from treeboundary import (
     homotopy_projection,
     homotopy_projection_check,
     mul,
+    operator_norm,
     projection_P,
     random_unit_function,
     rep_crossed,
@@ -68,7 +69,7 @@ def test_dense_budget_guard(t23):
     assert err.value.requested == 612
     # block-wise paths ignore the dense budget
     values = commutator_singular_values(IA, t23)
-    assert values.size == 612
+    assert len(values) == 612
 
 
 def test_projection_is_projection(t12):
@@ -136,11 +137,15 @@ DENSE = (
 )
 
 
+def _dense(runs):
+    """The dense vector of a run list (end, value)."""
+    ends = [end for end, _ in runs]
+    return np.repeat(np.array([v for _, v in runs], dtype=complex), np.diff([0] + ends))
+
+
 def _group_embedding(trunc):
     """Isometry l2(B_R) -> truncation sending delta_h to delta_h x constant 1."""
-    return np.kron(np.eye(trunc.dim_group), fiber_unit(trunc).reshape(-1, 1)).astype(
-        complex
-    )
+    return np.kron(np.eye(trunc.dim_group), _dense(fiber_unit(trunc)).reshape(-1, 1))
 
 
 def test_pi_identity_matches_dense_oracle(t23):
@@ -150,7 +155,7 @@ def test_pi_identity_matches_dense_oracle(t23):
     L = rep_function(DENSE, t23).matrix
     L_star = rep_function(DENSE.conjugate(), t23).matrix
     Pi = (np.eye(t23.dim) - P) @ L_star @ P
-    v = fiber_unit(t23)
+    v = _dense(fiber_unit(t23))
     sigma_sq = [float(deviation_sq(DENSE, h)) for h in t23.group_basis]
     target = np.kron(np.diag(sigma_sq), np.outer(v, v))
     dense_pi_error = float(np.max(np.abs(Pi.conj().T @ Pi - target)))
@@ -169,7 +174,7 @@ def test_commutator_values_match_dense_svd(t23):
     P = projection_P(t23).matrix
     L = rep_function(DENSE, t23).matrix
     want = np.linalg.svd(P @ L - L @ P, compute_uv=False)
-    got = commutator_singular_values(DENSE, t23)
+    got = np.array(commutator_singular_values(DENSE, t23))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -373,7 +378,7 @@ def test_pi_identity_window_enforced():
 
 
 def test_commutator_values_match_deviation_table(t12):
-    values = commutator_singular_values(IA, t12)
+    values = np.array(commutator_singular_values(IA, t12))
     expected = []
     for h in t12.group_basis:
         s = math.sqrt(float(deviation_sq(IA, h)))
@@ -387,7 +392,7 @@ def test_commutator_values_match_deviation_table(t12):
 
 
 def test_commutator_spectrum_at_612(t23):
-    values = commutator_singular_values(IA, t23)
+    values = np.array(commutator_singular_values(IA, t23))
     top = math.sqrt(3.0) / 4.0
     assert values[0] == pytest.approx(top, abs=1e-9)
     assert values[1] == pytest.approx(top, abs=1e-9)
@@ -426,7 +431,7 @@ def test_homotopy_check_raises_on_violation(t12, monkeypatch):
     eta1 = random_unit_function(F2, 1, rng)
     eta2 = random_unit_function(F2, 2, rng)
     _, bound = homotopy_projection_check(eta1, eta2, t12)
-    monkeypatch.setattr(operators, "operator_norm", lambda block: bound + 1)
+    monkeypatch.setattr(operators, "rank_one_difference_norm", lambda w1, w2: bound + 1)
     with pytest.raises(AssertionError):
         homotopy_projection_check(eta1, eta2, t12)
 
@@ -502,10 +507,10 @@ def test_crossed_product_routes_have_teeth(t24, crossed_oracle, monkeypatch):
     moved = LocallyConstantFunction(
         F2, 1, {**DENSE.values, w: DENSE.values[w] + Fraction(1, 10**6)}
     )
-    exact = operators.fiber_diagonal
+    exact = operators.fiber_runs
     monkeypatch.setattr(
         operators,
-        "fiber_diagonal",
+        "fiber_runs",
         lambda phi, h, trunc: exact(moved if phi is DENSE else phi, h, trunc),
     )
     assert verify_compression_identity(CROSSED, t24) > 1e-10
@@ -554,7 +559,8 @@ def test_rep_crossed_is_sum_of_products(t12):
 
 def test_fiber_unit_is_unit(t12):
     v = fiber_unit(t12)
-    assert float(v @ v) == pytest.approx(1.0, abs=1e-14)
+    assert [end for end, _ in v] == [t12.dim_fiber]  # one run: v is constant
+    assert operators.run_dot(v, v) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_truncation_validation():
@@ -571,7 +577,7 @@ def test_expectation_compression_entries(t12):
     g = F2.word("a")
     A = rep_crossed([(IB, g)], t12).matrix
     V = np.zeros((t12.dim, t12.dim_group), dtype=complex)
-    v = fiber_unit(t12)
+    v = _dense(fiber_unit(t12))
     for i in range(t12.dim_group):
         V[i * t12.dim_fiber : (i + 1) * t12.dim_fiber, i] = v
     compressed = V.conj().T @ A @ V
@@ -582,3 +588,67 @@ def test_expectation_compression_entries(t12):
             continue
         want = expectation(IB, gh).to_complex()
         assert compressed[i, j] == pytest.approx(want, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the closed forms on fiber runs against dense fiber blocks
+
+
+def _bent(runs, factor):
+    return [(end, x * factor) for end, x in runs]
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("factor", [1.0, 1 + 1e-6, 1.1, 1 + 0.1j])
+def test_projection_identities_match_the_dense_block(rank, factor):
+    # P^2 - P = (v.v - 1) outer(v, v), P - P* = 2i Im outer(v, v) and
+    # tr P = |B_R| v.v, read from the runs of v; a bent v makes them nonzero
+    trunc = Truncation(FreeGroup(rank), 1, 2)
+    v = _bent(fiber_unit(trunc), factor)
+    block = np.outer(_dense(v), _dense(v))
+    vv = operators.run_dot(v, v)
+    values = [x for _, x in v]
+    idempotence = abs(vv - 1) * max(abs(x) for x in values) ** 2
+    adjointness = 2 * max(abs((x * y).imag) for x in values for y in values)
+    assert abs(idempotence - np.max(np.abs(block @ block - block))) <= 1e-12
+    assert abs(adjointness - np.max(np.abs(block - block.conj().T))) <= 1e-12
+    assert abs(trunc.dim_group * vv - trunc.dim_group * np.trace(block)) <= 1e-12
+    u = _dense(fiber_unit(trunc))
+    assert np.array_equal(operators.fiber_projection(trunc), np.outer(u, u))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_commutator_values_match_dense_block_svds(rank):
+    # each block [outer(v, v), diag d_h] through LAPACK, against the Gram form
+    group = FreeGroup(rank)
+    trunc = Truncation(group, 1, 2)
+    phi = _random_complex_function(group, 1, random.Random(rank))
+    P = operators.fiber_projection(trunc)
+    want = []
+    for h in trunc.group_basis:
+        D = np.diag(fiber_diagonal(phi, h, trunc))
+        want.extend(np.linalg.svd(P @ D - D @ P, compute_uv=False))
+    want.sort(reverse=True)
+    got = commutator_singular_values(phi, trunc)
+    assert len(got) == len(want) == trunc.dim
+    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12
+    assert got.count(0.0) == trunc.dim - 2 * trunc.dim_group  # exact zeros
+    assert min(got[: 2 * trunc.dim_group]) > 1e-3
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_homotopy_difference_norm_matches_the_dense_block(rank):
+    group = FreeGroup(rank)
+    trunc = Truncation(group, 1, 2)
+    rng = random.Random(10 + rank)
+    etas = [random_unit_function(group, 1 + i % 2, rng) for i in range(6)]
+    etas.append(LocallyConstantFunction.constant(group, 1))
+    for eta1, eta2 in itertools.product(etas, repeat=2):
+        w1 = operators.homotopy_vector(eta1, trunc)
+        w2 = operators.homotopy_vector(eta2, trunc)
+        x, y = _dense(w1), _dense(w2)
+        dense = operator_norm(np.outer(x, x.conj()) - np.outer(y, y.conj()))
+        got = operators.rank_one_difference_norm(w1, w2)
+        assert abs(got - dense) <= 1e-12
+        if eta1 is eta2:
+            assert got == 0.0

@@ -100,6 +100,26 @@ def test_decay_exponent_fit_rank3():
     assert slope == pytest.approx(-math.log(5) / 2, abs=0.06)
 
 
+@pytest.mark.parametrize("group, radius", [(F2, 6), (F3, 4)], ids=["F2", "F3"])
+def test_decay_exponent_fit_matches_the_numpy_fit(group, radius):
+    # the former numpy route, kept as the reference: the same logs, the
+    # slope of np.polyfit; the order of the sums differs, hence 1e-12
+    np = pytest.importorskip("numpy")
+    phi = LocallyConstantFunction.indicator(group, group.word("a")) * (2, 1)
+    profile = DeviationProfile.compute(phi, radius)
+    points = [(m, 0.5 * math.log(float(s))) for m, s in enumerate(profile.sphere_max_sq()) if m]
+    want = np.polyfit(*np.array(points).T, 1)[0]
+    assert decay_exponent_fit(profile) == pytest.approx(want, abs=1e-12)
+
+
+def test_dplus_surrogate_ratios_are_exact_at_the_sorted_slots():
+    # (|B_m| / 3^m)^(1/D) / C at D = 1, C = 2: |B_m| = 2 * 3^m - 1, so the
+    # ratio is 1 - 3^-m / 2, exact in binary64 up to rounding of the quotient
+    check = dplus_surrogate_check(F2, VS2, 700)
+    assert check.ok and check.max_ratio == 1.0  # 1 - 3^-700 / 2 rounds to 1
+    assert dplus_surrogate_check(F2, VS2, 3).max_ratio == pytest.approx(1 - 1 / 54, abs=1e-15)
+
+
 def test_dplus_surrogate():
     check = dplus_surrogate_check(F2, VS2, 6)
     assert check.ok

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeboundary import verify
+from treeboundary import operators, verify
 from treeboundary import (
     DEFAULT_BUDGET,
     FreeGroup,
@@ -129,3 +129,51 @@ def test_summability_witness_has_teeth(monkeypatch):
     ok, detail = verify._summability(make_ctx())
     assert not ok
     assert detail == "p=2 sphere sum 3/32 below the divergence witness 3/16"
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-6, 1 + 1e-6j], ids=["scaled", "imaginary"])
+def test_operator_pi_identity_fails_on_a_bent_fiber_unit(monkeypatch, factor):
+    # the rank-one identities of P read v itself: a v off the unit sphere,
+    # or off the reals, must fail them
+    assert verify._pi_identity(make_ctx())[0]
+    unit = operators.fiber_unit
+    monkeypatch.setattr(
+        operators, "fiber_unit", lambda trunc: [(end, x * factor) for end, x in unit(trunc)]
+    )
+    ok, detail = verify._pi_identity(make_ctx())
+    assert not ok
+    assert detail in ("P is not idempotent", "P is not self-adjoint") or detail.startswith("rank of P")
+
+
+def test_operator_pi_identity_checks_self_adjointness(monkeypatch):
+    # v with v.v = 1 but complex cells x e^(+-i t): P is idempotent, not
+    # self-adjoint
+    def unit(trunc):
+        t = 1e-3
+        x = math.sqrt(1 / (trunc.dim_fiber * math.cos(2 * t)))
+        phase = complex(math.cos(t), math.sin(t))
+        return [(trunc.dim_fiber // 2, x * phase), (trunc.dim_fiber, x * phase.conjugate())]
+
+    monkeypatch.setattr(operators, "fiber_unit", unit)
+    v = unit(operators.Truncation(F2, 2, 3))
+    assert abs(operators.run_dot(v, v) - 1) < 1e-15
+    assert verify._pi_identity(make_ctx()) == (False, "P is not self-adjoint")
+
+
+def test_commutator_spectrum_fails_on_a_moved_fiber_cell(monkeypatch):
+    # the first cell of the identity's block moved by 1e-8 moves sigma there
+    # by about 1.4e-9, past the tolerance 1e-9
+    assert verify._commutator(make_ctx())[0]
+    runs = operators.fiber_runs
+
+    def moved(phi, h, trunc):
+        out = runs(phi, h, trunc)
+        if not h.is_identity:
+            return out
+        end, x = out[0]
+        return [(1, x + 1e-8)] + ([(end, x)] if end > 1 else []) + out[1:]
+
+    monkeypatch.setattr(operators, "fiber_runs", moved)
+    ok, detail = verify._commutator(make_ctx())
+    assert not ok
+    assert detail.startswith("singular values off the deviation table by ")
