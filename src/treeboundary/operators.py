@@ -36,12 +36,13 @@ difference of two rank-one blocks.  Each value is computed from the fiber
 data, not asserted from a closed form, so every cross-check against the
 exact deviation table can still fail.  No route here needs numpy.
 
-``fiber_diagonal`` (the dense expansion of the runs), ``fiber_projection``
-and the constructors ``projection_P``, ``rep_function``, ``rep_group``,
-``rep_crossed`` and ``homotopy_projection``, which materialize dense complex
-binary64 dim x dim matrices guarded by ``check_dense_budget``, are a small
-test oracle: they import numpy in their own bodies, and no route here calls
-them.  Everything is single-threaded.
+``expand_runs`` and ``fiber_diagonal`` (the dense expansions of a run list
+and of the fiber runs), ``fiber_projection`` and the constructors
+``projection_P``, ``rep_function``, ``rep_group``, ``rep_crossed`` and
+``homotopy_projection``, which materialize dense complex binary64 dim x dim
+matrices guarded by ``check_dense_budget``, are a small test oracle: they
+import numpy in their own bodies, and no route here calls them.  Everything
+is single-threaded.
 """
 
 from __future__ import annotations
@@ -162,27 +163,8 @@ def run_sum(runs: Runs) -> complex:
 
 def run_dot(a: Runs, b: Runs) -> complex:
     """sum_c a_c b_c over the cells of two run lists of one fiber (no
-    conjugation): the merge of ``segments``, inline, as the trace oracle
-    makes several per group element."""
-    total, start = 0j, 0
-    runs_a, runs_b = iter(a), iter(b)
-    (end_a, x), (end_b, y) = next(runs_a), next(runs_b)
-    while True:
-        if end_a < end_b:
-            total += (end_a - start) * (x * y)
-            start = end_a
-            end_a, x = next(runs_a)
-        elif end_b < end_a:
-            total += (end_b - start) * (x * y)
-            start = end_b
-            end_b, y = next(runs_b)
-        else:
-            total += (end_a - start) * (x * y)
-            start = end_a
-            following = next(runs_a, None)
-            if following is None:
-                return total
-            (end_a, x), (end_b, y) = following, next(runs_b)
+    conjugation)."""
+    return sum((n * (x * y) for n, x, y in segments(a, b)), 0j)
 
 
 def run_map(f: Callable[[complex, complex], complex], a: Runs, b: Runs) -> Runs:
@@ -300,8 +282,8 @@ def _extension_average(phi: LocallyConstantFunction, h: Word, c: tuple[int, ...]
     return complex(re / count, im / count)
 
 
-def _expand(runs: Runs) -> np.ndarray:
-    """The dense complex vector of a run list."""
+def expand_runs(runs: Runs) -> np.ndarray:
+    """The dense complex vector of a run list, cell by cell: a test oracle."""
     import numpy as np
 
     values = np.array([value for _, value in runs], dtype=complex)
@@ -318,7 +300,7 @@ def fiber_diagonal(
     h^{-1}.phi over c, i.e. of phi(h .) over [c].  It is the dense expansion
     of ``fiber_runs(phi, h, trunc)``, cell by cell: a test oracle.
     """
-    return _expand(fiber_runs(phi, h, trunc))
+    return expand_runs(fiber_runs(phi, h, trunc))
 
 
 def fiber_projection(trunc: Truncation) -> np.ndarray:
@@ -326,7 +308,7 @@ def fiber_projection(trunc: Truncation) -> np.ndarray:
     a test oracle."""
     import numpy as np
 
-    v = _expand(fiber_unit(trunc))
+    v = expand_runs(fiber_unit(trunc))
     return np.outer(v, v)
 
 
@@ -518,7 +500,7 @@ def homotopy_projection(
     """P(eta) = M(conj(eta)) P M(eta) for an exactly L2-normalized eta."""
     import numpy as np
 
-    w = _expand(homotopy_vector(eta, trunc))
+    w = expand_runs(homotopy_vector(eta, trunc))
     trunc.check_dense_budget(budget)
     matrix = np.kron(np.eye(trunc.dim_group), np.outer(w, np.conj(w)))
     return TruncatedOperator(matrix, "P(eta)", trunc)

@@ -137,15 +137,10 @@ DENSE = (
 )
 
 
-def _dense(runs):
-    """The dense vector of a run list (end, value)."""
-    ends = [end for end, _ in runs]
-    return np.repeat(np.array([v for _, v in runs], dtype=complex), np.diff([0] + ends))
-
-
 def _group_embedding(trunc):
     """Isometry l2(B_R) -> truncation sending delta_h to delta_h x constant 1."""
-    return np.kron(np.eye(trunc.dim_group), _dense(fiber_unit(trunc)).reshape(-1, 1))
+    v = operators.expand_runs(fiber_unit(trunc))
+    return np.kron(np.eye(trunc.dim_group), v.reshape(-1, 1))
 
 
 def test_pi_identity_matches_dense_oracle(t23):
@@ -155,7 +150,7 @@ def test_pi_identity_matches_dense_oracle(t23):
     L = rep_function(DENSE, t23).matrix
     L_star = rep_function(DENSE.conjugate(), t23).matrix
     Pi = (np.eye(t23.dim) - P) @ L_star @ P
-    v = _dense(fiber_unit(t23))
+    v = operators.expand_runs(fiber_unit(t23))
     sigma_sq = [float(deviation_sq(DENSE, h)) for h in t23.group_basis]
     target = np.kron(np.diag(sigma_sq), np.outer(v, v))
     dense_pi_error = float(np.max(np.abs(Pi.conj().T @ Pi - target)))
@@ -577,7 +572,7 @@ def test_expectation_compression_entries(t12):
     g = F2.word("a")
     A = rep_crossed([(IB, g)], t12).matrix
     V = np.zeros((t12.dim, t12.dim_group), dtype=complex)
-    v = _dense(fiber_unit(t12))
+    v = operators.expand_runs(fiber_unit(t12))
     for i in range(t12.dim_group):
         V[i * t12.dim_fiber : (i + 1) * t12.dim_fiber, i] = v
     compressed = V.conj().T @ A @ V
@@ -605,7 +600,7 @@ def test_projection_identities_match_the_dense_block(rank, factor):
     # tr P = |B_R| v.v, read from the runs of v; a bent v makes them nonzero
     trunc = Truncation(FreeGroup(rank), 1, 2)
     v = _bent(fiber_unit(trunc), factor)
-    block = np.outer(_dense(v), _dense(v))
+    block = np.outer(operators.expand_runs(v), operators.expand_runs(v))
     vv = operators.run_dot(v, v)
     values = [x for _, x in v]
     idempotence = abs(vv - 1) * max(abs(x) for x in values) ** 2
@@ -613,7 +608,7 @@ def test_projection_identities_match_the_dense_block(rank, factor):
     assert abs(idempotence - np.max(np.abs(block @ block - block))) <= 1e-12
     assert abs(adjointness - np.max(np.abs(block - block.conj().T))) <= 1e-12
     assert abs(trunc.dim_group * vv - trunc.dim_group * np.trace(block)) <= 1e-12
-    u = _dense(fiber_unit(trunc))
+    u = operators.expand_runs(fiber_unit(trunc))
     assert np.array_equal(operators.fiber_projection(trunc), np.outer(u, u))
 
 
@@ -646,7 +641,7 @@ def test_homotopy_difference_norm_matches_the_dense_block(rank):
     for eta1, eta2 in itertools.product(etas, repeat=2):
         w1 = operators.homotopy_vector(eta1, trunc)
         w2 = operators.homotopy_vector(eta2, trunc)
-        x, y = _dense(w1), _dense(w2)
+        x, y = operators.expand_runs(w1), operators.expand_runs(w2)
         dense = operator_norm(np.outer(x, x.conj()) - np.outer(y, y.conj()))
         got = operators.rank_one_difference_norm(w1, w2)
         assert abs(got - dense) <= 1e-12
