@@ -1,7 +1,8 @@
 """The boundary of the 2n-valent tree: infinite reduced words.
 
 Cylinder sets (finite reduced prefixes), the canonical visual metric
-``exp(-epsilon * (. , .))``, the normalized Hausdorff measure
+``exp(-epsilon * (. , .))`` (``VisualStructure``, epsilon = ln(2n-1) unless
+given), the normalized Hausdorff measure
 
     mu([w]) = (1/2n) * (1/(2n-1))^(|w|-1),        mu([empty]) = 1,
 
@@ -51,20 +52,22 @@ from .words import (
 
 @dataclass(frozen=True)
 class VisualStructure:
-    """Visual parameter and derived constants for one group."""
+    """Visual parameter and derived constants for one group.
+
+    ``epsilon`` defaults to the growth rate ln(2n-1), the parameter at which
+    the boundary has Hausdorff dimension 1.
+    """
 
     group: FreeGroup
-    epsilon: float = 1.0
-    q: float = field(init=False)        # exp(-epsilon)
+    epsilon: float | None = None
     entropy: float = field(init=False)  # log(2n - 1), the growth rate
 
     def __post_init__(self):
+        object.__setattr__(self, "entropy", math.log(2 * self.group.n - 1))
+        if self.epsilon is None:
+            object.__setattr__(self, "epsilon", self.entropy)
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        object.__setattr__(self, "q", math.exp(-self.epsilon))
-        object.__setattr__(
-            self, "entropy", math.log(2 * self.group.n - 1)
-        )
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ from .deviation import expectation
 from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
 from .operators import Truncation, fiber_diagonal, fiber_projection, fiber_runs, run_dot, run_sum
 from .summability import sphere_series
-from .words import DEFAULT_BUDGET, IDENTITY, BudgetError, FreeGroup, Word, mul
+from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Word, mul
 
 # the per-h identity's tolerance per fiber cell, relative to
 # prod_i ||phi_i||_sup, which bounds both sides: the gap on exact blocks is
@@ -221,9 +221,7 @@ class CocycleValue:
             return QQ_ZERO
         group, K = summand.group, max(summand.depth, 1)
         lo, hi = (summand.degree - 1) // 2, summand.degree
-        classes = (hi - lo + 2) * group.sphere_count(K)
-        if classes > self.budget:
-            raise BudgetError(classes, self.budget)
+        group.check_class_budget(self.budget, K, K, K + hi - lo + 1)
         return sphere_series(
             lambda m: self.spheres[m] if m <= self.radius else summand.sphere(m),
             2 * group.n - 1, K, lo, hi,

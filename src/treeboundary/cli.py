@@ -8,7 +8,10 @@ Exit codes: 0 success, 1 invariant violation, 2 usage or input error,
 3 budget exceeded.
 
 Reports are deterministic: fixed key order, floats rendered as 17
-significant digits (lossless binary64 round-trip), rationals as "p/q".
+significant digits (lossless binary64 round-trip), rationals as "p/q"; the
+one rendering of each is ``functions.float_str`` and ``functions.frac_str``.
+``_write_report`` writes the two files of every subcommand but
+``deviation``, whose profile renders its own rows.
 
 Input contract: ``SETTINGS`` declares each setting once (flags, kind, help)
 and ``COMMANDS`` gives each subcommand's settings and defaults; the parser
@@ -35,7 +38,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 from .boundary import BoundaryPoint, VisualStructure, pushforward_weights
 from .chern import CocycleInput, cocycle_value, trace_identity, trace_oracle_report
 from .deviation import DeviationProfile
-from .functions import LocallyConstantFunction
+from .functions import LocallyConstantFunction, float_str, frac_str
 from .operators import (
     OPERATOR_BUDGET,
     Truncation,
@@ -61,22 +64,14 @@ EXIT_BUDGET = 3
 ENV_BUDGET = "TREEBOUNDARY_BUDGET"
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _frac(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _complex_obj(z: complex) -> dict[str, str]:
-    return {"re": _fmt(z.real), "im": _fmt(z.imag)}
+    return {"re": float_str(z.real), "im": float_str(z.imag)}
 
 
 def _stringify(obj: Any) -> Any:
     """Recursively render floats as 17-digit strings for stable JSON."""
     if isinstance(obj, float):
-        return _fmt(obj)
+        return float_str(obj)
     if isinstance(obj, dict):
         return {k: _stringify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -93,12 +88,16 @@ def _out_dir(settings: argparse.Namespace) -> Path:
     return out
 
 
-def _write_json(path: Path, obj: Any) -> None:
+def _write_report(
+    s: argparse.Namespace, name: str, obj: Any, header: Sequence[str], rows: Sequence[Sequence]
+) -> None:
+    """``<name>.json`` (``obj``, keys sorted) and ``<name>.csv`` (``header``
+    and ``rows``) in the output directory."""
+    out = _out_dir(s)
+    path = out / f"{name}.json"
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+    path = out / f"{name}.csv"
     with path.open("w", newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(header)
@@ -336,9 +335,7 @@ def _cmd_growth(s: argparse.Namespace) -> int:
             {"R": r, "closed_form": c, "enumerated": e} for r, c, e in rows
         ],
     }
-    out = _out_dir(s)
-    _write_json(out / "growth.json", obj)
-    _write_csv(out / "growth.csv", ["R", "closed_form", "enumerated"], rows)
+    _write_report(s, "growth", obj, ["R", "closed_form", "enumerated"], rows)
     bad = [r for r, c, e in rows if c != e]
     if bad:
         print(f"count mismatch at R={bad}", file=sys.stderr)
@@ -365,18 +362,18 @@ def _cmd_deviation(s: argparse.Namespace) -> int:
 def _cmd_summability(s: argparse.Namespace) -> int:
     phi, label = _function(s)
     group = phi.group
-    vs = VisualStructure(group, s.epsilon or math.log(2 * group.n - 1))
+    vs = VisualStructure(group, s.epsilon)
     profile = DeviationProfile.compute(phi, s.radius, label=label, budget=s.budget)
     reports = [lp_report(profile, p, vs) for p in s.p]
     surrogate = dplus_surrogate_check(group, vs, s.radius)
     obj = {
         "rank": group.n,
-        "epsilon": _fmt(vs.epsilon),
+        "epsilon": float_str(vs.epsilon),
         "phi": label,
         "radius": s.radius,
-        "dimension": _fmt(hausdorff_dimension(vs)),
-        "threshold": _fmt(summability_threshold(vs)),
-        "decay_exponent_fit": _fmt(decay_exponent_fit(profile)),
+        "dimension": float_str(hausdorff_dimension(vs)),
+        "threshold": float_str(summability_threshold(vs)),
+        "decay_exponent_fit": _stringify(decay_exponent_fit(profile)),
         "sorted_decay": _stringify(
             {
                 "C": surrogate.C,
@@ -391,22 +388,16 @@ def _cmd_summability(s: argparse.Namespace) -> int:
     for report in reports:
         for m, sphere_sum in enumerate(report.sphere_sums):
             prev = report.sphere_sums[m - 1] if m else 0.0
-            ratio = _fmt(sphere_sum / prev) if m and prev > 0 and sphere_sum > 0 else ""
-            rows.append((_fmt(report.p), m, _fmt(sphere_sum), ratio, report.verdict))
-    out = _out_dir(s)
-    _write_json(out / "summability.json", obj)
-    _write_csv(
-        out / "summability.csv",
-        ["p", "m", "sphere_sum", "ratio", "verdict"],
-        rows,
-    )
+            ratio = float_str(sphere_sum / prev) if m and prev > 0 and sphere_sum > 0 else ""
+            rows.append((float_str(report.p), m, float_str(sphere_sum), ratio, report.verdict))
+    _write_report(s, "summability", obj, ["p", "m", "sphere_sum", "ratio", "verdict"], rows)
     return EXIT_OK
 
 
 def _cmd_spectrum(s: argparse.Namespace) -> int:
     phi, label = _function(s)
     group = phi.group
-    vs = VisualStructure(group, s.epsilon or math.log(2 * group.n - 1))
+    vs = VisualStructure(group, s.epsilon)
     level = phi.depth + s.radius if s.m is None else s.m
     trunc = Truncation(group, s.radius, level)
     trunc.check_dense_budget(s.budget)
@@ -419,9 +410,9 @@ def _cmd_spectrum(s: argparse.Namespace) -> int:
         norm = sum(v**p for v in nonzero) ** (1.0 / p) if nonzero else 0.0
         schatten.append(
             {
-                "p": _fmt(p),
-                "schatten_norm": _fmt(norm),
-                "completion_norm": _fmt(phi.sup_norm() + norm),
+                "p": float_str(p),
+                "schatten_norm": float_str(norm),
+                "completion_norm": float_str(phi.sup_norm() + norm),
             }
         )
     obj = {
@@ -429,21 +420,16 @@ def _cmd_spectrum(s: argparse.Namespace) -> int:
         "phi": label,
         "R": s.radius,
         "m": level,
-        "epsilon": _fmt(vs.epsilon),
+        "epsilon": float_str(vs.epsilon),
         "dim": trunc.dim,
-        "pi_identity_error": _fmt(report.pi_error),
-        "compression_error": _fmt(report.compression_error),
-        "deviation_match_error": _fmt(match.error),
-        "singular_values": [_fmt(v) for v in values],
+        "pi_identity_error": float_str(report.pi_error),
+        "compression_error": float_str(report.compression_error),
+        "deviation_match_error": float_str(match.error),
+        "singular_values": [float_str(v) for v in values],
         "schatten": schatten,
     }
-    out = _out_dir(s)
-    _write_json(out / "spectrum.json", obj)
-    _write_csv(
-        out / "spectrum.csv",
-        ["index", "singular_value"],
-        [(i, _fmt(v)) for i, v in enumerate(values)],
-    )
+    rows = [(i, float_str(v)) for i, v in enumerate(values)]
+    _write_report(s, "spectrum", obj, ["index", "singular_value"], rows)
     return EXIT_OK
 
 
@@ -459,7 +445,7 @@ def _cmd_chern(s: argparse.Namespace) -> int:
         trunc.check_enumeration_budget(s.budget)
     value = cocycle_value(inp, s.radius, budget=s.budget)
     total = value.total
-    spheres = [(m, _fmt(math.sqrt(float(s.abs2())))) for m, s in enumerate(value.spheres)]
+    spheres = [(m, float_str(math.sqrt(float(s.abs2())))) for m, s in enumerate(value.spheres)]
     report = {
         "rank": group.n,
         "degree": inp.degree,
@@ -467,10 +453,10 @@ def _cmd_chern(s: argparse.Namespace) -> int:
         "group_product": word_to_str(inp.group_product),
         "value": _complex_obj(value.value),
         "partial_exact": {
-            "re": _frac(value.exact_partial.re),
-            "im": _frac(value.exact_partial.im),
+            "re": frac_str(value.exact_partial.re),
+            "im": frac_str(value.exact_partial.im),
         },
-        "total_exact": {"re": _frac(total.re), "im": _frac(total.im)},
+        "total_exact": {"re": frac_str(total.re), "im": frac_str(total.im)},
         "total": _complex_obj(total.to_complex()),
         "spheres": [{"m": m, "abs": a} for m, a in spheres],
     }
@@ -483,15 +469,13 @@ def _cmd_chern(s: argparse.Namespace) -> int:
             "value": _complex_obj(oracle.value),
             "chain_exits": oracle.chain_exits,
             "inexact_blocks": oracle.inexact_blocks,
-            "gap": _fmt(abs(oracle.value - value.value)),
+            "gap": float_str(abs(oracle.value - value.value)),
             "identity_h": identity.compared,
-            "identity_gap": _fmt(identity.gap),
-            "identity_tolerance": _fmt(identity.tolerance),
+            "identity_gap": float_str(identity.gap),
+            "identity_tolerance": float_str(identity.tolerance),
             "consistent": identity.holds,
         }
-    out = _out_dir(s)
-    _write_json(out / "chern.json", report)
-    _write_csv(out / "chern.csv", ["m", "sphere_abs"], spheres)
+    _write_report(s, "chern", report, ["m", "sphere_abs"], spheres)
     checked = report.get("oracle")
     if checked and not checked["consistent"]:
         gap, tol = checked["identity_gap"], checked["identity_tolerance"]
@@ -535,7 +519,7 @@ def _cmd_furstenberg(s: argparse.Namespace) -> int:
         # min(m|g|, depth) letters with prefix_depth(omega); no power is built
         total, weights = pushforward_weights(m * len(g), s.depth, group)
         d = 2 * (1 - Fraction(weights[min(m * len(g), s.depth)], total))
-        rows.append((m, _frac(d), _fmt(float(d))))
+        rows.append((m, frac_str(d), float_str(d)))
     obj = {
         "rank": group.n,
         "g": word_to_str(g),
@@ -545,15 +529,13 @@ def _cmd_furstenberg(s: argparse.Namespace) -> int:
             {"m": m, "distance": d, "distance_float": f} for m, d, f in rows
         ],
     }
-    out = _out_dir(s)
-    _write_json(out / "furstenberg.json", obj)
-    _write_csv(out / "furstenberg.csv", ["m", "distance", "distance_float"], rows)
+    _write_report(s, "furstenberg", obj, ["m", "distance", "distance_float"], rows)
     return EXIT_OK
 
 
 def _cmd_verify_all(s: argparse.Namespace) -> int:
     group = FreeGroup(s.rank)
-    vs = VisualStructure(group, s.epsilon or math.log(2 * group.n - 1))
+    vs = VisualStructure(group, s.epsilon)
     ctx = VerifyContext(
         group=group,
         vs=vs,
@@ -567,21 +549,16 @@ def _cmd_verify_all(s: argparse.Namespace) -> int:
     obj = {
         "rank": group.n,
         "radius": s.radius,
-        "epsilon": _fmt(vs.epsilon),
+        "epsilon": float_str(vs.epsilon),
         "seed": s.seed,
-        "tol_scale": _fmt(s.tol_scale),
+        "tol_scale": float_str(s.tol_scale),
         "ok": ok,
         "checks": [
             {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
         ],
     }
-    out = _out_dir(s)
-    _write_json(out / "verify-all.json", obj)
-    _write_csv(
-        out / "verify-all.csv",
-        ["name", "ok", "detail"],
-        [(r.name, str(r.ok).lower(), r.detail) for r in results],
-    )
+    rows = [(r.name, str(r.ok).lower(), r.detail) for r in results]
+    _write_report(s, "verify-all", obj, ["name", "ok", "detail"], rows)
     passed = sum(1 for r in results if r.ok)
     print(f"verify-all: {passed}/{len(results)} checks passed")
     return EXIT_OK if ok else EXIT_INVARIANT

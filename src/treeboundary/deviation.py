@@ -6,13 +6,15 @@ For a level-k function phi and a group element g:
     sigma^2(phi)(g) = E(|phi|^2)(g) - |E(phi)(g)|^2          (exact, >= 0)
     cov(phi,psi)(g) = E(phi psi*)(g) - E(phi)(g) E(psi)(g)*  (exact)
 
-E and sigma^2 are computed on integers, and cov from three such
-expectations: with phi(w) = (a + ib) / D
+E and sigma^2 come from one pass over the cells on integers, ``_sums``, and
+cov from three expectations: with phi(w) = (a + ib) / D
 (``LocallyConstantFunction.numerators``) and (g_*mu)([w]) = c_l / M
 (``boundary.pushforward_weights``, l the common prefix length of g and w),
-E(phi)(g) = (sum a c_l + i sum b c_l) / (D M) and E(|phi|^2)(g) =
-sum (a^2 + b^2) c_l / (D^2 M); the sums are Python ints, and each
-statistic makes one pair of Fractions at the end.
+the pass gives the Python ints A = sum a c_l, B = sum b c_l and
+S = sum (a^2 + b^2) c_l, so that E(phi)(g) = (A + iB) / (D M) and
+sigma^2(phi)(g) = (M S - A^2 - B^2) / (D M)^2.  ``mean_and_deviation_sq``
+makes both from that one pass, for profile classes and ``deviation_sq``
+alike; each statistic is a Fraction made once, at the end.
 
 ``deviation_sq_pairsum`` recomputes sigma^2 through the double-integral
 formula (1/2) iint |phi(gx) - phi(gy)|^2 dmu dmu on the common refinement of
@@ -50,21 +52,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import IO, Callable, NamedTuple
 
-from .words import DEFAULT_BUDGET, BudgetError, FreeGroup, Word, common_prefix_len, word_to_str
+from .words import DEFAULT_BUDGET, FreeGroup, Word, common_prefix_len, word_to_str
 from .boundary import depth_mass, pushforward_weights
-from .functions import GaussianRational, LocallyConstantFunction
-
-_frac = lambda x: f"{x.numerator}/{x.denominator}"
+from .functions import GaussianRational, LocallyConstantFunction, frac_str
 
 
-def _sums(
-    phi: LocallyConstantFunction, g: Word, squares: bool = False
-) -> tuple[int, int, int, int, int]:
+def _sums(phi: LocallyConstantFunction, g: Word) -> tuple[int, int, int, int, int]:
     """Integer sums over the nonzero depth-k cells w of phi, with phi(w) =
     (a + ib) / D and (g_*mu)([w]) = c / M from ``pushforward_weights``:
-    (sum a c, sum b c, sum (a^2 + b^2) c, D, M), the third 0 unless
-    ``squares``.  So E(phi)(g) = (sum a c + i sum b c) / (D M) and
-    E(|phi|^2)(g) = sum (a^2 + b^2) c / (D^2 M)."""
+    (sum a c, sum b c, sum (a^2 + b^2) c, D, M).  So E(phi)(g) =
+    (sum a c + i sum b c) / (D M) and E(|phi|^2)(g) = sum (a^2 + b^2) c / (D^2 M)."""
     den, cells = phi.numerators
     total, weights = pushforward_weights(len(g), phi.depth, phi.group)
     letters = g.letters
@@ -74,8 +71,7 @@ def _sums(
             c = weights[common_prefix_len(letters, w)]
             re += a * c
             im += b * c
-            if squares:
-                sq += (a * a + b * b) * c
+            sq += (a * a + b * b) * c
     return re, im, sq, den, total
 
 
@@ -88,17 +84,26 @@ def expectation(phi: LocallyConstantFunction, g: Word) -> GaussianRational:
 
 def _expectation_abs_sq(phi: LocallyConstantFunction, g: Word) -> Fraction:
     """E(|phi|^2)(g)."""
-    _, _, sq, den, total = _sums(phi, g, squares=True)
+    _, _, sq, den, total = _sums(phi, g)
     return Fraction(sq, den * den * total)
 
 
+def mean_and_deviation_sq(
+    phi: LocallyConstantFunction, g: Word
+) -> tuple[GaussianRational, Fraction]:
+    """E(phi)(g) and sigma^2(phi)(g) from one pass of ``_sums``:
+    sigma^2 = (M sum (a^2 + b^2) c - |sum (a + ib) c|^2) / (D M)^2."""
+    re, im, sq, den, total = _sums(phi, g)
+    gap = sq * total - re * re - im * im
+    if gap < 0:
+        raise AssertionError(f"negative deviation {Fraction(gap, (den * total) ** 2)} at {g}")
+    den *= total
+    return GaussianRational(Fraction(re, den), Fraction(im, den)), Fraction(gap, den * den)
+
+
 def deviation_sq(phi: LocallyConstantFunction, g: Word) -> Fraction:
-    """sigma^2(phi)(g) = (M sum (a^2 + b^2) c - |sum (a + ib) c|^2) / (D M)^2."""
-    re, im, sq, den, total = _sums(phi, g, squares=True)
-    s = Fraction(sq * total - re * re - im * im, (den * total) ** 2)
-    if s < 0:
-        raise AssertionError(f"negative deviation {s} at {g}")
-    return s
+    """sigma^2(phi)(g) = E(|phi|^2)(g) - |E(phi)(g)|^2."""
+    return mean_and_deviation_sq(phi, g)[1]
 
 
 def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
@@ -185,9 +190,9 @@ class ProfileClass:
     sigma_str: str = field(init=False)
 
     def __post_init__(self) -> None:
-        self.re_str = _frac(self.expectation.re)
-        self.im_str = _frac(self.expectation.im)
-        self.sigma_str = _frac(self.deviation_sq)
+        self.re_str = frac_str(self.expectation.re)
+        self.im_str = frac_str(self.expectation.im)
+        self.sigma_str = frac_str(self.deviation_sq)
 
 
 class ProfileRow(NamedTuple):
@@ -203,8 +208,7 @@ def sphere_classes(phi: LocallyConstantFunction, m: int) -> list[ProfileClass]:
     """The prefix classes of sphere m, each evaluated once, at one member."""
     classes = []
     for prefix, g, size in phi.group.prefix_classes(m, phi.depth):
-        e = expectation(phi, g)
-        classes.append(ProfileClass(m, prefix, e, _expectation_abs_sq(phi, g) - e.abs2(), size))
+        classes.append(ProfileClass(m, prefix, *mean_and_deviation_sq(phi, g), size))
     return classes
 
 
@@ -236,11 +240,7 @@ class DeviationProfile:
         ball is enumerated here, so |B_R| is charged only by the callers
         that expand the rows (the ``deviation`` writers).
         """
-        classes = phi.group.prefix_class_count(radius, phi.depth)
-        if classes > budget:
-            raise BudgetError(
-                classes, budget, f"a profile of {classes} prefix classes exceeds budget {budget}"
-            )
+        phi.group.check_class_budget(budget, phi.depth, 0, radius)
         return cls(label, radius, phi, [sphere_classes(phi, m) for m in range(radius + 1)])
 
     @property

@@ -6,6 +6,9 @@ operation, integral and statistic downstream stays exact.  The group acts by
 ``(g.phi)(xi) = phi(g^-1 xi)``; translating a level-k function gives a level
 ``k + |g|`` function.  Tables are never pruned back to a coarser level
 (translations stay cheap); equality refines both sides first.
+
+``frac_str`` ("p/q") and ``float_str`` (17 significant digits) are the one
+rendering of each kind of number that the reports hold.
 """
 
 from __future__ import annotations
@@ -110,8 +113,15 @@ QQ_ONE = GaussianRational(Fraction(1))
 QQ_I = GaussianRational(Fraction(0), Fraction(1))
 
 
-def _frac_str(x: Fraction) -> str:
+def frac_str(x: Fraction) -> str:
+    """The report rendering of an exact rational: "p/q", also for integers."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def float_str(x: float) -> str:
+    """The report rendering of a float: 17 significant digits, which
+    round-trip every binary64 value."""
+    return f"{float(x):.17g}"
 
 
 class LocallyConstantFunction:
@@ -279,7 +289,7 @@ class LocallyConstantFunction:
         return {
             "depth": self.depth,
             "values": {
-                word_to_str(w): [_frac_str(v.re), _frac_str(v.im)]
+                word_to_str(w): [frac_str(v.re), frac_str(v.im)]
                 for w, v in self.values.items()
             },
         }

@@ -29,6 +29,7 @@ from typing import Callable, Sequence, TypeVar
 from .words import FreeGroup
 from .boundary import VisualStructure
 from .deviation import DeviationProfile, ProfileClass
+from .functions import frac_str
 
 T = TypeVar("T")  # an exact number: Fraction or GaussianRational
 
@@ -100,7 +101,7 @@ class SummabilityReport:
         }
         if _even(self.p):
             total = self.total
-            obj["total_exact"] = None if total is None else f"{total.numerator}/{total.denominator}"
+            obj["total_exact"] = None if total is None else frac_str(total)
         return obj
 
 
@@ -155,8 +156,10 @@ def lp_report(profile: DeviationProfile, p: float, vs: VisualStructure) -> Summa
     )
 
 
-def decay_exponent_fit(profile: DeviationProfile) -> float:
-    """Least-squares slope of log(max sigma over sphere m) against m, m >= 1.
+def decay_exponent_fit(profile: DeviationProfile) -> float | None:
+    """Least-squares slope of log(max sigma over sphere m) against m, m >= 1;
+    None when sigma vanishes on every such sphere, as for a constant
+    function, where there is no decay to fit.
 
     The identity row is skipped: sigma there is the plain
     (untranslated) deviation and always equals the sphere-1 maximum for
@@ -164,9 +167,12 @@ def decay_exponent_fit(profile: DeviationProfile) -> float:
     biases the asymptotic rate estimate.  Each log is taken of the exact
     maximum, whose float may underflow to 0 at large radii.
     """
+    maxima = profile.sphere_max_sq()[1:]
+    if maxima and not any(maxima):
+        return None
     xs, ys = [], []
-    for m, s in enumerate(profile.sphere_max_sq()):
-        if m >= 1 and s > 0:
+    for m, s in enumerate(maxima, 1):
+        if s > 0:
             xs.append(float(m))
             ys.append(0.5 * (math.log(s.numerator) - math.log(s.denominator)))
     if len(xs) < 4:

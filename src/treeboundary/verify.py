@@ -21,7 +21,6 @@ rationals ignore the scale.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +44,7 @@ from .deviation import (
     deviation_sq_pairsum,
     sigma_envelope,
 )
-from .functions import QQ_I, LocallyConstantFunction, random_unit_function
+from .functions import QQ_I, LocallyConstantFunction, float_str, random_unit_function
 from .summability import (
     dplus_surrogate_check,
     exact_sphere_sum,
@@ -87,10 +86,6 @@ def _check(name: str):
 
 def check_names() -> list[str]:
     return [name for name, _ in _REGISTRY]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _indicators(group: FreeGroup) -> list[LocallyConstantFunction]:
@@ -211,7 +206,7 @@ def _envelope(ctx: VerifyContext) -> tuple[bool, str]:
                 return False, f"envelope violated at sphere {m}"
             if bound > 0:
                 worst = max(worst, float(s) / bound)
-    return True, f"sphere maxima under the envelope up to R={rmax}; max ratio {_fmt(worst)}"
+    return True, f"sphere maxima under the envelope up to R={rmax}; max ratio {float_str(worst)}"
 
 
 @_check("furstenberg-rate")
@@ -233,16 +228,16 @@ def _furstenberg(ctx: VerifyContext) -> tuple[bool, str]:
 @_check("dimension-formula")
 def _dimension(ctx: VerifyContext) -> tuple[bool, str]:
     group = ctx.group
-    vs = VisualStructure(group, math.log(2 * group.n - 1))
+    vs = VisualStructure(group)
     d = hausdorff_dimension(vs)
     tol = 1e-15 * ctx.tol_scale
     if abs(d - 1.0) > tol:
-        return False, f"dimension at eps=ln(2n-1) is {_fmt(d)}"
+        return False, f"dimension at eps=ln(2n-1) is {float_str(d)}"
     threshold = summability_threshold(ctx.vs)
     expected = max(2.0, hausdorff_dimension(ctx.vs))
     if threshold != expected:
-        return False, f"threshold {_fmt(threshold)} != max(2, D)"
-    return True, f"D(eps=ln(2n-1)) = {_fmt(d)}; threshold = {_fmt(threshold)}"
+        return False, f"threshold {float_str(threshold)} != max(2, D)"
+    return True, f"D(eps=ln(2n-1)) = {float_str(d)}; threshold = {float_str(threshold)}"
 
 
 @_check("summability-witness")
@@ -256,7 +251,7 @@ def _summability(ctx: VerifyContext) -> tuple[bool, str]:
     limit = (2 * group.n - 1) ** -0.5 + 0.1
     tail = above.tail_ratios[2:]
     if any(r > limit for r in tail):
-        return False, f"p=3 sphere ratio {max(tail):.17g} above {limit:.17g}"
+        return False, f"p=3 sphere ratio {float_str(max(tail))} above {float_str(limit)}"
     # sigma^2(1_[a])(e) = mu[a] (1 - mu[a]), mu[a] = 1/2n: the p=2 sphere
     # sums start there at m = 0 and rise towards 1/n
     witness = Fraction(2 * group.n - 1, 4 * group.n**2)
@@ -265,10 +260,10 @@ def _summability(ctx: VerifyContext) -> tuple[bool, str]:
         return False, f"p=2 sphere sum {min(sums)} below the divergence witness {witness}"
     surrogate = dplus_surrogate_check(group, vs, radius)
     if not surrogate.ok:
-        return False, f"sorted-decay surrogate ratio {_fmt(surrogate.max_ratio)}"
+        return False, f"sorted-decay surrogate ratio {float_str(surrogate.max_ratio)}"
     return True, (
-        f"p=3 ratios <= {_fmt(limit)}, p=2 sphere sums >= {witness} (least past "
-        f"m=0 {_fmt(float(min(sums[1:])))}), sorted-decay ratio {_fmt(surrogate.max_ratio)}"
+        f"p=3 ratios <= {float_str(limit)}, p=2 sphere sums >= {witness} (least past "
+        f"m=0 {float_str(min(sums[1:]))}), sorted-decay ratio {float_str(surrogate.max_ratio)}"
     )
 
 
@@ -290,16 +285,16 @@ def _pi_identity(ctx: VerifyContext) -> tuple[bool, str]:
         return False, "P is not self-adjoint"
     rank = trunc.dim_group * vv.real
     if abs(rank - trunc.dim_group) > 1e-9 * ctx.tol_scale:
-        return False, f"rank of P is {_fmt(rank)}, expected {trunc.dim_group}"
+        return False, f"rank of P is {float_str(rank)}, expected {trunc.dim_group}"
     report = ops.verify_pi_identity(phi, trunc)
     tol = 1e-10 * ctx.tol_scale
     if report.pi_error > tol:
-        return False, f"Pi*Pi error {_fmt(report.pi_error)} above {_fmt(tol)}"
+        return False, f"Pi*Pi error {float_str(report.pi_error)} above {float_str(tol)}"
     if report.compression_error > tol:
-        return False, f"compression error {_fmt(report.compression_error)}"
+        return False, f"compression error {float_str(report.compression_error)}"
     return True, (
-        f"R={R}, m={1 + R}: Pi*Pi error {_fmt(report.pi_error)}, "
-        f"P lambda P error {_fmt(report.compression_error)}"
+        f"R={R}, m={1 + R}: Pi*Pi error {float_str(report.pi_error)}, "
+        f"P lambda P error {float_str(report.compression_error)}"
     )
 
 
@@ -315,8 +310,8 @@ def _commutator(ctx: VerifyContext) -> tuple[bool, str]:
     gap = match.error
     tol = 1e-9 * ctx.tol_scale
     if gap > tol:
-        return False, f"singular values off the deviation table by {_fmt(gap)}"
-    return True, f"multiset matches the deviation table, max gap {_fmt(gap)}"
+        return False, f"singular values off the deviation table by {float_str(gap)}"
+    return True, f"multiset matches the deviation table, max gap {float_str(gap)}"
 
 
 @_check("homotopy-inequality")
@@ -342,7 +337,7 @@ def _homotopy(ctx: VerifyContext) -> tuple[bool, str]:
             return False, "projection distance exceeds 2||eta1 - eta2||"
         if bound > 0:
             worst = max(worst, norm_diff / bound)
-    return True, f"10 random unit pairs; max ||P(e1)-P(e2)|| / bound = {_fmt(worst)}"
+    return True, f"10 random unit pairs; max ||P(e1)-P(e2)|| / bound = {float_str(worst)}"
 
 
 @_check("compression-identity")
@@ -358,8 +353,8 @@ def _compression(ctx: VerifyContext) -> tuple[bool, str]:
     err = ops.verify_compression_identity(terms, trunc)
     tol = 1e-12 * ctx.tol_scale
     if err > tol:
-        return False, f"compressed matrix off by {_fmt(err)}"
-    return True, f"P lambda(a) P matches translation-by-expectation, error {_fmt(err)}"
+        return False, f"compressed matrix off by {float_str(err)}"
+    return True, f"P lambda(a) P matches translation-by-expectation, error {float_str(err)}"
 
 
 @_check("conditional-lower-bound")
@@ -395,10 +390,10 @@ def _chern(ctx: VerifyContext) -> tuple[bool, str]:
     if not identity.compared:
         return False, "no group element has an exact chain to compare"
     tol = identity.tolerance * ctx.tol_scale
-    margin = f"on {identity.compared} h, max gap {_fmt(identity.gap)}"
+    margin = f"on {identity.compared} h, max gap {float_str(identity.gap)}"
     if identity.gap > tol:
-        return False, f"fiber trace off the signed summand {margin} above {_fmt(tol)}"
-    return True, f"exact vanishing holds; fiber trace = signed summand {margin} <= {_fmt(tol)}"
+        return False, f"fiber trace off the signed summand {margin} above {float_str(tol)}"
+    return True, f"exact vanishing holds; fiber trace = signed summand {margin} <= {float_str(tol)}"
 
 
 def run_all(ctx: VerifyContext, workers: int = 1) -> list[CheckResult]:

@@ -240,6 +240,16 @@ class FreeGroup:
         t = min(R, k)
         return self.growth_count(t) + (R - t) * self.sphere_count(t)
 
+    def check_class_budget(self, budget: int, k: int, first: int, last: int) -> None:
+        """Raise BudgetError if spheres ``first`` .. ``last`` hold more than
+        ``budget`` prefix classes of depth k: the classes that a profile or
+        a series evaluates, once each."""
+        classes = self.prefix_class_count(last, k)
+        if first:
+            classes -= self.prefix_class_count(first - 1, k)
+        if classes > budget:
+            raise BudgetError(classes, budget, f"{classes} prefix classes exceed budget {budget}")
+
     def prefix_classes(self, m: int, k: int) -> Iterator[tuple[tuple[int, ...], Word, int]]:
         """The classes of sphere m under g ~ g' iff prefix_k g = prefix_k g',
         lexicographic: (prefix, member, size) for each.

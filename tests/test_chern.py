@@ -538,7 +538,7 @@ def test_series_budget_charges_its_classes():
 
     # K = 2 and powers 1..3: spheres 2..5, 4 x |S_2| = 48 classes
     inp = CocycleInput(3, REGRESSION_TERMS)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="48 prefix classes exceed budget 47"):
         cocycle_value(inp, 0, budget=47).total
     assert cocycle_value(inp, 0, budget=48).total == GaussianRational(Fraction(1, 72))
 

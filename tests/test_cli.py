@@ -1,10 +1,12 @@
 """CLI surface: exit codes, report schemas, precedence, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -90,6 +92,19 @@ def test_summability_schema(tmp_path):
     assert obj["reports"][1]["verdict"] == "converging"
     # floats travel as 17-digit strings
     assert isinstance(obj["reports"][0]["sphere_sums"][0], str)
+
+
+def test_summability_of_a_constant_function_has_no_fit(tmp_path):
+    # sigma vanishes on every sphere: each verdict and total is defined, and
+    # there is no decay to fit
+    phi = tmp_path / "constant.json"
+    phi.write_text(json.dumps({"rank": 2, "depth": 0, "values": {"1": ["1/2", "0"]}}))
+    assert run_cli(["summability", "--phi", phi, "--p", 2, "--p", 3, "--out", tmp_path]) == 0
+    obj = json.loads((tmp_path / "summability.json").read_text())
+    assert obj["decay_exponent_fit"] is None
+    assert [r["verdict"] for r in obj["reports"]] == ["converging", "converging"]
+    assert obj["reports"][0]["total_exact"] == "0/1"
+    assert set(obj["reports"][1]["sphere_sums"]) == {"0"}
 
 
 def test_spectrum_schema(tmp_path):
@@ -788,3 +803,91 @@ def test_main_keeps_the_exit_code_contract(data):
         assert code in (0, 1, 2, 3), (argv, config)
         assert code != 1 or command in ("verify-all", "chern"), (argv, config, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# ----------------------------------------------------------------------
+# one rendering of each number kind
+
+# small runs of every subcommand; p = 4 gives summability an exact total
+_RENDER_ROUTES = dict(
+    _ROUTES,
+    summability=["--phi", "{phi}", "--R", "4", "--p", "2", "--p", "3", "--p", "4"],
+    spectrum=["--phi", "{phi}", "--R", "1", "--p", "2.5"],
+)
+_MARK = re.compile(r"<[QF](.*?)>")
+_WHOLE_NUMBER = re.compile(r"-?\d+/\d+|-?\d*\.?\d+(e[+-]?\d+)?|-?inf|nan")
+_DECIMAL = re.compile(r"\d\.\d|\de[+-]?\d|\binf\b|\bnan\b")
+# fields and columns that hold words or integers, and those that hold text
+_WORD_KEYS = {"g", "group_product", "endpoint"}
+_PLAIN_COLUMNS = {"g", "|g|", "m", "R", "closed_form", "enumerated", "index", "name", "ok"}
+_TEXT = {"detail"}
+
+
+def _mark_renderings(monkeypatch):
+    """Wrap the output of the one "p/q" and the one float rendering in
+    markers, <Q...> and <F...>, wherever a module binds them."""
+    import treeboundary.functions as functions
+
+    for original, mark in ((functions.frac_str, "Q"), (functions.float_str, "F")):
+        def marked(x, original=original, mark=mark):
+            return f"<{mark}{original(x)}>"
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "treeboundary":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, marked)
+
+
+def _check_leaf(plain, marked, name, plain_names, where):
+    """``marked`` is ``plain`` with markers added; a field named in
+    ``plain_names`` needs none, text needs one around each decimal number,
+    and any other field that holds a number is one marker."""
+    assert _MARK.sub(r"\1", marked) == plain, where
+    if name in plain_names:
+        return
+    if name not in _TEXT and _WHOLE_NUMBER.fullmatch(plain):
+        assert _MARK.fullmatch(marked), where
+    assert not _DECIMAL.search(_MARK.sub("", marked)), where
+
+
+def _check_json(plain, marked, where, key=None):
+    if isinstance(plain, dict):
+        assert plain.keys() == marked.keys(), where
+        for k in plain:
+            _check_json(plain[k], marked[k], f"{where}.{k}", k)
+    elif isinstance(plain, list):
+        assert len(plain) == len(marked), where
+        for i, (p, m) in enumerate(zip(plain, marked)):
+            _check_json(p, m, f"{where}[{i}]", key)
+    elif isinstance(plain, str):
+        _check_leaf(plain, marked, key, _WORD_KEYS, where)
+    else:
+        assert plain == marked, where
+
+
+@pytest.mark.parametrize("command", sorted(_RENDER_ROUTES))
+def test_every_rendered_number_comes_from_the_one_rendering(tmp_path, monkeypatch, command):
+    # a report field rendered by anything but functions.frac_str or
+    # functions.float_str stays unmarked and fails here
+    paths = {"phi": write_phi(tmp_path), "terms": write_terms(tmp_path)}
+    argv = [command, *(a.format(**paths) for a in _RENDER_ROUTES[command])]
+    assert run_cli([*argv, "--out", tmp_path / "plain"]) == 0
+    _mark_renderings(monkeypatch)
+    assert run_cli([*argv, "--out", tmp_path / "marked"]) == 0
+    marks = 0
+    for suffix in ("json", "csv"):
+        plain, marked = (
+            (tmp_path / side / f"{command}.{suffix}").read_text() for side in ("plain", "marked")
+        )
+        marks += len(_MARK.findall(marked))
+        if suffix == "json":
+            _check_json(json.loads(plain), json.loads(marked), command)
+            continue
+        plain_rows, marked_rows = (list(csv.reader(io.StringIO(t))) for t in (plain, marked))
+        header = plain_rows[0]
+        assert marked_rows[0] == header and len(marked_rows) == len(plain_rows)
+        for i, (p, m) in enumerate(zip(plain_rows[1:], marked_rows[1:]), 1):
+            for column, a, b in zip(header, p, m, strict=True):
+                _check_leaf(a, b, column, _PLAIN_COLUMNS, f"{command}.csv[{i}].{column}")
+    assert marks or command == "growth"

@@ -31,7 +31,7 @@ from treeboundary import (
     sigma_envelope,
     word_to_str,
 )
-from treeboundary.deviation import _expectation_abs_sq
+from treeboundary.deviation import _expectation_abs_sq, mean_and_deviation_sq
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -302,14 +302,14 @@ def test_profile_walks_prefix_classes_without_enumerating_the_ball(monkeypatch, 
 
     def counted(phi, g):
         calls.append(g)
-        return expectation(phi, g)
+        return mean_and_deviation_sq(phi, g)
 
     def refuse(*args):
         raise AssertionError("a profile enumerated group elements")
 
     monkeypatch.setattr(FreeGroup, "iter_ball", refuse)
     monkeypatch.setattr(FreeGroup, "iter_sphere", refuse)
-    monkeypatch.setattr(deviation_module, "expectation", counted)
+    monkeypatch.setattr(deviation_module, "mean_and_deviation_sq", counted)
     profile = DeviationProfile.compute(phi, 5)
     lp_report(profile, 2.0, vs)
     lp_report(profile, 3.0, vs)

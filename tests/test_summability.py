@@ -41,6 +41,13 @@ def test_dimension_formula():
     ) == pytest.approx(1.0)
 
 
+def test_visual_parameter_defaults_to_the_growth_rate():
+    # epsilon = ln(2n-1), the parameter of dimension 1
+    vs = VisualStructure(F3)
+    assert vs.epsilon == math.log(5)
+    assert hausdorff_dimension(vs) == 1.0
+
+
 def test_threshold_is_max_of_two_and_dimension():
     assert summability_threshold(VS2) == 2.0
     fine = VisualStructure(F2, math.log(3) / 5.0)  # dimension 5
@@ -98,6 +105,15 @@ def test_decay_exponent_fit_rank3():
     profile = DeviationProfile.compute(phi, 4, label="indicator_a")
     slope = decay_exponent_fit(profile)
     assert slope == pytest.approx(-math.log(5) / 2, abs=0.06)
+
+
+def test_decay_exponent_fit_of_a_constant_is_none_and_short_profiles_raise():
+    constant = LocallyConstantFunction.constant(F2, Fraction(1, 2))
+    assert decay_exponent_fit(DeviationProfile.compute(constant, 5)) is None
+    with pytest.raises(ValueError, match="at least 4 spheres"):
+        decay_exponent_fit(DeviationProfile.compute(IA, 3))
+    with pytest.raises(ValueError, match="at least 4 spheres"):
+        decay_exponent_fit(DeviationProfile.compute(constant, 0))
 
 
 @pytest.mark.parametrize("group, radius", [(F2, 6), (F3, 4)], ids=["F2", "F3"])
