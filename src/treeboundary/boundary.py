@@ -35,13 +35,13 @@ enough for every convergence statement the package checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
 from .words import (
     FreeGroup,
+    Frozen,
     IDENTITY,
     Word,
     common_prefix_len,
@@ -50,31 +50,35 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class VisualStructure:
+class VisualStructure(Frozen):
     """Visual parameter and derived constants for one group.
 
     ``epsilon`` defaults to the growth rate ln(2n-1), the parameter at which
-    the boundary has Hausdorff dimension 1.
+    the boundary has Hausdorff dimension 1; ``entropy`` is that growth rate.
     """
 
-    group: FreeGroup
-    epsilon: float | None = None
-    entropy: float = field(init=False)  # log(2n - 1), the growth rate
-
-    def __post_init__(self):
-        object.__setattr__(self, "entropy", math.log(2 * self.group.n - 1))
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", self.entropy)
-        if not (self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+    def __init__(self, group: FreeGroup, epsilon: float | None = None):
+        entropy = math.log(2 * group.n - 1)
+        if epsilon is None:
+            epsilon = entropy
+        if not (epsilon > 0):
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        self.__dict__.update(group=group, epsilon=epsilon, entropy=entropy)
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(Frozen):
     """Clopen set of boundary points sharing a finite reduced prefix."""
 
-    prefix: Word = IDENTITY
+    def __init__(self, prefix: Word = IDENTITY):
+        self.__dict__.update(prefix=prefix)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.prefix == other.prefix
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.prefix,))
 
     @property
     def depth(self) -> int:
@@ -91,28 +95,32 @@ class Cylinder:
         return not self.contains(other) and not other.contains(self)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(Frozen):
     """The eventually periodic infinite reduced word head.period^inf."""
 
-    head: Word
-    period: Word
-
-    def __post_init__(self):
-        if not self.period.letters:
+    def __init__(self, head: Word, period: Word):
+        if not period.letters:
             raise ValueError("period must be nonempty")
         # head.period.period must be reduced as written, i.e. neither
         # junction cancels; that guarantees an infinite reduced word.
-        if len(mul(self.head, self.period)) != len(self.head) + len(self.period):
+        if len(mul(head, period)) != len(head) + len(period):
             raise ValueError("head/period junction cancels")
-        if len(mul(self.period, self.period)) != 2 * len(self.period):
+        if len(mul(period, period)) != 2 * len(period):
             raise ValueError("period/period junction cancels")
         # strip redundant trailing period copies so repeated boundary
         # actions do not inflate the head
-        h, p = self.head.letters, self.period.letters
+        h, p = head.letters, period.letters
         while len(h) >= len(p) and h[-len(p):] == p:
             h = h[: -len(p)]
-        object.__setattr__(self, "head", Word(h))
+        self.__dict__.update(head=Word(h), period=period)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.head, self.period) == (other.head, other.period)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.head, self.period))
 
     def letter(self, i: int) -> int:
         h = len(self.head)

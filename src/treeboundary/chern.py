@@ -55,7 +55,6 @@ so the two terms cancel at every h and the value is exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -64,7 +63,7 @@ from .deviation import expectation
 from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
 from .operators import Truncation, fiber_diagonal, fiber_projection, fiber_runs, run_dot, run_sum
 from .summability import sphere_series
-from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Word, mul
+from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Frozen, Word, mul
 
 # the per-h identity's tolerance per fiber cell, relative to
 # prod_i ||phi_i||_sup, which bounds both sides: the gap on exact blocks is
@@ -73,29 +72,21 @@ from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Word, mul
 IDENTITY_TOLERANCE = 2.0**-52
 
 
-@dataclass(frozen=True)
-class CocycleInput:
+class CocycleInput(Frozen):
     """Degree-n cocycle arguments a^i = phi_i . g_i, i = 0..n."""
 
-    degree: int
-    terms: tuple[tuple[LocallyConstantFunction, Word], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple((phi, g) for phi, g in self.terms)
-        )
-        if self.degree < 1 or self.degree % 2 == 0:
+    def __init__(self, degree: int, terms: tuple[tuple[LocallyConstantFunction, Word], ...]):
+        terms = tuple((phi, g) for phi, g in terms)
+        if degree < 1 or degree % 2 == 0:
             raise ValueError("degree must be odd and >= 1")
-        if len(self.terms) != self.degree + 1:
-            raise ValueError(
-                f"degree {self.degree} needs {self.degree + 1} terms, "
-                f"got {len(self.terms)}"
-            )
-        group = self.terms[0][0].group
-        for phi, g in self.terms:
+        if len(terms) != degree + 1:
+            raise ValueError(f"degree {degree} needs {degree + 1} terms, got {len(terms)}")
+        group = terms[0][0].group
+        for phi, g in terms:
             if phi.group != group:
                 raise ValueError("all functions must share one group")
             group.check_letters(g.letters)
+        self.__dict__.update(degree=degree, terms=terms)
 
     @property
     def group(self) -> FreeGroup:
@@ -195,16 +186,24 @@ class CocycleSummand:
         )
 
 
-@dataclass
 class CocycleValue:
-    value: complex
-    radius: int
-    exact_partial: GaussianRational
-    spheres: list[GaussianRational]  # the exact sphere sums, m = 0..radius
-    # the summands, holding every class evaluated so far; None when the
-    # group product is not the identity and every summand vanishes
-    summand: CocycleSummand | None = None
-    budget: int = DEFAULT_BUDGET
+    def __init__(
+        self,
+        value: complex,
+        radius: int,
+        exact_partial: GaussianRational,
+        spheres: list[GaussianRational],  # the exact sphere sums, m = 0..radius
+        # the summands, holding every class evaluated so far; None when the
+        # group product is not the identity and every summand vanishes
+        summand: CocycleSummand | None = None,
+        budget: int = DEFAULT_BUDGET,
+    ):
+        self.value = value
+        self.radius = radius
+        self.exact_partial = exact_partial
+        self.spheres = spheres
+        self.summand = summand
+        self.budget = budget
 
     @cached_property
     def total(self) -> GaussianRational:
@@ -249,13 +248,19 @@ def cocycle_value(
 # ----------------------------------------------------------------------
 # truncated trace of (2P-1) [P, lambda(a^0)] ... [P, lambda(a^n)]
 
-@dataclass
 class TraceOracleReport:
-    value: complex
-    chain_exits: int
-    inexact_blocks: int
-    # the fiber trace at every h whose chain stays in B_R on exact blocks
-    traces: dict[Word, complex]
+    def __init__(
+        self,
+        value: complex,
+        chain_exits: int,
+        inexact_blocks: int,
+        # the fiber trace at every h whose chain stays in B_R on exact blocks
+        traces: dict[Word, complex],
+    ):
+        self.value = value
+        self.chain_exits = chain_exits
+        self.inexact_blocks = inexact_blocks
+        self.traces = traces
 
 
 def _suffix_products(inp: CocycleInput) -> list[Word]:
@@ -339,13 +344,18 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
     )
 
 
-@dataclass
 class TraceIdentity:
     """The per-h identity between the fiber traces and the summands."""
 
-    compared: int  # the exact h of the oracle
-    gap: float  # largest |fiber trace - signed summand| over them
-    tolerance: float  # IDENTITY_TOLERANCE * dim_fiber * prod_i ||phi_i||_sup
+    def __init__(
+        self,
+        compared: int,  # the exact h of the oracle
+        gap: float,  # largest |fiber trace - signed summand| over them
+        tolerance: float,  # IDENTITY_TOLERANCE * dim_fiber * prod_i ||phi_i||_sup
+    ):
+        self.compared = compared
+        self.gap = gap
+        self.tolerance = tolerance
 
     @property
     def holds(self) -> bool:

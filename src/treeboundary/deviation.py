@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -171,7 +170,6 @@ def sigma_envelope(phi: LocallyConstantFunction, m: int) -> float:
 # ----------------------------------------------------------------------
 # profiles
 
-@dataclass(eq=False)
 class ProfileClass:
     """One prefix class (prefix_k g, |g|) of a profile and its statistics.
 
@@ -180,19 +178,22 @@ class ProfileClass:
     class is made.
     """
 
-    length: int
-    prefix: tuple[int, ...]
-    expectation: GaussianRational
-    deviation_sq: Fraction
-    multiplicity: int
-    re_str: str = field(init=False)
-    im_str: str = field(init=False)
-    sigma_str: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.re_str = frac_str(self.expectation.re)
-        self.im_str = frac_str(self.expectation.im)
-        self.sigma_str = frac_str(self.deviation_sq)
+    def __init__(
+        self,
+        length: int,
+        prefix: tuple[int, ...],
+        expectation: GaussianRational,
+        deviation_sq: Fraction,
+        multiplicity: int,
+    ):
+        self.length = length
+        self.prefix = prefix
+        self.expectation = expectation
+        self.deviation_sq = deviation_sq
+        self.multiplicity = multiplicity
+        self.re_str = frac_str(expectation.re)
+        self.im_str = frac_str(expectation.im)
+        self.sigma_str = frac_str(deviation_sq)
 
 
 class ProfileRow(NamedTuple):
@@ -212,7 +213,6 @@ def sphere_classes(phi: LocallyConstantFunction, m: int) -> list[ProfileClass]:
     return classes
 
 
-@dataclass(eq=False)
 class DeviationProfile:
     """The prefix classes of each sphere of B_radius.
 
@@ -221,10 +221,17 @@ class DeviationProfile:
     the members of its classes, class by class.
     """
 
-    phi_label: str
-    radius: int
-    phi: LocallyConstantFunction
-    spheres: list[list[ProfileClass]]
+    def __init__(
+        self,
+        phi_label: str,
+        radius: int,
+        phi: LocallyConstantFunction,
+        spheres: list[list[ProfileClass]],
+    ):
+        self.phi_label = phi_label
+        self.radius = radius
+        self.phi = phi
+        self.spheres = spheres
 
     @classmethod
     def compute(
@@ -269,12 +276,37 @@ class DeviationProfile:
     @cached_property
     def _members(self) -> list[tuple[ProfileClass, list[str]]]:
         """Each class with the word strings of its members, expanded once
-        for both writers."""
-        return [
-            (c, [word_to_str(u) for u in self.group.iter_sphere_letters(c.length, c.prefix)])
-            for sphere in self.spheres
-            for c in sphere
-        ]
+        for both writers.
+
+        A member is its class's prefix followed by a suffix that may follow
+        the prefix's last letter (any letter after the empty prefix).  The
+        suffix strings are built once per (last letter, length), in
+        lexicographic order, which is the order of the members.
+        """
+        follow, size = self.group.follow, self.group.alphabet_size
+        chars = [word_to_str((x,)) for x in range(size)]
+        tails: dict[tuple[int, int], list[str]] = {}
+
+        def suffixes(last: int, length: int) -> list[str]:
+            # last = -1 stands for the empty prefix
+            if length == 0:
+                return [""]
+            key = (last, length)
+            if key not in tails:
+                ys = follow[last] if last >= 0 else range(size)
+                tails[key] = [chars[y] + t for y in ys for t in suffixes(y, length - 1)]
+            return tails[key]
+
+        members = []
+        for sphere in self.spheres:
+            for c in sphere:
+                if not c.length:  # the identity
+                    members.append((c, ["1"]))
+                    continue
+                head = "".join([chars[x] for x in c.prefix])
+                last = c.prefix[-1] if c.prefix else -1
+                members.append((c, [head + t for t in suffixes(last, c.length - len(c.prefix))]))
+        return members
 
     def _render(self, fragments: Callable[[ProfileClass], tuple[str, str]]) -> list[str]:
         """Each row as its class's head, its word and its class's tail; the

@@ -15,23 +15,38 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Union
 
-from .words import FreeGroup, Word, mul, word_from_str, word_to_str
+from .words import FreeGroup, Frozen, Word, mul, word_from_str, word_to_str
 from .boundary import BoundaryPoint, Cylinder, depth_mass
 
 RationalLike = Union[int, Fraction, "GaussianRational", tuple, complex]
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Frozen):
     """A complex number with exact rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.re, self.im) == (other.re, other.im)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({self.re!r}, {self.im!r})"
 
     @staticmethod
     def of(value: RationalLike) -> "GaussianRational":

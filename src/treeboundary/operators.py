@@ -49,14 +49,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .boundary import depth_mass
 from .deviation import deviation_sq, expectation
 from .functions import LocallyConstantFunction
-from .words import IDENTITY, FreeGroup, Word, mul
+from .words import IDENTITY, FreeGroup, Frozen, Word, mul
 
 if TYPE_CHECKING:
     import numpy as np
@@ -69,19 +68,15 @@ CrossedTerms = Sequence[tuple[LocallyConstantFunction, Word]]
 Runs = list[tuple[int, complex]]
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(Frozen):
     """Basis data for the truncation B_R x {depth-m cylinders}."""
 
-    group: FreeGroup
-    R: int
-    m: int
-
-    def __post_init__(self):
-        if self.R < 0:
+    def __init__(self, group: FreeGroup, R: int, m: int):
+        if R < 0:
             raise ValueError("radius must be nonnegative")
-        if self.m < 1:
+        if m < 1:
             raise ValueError("function level must be >= 1")
+        self.__dict__.update(group=group, R=R, m=m)
 
     @cached_property
     def group_basis(self) -> tuple[Word, ...]:
@@ -312,12 +307,14 @@ def fiber_projection(trunc: Truncation) -> np.ndarray:
     return np.outer(v, v)
 
 
-@dataclass
 class TruncatedOperator:
-    matrix: np.ndarray
-    label: str
-    trunc: Truncation
-    window_exact: bool = True
+    def __init__(
+        self, matrix: np.ndarray, label: str, trunc: Truncation, window_exact: bool = True
+    ):
+        self.matrix = matrix
+        self.label = label
+        self.trunc = trunc
+        self.window_exact = window_exact
 
     @property
     def dim(self) -> int:
@@ -387,10 +384,10 @@ def rep_crossed(
     return TruncatedOperator(matrix, "lambda(a)", trunc, window_exact=exact)
 
 
-@dataclass
 class PiIdentityReport:
-    pi_error: float
-    compression_error: float
+    def __init__(self, pi_error: float, compression_error: float):
+        self.pi_error = pi_error
+        self.compression_error = compression_error
 
 
 def verify_pi_identity(
@@ -453,13 +450,18 @@ def commutator_singular_values(
     return values + [0.0] * (trunc.dim - len(values))
 
 
-@dataclass
 class DeviationMatch:
     """Commutator singular values paired with the deviation table."""
 
-    nonzero: list[float]  # the values above 1e-9, descending
-    expected: int  # twice the number of h with sigma(phi)(h) above 1e-9
-    error: float  # largest gap of the pairing; inf when the counts differ
+    def __init__(
+        self,
+        nonzero: list[float],  # the values above 1e-9, descending
+        expected: int,  # twice the number of h with sigma(phi)(h) above 1e-9
+        error: float,  # largest gap of the pairing; inf when the counts differ
+    ):
+        self.nonzero = nonzero
+        self.expected = expected
+        self.error = error
 
 
 def match_deviation_table(

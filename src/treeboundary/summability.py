@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
@@ -76,17 +75,28 @@ def sphere_series(sphere: Callable[[int], T], q: int, K: int, lo: int, hi: int) 
     return sum(tail, head)
 
 
-@dataclass
 class SummabilityReport:
-    phi_label: str
-    p: float
-    radius: int
-    sphere_sums: list[float]          # index m = 0..radius
-    partial_sum: float
-    tail_ratios: list[float]          # consecutive nonzero sphere-sum ratios
-    verdict: str                      # converging | diverging
-    threshold: float
-    total: Fraction | None = None     # even p: the exact sum, None if it diverges
+    def __init__(
+        self,
+        phi_label: str,
+        p: float,
+        radius: int,
+        sphere_sums: list[float],  # index m = 0..radius
+        partial_sum: float,
+        tail_ratios: list[float],  # consecutive nonzero sphere-sum ratios
+        verdict: str,  # converging | diverging
+        threshold: float,
+        total: Fraction | None = None,  # even p: the exact sum, None if it diverges
+    ):
+        self.phi_label = phi_label
+        self.p = p
+        self.radius = radius
+        self.sphere_sums = sphere_sums
+        self.partial_sum = partial_sum
+        self.tail_ratios = tail_ratios
+        self.verdict = verdict
+        self.threshold = threshold
+        self.total = total
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -183,7 +193,6 @@ def decay_exponent_fit(profile: DeviationProfile) -> float | None:
     return sxy / sxx
 
 
-@dataclass
 class SortedDecayCheck:
     """The multiplication-operator comparison T(g) = exp(-eps |g|).
 
@@ -196,10 +205,11 @@ class SortedDecayCheck:
     ``max_ratio`` records the observed sup of value_j j^(1/D) / C.
     """
 
-    C: float
-    dimension: float
-    max_ratio: float
-    ok: bool
+    def __init__(self, C: float, dimension: float, max_ratio: float, ok: bool):
+        self.C = C
+        self.dimension = dimension
+        self.max_ratio = max_ratio
+        self.ok = ok
 
 
 def dplus_surrogate_check(group: FreeGroup, vs: VisualStructure, radius: int) -> SortedDecayCheck:

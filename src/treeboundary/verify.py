@@ -22,7 +22,6 @@ rationals ignore the scale.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -52,24 +51,38 @@ from .summability import (
     lp_report,
     summability_threshold,
 )
-from .words import DEFAULT_BUDGET, IDENTITY, BudgetError, FreeGroup, Word, gromov_product, mul
+from .words import (
+    DEFAULT_BUDGET,
+    IDENTITY,
+    BudgetError,
+    FreeGroup,
+    Frozen,
+    Word,
+    gromov_product,
+    mul,
+)
 
 
-@dataclass(frozen=True)
-class VerifyContext:
-    group: FreeGroup
-    vs: VisualStructure
-    radius: int
-    seed: int
-    tol_scale: float
-    budget: int = DEFAULT_BUDGET
+class VerifyContext(Frozen):
+    def __init__(
+        self,
+        group: FreeGroup,
+        vs: VisualStructure,
+        radius: int,
+        seed: int,
+        tol_scale: float,
+        budget: int = DEFAULT_BUDGET,
+    ):
+        self.__dict__.update(
+            group=group, vs=vs, radius=radius, seed=seed, tol_scale=tol_scale, budget=budget
+        )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+    def __init__(self, name: str, ok: bool, detail: str):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 CheckFn = Callable[[VerifyContext], tuple[bool, str]]
@@ -98,11 +111,15 @@ def _indicators(group: FreeGroup) -> list[LocallyConstantFunction]:
 @_check("growth-closed-form")
 def _growth(ctx: VerifyContext) -> tuple[bool, str]:
     rmax = max(ctx.radius, 4)
-    for n in (2, 3):
-        group = FreeGroup(n)
+    groups = [FreeGroup(n) for n in (2, 3)]
+    # |B_r| grows with r and n, so the largest ball of each rank is charged
+    # before any ball is enumerated
+    for group in groups:
+        group.check_budget(ctx.budget, R=rmax)
+    for group in groups:
         for r in range(rmax + 1):
             if len(group.ball(r, budget=ctx.budget)) != group.growth_count(r):
-                return False, f"ball enumeration mismatch at n={n}, R={r}"
+                return False, f"ball enumeration mismatch at n={group.n}, R={r}"
     return True, f"enumerated balls match the closed form for n=2,3 up to R={rmax}"
 
 

@@ -27,7 +27,6 @@ recover the canonical order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, total_ordering
 from typing import Iterable, Iterator
 
@@ -48,17 +47,44 @@ class BudgetError(Exception):
         self.budget = budget
 
 
+class Frozen:
+    """A value that refuses attribute assignment once made.
+
+    ``__init__`` sets the fields through ``self.__dict__``, or through
+    ``object.__setattr__`` where the class has ``__slots__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 @total_ordering
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """A freely reduced word; the empty tuple is the identity."""
 
-    letters: tuple[int, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        for a, b in zip(self.letters, self.letters[1:]):
+    def __init__(self, letters: tuple[int, ...] = ()):
+        for a, b in zip(letters, letters[1:]):
             if a == b ^ 1:
-                raise ValueError(f"word {self.letters} is not freely reduced")
+                raise ValueError(f"word {letters} is not freely reduced")
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
+
+    def __reduce__(self):
+        return Word, (self.letters,)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -166,18 +192,27 @@ def word_from_str(s: str, n: int | None = None) -> Word:
     return reduce_letters(letters)
 
 
-@dataclass(frozen=True)
-class FreeGroup:
+class FreeGroup(Frozen):
     """Rank and alphabet bookkeeping for F_n, n >= 2.
 
     The rank is capped at 26 so that the a..z serialization is total.
     """
 
-    n: int
+    def __init__(self, n: int):
+        if not isinstance(n, int) or not (2 <= n <= 26):
+            raise ValueError(f"rank must be an integer in 2..26, got {n}")
+        self.__dict__.update(n=n)
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or not (2 <= self.n <= 26):
-            raise ValueError(f"rank must be an integer in 2..26, got {self.n}")
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n,))
+
+    def __repr__(self) -> str:
+        return f"FreeGroup(n={self.n})"
 
     @property
     def alphabet_size(self) -> int:

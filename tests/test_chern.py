@@ -1,6 +1,5 @@
 """Cyclic cocycle values: exact partial sums, exact totals, trace oracle."""
 
-import dataclasses
 import json
 import math
 import random
@@ -19,6 +18,7 @@ from treeboundary import (
     LocallyConstantFunction,
     QQ_I,
     QQ_ZERO,
+    TraceOracleReport,
     Truncation,
     VerifyContext,
     VisualStructure,
@@ -563,8 +563,11 @@ def test_trace_identity_fails_at_the_inverse(monkeypatch):
     report = trace_oracle_report(inp, trunc)
     assert trace_identity(inp, trunc, cv, report).holds
     # the summand read at h^-1 instead of h
-    flipped = dataclasses.replace(
-        report, traces={h.inverse(): trace for h, trace in report.traces.items()}
+    flipped = TraceOracleReport(
+        report.value,
+        report.chain_exits,
+        report.inexact_blocks,
+        {h.inverse(): trace for h, trace in report.traces.items()},
     )
     identity = trace_identity(inp, trunc, cv, flipped)
     assert not identity.holds and identity.gap > 1e-3

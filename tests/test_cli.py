@@ -600,22 +600,32 @@ _ROUTES = {
 }
 
 
+# modules that no report process loads: numpy serves only the dense test
+# oracles, and dataclasses brings inspect, ast, dis and tokenize with it
+_UNLOADED = ("numpy", "dataclasses", "inspect")
+
+
 def _modules_after(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that then prints whether numpy
-    was imported."""
+    """Run ``code`` in a fresh interpreter that then prints, on its last
+    line, whether each module of ``_UNLOADED`` was imported."""
     import treeboundary
 
     env = dict(os.environ, PYTHONPATH=str(Path(treeboundary.__file__).parent.parent))
+    check = f"import sys\nprint(*[m in sys.modules for m in {_UNLOADED!r}])"
     return subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\nprint('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\n{check}"],
         capture_output=True, text=True, env=env, timeout=60,
     )
 
 
-def test_package_import_loads_no_numpy():
-    proc = _modules_after("import treeboundary")
+def _loaded(proc: subprocess.CompletedProcess) -> dict[str, str]:
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    return dict(zip(_UNLOADED, proc.stdout.splitlines()[-1].split()))
+
+
+def test_package_import_loads_no_numpy():
+    proc = _modules_after("import treeboundary\nimport treeboundary.cli")
+    assert _loaded(proc) == {m: "False" for m in _UNLOADED}
 
 
 @pytest.mark.parametrize("command", sorted(_ROUTES))
@@ -624,8 +634,7 @@ def test_report_routes_load_no_numpy(tmp_path, command):
     paths = {"phi": write_phi(tmp_path), "terms": write_terms(tmp_path)}
     argv = [command, *(a.format(**paths) for a in _ROUTES[command]), "--out", str(tmp_path / "out")]
     proc = _modules_after(f"from treeboundary.cli import main\nassert main({argv!r}) == 0")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-1] == "False"
+    assert _loaded(proc) == {m: "False" for m in _UNLOADED}
 
 
 def _set(obj, path, value):

@@ -1,14 +1,15 @@
 """The invariant suite: registry, determinism, tolerance scaling."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from treeboundary import operators, verify
+from treeboundary.deviation import ProfileClass
 from treeboundary import (
     DEFAULT_BUDGET,
+    BudgetError,
     FreeGroup,
     VerifyContext,
     VisualStructure,
@@ -78,6 +79,17 @@ def test_details_are_reproducible_text(serial_results):
             assert banned not in r.detail.lower()
 
 
+def test_growth_charges_its_largest_balls_before_enumerating(monkeypatch):
+    # |B_10| is 118,097 for F2 and 14,648,437 for F3, past the default
+    # budget: the check must say so before it enumerates any ball
+    def ball(self, R, budget=DEFAULT_BUDGET):
+        raise AssertionError(f"enumerated B_{R} of F{self.n}")
+
+    monkeypatch.setattr(FreeGroup, "ball", ball)
+    with pytest.raises(BudgetError, match="enumeration of 14648437 elements exceeds budget 10000000"):
+        verify._growth(make_ctx(radius=10))
+
+
 def test_hyperbolicity_names_the_first_failing_triple(monkeypatch):
     # teeth: one Gromov product made too small breaks 0-hyperbolicity; the
     # matrix check must fail at the triple the plain triple loop finds first
@@ -120,7 +132,10 @@ def test_summability_witness_has_teeth(monkeypatch):
     def halved(phi, radius, **kwargs):
         profile = compute(phi, radius, **kwargs)
         profile.spheres = [
-            [dataclasses.replace(c, deviation_sq=c.deviation_sq / 2) for c in sphere]
+            [
+                ProfileClass(c.length, c.prefix, c.expectation, c.deviation_sq / 2, c.multiplicity)
+                for c in sphere
+            ]
             for sphere in profile.spheres
         ]
         return profile
