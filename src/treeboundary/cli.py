@@ -14,18 +14,18 @@ one rendering of each is ``functions.float_str`` and ``functions.frac_str``.
 ``deviation``, whose profile renders its own rows.
 
 Input contract: ``SETTINGS`` declares each setting once (flags, kind, help)
-and ``COMMANDS`` gives each subcommand's settings and defaults; the parser
-is generated from both.  A setting resolves as flag > config file (--config,
-a JSON object keyed by setting name) > environment (TREEBOUNDARY_BUDGET,
-budget only) > default, and every value, whatever its source, passes its
-kind's check.  Function and terms files are checked by ``_table`` and
-``_cocycle_input``; their errors name the file.  A subcommand reads all its
-input and computes its report before it creates the output directory.
+and ``COMMANDS`` gives each subcommand's settings and defaults;
+``parse_args`` reads the command line, and writes the help, from both.  A
+setting resolves as flag > config file (--config, a JSON object keyed by
+setting name) > environment (TREEBOUNDARY_BUDGET, budget only) > default,
+and every value, whatever its source, passes its kind's check.  Function
+and terms files are checked by ``_table`` and ``_cocycle_input``; their
+errors name the file.  A subcommand reads all its input and computes its
+report before it creates the output directory.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
@@ -33,6 +33,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .boundary import BoundaryPoint, VisualStructure, pushforward_weights
@@ -79,7 +80,7 @@ def _stringify(obj: Any) -> Any:
     return obj
 
 
-def _out_dir(settings: argparse.Namespace) -> Path:
+def _out_dir(settings: SimpleNamespace) -> Path:
     out = Path(settings.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -89,7 +90,7 @@ def _out_dir(settings: argparse.Namespace) -> Path:
 
 
 def _write_report(
-    s: argparse.Namespace, name: str, obj: Any, header: Sequence[str], rows: Sequence[Sequence]
+    s: SimpleNamespace, name: str, obj: Any, header: Sequence[str], rows: Sequence[Sequence]
 ) -> None:
     """``<name>.json`` (``obj``, keys sorted) and ``<name>.csv`` (``header``
     and ``rows``) in the output directory."""
@@ -232,11 +233,11 @@ def _read_config(path: str | None, command: str) -> dict[str, Any]:
     return config
 
 
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+def _resolve(args: SimpleNamespace) -> SimpleNamespace:
     """Every setting of ``args.command``: flag > config > environment
     (budget only) > default, each value through its setting's kind."""
     config = _read_config(args.config, args.command)
-    settings = argparse.Namespace()
+    settings = SimpleNamespace()
     for name, default in COMMANDS[args.command][2].items():
         value = getattr(args, name)
         if value is not None:
@@ -252,7 +253,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _file_setting(
-    settings: argparse.Namespace, name: str, obj: dict, default: Any, where: str
+    settings: SimpleNamespace, name: str, obj: dict, default: Any, where: str
 ) -> Any:
     """A setting an input file may also give: flag > config > the file's key
     > ``default``."""
@@ -278,7 +279,7 @@ def _table(obj: Any, group: FreeGroup, where: str) -> LocallyConstantFunction:
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def _function(settings: argparse.Namespace) -> tuple[LocallyConstantFunction, str]:
+def _function(settings: SimpleNamespace) -> tuple[LocallyConstantFunction, str]:
     """The --phi function and its label; without --phi, the indicator of [a]."""
     if settings.phi is None:
         group = FreeGroup(2 if settings.rank is None else settings.rank)
@@ -289,7 +290,7 @@ def _function(settings: argparse.Namespace) -> tuple[LocallyConstantFunction, st
     return _table(obj, group, where), Path(settings.phi).stem
 
 
-def _cocycle_input(settings: argparse.Namespace) -> CocycleInput:
+def _cocycle_input(settings: SimpleNamespace) -> CocycleInput:
     """The terms file: "terms" a non-empty list of objects, each with a
     function table "phi" and a word string "g" (default "1")."""
     path = settings.input
@@ -318,7 +319,7 @@ def _cocycle_input(settings: argparse.Namespace) -> CocycleInput:
 # subcommands: each takes its resolved settings
 
 
-def _cmd_growth(s: argparse.Namespace) -> int:
+def _cmd_growth(s: SimpleNamespace) -> int:
     group = FreeGroup(s.rank)
     group.check_budget(s.budget, R=s.radius)
     # one walk of each sphere's letter tuples, counted; row r enumerates
@@ -343,7 +344,7 @@ def _cmd_growth(s: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_deviation(s: argparse.Namespace) -> int:
+def _cmd_deviation(s: SimpleNamespace) -> int:
     if s.phi is None:
         raise ValueError("deviation needs --phi FILE")
     phi, label = _function(s)
@@ -359,7 +360,7 @@ def _cmd_deviation(s: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_summability(s: argparse.Namespace) -> int:
+def _cmd_summability(s: SimpleNamespace) -> int:
     phi, label = _function(s)
     group = phi.group
     vs = VisualStructure(group, s.epsilon)
@@ -394,7 +395,7 @@ def _cmd_summability(s: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_spectrum(s: argparse.Namespace) -> int:
+def _cmd_spectrum(s: SimpleNamespace) -> int:
     phi, label = _function(s)
     group = phi.group
     vs = VisualStructure(group, s.epsilon)
@@ -433,7 +434,7 @@ def _cmd_spectrum(s: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_chern(s: argparse.Namespace) -> int:
+def _cmd_chern(s: SimpleNamespace) -> int:
     inp = _cocycle_input(s)
     group = inp.group
     trunc = None
@@ -484,7 +485,7 @@ def _cmd_chern(s: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_powers(group: FreeGroup, length: int, s: argparse.Namespace) -> None:
+def _check_powers(group: FreeGroup, length: int, s: SimpleNamespace) -> None:
     """Decide from the settings alone whether ``furstenberg``'s distances can be
     written out.
 
@@ -506,7 +507,7 @@ def _check_powers(group: FreeGroup, length: int, s: argparse.Namespace) -> None:
         )
 
 
-def _cmd_furstenberg(s: argparse.Namespace) -> int:
+def _cmd_furstenberg(s: SimpleNamespace) -> int:
     group = FreeGroup(s.rank)
     g = group.word(s.g)
     if g.is_identity:
@@ -533,7 +534,7 @@ def _cmd_furstenberg(s: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_all(s: argparse.Namespace) -> int:
+def _cmd_verify_all(s: SimpleNamespace) -> int:
     group = FreeGroup(s.rank)
     vs = VisualStructure(group, s.epsilon)
     ctx = VerifyContext(
@@ -609,36 +610,110 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        # a malformed command line is a usage error like any other bad input
-        self.print_usage(sys.stderr)
-        raise ValueError(message)
+_DESCRIPTION = (
+    "Exact boundary dynamics for free groups: reports on deviation profiles, "
+    "summability, operator truncations, and cyclic cocycles."
+)
+_HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="treeboundary",
-        description="Exact boundary dynamics for free groups: reports on "
-        "deviation profiles, summability, operator truncations, and cyclic "
-        "cocycles.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, defaults) in COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: treeboundary [-h] {{{','.join(COMMANDS)}}} ..."
+    flags = [f"[{SETTINGS[name].flags[0]} {name.upper()}]" for name in COMMANDS[command][2]]
+    return f"usage: treeboundary {command} [-h] {' '.join(flags)} [--config CONFIG]"
+
+
+def _help(command: str | None) -> str:
+    """The usage line, then each subcommand with its help text, or each flag
+    of ``command`` with its help text and default."""
+    if command is None:
+        lines = [_DESCRIPTION, "", "subcommands:"]
+        lines += [f"  {name:<23} {text}" for name, (_, text, _) in COMMANDS.items()]
+        lines += ["", "treeboundary <subcommand> --help lists the subcommand's flags."]
+    else:
+        _, about, defaults = COMMANDS[command]
+        lines = [about, "", "flags:"]
         for name, default in defaults.items():
-            flags, kind, text = SETTINGS[name]
+            flags, _, text = SETTINGS[name]
             if default is not None:
                 text = f"{text} (default {default})"
-            action = "append" if kind is _exponents else "store"
-            sp.add_argument(*flags, dest=name, action=action, help=text)
-        sp.add_argument("--config", help="JSON settings file; explicit flags win")
-    return parser
+            lines.append(f"  {', '.join(flags) + ' ' + name.upper():<23} {text}")
+        lines.append(f"  {'--config CONFIG':<23} JSON settings file; explicit flags win")
+        lines.append(f"  {', '.join(_HELP):<23} show this help and exit")
+    return "\n".join([_usage(command), "", *lines])
+
+
+def _usage_error(command: str | None, message: str) -> ValueError:
+    # a malformed command line is a usage error like any other bad input
+    print(_usage(command), file=sys.stderr)
+    return ValueError(message)
+
+
+def _is_value(arg: str) -> bool:
+    """Whether ``arg`` can be a flag's value: it does not start with "-",
+    or it is a number (``--seed -3``)."""
+    if not arg.startswith("-"):
+        return True
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The subcommand, ``--config`` and each setting of the subcommand as
+    given on the command line: a string, a list of strings for ``--p``, or
+    None when absent.  Prints the help and returns None for -h/--help.
+
+    A flag is one of the setting's flags in ``SETTINGS`` or a unique prefix
+    of one, its value the next argument or the text after its first "=";
+    ``--p`` appends, any other flag's last value wins.
+    """
+    command = argv[0] if argv else None
+    if command in _HELP:
+        print(_help(None))
+        return None
+    if command not in COMMANDS:
+        problem = f"invalid subcommand {command!r}" if command else "a subcommand is required"
+        raise _usage_error(None, f"{problem} (choose from {', '.join(COMMANDS)})")
+    defaults = COMMANDS[command][2]
+    flags = {flag: name for name in defaults for flag in SETTINGS[name].flags}
+    flags.update({"--config": "config", **dict.fromkeys(_HELP, "help")})
+    args = SimpleNamespace(command=command, config=None, **dict.fromkeys(defaults))
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if flag in flags:
+            matches = [flag]
+        elif flag.startswith("--") and len(flag) > 2:  # a prefix of long flags
+            matches = [f for f in flags if f.startswith(flag)]
+        else:
+            matches = []
+        if not matches:
+            raise _usage_error(command, f"unrecognized argument: {arg}")
+        if len(matches) > 1:
+            raise _usage_error(command, f"ambiguous flag: {flag} could match {', '.join(matches)}")
+        name = flags[matches[0]]
+        if name == "help":
+            print(_help(command))
+            return None
+        if not eq:
+            value = next(rest, None)
+            if value is None or not _is_value(value):
+                raise _usage_error(command, f"flag {matches[0]} expects one value")
+        if name == "p":
+            value = (args.p or []) + [value]
+        setattr(args, name, value)
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:  # the help was printed
+            return EXIT_OK
         return COMMANDS[args.command][0](_resolve(args))
     except BudgetError as exc:
         print(f"error: budget exceeded: {exc}", file=sys.stderr)

@@ -32,10 +32,10 @@ depends on g only through |g| and the common prefix length of g and w (see
 walks those classes; ``DeviationProfile.compute`` evaluates each once, at
 one member, and enumerates no element of the ball: a profile holds its
 classes, each with its prefix and its size |S_m| / |S_min(m,k)|.  The CSV
-and JSON writers share one expansion of each class's prefix into the word
-strings of its members and fill them into the class's "p/q" fragments, made
-once per class; ``summability`` sums spheres by class and multiplicity; the
-per-row view ``rows`` is built only when asked for.
+and JSON writers stream the word strings of each class's members, a run of
+them at a time, into the class's "p/q" fragments, so their memory does not
+grow with the ball; ``summability`` sums spheres by class and multiplicity;
+the per-row view ``rows`` is built only when asked for.
 
 Profiles are exact and their rows come in canonical ball order, so CSV/JSON
 output is deterministic: ``write_json`` writes the very bytes of
@@ -49,7 +49,7 @@ import math
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from typing import IO, Callable, NamedTuple
+from typing import IO, Callable, Iterator, NamedTuple
 
 from .words import DEFAULT_BUDGET, FreeGroup, Word, common_prefix_len, word_to_str
 from .boundary import depth_mass, pushforward_weights
@@ -170,6 +170,11 @@ def sigma_envelope(phi: LocallyConstantFunction, m: int) -> float:
 # ----------------------------------------------------------------------
 # profiles
 
+# rows per write of a profile's writers: a run is a lead and its (2n-1)^width
+# suffixes, width the largest (at least 1) that keeps a run within _RUN
+_RUN = 1024
+
+
 class ProfileClass:
     """One prefix class (prefix_k g, |g|) of a profile and its statistics.
 
@@ -273,22 +278,27 @@ class DeviationProfile:
             for u in self.group.iter_sphere_letters(c.length, c.prefix)
         ]
 
-    @cached_property
-    def _members(self) -> list[tuple[ProfileClass, list[str]]]:
-        """Each class with the word strings of its members, expanded once
-        for both writers.
+    def _runs(self) -> Iterator[tuple[ProfileClass, str, list[str]]]:
+        """The members of each class in runs, in canonical ball order: each
+        run is a lead string and the suffix strings that complete it.
 
-        A member is its class's prefix followed by a suffix that may follow
-        the prefix's last letter (any letter after the empty prefix).  The
-        suffix strings are built once per (last letter, length), in
+        A lead is a word of the class's length less at most ``width``
+        letters that extends its prefix, and its suffixes are the words of
+        the remaining length that may follow its last letter (any letter
+        after an empty lead), so a run holds at most about ``_RUN`` members.
+        The suffix strings are built once per (last letter, length), in
         lexicographic order, which is the order of the members.
         """
-        follow, size = self.group.follow, self.group.alphabet_size
+        group = self.group
+        follow, size = group.follow, group.alphabet_size
         chars = [word_to_str((x,)) for x in range(size)]
+        width = 1
+        while (size - 1) ** (width + 1) <= _RUN:
+            width += 1
         tails: dict[tuple[int, int], list[str]] = {}
 
         def suffixes(last: int, length: int) -> list[str]:
-            # last = -1 stands for the empty prefix
+            # last = -1 stands for the empty lead
             if length == 0:
                 return [""]
             key = (last, length)
@@ -297,31 +307,35 @@ class DeviationProfile:
                 tails[key] = [chars[y] + t for y in ys for t in suffixes(y, length - 1)]
             return tails[key]
 
-        members = []
         for sphere in self.spheres:
             for c in sphere:
                 if not c.length:  # the identity
-                    members.append((c, ["1"]))
+                    yield c, "1", [""]
                     continue
-                head = "".join([chars[x] for x in c.prefix])
-                last = c.prefix[-1] if c.prefix else -1
-                members.append((c, [head + t for t in suffixes(last, c.length - len(c.prefix))]))
-        return members
+                free = min(c.length - len(c.prefix), width)
+                for lead in group.iter_sphere_letters(c.length - free, c.prefix):
+                    head = "".join([chars[x] for x in lead])
+                    yield c, head, suffixes(lead[-1] if lead else -1, free)
 
-    def _render(self, fragments: Callable[[ProfileClass], tuple[str, str]]) -> list[str]:
-        """Each row as its class's head, its word and its class's tail; the
-        fragments are made once per class, whose members are a run."""
-        out = []
-        for c, words in self._members:
+    def _write_rows(
+        self, fp: IO[str], fragments: Callable[[ProfileClass], tuple[str, str]], sep: str
+    ) -> None:
+        """Each row as its class's head, its word and its class's tail, rows
+        separated by ``sep``; one write per run of members, whose
+        fragments are made once per run."""
+        glue = ""
+        for c, lead, suffixes in self._runs():
             head, tail = fragments(c)
-            out += [head + w + tail for w in words]
-        return out
+            head += lead
+            fp.write(glue + head + (tail + sep + head).join(suffixes) + tail)
+            glue = sep
 
     def write_csv(self, fp: IO[str]) -> None:
         """Columns g, |g|, Re E, Im E, sigma^2; no field needs quoting."""
-        rows = self._render(lambda c: ("", f",{c.length},{c.re_str},{c.im_str},{c.sigma_str}\n"))
         fp.write("g,|g|,Re E,Im E,sigma^2\n")
-        fp.write("".join(rows))
+        self._write_rows(
+            fp, lambda c: ("", f",{c.length},{c.re_str},{c.im_str},{c.sigma_str}\n"), ""
+        )
 
     def write_json(self, fp: IO[str], rank: int) -> None:
         """The bytes of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``
@@ -333,14 +347,15 @@ class DeviationProfile:
         no escaping.
         """
         head = {"phi": self.phi_label, "radius": self.radius, "rank": rank}
-        rows = self._render(
+        fp.write(json.dumps(head, indent=2, sort_keys=True)[:-2])
+        fp.write(',\n  "rows": [\n')
+        self._write_rows(
+            fp,
             lambda c: (
                 f'    {{\n      "deviation_sq": "{c.sigma_str}",\n      "expectation": [\n'
                 f'        "{c.re_str}",\n        "{c.im_str}"\n      ],\n      "g": "',
                 f'",\n      "length": {c.length}\n    }}',
-            )
+            ),
+            ",\n",
         )
-        fp.write(json.dumps(head, indent=2, sort_keys=True)[:-2])
-        fp.write(',\n  "rows": [\n')
-        fp.write(",\n".join(rows))
         fp.write("\n  ]\n}\n")

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeboundary import FreeGroup, LocallyConstantFunction
-from treeboundary.cli import EPSILON_RANGE, P_RANGE, main
+from treeboundary.cli import COMMANDS, EPSILON_RANGE, P_RANGE, SETTINGS, main
 
 F2 = FreeGroup(2)
 
@@ -269,6 +269,91 @@ def test_unknown_subcommand_exits_two():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+# ----------------------------------------------------------------------
+# command-line syntax: both flag forms, aliases, unique prefixes, repeats
+
+_PHI = ["--phi", "{phi}"]
+_DEVIATION = ["deviation", *_PHI, "--R", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, same, expect",
+    [
+        (_DEVIATION, ["deviation", "--phi={phi}", "--R=3"], {"radius": 3}),
+        (_DEVIATION, ["deviation", *_PHI, "--radius", "3"], {"radius": 3}),
+        # --ph and --rad are unique prefixes of --phi and --radius
+        (_DEVIATION, ["deviation", "--ph", "{phi}", "--rad", "3"], {"radius": 3}),
+        # the last value wins; --p appends, and is --p, not a prefix of --phi
+        (_DEVIATION, ["deviation", *_PHI, "--R", "1", "--R=3"], {"radius": 3}),
+        (
+            ["summability", *_PHI, "--R", "4", "--p", "2", "--p", "4"],
+            ["summability", *_PHI, "--R", "4", "--config", "{config}"],
+            {"radius": 4},
+        ),
+        (
+            ["verify-all", "--R", "1", "--seed", "-3"],
+            ["verify-all", "--R", "1", "--seed=-3"],
+            {"seed": -3},
+        ),
+    ],
+    ids=["equals", "alias", "prefix", "last-wins", "p-appends", "negative-seed"],
+)
+def test_flag_forms_give_the_same_report(tmp_path, argv, same, expect):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"p": [2, 4]}))
+    paths = {"phi": write_phi(tmp_path), "config": config}
+    reports = []
+    for side, args in (("one", argv), ("two", same)):
+        out = tmp_path / side
+        assert run_cli([*(a.format(**paths) for a in args), "--out", out]) == 0
+        reports.append([(out / f"{argv[0]}.{suffix}").read_bytes() for suffix in ("json", "csv")])
+    assert reports[0] == reports[1]
+    obj = json.loads(reports[0][0])
+    assert {key: obj[key] for key in expect} == expect
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nonsense"],
+        ["chern", "--ora", "2"],  # --oracle-R or --oracle-m
+        ["spectrum", "--bogus", "1"],
+        ["spectrum", "stray"],
+        ["spectrum", "--R"],
+    ],
+    ids=[
+        "no-subcommand", "unknown-subcommand", "ambiguous-flag", "unknown-flag", "stray", "no-value"
+    ],
+)
+def test_malformed_command_line_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # a report written by mistake lands here
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS], ids=["top", *COMMANDS])
+def test_help_lists_every_setting_and_default(command):
+    # in a fresh process: help may end by SystemExit(0) or by returning 0
+    argv = [] if command is None else [command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeboundary.cli", *argv, "--help"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    text = " ".join(proc.stdout.split())
+    if command is None:
+        wanted = [f"{name} {help_text}" for name, (_, help_text, _) in COMMANDS.items()]
+    else:
+        defaults = COMMANDS[command][2]
+        wanted = [flag for name in defaults for flag in SETTINGS[name].flags] + ["--config"]
+        wanted += [f"(default {d})" for d in defaults.values() if d is not None]
+    assert [w for w in wanted if w not in text] == []
 
 
 def test_env_budget_honored(tmp_path):
@@ -601,8 +686,9 @@ _ROUTES = {
 
 
 # modules that no report process loads: numpy serves only the dense test
-# oracles, and dataclasses brings inspect, ast, dis and tokenize with it
-_UNLOADED = ("numpy", "dataclasses", "inspect")
+# oracles, dataclasses brings inspect, ast, dis and tokenize with it, and
+# argparse gettext, whose first lookup imports locale
+_UNLOADED = ("numpy", "dataclasses", "inspect", "argparse", "gettext", "locale")
 
 
 def _modules_after(code: str) -> subprocess.CompletedProcess:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -419,3 +420,31 @@ def test_profile_writers_match_the_row_by_row_oracle(group, depth):
         profile.write_csv(got_csv)
         assert got_json.getvalue() == want_json
         assert got_csv.getvalue() == want_csv
+
+
+def test_profile_writer_streams_its_rows(monkeypatch):
+    import treeboundary.deviation as deviation_module
+
+    # 39,365 rows, about 7 MB of JSON: the writer holds a run of rows at a
+    # time, where it held a list of every row and their join (and every
+    # member string, cached on the profile)
+    profile = DeviationProfile.compute(_dense_function(F2, 1, seed=1), 9)
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        profile.write_json(buf, rank=2)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = len(buf.getvalue())
+    assert size > 7 * 10**6
+    assert peak - kept < size // 10  # kept: the text in buf
+    # runs of 3 members, not up to 729: the same bytes
+    want_csv = io.StringIO()
+    profile.write_csv(want_csv)
+    monkeypatch.setattr(deviation_module, "_RUN", 1)
+    got_json, got_csv = io.StringIO(), io.StringIO()
+    profile.write_json(got_json, rank=2)
+    profile.write_csv(got_csv)
+    assert got_json.getvalue() == buf.getvalue()
+    assert got_csv.getvalue() == want_csv.getvalue()
