@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Iterable, Union
 
 from .words import (
     FreeGroup,
@@ -87,12 +87,11 @@ class Cylinder(Frozen):
     def __str__(self) -> str:
         return f"[{word_to_str(self.prefix)}]"
 
-    def contains(self, other: "Cylinder") -> bool:
-        p, q = self.prefix.letters, other.prefix.letters
-        return len(p) <= len(q) and q[: len(p)] == p
-
     def disjoint(self, other: "Cylinder") -> bool:
-        return not self.contains(other) and not other.contains(self)
+        """Neither prefix extends the other: they differ within the shorter."""
+        p, q = self.prefix.letters, other.prefix.letters
+        t = min(len(p), len(q))
+        return p[:t] != q[:t]
 
 
 class BoundaryPoint(Frozen):
@@ -210,16 +209,17 @@ def preimage_cylinder(g: Word, c: Cylinder, group: FreeGroup) -> list[Cylinder]:
       the preimage is the complement of [prefix_{|g|-|w|+1}(g^-1)],
       written out as its canonical disjoint cylinder cover.
     """
-    w = c.prefix
-    k, m = len(w), len(g)
+    w = c.prefix.letters
+    k, m = len(w), len(g.letters)
     if k == 0:
         return [Cylinder(IDENTITY)]
-    ginv = g.inverse()
-    ell = common_prefix_len(g.letters, w.letters)
+    ginv = tuple(x ^ 1 for x in reversed(g.letters))
+    ell = common_prefix_len(g.letters, w)
     if ell < k:
-        return [Cylinder(mul(ginv, w))]
+        # g^-1 w cancels at the junction exactly the ell letters w shares with g
+        return [Cylinder(Word(ginv[: m - ell] + w[ell:]))]
     # complement of [u], u = prefix_{m-k+1}(g^-1), of positive length
-    u = ginv.letters[: m - k + 1]
+    u = ginv[: m - k + 1]
     out = []
     for t in range(len(u)):
         for x in range(2 * group.n):
@@ -255,8 +255,21 @@ def pushforward_mass(g: Word, c: Cylinder, group: FreeGroup) -> Fraction:
     [prefix_{|g|-k+1}(g^-1)] has mass 1 - depth_mass(|g| - k + 1).
     """
     w = c.prefix.letters
-    total, weights = pushforward_weights(len(g), len(w), group)
-    return Fraction(weights[common_prefix_len(g.letters, w)], total)
+    return _pushforward_masses(len(g), len(w), group.n)[common_prefix_len(g.letters, w)]
+
+
+@lru_cache(maxsize=None)
+def _pushforward_masses(length: int, depth: int, n: int) -> tuple[Fraction, ...]:
+    total, weights = pushforward_weights(length, depth, FreeGroup(n))
+    return tuple(Fraction(c, total) for c in weights)
+
+
+def mass_sum(masses: Iterable[Fraction]) -> tuple[int, int]:
+    """The exact sum of ``masses`` as integers (S, L), sum = S / L with L the
+    lcm of their denominators; no Fraction is built or added."""
+    masses = list(masses)
+    den = math.lcm(*(m.denominator for m in masses))
+    return sum(m.numerator * (den // m.denominator) for m in masses), den
 
 
 class CylinderMeasure:
@@ -270,15 +283,14 @@ class CylinderMeasure:
             raise ValueError(
                 f"table has {len(table)} entries, expected {expected} at depth {depth}"
             )
-        total = Fraction(0)
         for w, mass in table.items():
             if len(w) != depth:
                 raise ValueError(f"key {w!r} has depth {len(w)}, table depth {depth}")
-            if mass < 0:
+            if mass.numerator < 0:
                 raise ValueError(f"negative mass at {w!r}")
-            total += mass
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, not 1")
+        total, den = mass_sum(table.values())
+        if total != den:
+            raise ValueError(f"masses sum to {Fraction(total, den)}, not 1")
         self.group = group
         self.depth = depth
         self.table = dict(sorted(table.items()))

@@ -364,6 +364,7 @@ def _cmd_summability(s: SimpleNamespace) -> int:
     phi, label = _function(s)
     group = phi.group
     vs = VisualStructure(group, s.epsilon)
+    group.check_class_budget(s.budget, phi.depth, 0, s.radius, by_length=True)
     profile = DeviationProfile.compute(phi, s.radius, label=label, budget=s.budget)
     reports = [lp_report(profile, p, vs) for p in s.p]
     surrogate = dplus_surrogate_check(group, vs, s.radius)

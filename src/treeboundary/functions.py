@@ -294,8 +294,22 @@ class LocallyConstantFunction:
         return total
 
     def l2_norm_sq(self) -> Fraction:
-        m = depth_mass(self.depth, self.group)
-        return sum((v.abs2() * m for v in self.values.values()), Fraction(0))
+        """sum |v|^2 mu on the numerators; each depth-k cell has mass 1 / |S_k|."""
+        den, nums = self.numerators
+        total = sum(a * a + b * b for a, b in nums.values())
+        return Fraction(total, den * den * self.group.sphere_count(self.depth))
+
+    def l2_distance_sq(self, other: "LocallyConstantFunction") -> Fraction:
+        """||self - other||^2 from both numerator tables at the finer depth."""
+        if other.group != self.group:
+            raise ValueError("functions live over different groups")
+        (df, f), (dg, g) = self.numerators, other.numerators
+        k, l, total = self.depth, other.depth, 0
+        for u in self.group.iter_sphere_letters(max(k, l)):
+            (a, b), (c, e) = f[u[:k]], g[u[:l]]
+            x, y = a * dg - c * df, b * dg - e * df
+            total += x * x + y * y
+        return Fraction(total, (df * dg) ** 2 * self.group.sphere_count(max(k, l)))
 
     # ------------------------------------------------------------------
     # serialization
@@ -346,28 +360,20 @@ def random_unit_function(
 
     Rational points on the ellipsoid sum mu_c |z_c|^2 = 1 are produced by
     intersecting a rational line through the constant function 1 (a known
-    rational point) with the ellipsoid a second time.
+    rational point) with the ellipsoid a second time.  With the direction
+    (a_c + i b_c) / 2520, each part drawn as randint(-9, 9) / randint(1, 9),
+    the equal masses cancel: the point is (q - 2 s (a_c + i b_c)) / q,
+    q = sum (a^2 + b^2) and s = sum a, and q = 0 or s = 0 is drawn again.
     """
     cells = group.sphere(depth)
-    masses = [depth_mass(depth, group)] * len(cells)
-    while True:
-        direction = [
-            GaussianRational(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            )
-            for _ in cells
-        ]
-        q = sum((d.abs2() * m for d, m in zip(direction, masses)), Fraction(0))
-        if q == 0:
+    while True:  # per cell: re numerator, re denominator, im numerator, im denominator
+        nums = [(rng.randint(-9, 9) * (2520 // rng.randint(1, 9)),
+                 rng.randint(-9, 9) * (2520 // rng.randint(1, 9))) for _ in cells]
+        q, s = sum(a * a + b * b for a, b in nums), sum(a for a, _ in nums)
+        if q == 0 or s == 0:
             continue
-        b = sum((d.re * m for d, m in zip(direction, masses)), Fraction(0))
-        t = Fraction(-2) * b / q
-        if t == 0:
-            continue
-        vals = {
-            w: QQ_ONE + direction[i] * t for i, w in enumerate(cells)
-        }
+        vals = {w: GaussianRational(Fraction(q - 2 * s * a, q), Fraction(-2 * s * b, q))
+                for w, (a, b) in zip(cells, nums)}
         phi = LocallyConstantFunction(group, depth, vals)
         assert phi.l2_norm_sq() == 1
         return phi

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable
 
 from . import chern as chern_mod
@@ -30,10 +31,11 @@ from . import operators as ops
 from .boundary import (
     BoundaryPoint,
     Cylinder,
+    CylinderMeasure,
     VisualStructure,
     cylinder_measure,
+    mass_sum,
     preimage_cylinder,
-    pushforward,
     pushforward_mass,
     weak_distance_to_delta,
 )
@@ -108,6 +110,13 @@ def _indicators(group: FreeGroup) -> list[LocallyConstantFunction]:
     ]
 
 
+def _charge(ctx: VerifyContext, count: int, unit: str) -> None:
+    """Charge a check's work before it enumerates anything (exit 3).  The
+    measure checks have |B_2| (|S_1| + |S_2|) = |B_2| (|B_2| - 1) cases."""
+    if count > ctx.budget:
+        raise BudgetError(count, ctx.budget, f"{count} {unit} exceed budget {ctx.budget}")
+
+
 @_check("growth-closed-form")
 def _growth(ctx: VerifyContext) -> tuple[bool, str]:
     rmax = max(ctx.radius, 4)
@@ -129,6 +138,7 @@ def _hyperbolicity(ctx: VerifyContext) -> tuple[bool, str]:
     G of Gromov products: the pair (x, y) fails iff S_t(x) & S_t(y) != 0,
     with t = G[x][y] + 1 and S_t(x) the bit set {z : G[x][z] >= t}, and the
     lowest set bit names the first failing z in (x, y, z) order."""
+    _charge(ctx, ctx.group.growth_count(2) ** 2, "Gromov pairs")
     ball = ctx.group.ball(2, budget=ctx.budget)
     G = [[gromov_product(x, y) for y in ball] for x in ball]
     top = max(map(max, G)) + 1
@@ -153,46 +163,42 @@ def _hyperbolicity(ctx: VerifyContext) -> tuple[bool, str]:
 @_check("measure-partition")
 def _measure(ctx: VerifyContext) -> tuple[bool, str]:
     group = ctx.group
+    _charge(ctx, group.growth_count(2) * (group.growth_count(2) - 1), "(g, w) cases")
     for depth in range(1, 4):
-        total = sum(
-            (cylinder_measure(Cylinder(w), group) for w in group.sphere(depth)),
-            Fraction(0),
+        total, den = mass_sum(cylinder_measure(Cylinder(w), group) for w in group.sphere(depth))
+        if total != den:
+            return False, f"depth-{depth} masses sum to {Fraction(total, den)}"
+    cells = [(w, Cylinder(w)) for w in group.sphere(2)]
+    for w, c in cells:
+        mass = cylinder_measure(c, group)
+        total, den = mass_sum(
+            cylinder_measure(Cylinder(Word(u)), group)
+            for u in group.iter_sphere_letters(3, w.letters)
         )
-        if total != 1:
-            return False, f"depth-{depth} masses sum to {total}"
-    for w in group.sphere(2):
-        children_total = sum(
-            (
-                cylinder_measure(Cylinder(Word(u)), group)
-                for u in group.iter_sphere_letters(3, w.letters)
-            ),
-            Fraction(0),
-        )
-        if children_total != cylinder_measure(Cylinder(w), group):
+        if total * mass.denominator != mass.numerator * den:
             return False, f"children of [{w}] do not partition it"
     for g in group.ball(2):
-        pushforward(g, 2, group)  # constructor validates sum-to-1 exactly
+        # pushforward(g, 2) on one list of cells; it validates sum-to-1 exactly
+        CylinderMeasure(group, 2, {w: pushforward_mass(g, c, group) for w, c in cells})
     return True, "partitions of unity and pushforward tables exact at depths 1-3"
 
 
 @_check("preimage-decomposition")
 def _preimage(ctx: VerifyContext) -> tuple[bool, str]:
     group = ctx.group
+    _charge(ctx, group.growth_count(2) * (group.growth_count(2) - 1), "(g, w) cases")
+    cylinders = [Cylinder(w) for depth in (1, 2) for w in group.sphere(depth)]
     cases = 0
     for g in group.ball(2):
-        for depth in (1, 2):
-            for w in group.sphere(depth):
-                pieces = preimage_cylinder(g, Cylinder(w), group)
-                for i, p in enumerate(pieces):
-                    for q in pieces[i + 1 :]:
-                        if not p.disjoint(q):
-                            return False, f"overlap in preimage of [{w}] under {g}"
-                total = sum(
-                    (cylinder_measure(p, group) for p in pieces), Fraction(0)
-                )
-                if total != pushforward_mass(g, Cylinder(w), group):
-                    return False, f"mass mismatch for g={g}, w={w}"
-                cases += 1
+        for c in cylinders:
+            pieces = preimage_cylinder(g, c, group)
+            if not all(p.disjoint(q) for p, q in combinations(pieces, 2)):
+                return False, f"overlap in preimage of [{c.prefix}] under {g}"
+            total, den = mass_sum(cylinder_measure(p, group) for p in pieces)
+            mass = pushforward_mass(g, c, group)
+            if total * mass.denominator != mass.numerator * den:
+                return False, f"mass mismatch for g={g}, w={c.prefix}"
+            cases += 1
     return True, f"preimage covers disjoint with exact mass on {cases} cases"
 
 

@@ -131,12 +131,15 @@ def reduce_letters(letters: Iterable[int]) -> Word:
 
 def mul(g: Word, h: Word) -> Word:
     """Reduced product.  Only the junction can cancel for reduced inputs."""
-    a, b = g.letters, h.letters
+    return Word(_product_letters(g.letters, h.letters))
+
+
+def _product_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     i, j = len(a), 0
     while i > 0 and j < len(b) and a[i - 1] == b[j] ^ 1:
         i -= 1
         j += 1
-    return Word(a[:i] + b[j:])
+    return a[:i] + b[j:]
 
 
 def common_prefix_len(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -154,7 +157,8 @@ def gromov_product(g: Word, h: Word) -> int:
     On the tree this equals the longest common prefix length of g and h,
     which tests verify independently.
     """
-    d = len(g) + len(h) - len(mul(g.inverse(), h))
+    ginv = tuple(x ^ 1 for x in reversed(g.letters))
+    d = len(g) + len(h) - len(_product_letters(ginv, h.letters))
     if d % 2:  # impossible for genuine reduced words
         raise AssertionError(f"odd Gromov product numerator for {g}, {h}")
     return d // 2
@@ -275,15 +279,24 @@ class FreeGroup(Frozen):
         t = min(R, k)
         return self.growth_count(t) + (R - t) * self.sphere_count(t)
 
-    def check_class_budget(self, budget: int, k: int, first: int, last: int) -> None:
+    def check_class_budget(
+        self, budget: int, k: int, first: int, last: int, by_length: bool = False
+    ) -> None:
         """Raise BudgetError if spheres ``first`` .. ``last`` hold more than
         ``budget`` prefix classes of depth k: the classes that a profile or
-        a series evaluates, once each."""
+        a series evaluates, once each.  With ``by_length`` a class at sphere
+        m also counts m times, for its O(m)-digit arithmetic."""
         classes = self.prefix_class_count(last, k)
         if first:
             classes -= self.prefix_class_count(first - 1, k)
         if classes > budget:
             raise BudgetError(classes, budget, f"{classes} prefix classes exceed budget {budget}")
+        if by_length:  # each sphere past t holds |S_t| classes
+            t, lo = min(last, k), max(first, min(last, k) + 1)
+            radii = sum(m * self.sphere_count(m) for m in range(first, t + 1))
+            radii += self.sphere_count(t) * (last * (last + 1) - lo * (lo - 1)) // 2
+            if radii > budget:
+                raise BudgetError(radii, budget, f"{radii} class sphere radii exceed budget {budget}")
 
     def prefix_classes(self, m: int, k: int) -> Iterator[tuple[tuple[int, ...], Word, int]]:
         """The classes of sphere m under g ~ g' iff prefix_k g = prefix_k g',

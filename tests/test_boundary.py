@@ -31,6 +31,7 @@ from treeboundary import (
     visual_distance,
     weak_distance_to_delta,
 )
+from treeboundary.boundary import mass_sum
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -227,6 +228,29 @@ def test_cylinder_measure_validates_table():
         CylinderMeasure(F2, 1, bad)  # masses no longer sum to 1
     with pytest.raises(ValueError):
         CylinderMeasure(F2, 1, {F2.word("a"): Fraction(1)})  # wrong size
+    negative = {F2.word("a"): Fraction(3, 2), F2.word("A"): Fraction(-1, 2),
+                F2.word("b"): Fraction(0), F2.word("B"): 0}
+    with pytest.raises(ValueError, match="negative mass at"):
+        CylinderMeasure(F2, 1, negative)  # sums to 1, one mass below 0
+
+
+def test_mass_sum_is_the_exact_sum_over_the_lcm():
+    rng = random.Random(3)
+    for size in range(6):
+        masses = [Fraction(rng.randint(-20, 20), rng.randint(1, 30)) for _ in range(size)]
+        total, den = mass_sum(masses)
+        assert Fraction(total, den) == sum(masses, Fraction(0))
+        assert den == math.lcm(*(m.denominator for m in masses))
+    assert mass_sum([Fraction(1, 4), 3, Fraction(-1, 6)]) == (37, 12)
+
+
+def test_disjoint_means_neither_prefix_extends_the_other():
+    words = F2.ball(3)
+    for u in words:
+        for v in words:
+            p, q = u.letters, v.letters
+            extends = q[: len(p)] == p or p[: len(q)] == q
+            assert Cylinder(u).disjoint(Cylinder(v)) == (not extends)
 
 
 def test_depth_partition_sums_to_one():

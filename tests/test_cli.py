@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -610,6 +612,76 @@ def test_furstenberg_max_power_decided_from_the_settings(tmp_path, argv):
     assert "error: budget exceeded: --max-power" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def _timed_cli(argv):
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeboundary.cli", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    return proc, time.perf_counter() - start
+
+
+def test_verify_all_charges_its_costly_checks_up_front(tmp_path):
+    # n = 26 is the largest rank: |B_2|^2 = 7,317,025 Gromov pairs fit the
+    # default budget, not 7,000,000, and the charge comes before any Gromov
+    # product (the full run takes minutes)
+    out = tmp_path / "out"
+    proc, seconds = _timed_cli(["verify-all", "--n", 26, "--R", 2, "--budget", 7_000_000, "--out", out])
+    assert proc.returncode == 3, proc.stderr
+    assert "error: budget exceeded: 7317025 Gromov pairs exceed budget 7000000" in proc.stderr
+    assert seconds < 2
+    assert not out.exists()
+    # n = 3: the growth check's |B_4| of F3 (937) fits 1000, the 1369
+    # Gromov pairs of B_2 do not
+    assert run_cli(["verify-all", "--n", 3, "--budget", 1000, "--out", out]) == 3
+    assert run_cli(["verify-all", "--n", 3, "--budget", 1369, "--out", out]) == 0
+    # a rank past 26 is a usage error, not a budget stop
+    proc, _ = _timed_cli(["verify-all", "--n", 30, "--R", 2, "--out", out])
+    assert proc.returncode == 2, proc.stderr
+    assert "rank must be an integer in 2..26, got 30" in proc.stderr
+
+
+def test_summability_charges_each_class_by_its_sphere(tmp_path):
+    # a depth-1 F2 function has 4 classes on each sphere m >= 1, charged m
+    # each: 2 R (R + 1) in all, 8,004,000 at R = 2000 (which fits) and
+    # 50,010,000 at R = 5000
+    phi = write_phi(tmp_path)
+    proc, seconds = _timed_cli(["summability", "--phi", phi, "--R", 5000, "--out", tmp_path / "out"])
+    assert proc.returncode == 3, proc.stderr
+    assert "error: budget exceeded: 50010000 class sphere radii exceed budget 10000000" in proc.stderr
+    assert seconds < 1
+    argv = ["summability", "--phi", phi, "--R", 10, "--out", tmp_path]
+    assert run_cli([*argv, "--budget", 220]) == 0
+    assert run_cli([*argv, "--budget", 219]) == 3
+
+
+# sha256 of verify-all.json and verify-all.csv with seed 0, taken before the
+# verify layer summed its exact values on integers; a change that moves the
+# bytes of a detail must update these and say why in CHANGES.md
+VERIFY_ALL_SHA256 = {
+    ("--n", 2, "--R", 2): (
+        "adec6dce7759c9aac4adb3762d1375297b93bf0107ebc754758de23df40eac53",
+        "12202ce0cda27b9ace90371964b43c78323b4232afffd0a31a9e00fa3a2676a1",
+    ),
+    ("--n", 3): (
+        "0004bafa8897c5f42538fb3f272679fb492a0a1516fd74aaef46199ad91411fa",
+        "225090e7ea8f80cd8cbd0f487591cf7f8073c3553e68327dc5cfb263da0f3809",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(VERIFY_ALL_SHA256), ids=["n2-R2", "n3"])
+def test_verify_all_reports_are_byte_stable(tmp_path, args):
+    assert run_cli(["verify-all", *args, "--seed", 0, "--out", tmp_path]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / f"verify-all.{ext}").read_bytes()).hexdigest()
+        for ext in ("json", "csv")
+    )
+    assert digests == VERIFY_ALL_SHA256[args]
 
 
 def _with_large_value(obj):

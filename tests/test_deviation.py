@@ -362,6 +362,23 @@ def test_profile_budget():
     assert F2.prefix_class_count(2, 3) == F2.growth_count(2)
 
 
+
+@pytest.mark.parametrize("group", [F2, FreeGroup(3)], ids=["F2", "F3"])
+def test_class_budget_by_length_counts_each_class_by_its_sphere(group):
+    from treeboundary import BudgetError
+
+    # spheres first..last are charged their classes and sum m |S_min(m,k)|,
+    # both from the radii alone; it raises exactly when one passes the budget
+    for k in range(4):
+        for first in range(6):
+            for last in range(first, 9):
+                classes = sum(group.sphere_count(min(m, k)) for m in range(first, last + 1))
+                radii = sum(m * group.sphere_count(min(m, k)) for m in range(first, last + 1))
+                group.check_class_budget(max(classes, radii), k, first, last, by_length=True)
+                if radii > classes:
+                    with pytest.raises(BudgetError, match=f"^{radii} class sphere radii exceed"):
+                        group.check_class_budget(radii - 1, k, first, last, by_length=True)
+
 # a label that JSON must escape: a quote, a backslash and a non-ASCII letter
 ODD_LABEL = 'we"ird\\lab\u00e9l'
 

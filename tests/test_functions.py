@@ -20,6 +20,7 @@ from treeboundary import (
     QQ_ZERO,
     Word,
     boundary_action,
+    depth_mass,
     random_unit_function,
     translate,
 )
@@ -164,3 +165,88 @@ def test_cross_group_operations_rejected():
     ia3 = LocallyConstantFunction.indicator(F3, F3.word("a"))
     with pytest.raises(ValueError):
         ia2 + ia3
+
+
+# The Fraction formulas that the integer routes replaced, kept here as
+# oracles: Sum |v|^2 mu cell by cell, and the unit function built from
+# Fraction draws and Fraction masses.
+
+
+def _l2_norm_sq_oracle(phi):
+    m = depth_mass(phi.depth, phi.group)
+    return sum((v.abs2() * m for v in phi.values.values()), Fraction(0))
+
+
+def _random_unit_function_oracle(group, depth, rng):
+    cells = group.sphere(depth)
+    masses = [depth_mass(depth, group)] * len(cells)
+    while True:
+        direction = [
+            GaussianRational(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            )
+            for _ in cells
+        ]
+        q = sum((d.abs2() * m for d, m in zip(direction, masses)), Fraction(0))
+        if q == 0:
+            continue
+        b = sum((d.re * m for d, m in zip(direction, masses)), Fraction(0))
+        t = Fraction(-2) * b / q
+        if t == 0:
+            continue
+        return {str(w): str(QQ_ONE + direction[i] * t) for i, w in enumerate(cells)}
+
+
+def _random_function(group, depth, rng, zero_share):
+    """Random Gaussian-rational values, about ``zero_share`` of them 0."""
+    return LocallyConstantFunction(group, depth, {
+        w: 0 if rng.random() < zero_share else GaussianRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+        )
+        for w in group.sphere(depth)
+    })
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_l2_norm_sq_equals_the_fraction_sum(n, depth):
+    group, rng = FreeGroup(n), random.Random(f"{n}:{depth}")
+    for zero_share in (0.0, 0.5, 1.0):
+        for _ in range(4):
+            phi = _random_function(group, depth, rng, zero_share)
+            assert phi.l2_norm_sq() == _l2_norm_sq_oracle(phi)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_l2_distance_sq_equals_the_norm_of_the_difference(n):
+    group, rng = FreeGroup(n), random.Random(n)
+    for k in range(4):
+        for l in range(4):
+            f = _random_function(group, k, rng, 0.3)
+            g = _random_function(group, l, rng, 0.3)
+            expected = _l2_norm_sq_oracle(f - g)
+            assert f.l2_distance_sq(g) == expected == g.l2_distance_sq(f)
+            assert f.l2_distance_sq(g) == (f - g).l2_norm_sq()
+            assert f.l2_distance_sq(f) == 0
+
+
+def test_l2_distance_sq_rejects_another_group():
+    with pytest.raises(ValueError, match="different groups"):
+        LocallyConstantFunction.constant(F2, 1).l2_distance_sq(
+            LocallyConstantFunction.constant(FreeGroup(3), 1)
+        )
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_random_unit_function_matches_the_fraction_formula(depth):
+    # same values from the same draws, compared as strings; the generators
+    # must also be left in the same state
+    for seed in range(50):
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        phi = random_unit_function(F2, depth, new_rng)
+        assert {str(w): str(v) for w, v in phi.values.items()} == _random_unit_function_oracle(
+            F2, depth, old_rng
+        )
+        assert new_rng.random() == old_rng.random()

@@ -1,6 +1,7 @@
 """The invariant suite: registry, determinism, tolerance scaling."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -192,3 +193,106 @@ def test_commutator_spectrum_fails_on_a_moved_fiber_cell(monkeypatch):
     ok, detail = verify._commutator(make_ctx())
     assert not ok
     assert detail.startswith("singular values off the deviation table by ")
+
+
+# Teeth of the measure checks and the homotopy check: each test breaks one
+# route and the check must fail.
+
+
+def _broken_preimage(monkeypatch, g0, w0, change):
+    real = verify.preimage_cylinder
+
+    def broken(g, c, group):
+        pieces = real(g, c, group)
+        return change(pieces) if (g, c.prefix) == (g0, w0) else pieces
+
+    monkeypatch.setattr(verify, "preimage_cylinder", broken)
+
+
+@pytest.mark.parametrize("g, w", [("ab", "a"), ("ab", "ab"), ("b", "a"), ("aB", "Ba")])
+def test_preimage_decomposition_fails_on_a_dropped_piece(monkeypatch, g, w):
+    _broken_preimage(monkeypatch, F2.word(g), F2.word(w), lambda pieces: pieces[:-1])
+    assert verify._preimage(make_ctx()) == (False, f"mass mismatch for g={g}, w={w}")
+
+
+@pytest.mark.parametrize("g, w", [("ab", "a"), ("b", "a")])
+def test_preimage_decomposition_fails_on_a_duplicated_piece(monkeypatch, g, w):
+    _broken_preimage(monkeypatch, F2.word(g), F2.word(w), lambda pieces: pieces + pieces[-1:])
+    assert verify._preimage(make_ctx()) == (False, f"overlap in preimage of [{w}] under {g}")
+
+
+def test_measure_partition_fails_on_a_scaled_depth(monkeypatch):
+    real = verify.cylinder_measure
+    monkeypatch.setattr(
+        verify, "cylinder_measure", lambda c, group: real(c, group) * (3 if c.depth == 3 else 1)
+    )
+    assert verify._measure(make_ctx()) == (False, "depth-3 masses sum to 3")
+
+
+def test_measure_partition_fails_on_mass_moved_between_parents(monkeypatch):
+    # [aaa] doubled and [bbb] emptied: depth 3 still sums to 1, the
+    # children of [aa] do not
+    real = verify.cylinder_measure
+    moved = {F2.word("aaa"): 2, F2.word("bbb"): 0}
+    monkeypatch.setattr(
+        verify, "cylinder_measure", lambda c, group: real(c, group) * moved.get(c.prefix, 1)
+    )
+    assert verify._measure(make_ctx()) == (False, "children of [aa] do not partition it")
+
+
+def test_measure_partition_fails_on_a_perturbed_pushforward_mass(monkeypatch):
+    from treeboundary import boundary
+
+    real = boundary.pushforward_mass
+    g0, w0 = F2.word("aB"), F2.word("Ba")
+
+    def perturbed(g, c, group):
+        mass = real(g, c, group)
+        return mass + Fraction(1, 10**9) if (g, c.prefix) == (g0, w0) else mass
+
+    # the check reads the masses through its own import or through pushforward
+    monkeypatch.setattr(boundary, "pushforward_mass", perturbed)
+    monkeypatch.setattr(verify, "pushforward_mass", perturbed)
+    with pytest.raises(ValueError, match=r"^masses sum to 1000000001/1000000000, not 1$"):
+        verify._measure(make_ctx())
+
+
+def test_homotopy_inequality_fails_off_the_unit_sphere(monkeypatch):
+    real = verify.random_unit_function
+    monkeypatch.setattr(
+        verify,
+        "random_unit_function",
+        lambda group, depth, rng: real(group, depth, rng) * Fraction(1000001, 1000000),
+    )
+    results = {r.name: r for r in run_all(make_ctx())}
+    assert not results["homotopy-inequality"].ok
+    assert results["homotopy-inequality"].detail == (
+        "raised ValueError: eta must satisfy ||eta||_{L2(mu)} = 1 exactly"
+    )
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (verify._hyperbolicity, "7317025 Gromov pairs exceed budget 7000000"),
+        (verify._measure, "7314320 (g, w) cases exceed budget 7000000"),
+        (verify._preimage, "7314320 (g, w) cases exceed budget 7000000"),
+    ],
+)
+def test_costly_checks_charge_the_budget_before_enumerating(monkeypatch, check, message):
+    # at n = 26, the largest rank, |B_2|^2 = 2705^2 Gromov pairs and
+    # |B_2| (|S_1| + |S_2|) = 2705 * 2704 cases fit the default budget 10^7
+    class Enumerated(Exception):
+        pass
+
+    def enumerate_words(self, radius, budget=DEFAULT_BUDGET):
+        raise Enumerated
+
+    monkeypatch.setattr(FreeGroup, "ball", enumerate_words)
+    monkeypatch.setattr(FreeGroup, "sphere", enumerate_words)
+    group = FreeGroup(26)
+    ctx = make_ctx(group=group, vs=VisualStructure(group))
+    with pytest.raises(Enumerated):
+        check(ctx)
+    with pytest.raises(BudgetError, match=f"^{re.escape(message)}$"):
+        check(make_ctx(group=group, vs=VisualStructure(group), budget=7_000_000))
