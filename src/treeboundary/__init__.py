@@ -91,7 +91,6 @@ from .chern import (
     CocycleValue,
     TraceOracleReport,
     cocycle_value,
-    shifted_functions,
     trace_identity,
     trace_oracle_dense,
     trace_oracle_report,

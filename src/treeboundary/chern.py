@@ -5,22 +5,24 @@ Two independent routes to the same number:
 * ``cocycle_value`` evaluates the covariance-product formula: for terms
   a^i = phi_i . g_i with g_0 g_1 ... g_n = 1 (n odd, sign (-1)^((n+1)/2)),
 
-      sum_h cov(psi_0, psi_1) ... cov(psi_{n-1}, psi_n)(h)
-    - sum_h cov(psi_n, psi_0) cov(psi_1, psi_2) ... cov(psi_{n-2}, psi_{n-1})(h)
+      sum_h cov_0 cov_2 ... cov_{n-1}(h) - sum_h cov_1 cov_3 ... cov_n(h)
 
-  where psi_i shifts phi_i by the prefix product g_0 ... g_{i-1} and cov is
-  the bilinear pairing E(phi psi) - E(phi) E(psi) (the trace of a product of
-  commutators is multilinear in the phi_i, so no conjugation enters).  The
-  partial sum over B_R is exact rational, and so is the sum over the whole
-  group (``CocycleValue.total``, a series that ``summability.sphere_series``
-  solves and checks).  The signed summand at h (``CocycleSummand``) depends
-  on h only through the prefix class (prefix_K h, |h|), K the largest depth
-  among the psi_i and the pair products, so sphere m is summed over
-  ``FreeGroup.prefix_classes(m, K)``: |S_min(m,K)| class terms, each
-  evaluated once at the class's member and weighted by its size
-  |S_m| / |S_min(m,K)|, the same walk that deviation profiles use.  A class
-  combines its expectations as Gaussian integers over one denominator and
-  makes one Gaussian rational.
+  where cov_i pairs the consecutive arguments i and i+1 (mod n+1).  In the
+  crossed product they multiply to a^i a^(i+1) = pair_i . g_i g_(i+1),
+  pair_i = phi_i (g_i.phi_(i+1)), and cov_i is the bilinear pairing
+  E(pair_i) - E(phi_i) E(g_i.phi_(i+1)) read at p_i^-1 h, p_i = g_0 ...
+  g_(i-1), where E(g_i.phi_(i+1)) is E(phi_(i+1)) at p_(i+1)^-1 h (the
+  trace of a product of commutators is multilinear in the phi_i, so no
+  conjugation enters).  The partial sum over B_R is exact rational, and so
+  is the sum over the whole group (``CocycleValue.total``, a series that
+  ``summability.group_sum`` charges, solves and checks).  The signed
+  summand at h (``CocycleSummand``) depends on h only through the prefix
+  class (prefix_K h, |h|), K = max_i depth(phi_i) + |p_i|, so sphere m is
+  summed over ``FreeGroup.prefix_classes(m, K)``: |S_min(m,K)| class
+  terms, each evaluated once at the class's member and weighted by its
+  size |S_m| / |S_min(m,K)|, the same walk that deviation profiles use.  A
+  class combines its expectations as Gaussian integers over one
+  denominator and makes one Gaussian rational.
 
 * ``trace_oracle_report`` computes the truncated trace of
   (2P - 1)[P, lambda(a^0)] ... [P, lambda(a^n)] directly.  Every commutator
@@ -29,27 +31,27 @@ Two independent routes to the same number:
   a product of 2x2 transfer matrices made of 2n + 2 dot products, and the
   dense matrix is never materialized (the dense budget does not apply;
   only enumeration budgets do).  The fiber blocks come from
-  ``operators.fiber_runs``, which evaluates (p_i h)^-1 . phi_i on the
-  depth-m cylinders as a few lexicographic runs of cells with one value,
-  from phi_i's own table, not from a translated table, and uses no
-  pushforward closed form, so the oracle stays independent of
+  ``operators.fiber_runs``, which evaluates (s_i h)^-1 . phi_i, s_i = g_i
+  ... g_n, on the depth-m cylinders as a few lexicographic runs of cells
+  with one value, from phi_i's own table, not from a translated table, and
+  uses no pushforward closed form, so the oracle stays independent of
   ``cocycle_value``.  v is constant, so each dot product with v is a sum
   over the runs of one block and each dot product of two blocks a merge of
   their run ends (``operators.run_sum``, ``operators.run_dot``): a fiber
   costs O(runs), not O(dim_fiber), and no array is built.
   ``trace_oracle_report`` enumerates B_R with no budget of its own;
-  callers guard it and the depth-m sphere with
-  ``Truncation.check_enumeration_budget``.
+  callers charge it and the depth-m sphere against their budget.
 
 The two routes meet one group element at a time (``trace_identity``): at
 every h whose chain stays in B_R on exact fiber blocks (depth(phi_i) +
-|p_i h| <= m), the fiber trace at h is the signed summand at h, up to
+|s_i h| <= m), the fiber trace at h is the signed summand at h, up to
 rounding.  ``trace_oracle_dense`` forms the same traces from dim_fiber x
 dim_fiber products; it is a test oracle that imports numpy in its own body,
 and no route here calls it.
 
-For degree 1 the pairing is symmetric, cov(psi_0, psi_1) = cov(psi_1, psi_0),
-so the two terms cancel at every h and the value is exactly 0.
+For degree 1 the two pairings are one, cov_0 = cov_1 (the pair tables
+phi_0 (g_0.phi_1) and phi_1 (g_1.phi_0) agree after the shift by g_0), so
+the two terms cancel at every h and the value is exactly 0.
 """
 
 from __future__ import annotations
@@ -58,11 +60,18 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .boundary import depth_mass
 from .deviation import expectation
 from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
-from .operators import Truncation, fiber_diagonal, fiber_projection, fiber_runs, run_dot, run_sum
-from .summability import sphere_series
+from .operators import (
+    Truncation,
+    fiber_diagonal,
+    fiber_projection,
+    fiber_runs,
+    fiber_unit,
+    run_dot,
+    run_sum,
+)
+from .summability import group_sum
 from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Frozen, Word, mul
 
 # the per-h identity's tolerance per fiber cell, relative to
@@ -100,26 +109,13 @@ class CocycleInput(Frozen):
         return out
 
 
-def shifted_functions(inp: CocycleInput) -> list[LocallyConstantFunction]:
-    """psi_i = (g_0 ... g_{i-1}).phi_i; psi_0 = phi_0."""
-    out = []
-    prefix = IDENTITY
-    for phi, g in inp.terms:
-        out.append(translate(prefix, phi))
-        prefix = mul(prefix, g)
-    return out
-
-
-def _pairings(degree: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    pairs_a = [(i, i + 1) for i in range(0, degree, 2)]
-    pairs_b = [(degree, 0)] + [(i, i + 1) for i in range(1, degree - 1, 2)]
-    return pairs_a, pairs_b
-
-
 class CocycleSummand:
-    """The signed summand sign * (term_a - term_b) of the cocycle sum at h.
+    """The signed summand sign * (term_a - term_b) of the cocycle sum at h,
+    from the n+1 functions phi_i and the n+1 pair tables
+    pair_i = phi_i (g_i.phi_(i+1)), each read at p_i^-1 h (see the module
+    docstring): term_a multiplies the cov_i of even i, term_b those of odd i.
 
-    Every expectation in it depends on h only through (prefix_K h, |h|),
+    Every expectation depends on h only through (prefix_K h, |h|),
     K = ``depth``, so each class is evaluated at the first of its elements
     asked for and looked up after; ``classes`` holds the values so far.  A
     class's expectations are written as Gaussian integers over the lcm T of
@@ -129,14 +125,14 @@ class CocycleSummand:
     """
 
     def __init__(self, inp: CocycleInput):
-        self.psis = shifted_functions(inp)
-        self.pairs_a, self.pairs_b = _pairings(inp.degree)
-        # the bilinear pairing cov(psi_i, psi_j)(h) = E(psi_i psi_j)(h) -
-        # E(psi_i)(h) E(psi_j)(h); each pair's product is built once
-        self.products = {
-            (i, j): self.psis[i] * self.psis[j] for i, j in self.pairs_a + self.pairs_b
-        }
-        self.depth = max(f.depth for f in (*self.psis, *self.products.values()))
+        self.phis = [phi for phi, _ in inp.terms]
+        # pair_i, p_i^-1 and K = max_i depth(phi_i) + |p_i|
+        self.pairs, self.shifts, prefix, self.depth = [], [], IDENTITY, 0
+        for i, (phi, g) in enumerate(inp.terms):
+            self.pairs.append(phi * translate(g, self.phis[(i + 1) % len(self.phis)]))
+            self.shifts.append(prefix.inverse())
+            self.depth = max(self.depth, phi.depth + len(prefix))
+            prefix = mul(prefix, g)
         self.group, self.degree = inp.group, inp.degree
         self.sign = 1 if ((inp.degree + 1) // 2) % 2 == 0 else -1
         self.classes: dict[tuple[tuple[int, ...], int], GaussianRational] = {}
@@ -156,31 +152,31 @@ class CocycleSummand:
         return total
 
     def _evaluate(self, h: Word) -> GaussianRational:
-        means = [expectation(psi, h) for psi in self.psis]
-        prods = {pair: expectation(prod, h) for pair, prod in self.products.items()}
-        den = math.lcm(*(x.denominator for e in (*means, *prods.values()) for x in (e.re, e.im)))
+        points = [mul(shift, h) for shift in self.shifts]
+        means = [expectation(phi, x) for phi, x in zip(self.phis, points)]
+        prods = [expectation(pair, x) for pair, x in zip(self.pairs, points)]
+        den = math.lcm(*(x.denominator for e in (*means, *prods) for x in (e.re, e.im)))
 
         def over(e: GaussianRational) -> tuple[int, int]:
             return (e.re.numerator * (den // e.re.denominator),
                     e.im.numerator * (den // e.im.denominator))
 
         m = [over(e) for e in means]
-        covs = {}
-        for (i, j), e in prods.items():
+        covs = []
+        for i, e in enumerate(prods):
             pr, pi = over(e)
-            (ar, ai), (br, bi) = m[i], m[j]
-            covs[(i, j)] = (pr * den - ar * br + ai * bi, pi * den - ar * bi - ai * br)
+            (ar, ai), (br, bi) = m[i], m[(i + 1) % len(m)]
+            covs.append((pr * den - ar * br + ai * bi, pi * den - ar * bi - ai * br))
 
-        def term(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+        def term(factors: list[tuple[int, int]]) -> tuple[int, int]:
             re, im = 1, 0
-            for pair in pairs:
-                cr, ci = covs[pair]
+            for cr, ci in factors:
                 re, im = re * cr - im * ci, re * ci + im * cr
             return re, im
 
-        (ar, ai), (br, bi) = term(self.pairs_a), term(self.pairs_b)
-        # both terms have len(pairs) = (degree + 1) / 2 factors over den^2
-        scale = den ** (2 * len(self.pairs_a))
+        (ar, ai), (br, bi) = term(covs[0::2]), term(covs[1::2])
+        # both terms have (degree + 1) / 2 factors over den^2
+        scale = den ** len(covs)
         return GaussianRational(
             Fraction(self.sign * (ar - br), scale), Fraction(self.sign * (ai - bi), scale)
         )
@@ -207,7 +203,7 @@ class CocycleValue:
 
     @cached_property
     def total(self) -> GaussianRational:
-        """The exact sum over the whole group, from ``sphere_series``.
+        """The exact sum over the whole group, from ``group_sum``.
 
         Past K = depth(summand) a class has size (2n-1)^(m-K) and a summand
         of (degree + 1)/2 covariances, polynomials in x = (2n-1)^-m with no
@@ -218,12 +214,9 @@ class CocycleValue:
         summand = self.summand
         if summand is None:
             return QQ_ZERO
-        group, K = summand.group, max(summand.depth, 1)
-        lo, hi = (summand.degree - 1) // 2, summand.degree
-        group.check_class_budget(self.budget, K, K, K + hi - lo + 1)
-        return sphere_series(
+        return group_sum(
             lambda m: self.spheres[m] if m <= self.radius else summand.sphere(m),
-            2 * group.n - 1, K, lo, hi,
+            summand.group, summand.depth, (summand.degree - 1) // 2, summand.degree, self.budget,
         )
 
 
@@ -299,7 +292,7 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
     suffixes = _suffix_products(inp)
     # v is constant, v_c^2 = w in every cell, so every dot product with v
     # is w times a run sum
-    w = math.sqrt(float(depth_mass(trunc.m, trunc.group))) ** 2
+    w = fiber_unit(trunc)[0][1] ** 2
     vv = trunc.dim_fiber * w
     total = 0j
     chain_exits = 0

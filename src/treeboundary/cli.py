@@ -444,7 +444,9 @@ def _cmd_chern(s: SimpleNamespace) -> int:
         raise ValueError(f"the trace oracle needs --oracle-R and --oracle-m; {missing} is missing")
     if s.oracle_R is not None:
         trunc = Truncation(group, s.oracle_R, s.oracle_m)
-        trunc.check_enumeration_budget(s.budget)
+        # the oracle enumerates B_R and the depth-m sphere
+        group.check_budget(s.budget, R=s.oracle_R)
+        group.check_budget(s.budget, m=s.oracle_m)
     value = cocycle_value(inp, s.radius, budget=s.budget)
     total = value.total
     spheres = [(m, float_str(math.sqrt(float(s.abs2())))) for m, s in enumerate(value.spheres)]

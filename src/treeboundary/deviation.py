@@ -232,11 +232,13 @@ class DeviationProfile:
         radius: int,
         phi: LocallyConstantFunction,
         spheres: list[list[ProfileClass]],
+        budget: int = DEFAULT_BUDGET,  # the budget the classes were charged against
     ):
         self.phi_label = phi_label
         self.radius = radius
         self.phi = phi
         self.spheres = spheres
+        self.budget = budget
 
     @classmethod
     def compute(
@@ -248,12 +250,13 @@ class DeviationProfile:
     ) -> "DeviationProfile":
         """One evaluation per prefix class of each sphere of B_radius.
 
-        The budget caps the number of classes evaluated; no element of the
+        The budget caps the number of classes evaluated, here and by the
+        sums over the whole group that read the profile; no element of the
         ball is enumerated here, so |B_R| is charged only by the callers
         that expand the rows (the ``deviation`` writers).
         """
         phi.group.check_class_budget(budget, phi.depth, 0, radius)
-        return cls(label, radius, phi, [sphere_classes(phi, m) for m in range(radius + 1)])
+        return cls(label, radius, phi, [sphere_classes(phi, m) for m in range(radius + 1)], budget)
 
     @property
     def group(self) -> FreeGroup:

@@ -40,9 +40,9 @@ exact deviation table can still fail.  No route here needs numpy.
 and of the fiber runs), ``fiber_projection`` and the constructors
 ``projection_P``, ``rep_function``, ``rep_group``, ``rep_crossed`` and
 ``homotopy_projection``, which materialize dense complex binary64 dim x dim
-matrices guarded by ``check_dense_budget``, are a small test oracle: they
-import numpy in their own bodies, and no route here calls them.  Everything
-is single-threaded.
+matrices guarded by ``check_dense_budget`` against ``OPERATOR_BUDGET``, are
+a small test oracle: they import numpy in their own bodies, and no route
+here calls them.  Everything is single-threaded.
 """
 
 from __future__ import annotations
@@ -101,12 +101,6 @@ class Truncation(Frozen):
     def check_dense_budget(self, budget: int = OPERATOR_BUDGET) -> None:
         """Guard dense materialization; block-wise algorithms skip this."""
         self.group.check_budget(budget, R=self.R, m=self.m)
-
-    def check_enumeration_budget(self, budget: int) -> None:
-        """Guard the enumerations of the block-wise routes: B_R and the
-        depth-m sphere, each against ``budget``."""
-        self.group.check_budget(budget, R=self.R)
-        self.group.check_budget(budget, m=self.m)
 
     def window_exact(self, depth: int) -> bool:
         return depth + self.R <= self.m
@@ -321,24 +315,22 @@ class TruncatedOperator:
         return self.matrix.shape[0]
 
 
-def projection_P(trunc: Truncation, budget: int = OPERATOR_BUDGET) -> TruncatedOperator:
+def projection_P(trunc: Truncation) -> TruncatedOperator:
     """Orthogonal projection onto the constants in every fiber (rank |B_R|)."""
     import numpy as np
 
-    trunc.check_dense_budget(budget)
+    trunc.check_dense_budget()
     matrix = np.kron(np.eye(trunc.dim_group), fiber_projection(trunc))
     return TruncatedOperator(matrix, "P", trunc)
 
 
-def rep_function(
-    phi: LocallyConstantFunction, trunc: Truncation, budget: int = OPERATOR_BUDGET
-) -> TruncatedOperator:
+def rep_function(phi: LocallyConstantFunction, trunc: Truncation) -> TruncatedOperator:
     """lambda_mu(phi): block-diagonal, block at h = multiplication by h^{-1}.phi."""
     import numpy as np
 
     if phi.group != trunc.group:
         raise ValueError("function and truncation use different groups")
-    trunc.check_dense_budget(budget)
+    trunc.check_dense_budget()
     dim_f = trunc.dim_fiber
     matrix = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     for i, h in enumerate(trunc.group_basis):
@@ -349,12 +341,12 @@ def rep_function(
     )
 
 
-def rep_group(g: Word, trunc: Truncation, budget: int = OPERATOR_BUDGET) -> TruncatedOperator:
+def rep_group(g: Word, trunc: Truncation) -> TruncatedOperator:
     """lambda(g): delta_h -> delta_{gh}, zero when gh leaves B_R."""
     import numpy as np
 
     trunc.group.check_letters(g.letters)
-    trunc.check_dense_budget(budget)
+    trunc.check_dense_budget()
     dim_f = trunc.dim_fiber
     matrix = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     eye = np.eye(dim_f, dtype=complex)
@@ -367,18 +359,16 @@ def rep_group(g: Word, trunc: Truncation, budget: int = OPERATOR_BUDGET) -> Trun
     return TruncatedOperator(matrix, f"lambda({g})", trunc)
 
 
-def rep_crossed(
-    terms: CrossedTerms, trunc: Truncation, budget: int = OPERATOR_BUDGET
-) -> TruncatedOperator:
+def rep_crossed(terms: CrossedTerms, trunc: Truncation) -> TruncatedOperator:
     """Representation of sum_g phi_g . g as sum lambda(phi_g) lambda(g)."""
     import numpy as np
 
-    trunc.check_dense_budget(budget)
+    trunc.check_dense_budget()
     matrix = np.zeros((trunc.dim, trunc.dim), dtype=complex)
     exact = True
     for phi, g in terms:
-        lf = rep_function(phi, trunc, budget)
-        lg = rep_group(g, trunc, budget)
+        lf = rep_function(phi, trunc)
+        lg = rep_group(g, trunc)
         matrix += lf.matrix @ lg.matrix
         exact = exact and lf.window_exact
     return TruncatedOperator(matrix, "lambda(a)", trunc, window_exact=exact)
@@ -496,14 +486,12 @@ def homotopy_vector(eta: LocallyConstantFunction, trunc: Truncation) -> Runs:
     return run_map(_conj_times, fiber_runs(eta, IDENTITY, trunc), fiber_unit(trunc))
 
 
-def homotopy_projection(
-    eta: LocallyConstantFunction, trunc: Truncation, budget: int = OPERATOR_BUDGET
-) -> TruncatedOperator:
+def homotopy_projection(eta: LocallyConstantFunction, trunc: Truncation) -> TruncatedOperator:
     """P(eta) = M(conj(eta)) P M(eta) for an exactly L2-normalized eta."""
     import numpy as np
 
     w = expand_runs(homotopy_vector(eta, trunc))
-    trunc.check_dense_budget(budget)
+    trunc.check_dense_budget()
     matrix = np.kron(np.eye(trunc.dim_group), np.outer(w, np.conj(w)))
     return TruncatedOperator(matrix, "P(eta)", trunc)
 

@@ -8,8 +8,9 @@ For a level-k function and |h| = m >= k, E(phi)(h) = phi(prefix_k h) + A x
 with x = (2n-1)^-m, so every covariance is a polynomial in x with no
 constant term, and past the largest depth K the |S_K| prefix classes of a
 sphere, each of size (2n-1)^(m-K), sum to a finite series in powers of x:
-``sphere_series`` sums it exactly, for the cocycle (``chern``) and for
-sigma^p at even p (powers p/2 - 1 .. p - 1).  As sigma decays like
+``sphere_series`` sums it exactly, and ``group_sum`` charges the classes of
+the spheres it reads first, for the cocycle (``chern``) and for sigma^p at
+even p (powers p/2 - 1 .. p - 1).  As sigma decays like
 (2n-1)^(-m/2), the sum of sigma^p diverges iff p <= 2 and the p = 2
 constant c_0 is nonzero, that is, sigma does not vanish past depth k.
 
@@ -75,6 +76,18 @@ def sphere_series(sphere: Callable[[int], T], q: int, K: int, lo: int, hi: int) 
     return sum(tail, head)
 
 
+def group_sum(
+    sphere: Callable[[int], T], group: FreeGroup, depth: int, lo: int, hi: int, budget: int
+) -> T | None:
+    """``sphere_series`` over ``group`` (q = 2n - 1) from K = max(depth, 1),
+    after charging the classes it evaluates against ``budget``: the depth-K
+    classes of spheres K..K+J, J = hi - lo + 1, the J solving spheres and
+    the check sphere."""
+    K = max(depth, 1)
+    group.check_class_budget(budget, K, K, K + hi - lo + 1)
+    return sphere_series(sphere, 2 * group.n - 1, K, lo, hi)
+
+
 class SummabilityReport:
     def __init__(
         self,
@@ -138,10 +151,11 @@ def _sphere_sum(classes: Sequence[ProfileClass], p: float) -> float:
 @functools.lru_cache(maxsize=4)
 def _even_total(profile: DeviationProfile, p: int) -> Fraction | None:
     """The exact sum of sigma^p over the group, p even, once per profile:
-    K = max(depth(phi), 1) and powers p/2 - 1 .. p - 1."""
-    return sphere_series(
+    powers p/2 - 1 .. p - 1 past depth(phi), charged against the profile's
+    budget."""
+    return group_sum(
         lambda m: exact_sphere_sum(profile.sphere(m), p // 2),
-        2 * profile.group.n - 1, max(profile.phi.depth, 1), p // 2 - 1, p - 1,
+        profile.group, profile.phi.depth, p // 2 - 1, p - 1, profile.budget,
     )
 
 

@@ -20,9 +20,7 @@ need only walk one cylinder: every cell outside the cancellation cylinder
 one or two intervals counted by arithmetic.
 
 Everything here is immutable and every operation is a pure function, so the
-module is safe to use from concurrent contexts.  Sphere enumeration can be
-partitioned by first letter and the partitions merged in letter order to
-recover the canonical order.
+module is safe to use from concurrent contexts.
 """
 
 from __future__ import annotations

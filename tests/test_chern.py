@@ -26,11 +26,11 @@ from treeboundary import (
     expectation,
     mul,
     pushforward_mass,
-    shifted_functions,
     sphere_series,
     trace_identity,
     trace_oracle_dense,
     trace_oracle_report,
+    translate,
     word_to_str,
 )
 
@@ -277,10 +277,14 @@ def _fraction_expectation(phi, h):
 
 
 def _per_h_summand(inp, expectation=expectation):
-    """The per-h formula, kept here only as the oracle: h -> the signed
-    sign * (term_a - term_b) at h, evaluated at h itself, in Gaussian
-    rationals from ``expectation``."""
-    psis = shifted_functions(inp)
+    """The shifted-table formula, kept here only as the oracle: h -> the
+    signed sign * (term_a - term_b) at h, evaluated at h itself on the
+    translates psi_i = (g_0 ... g_{i-1}).phi_i and their pair products, in
+    Gaussian rationals from ``expectation``."""
+    psis, prefix = [], IDENTITY
+    for phi, g in inp.terms:
+        psis.append(translate(prefix, phi))
+        prefix = mul(prefix, g)
     n = inp.degree
     pairs_a = [(i, i + 1) for i in range(0, n, 2)]
     pairs_b = [(n, 0)] + [(i, i + 1) for i in range(1, n - 1, 2)]
@@ -345,6 +349,17 @@ CLASS_CASES = {
         CocycleInput(3, _terms(F3, (1, 2, 2, 1), ("c", "C", "b", "B"), 9)), 3, True
     ),
     "F3 degree 1 depth 1": (CocycleInput(1, _terms(F3, (1, 1), ("B", "b"), 11)), 3, False),
+    # words of length 2; K = 4 comes from depth 2 at |p_4| = |ba| = 2
+    "F2 degree 5 depths 1-2": (
+        CocycleInput(5, _terms(F2, (2, 1, 1, 2, 2, 1), ("ab", "BA", "b", "a", "A", "B"), 15)),
+        4,
+        True,
+    ),
+    "F2 degree 5 depths 0-2": (
+        CocycleInput(5, _terms(F2, (1, 2, 0, 1, 2, 1), ("ab", "BA", "b", "a", "A", "B"), 17)),
+        3,
+        False,
+    ),
     "F2 product not the identity": (
         CocycleInput(3, _terms(F2, (1, 1, 1, 1), ("a", "b", "A", "B"), 13)), 3, False
     ),

@@ -1058,3 +1058,55 @@ def test_every_rendered_number_comes_from_the_one_rendering(tmp_path, monkeypatc
             for column, a, b in zip(header, p, m, strict=True):
                 _check_leaf(a, b, column, _PLAIN_COLUMNS, f"{command}.csv[{i}].{column}")
     assert marks or command == "growth"
+
+
+# dense depth-1 F2 tables, every value a nonzero Gaussian rational, like the
+# benchmark's inputs: one per term of g = a, A, b, B
+DENSE_VALUES = [
+    {"A": ["4/7", "5/11"], "B": ["-7/13", "-9/17"], "a": ["4/5", "5/7"], "b": ["-10/11", "-11/13"]},
+    {"A": ["1/7", "3/11"], "B": ["-11/13", "1/17"], "a": ["3/5", "-4/7"], "b": ["-7/11", "-3/13"]},
+    {"A": ["-1/7", "-9/11"], "B": ["-10/13", "-14/17"], "a": ["4/5", "-1/7"], "b": ["1/11", "-7/13"]},
+    {"A": ["-4/7", "6/11"], "B": ["-1/13", "-13/17"], "a": ["-3/5", "2/7"], "b": ["-10/11", "-1/13"]},
+]
+
+
+def _dense_inputs(tmp_path):
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"rank": 2, "depth": 1, "values": DENSE_VALUES[0]}))
+    terms = tmp_path / "terms.json"
+    terms.write_text(json.dumps({
+        "rank": 2,
+        "degree": 3,
+        "terms": [
+            {"phi": {"depth": 1, "values": values}, "g": g}
+            for values, g in zip(DENSE_VALUES, ("a", "A", "b", "B"))
+        ],
+    }))
+    return {"summability": ["--phi", phi], "chern": ["--input", terms]}
+
+
+# sha256 of <command>.json and <command>.csv on the dense inputs above, taken
+# before the cocycle summand read products of consecutive arguments and the
+# whole-group series shared one charged solve
+REPORT_SHA256 = {
+    ("chern", "--radius", 4, "--oracle-R", 5, "--oracle-m", 5): (
+        "4ce25a704c783959cbc4c8f7bf69fd2f585ad0ffa5fea1ca3ae4827a884cacc5",
+        "43d71b9cfc4f7f12832a5b23553cf2f163a157983bb7e10962f05958d8735ad4",
+    ),
+    ("summability", "--R", 7, "--p", 2, "--p", 3, "--p", 4): (
+        "a5750b2976f852997819d4d010d494f1e339da1665564861a4b83dd2237dfe3e",
+        "29884514d622e6999036981a5e9c5df809325cb6bbddc93e185c7236d656558f",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(REPORT_SHA256), ids=["chern", "summability"])
+def test_reports_are_byte_stable(tmp_path, args):
+    command = args[0]
+    inputs = _dense_inputs(tmp_path)[command]
+    assert run_cli([*args, *inputs, "--out", tmp_path / "out"]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / "out" / f"{command}.{ext}").read_bytes()).hexdigest()
+        for ext in ("json", "csv")
+    )
+    assert digests == REPORT_SHA256[args]

@@ -1,5 +1,6 @@
 """Schatten summability diagnostics against the growth/decay arithmetic."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from treeboundary import (
+    BudgetError,
     DeviationProfile,
     FreeGroup,
     LocallyConstantFunction,
@@ -15,9 +17,11 @@ from treeboundary import (
     dplus_surrogate_check,
     hausdorff_dimension,
     lp_report,
+    random_unit_function,
     sphere_series,
     summability_threshold,
 )
+from treeboundary.cli import main
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -224,3 +228,19 @@ def test_even_p_series_check_sphere_has_teeth():
         sphere_series(lambda m: _sigma_p(profile, m, 2), 3, 0, 1, 3)
     with pytest.raises(AssertionError, match="off the series"):
         sphere_series(lambda m: _sigma_p(profile, m, 2), 3, 1, 2, 3)
+
+
+def test_even_total_charges_its_series_classes(tmp_path, capsys):
+    # depth 5 and p = 2: powers 0..1 past K = 5 solve from spheres 5, 6 and
+    # check on 7, 3 x |S_5| = 972 classes, charged before any is evaluated
+    phi = random_unit_function(F2, 5, random.Random(0))
+    with pytest.raises(BudgetError, match="972 prefix classes exceed budget 971"):
+        lp_report(DeviationProfile.compute(phi, 4, budget=971), 2.0, VS2)
+    obj = phi.to_json_obj()
+    obj["rank"] = 2
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(obj))
+    argv = ["summability", "--phi", str(path), "--R", "4", "--p", "2", "--out", str(tmp_path)]
+    assert main([*argv, "--budget", "971"]) == 3
+    assert "972 prefix classes exceed budget 971" in capsys.readouterr().err
+    assert main([*argv, "--budget", "972"]) == 0
