@@ -21,8 +21,9 @@ Two independent routes to the same number:
   summed over ``FreeGroup.prefix_classes(m, K)``: |S_min(m,K)| class
   terms, each evaluated once at the class's member and weighted by its
   size |S_m| / |S_min(m,K)|, the same walk that deviation profiles use.  A
-  class combines its expectations as Gaussian integers over one
-  denominator and makes one Gaussian rational.
+  class reads the integer sums of its expectations (O(depth) prefix
+  lookups each, see ``deviation``), combines them as Gaussian integers over
+  one denominator and makes one Gaussian rational.
 
 * ``trace_oracle_report`` computes the truncated trace of
   (2P - 1)[P, lambda(a^0)] ... [P, lambda(a^n)] directly.  Every commutator
@@ -35,10 +36,16 @@ Two independent routes to the same number:
   ... g_n, on the depth-m cylinders as a few lexicographic runs of cells
   with one value, from phi_i's own table, not from a translated table, and
   uses no pushforward closed form, so the oracle stays independent of
-  ``cocycle_value``.  v is constant, so each dot product with v is a sum
-  over the runs of one block and each dot product of two blocks a merge of
-  their run ends (``operators.run_sum``, ``operators.run_dot``): a fiber
-  costs O(runs), not O(dim_fiber), and no array is built.
+  ``cocycle_value``.  A chain's exit from B_R is decided from letters,
+  |s_i h| = |s_i| + |h| - 2 cpl(s_i^-1, h), and the points s_i h are built
+  only for the h whose chain stays; the part of a block that does not
+  depend on phi_i (the cancellation cylinder, the ``product_runs`` walk and
+  the extensions of unfixed cells) is walked once per distinct (point,
+  depth) and kept for the one oracle call.  v is constant, so each dot
+  product with v is a sum over the runs of one block and each dot product
+  of two blocks a merge of their run ends (``operators.run_sum``,
+  ``operators.run_dot``): a fiber costs O(runs), not O(dim_fiber), and no
+  array is built.
   ``trace_oracle_report`` enumerates B_R with no budget of its own;
   callers charge it and the depth-m sphere against their budget.
 
@@ -60,9 +67,10 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .deviation import expectation
+from .deviation import _sums
 from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
 from .operators import (
+    Runs,
     Truncation,
     fiber_diagonal,
     fiber_projection,
@@ -72,7 +80,7 @@ from .operators import (
     run_sum,
 )
 from .summability import group_sum
-from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Frozen, Word, mul
+from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Frozen, Word, common_prefix_len, mul
 
 # the per-h identity's tolerance per fiber cell, relative to
 # prod_i ||phi_i||_sup, which bounds both sides: the gap on exact blocks is
@@ -118,10 +126,11 @@ class CocycleSummand:
     Every expectation depends on h only through (prefix_K h, |h|),
     K = ``depth``, so each class is evaluated at the first of its elements
     asked for and looked up after; ``classes`` holds the values so far.  A
-    class's expectations are written as Gaussian integers over the lcm T of
-    their denominators; the covariances are then Gaussian integers over T^2
-    and each term over T^(degree+1), and the class makes one
-    ``GaussianRational``.
+    class reads the integer sums of its 2(n+1) expectations from
+    ``deviation._sums`` and puts them over the lcm T of their denominators
+    D M, with no Fraction in between; the covariances are then Gaussian
+    integers over T^2 and each term over T^(degree+1), and the class makes
+    one ``GaussianRational``.
     """
 
     def __init__(self, inp: CocycleInput):
@@ -153,18 +162,14 @@ class CocycleSummand:
 
     def _evaluate(self, h: Word) -> GaussianRational:
         points = [mul(shift, h) for shift in self.shifts]
-        means = [expectation(phi, x) for phi, x in zip(self.phis, points)]
-        prods = [expectation(pair, x) for pair, x in zip(self.pairs, points)]
-        den = math.lcm(*(x.denominator for e in (*means, *prods) for x in (e.re, e.im)))
-
-        def over(e: GaussianRational) -> tuple[int, int]:
-            return (e.re.numerator * (den // e.re.denominator),
-                    e.im.numerator * (den // e.im.denominator))
-
-        m = [over(e) for e in means]
+        # the integer sums of the 2(n+1) expectations, E = (re + i im) / (D M)
+        sums = [_sums(f, x) for fs in (self.phis, self.pairs) for f, x in zip(fs, points)]
+        den = math.lcm(*(d * total for _, _, _, d, total in sums))
+        over = [(re * (den // (d * total)), im * (den // (d * total)))
+                for re, im, _, d, total in sums]
+        m, prods = over[: len(points)], over[len(points):]
         covs = []
-        for i, e in enumerate(prods):
-            pr, pi = over(e)
+        for i, (pr, pi) in enumerate(prods):
             (ar, ai), (br, bi) = m[i], m[(i + 1) % len(m)]
             covs.append((pr * den - ar * br + ai * bi, pi * den - ar * bi - ai * br))
 
@@ -208,15 +213,17 @@ class CocycleValue:
         Past K = depth(summand) a class has size (2n-1)^(m-K) and a summand
         of (degree + 1)/2 covariances, polynomials in x = (2n-1)^-m with no
         constant term: powers (degree - 1)/2 .. degree of x, J of them, and
-        only degree 1, whose summands vanish, has x^0.  The (J + 1) |S_K|
-        classes of spheres K..K+J are charged against the budget first.
+        only degree 1, whose summands vanish, has x^0.  The classes of the
+        spheres past the radius that the series reads, up to K+J, are
+        charged against the budget first.
         """
         summand = self.summand
         if summand is None:
             return QQ_ZERO
         return group_sum(
             lambda m: self.spheres[m] if m <= self.radius else summand.sphere(m),
-            summand.group, summand.depth, (summand.degree - 1) // 2, summand.degree, self.budget,
+            summand.group, summand.depth, self.radius,
+            (summand.degree - 1) // 2, summand.degree, self.budget,
         )
 
 
@@ -276,6 +283,32 @@ def _check_oracle_terms(inp: CocycleInput, trunc: Truncation) -> None:
             raise ValueError("term function deeper than the fiber level")
 
 
+def _fiber_trace(runs: list[Runs], w: float, dim_fiber: int) -> complex:
+    """The trace of (2P - 1)[P, diag d_0] ... [P, diag d_n] on one fiber,
+    from the fiber blocks d_i as runs and w = v_c^2, the same in every cell.
+
+    [outer(v,v), diag(d_i)] = v y_i^T - y_i v^T = X_i J X_i^T with
+    X_i = [v, y_i], y_i = d_i * v; by cyclicity the fiber trace is
+    tr(J G_01 J G_12 ... J G_{n-1,n} J H), G_ij = X_i^T X_j and
+    H = X_n^T (2 outer(v,v) - 1) X_0, 2x2 matrices of plain dots; v is
+    constant, so each dot is w times a sum over the runs of the blocks.
+    """
+    vv = dim_fiber * w
+    vy = [w * run_sum(r) for r in runs]
+    a, b, c, e = 0.0, 1.0, -1.0, 0.0  # J = [[0, 1], [-1, 0]]
+    for i in range(len(runs) - 1):
+        # [[a, b], [c, e]] G_{i,i+1} J, G = [[vv, vy_{i+1}], [vy_i, y_i.y_{i+1}]]
+        yy = w * run_dot(runs[i], runs[i + 1])
+        x00, x01 = a * vv + b * vy[i], a * vy[i + 1] + b * yy
+        x10, x11 = c * vv + e * vy[i], c * vy[i + 1] + e * yy
+        a, b, c, e = -x01, x00, -x11, x10
+    # H = 2 outer((vv, vy_n), (vv, vy_0)) - [[vv, vy_0], [vy_n, y_n.y_0]]
+    h00, h01 = 2.0 * vv * vv - vv, 2.0 * vv * vy[0] - vy[0]
+    h10 = 2.0 * vy[-1] * vv - vy[-1]
+    h11 = 2.0 * vy[-1] * vy[0] - w * run_dot(runs[-1], runs[0])
+    return complex(a * h00 + b * h10 + c * h01 + e * h11)
+
+
 def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleReport:
     """Transfer-matrix evaluation of the truncated trace, fiber by fiber.
 
@@ -290,42 +323,26 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
         return TraceOracleReport(0j, 0, 0, {})
 
     suffixes = _suffix_products(inp)
-    # v is constant, v_c^2 = w in every cell, so every dot product with v
-    # is w times a run sum
+    # |s_i h| = |s_i| + |h| - 2 cpl(s_i^-1, h): the letters that cancel
+    inverses = [(len(s), s.inverse().letters) for s in suffixes]
     w = fiber_unit(trunc)[0][1] ** 2
-    vv = trunc.dim_fiber * w
     total = 0j
     chain_exits = 0
     inexact_blocks = 0
     traces: dict[Word, complex] = {}
     phis = [phi for phi, _ in inp.terms]
+    walks: dict = {}  # fiber walks by (point, depth), for this call only
     for h in trunc.group_basis:
-        points = [mul(p, h) for p in suffixes]
-        if max(map(len, points)) > trunc.R:
+        letters = h.letters
+        lengths = [n + len(letters) - 2 * common_prefix_len(inv, letters) for n, inv in inverses]
+        if max(lengths) > trunc.R:
             chain_exits += 1
             continue
-        exact = all(phi.depth + len(point) <= trunc.m for phi, point in zip(phis, points))
+        exact = all(phi.depth + n <= trunc.m for phi, n in zip(phis, lengths))
         if not exact:
             inexact_blocks += 1
-        # [outer(v,v), diag(d_i)] = v y_i^T - y_i v^T = X_i J X_i^T with
-        # X_i = [v, y_i], y_i = d_i * v; by cyclicity the fiber trace is
-        # tr(J G_01 J G_12 ... J G_{n-1,n} J H), G_ij = X_i^T X_j and
-        # H = X_n^T (2 outer(v,v) - 1) X_0, 2x2 matrices of plain dots,
-        # each a sum over the runs of the fiber blocks d_i
-        runs = [fiber_runs(phi, point, trunc) for phi, point in zip(phis, points)]
-        vy = [w * run_sum(r) for r in runs]
-        a, b, c, e = 0.0, 1.0, -1.0, 0.0  # J = [[0, 1], [-1, 0]]
-        for i in range(inp.degree):
-            # [[a, b], [c, e]] G_{i,i+1} J, G = [[vv, vy_{i+1}], [vy_i, y_i.y_{i+1}]]
-            yy = w * run_dot(runs[i], runs[i + 1])
-            x00, x01 = a * vv + b * vy[i], a * vy[i + 1] + b * yy
-            x10, x11 = c * vv + e * vy[i], c * vy[i + 1] + e * yy
-            a, b, c, e = -x01, x00, -x11, x10
-        # H = 2 outer((vv, vy_n), (vv, vy_0)) - [[vv, vy_0], [vy_n, y_n.y_0]]
-        h00, h01 = 2.0 * vv * vv - vv, 2.0 * vv * vy[0] - vy[0]
-        h10 = 2.0 * vy[-1] * vv - vy[-1]
-        h11 = 2.0 * vy[-1] * vy[0] - w * run_dot(runs[-1], runs[0])
-        trace = complex(a * h00 + b * h10 + c * h01 + e * h11)
+        runs = [fiber_runs(phi, mul(s, h), trunc, walks) for phi, s in zip(phis, suffixes)]
+        trace = _fiber_trace(runs, w, trunc.dim_fiber)
         total += trace
         if exact:
             traces[h] = trace

@@ -6,15 +6,20 @@ For a level-k function phi and a group element g:
     sigma^2(phi)(g) = E(|phi|^2)(g) - |E(phi)(g)|^2          (exact, >= 0)
     cov(phi,psi)(g) = E(phi psi*)(g) - E(phi)(g) E(psi)(g)*  (exact)
 
-E and sigma^2 come from one pass over the cells on integers, ``_sums``, and
-cov from three expectations: with phi(w) = (a + ib) / D
+E and sigma^2 come from one set of integer sums, ``_sums``, and cov from
+three expectations: with phi(w) = (a + ib) / D
 (``LocallyConstantFunction.numerators``) and (g_*mu)([w]) = c_l / M
 (``boundary.pushforward_weights``, l the common prefix length of g and w),
-the pass gives the Python ints A = sum a c_l, B = sum b c_l and
+the sums are the Python ints A = sum a c_l, B = sum b c_l and
 S = sum (a^2 + b^2) c_l, so that E(phi)(g) = (A + iB) / (D M) and
-sigma^2(phi)(g) = (M S - A^2 - B^2) / (D M)^2.  ``mean_and_deviation_sq``
-makes both from that one pass, for profile classes and ``deviation_sq``
-alike; each statistic is a Fraction made once, at the end.
+sigma^2(phi)(g) = (M S - A^2 - B^2) / (D M)^2.  The weight of a cell depends
+on it only through l, so the sums need no pass over the cells: phi keeps
+the sums of its numerators under every prefix
+(``LocallyConstantFunction.prefix_sums``, built once per function), and
+each of A, B and S is min(|g|, k) + 1 lookups along the prefixes of g,
+O(depth) per expectation.  ``mean_and_deviation_sq`` makes E and sigma^2
+from one call, for profile classes and ``deviation_sq`` alike; each
+statistic is a Fraction made once, at the end.
 
 ``deviation_sq_pairsum`` recomputes sigma^2 through the double-integral
 formula (1/2) iint |phi(gx) - phi(gy)|^2 dmu dmu on the common refinement of
@@ -51,26 +56,33 @@ from fractions import Fraction
 from itertools import combinations
 from typing import IO, Callable, Iterator, NamedTuple
 
-from .words import DEFAULT_BUDGET, FreeGroup, Word, common_prefix_len, word_to_str
+from .words import DEFAULT_BUDGET, FreeGroup, Word, word_to_str
 from .boundary import depth_mass, pushforward_weights
 from .functions import GaussianRational, LocallyConstantFunction, frac_str
 
 
 def _sums(phi: LocallyConstantFunction, g: Word) -> tuple[int, int, int, int, int]:
-    """Integer sums over the nonzero depth-k cells w of phi, with phi(w) =
-    (a + ib) / D and (g_*mu)([w]) = c / M from ``pushforward_weights``:
-    (sum a c, sum b c, sum (a^2 + b^2) c, D, M).  So E(phi)(g) =
-    (sum a c + i sum b c) / (D M) and E(|phi|^2)(g) = sum (a^2 + b^2) c / (D^2 M)."""
-    den, cells = phi.numerators
+    """Integer sums over the depth-k cells w of phi, with phi(w) = (a + ib) / D
+    and (g_*mu)([w]) = c_l / M from ``pushforward_weights``, l the common
+    prefix length of g and w: (sum a c_l, sum b c_l, sum (a^2 + b^2) c_l, D,
+    M).  So E(phi)(g) = (sum a c_l + i sum b c_l) / (D M) and E(|phi|^2)(g) =
+    sum (a^2 + b^2) c_l / (D^2 M).
+
+    The cells with common prefix length l are those under g[:l] but not
+    under g[:l+1], and all of those under g[:L], L = min(|g|, k), for l = L;
+    so with S the ``prefix_sums`` of phi the sums telescope to
+    c_0 S(()) + sum_{1 <= l <= L} (c_l - c_(l-1)) S(g[:l]): L + 1 lookups."""
+    den, _ = phi.numerators
     total, weights = pushforward_weights(len(g), phi.depth, phi.group)
-    letters = g.letters
-    re = im = sq = 0
-    for w, (a, b) in cells.items():
-        if a or b:
-            c = weights[common_prefix_len(letters, w)]
-            re += a * c
-            im += b * c
-            sq += (a * a + b * b) * c
+    sums, letters = phi.prefix_sums, g.letters
+    re = im = sq = below = 0
+    for ell in range(min(len(letters), phi.depth) + 1):
+        a, b, s = sums[letters[:ell]]
+        c = weights[ell] - below
+        below = weights[ell]
+        re += a * c
+        im += b * c
+        sq += s * c
     return re, im, sq, den, total
 
 

@@ -212,6 +212,23 @@ class LocallyConstantFunction:
             for w, v in self.values.items()
         }
 
+    @cached_property
+    def prefix_sums(self) -> dict[tuple[int, ...], tuple[int, int, int]]:
+        """S(p) = (sum a, sum b, sum (a^2 + b^2)) over the depth-k cells that
+        extend p, for every reduced prefix p of length 0..k, with (a, b) the
+        ``numerators`` of each cell; each level is summed from the one below."""
+        _, cells = self.numerators
+        level = {w: (a, b, a * a + b * b) for w, (a, b) in cells.items()}
+        sums = dict(level)
+        for _ in range(self.depth):
+            parents: dict[tuple[int, ...], tuple[int, int, int]] = {}
+            for w, (a, b, s) in level.items():
+                x = parents.get(w[:-1])
+                parents[w[:-1]] = (a, b, s) if x is None else (x[0] + a, x[1] + b, x[2] + s)
+            sums.update(parents)
+            level = parents
+        return sums
+
     def refine(self, depth: int) -> "LocallyConstantFunction":
         if depth < self.depth:
             raise ValueError("cannot refine to a coarser level")

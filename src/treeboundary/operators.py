@@ -215,7 +215,9 @@ def _same(a: complex, b: complex) -> bool:
     )
 
 
-def fiber_runs(phi: LocallyConstantFunction, h: Word, trunc: Truncation) -> Runs:
+def fiber_runs(
+    phi: LocallyConstantFunction, h: Word, trunc: Truncation, walks: dict | None = None
+) -> Runs:
     """The fiber diagonal at h (``fiber_diagonal``) as lexicographic runs
     (end, value): the cells from the previous run's end (0 for the first) up
     to ``end`` all take ``value``, and adjacent runs differ in value.
@@ -228,46 +230,71 @@ def fiber_runs(phi: LocallyConstantFunction, h: Word, trunc: Truncation) -> Runs
     fixed takes the exact average of phi(h .) over its extensions to depth
     k + |h| (``_extension_average``).  A depth-1 block has at most 2n + 1
     runs.
+
+    The walk (``_fiber_walk``) depends on phi only through k; with
+    ``walks``, a dict, it is looked up there by (h, k), or made and kept
+    there, so that a caller reading several blocks at one point walks once.
     """
-    k, m = phi.depth, trunc.m
-    group = trunc.group
+    walks = {} if walks is None else walks
+    walk = walks.get((h, phi.depth))
+    if walk is None:
+        walk = walks[h, phi.depth] = _fiber_walk(h, phi.depth, trunc)
     as_complex = phi.letter_complex
-    sizes = group.run_sizes(m)
-    q, start = group.cancellation_cylinder(h, k, m)
-    pieces = [(start, as_complex[h.letters[:k]])] if start else []
-    end = start
-    for p, key in group.product_runs(h, k, m, q):
-        if key is None:
-            end += 1
-            pieces.append((end, _extension_average(phi, h, p)))
-        else:
-            end += sizes[len(p)]
-            pieces.append((end, as_complex[key]))
-    if end < sizes[0]:
-        pieces.append((sizes[0], as_complex[h.letters[:k]]))
-    out = pieces[:1]
-    for end, value in pieces[1:]:
-        if _same(value, out[-1][1]):
+    out: Runs = []
+    for end, cell_key, extension in walk:
+        value = as_complex[cell_key] if extension is None else _extension_average(phi, extension)
+        if out and _same(value, out[-1][1]):
             out[-1] = (end, value)
         else:
             out.append((end, value))
     return out
 
 
-def _extension_average(phi: LocallyConstantFunction, h: Word, c: tuple[int, ...]) -> complex:
-    """The exact average of phi(h .) over the depth-m cell c, read from the
-    runs under it at depth k + |h|, where every key is fixed, as integer
-    cell counts times phi's Gaussian-integer numerators; each part is one
+# the runs under one depth-m cell at depth k + |h|, each as (key, cells in
+# the run), and the number of depth-(k + |h|) cells under the cell
+Extension = tuple[list[tuple[tuple[int, ...], int]], int]
+
+
+def _fiber_walk(
+    h: Word, k: int, trunc: Truncation
+) -> list[tuple[int, tuple[int, ...] | None, Extension | None]]:
+    """The pieces (end, key, extension) of the fiber at h for a depth-k
+    function, in lexicographic order, before equal values merge: the cells
+    up to ``end`` have the table key ``key``, or ``end`` closes one cell whose
+    key is not fixed (key None) and ``extension`` lists its keys at depth
+    k + |h|."""
+    group, m = trunc.group, trunc.m
+    sizes, deep = group.run_sizes(m), group.run_sizes(k + len(h))
+    q, start = group.cancellation_cylinder(h, k, m)
+    head = h.letters[:k]
+    pieces = [(start, head, None)] if start else []
+    end = start
+    for p, key in group.product_runs(h, k, m, q):
+        if key is None:
+            end += 1
+            runs = group.product_runs(h, k, len(deep) - 1, p)
+            pieces.append((end, None, ([(u_key, deep[len(u)]) for u, u_key in runs], deep[m])))
+        else:
+            end += sizes[len(p)]
+            pieces.append((end, key, None))
+    if end < sizes[0]:
+        pieces.append((sizes[0], head, None))
+    return pieces
+
+
+def _extension_average(phi: LocallyConstantFunction, extension: Extension) -> complex:
+    """The exact average of phi(h .) over one depth-m cell, from the runs
+    under it at depth k + |h|, where every key is fixed, as integer cell
+    counts times phi's Gaussian-integer numerators; each part is one
     correctly rounded integer division."""
-    group = phi.group
     den, numerators = phi.numerators
-    deep = group.run_sizes(phi.depth + len(h))
+    runs, cells = extension
     re = im = 0
-    for u, key in group.product_runs(h, phi.depth, len(deep) - 1, c):
-        (a, b), n = numerators[key], deep[len(u)]
+    for key, n in runs:
+        a, b = numerators[key]
         re += a * n
         im += b * n
-    count = den * deep[len(c)]
+    count = den * cells
     return complex(re / count, im / count)
 
 

@@ -77,14 +77,22 @@ def sphere_series(sphere: Callable[[int], T], q: int, K: int, lo: int, hi: int) 
 
 
 def group_sum(
-    sphere: Callable[[int], T], group: FreeGroup, depth: int, lo: int, hi: int, budget: int
+    sphere: Callable[[int], T],
+    group: FreeGroup,
+    depth: int,
+    radius: int,
+    lo: int,
+    hi: int,
+    budget: int,
 ) -> T | None:
     """``sphere_series`` over ``group`` (q = 2n - 1) from K = max(depth, 1),
-    after charging the classes it evaluates against ``budget``: the depth-K
-    classes of spheres K..K+J, J = hi - lo + 1, the J solving spheres and
-    the check sphere."""
+    where ``sphere`` has spheres 0..``radius`` summed already, after
+    charging the classes it evaluates against ``budget``: the depth-K
+    classes of spheres min(radius + 1, K)..K+J, J = hi - lo + 1, that is
+    the head spheres past the radius, the J solving spheres and the check
+    sphere."""
     K = max(depth, 1)
-    group.check_class_budget(budget, K, K, K + hi - lo + 1)
+    group.check_class_budget(budget, K, min(radius + 1, K), K + hi - lo + 1)
     return sphere_series(sphere, 2 * group.n - 1, K, lo, hi)
 
 
@@ -155,7 +163,7 @@ def _even_total(profile: DeviationProfile, p: int) -> Fraction | None:
     budget."""
     return group_sum(
         lambda m: exact_sphere_sum(profile.sphere(m), p // 2),
-        profile.group, profile.phi.depth, p // 2 - 1, p - 1, profile.budget,
+        profile.group, profile.phi.depth, profile.radius, p // 2 - 1, p - 1, profile.budget,
     )
 
 

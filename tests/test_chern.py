@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeboundary import chern, verify
+from treeboundary import chern, operators, verify
 from treeboundary.cli import main
 from treeboundary import (
     CocycleInput,
@@ -383,15 +383,16 @@ def test_class_sums_equal_the_per_h_loop(name):
 
 
 def test_cocycle_value_evaluates_each_prefix_class_once(monkeypatch):
-    # 8 expectations (4 psi_i, 4 pair products) per prefix class
+    # 8 expectations (4 phi_i, 4 pair tables) per prefix class
     # (prefix_K h, |h|); K = 2 for the regression input
     calls = []
+    sums = chern._sums
 
     def counted(phi, h):
         calls.append(h)
-        return expectation(phi, h)
+        return sums(phi, h)
 
-    monkeypatch.setattr(chern, "expectation", counted)
+    monkeypatch.setattr(chern, "_sums", counted)
     cocycle_value(CocycleInput(3, REGRESSION_TERMS), 6)
     K = 2
     assert len(calls) == 8 * sum(F2.sphere_count(min(m, K)) for m in range(7))
@@ -416,19 +417,20 @@ def test_summand_is_the_per_h_formula_at_every_h(name):
 
 def test_summand_evaluates_a_class_past_the_radius_once(monkeypatch):
     calls = []
+    sums = chern._sums
 
     def counted(phi, h):
         calls.append(h)
-        return expectation(phi, h)
+        return sums(phi, h)
 
-    monkeypatch.setattr(chern, "expectation", counted)
+    monkeypatch.setattr(chern, "_sums", counted)
     summand = cocycle_value(CocycleInput(3, REGRESSION_TERMS), 2).summand
     before = len(calls)
     # K = 2: aab and aaB are one class (aa, 3) of sphere 3; aa and ab are
     # classes of B_2, evaluated already
     for s in ("aab", "aaB", "aa", "ab", "aab"):
         summand(F2.word(s))
-    assert len(calls) - before == 8  # 4 psi_i and 4 pair products, once
+    assert len(calls) - before == 8  # 4 phi_i and 4 pair tables, once
 
 
 DENSE_TERMS = _terms(F2, (1, 1, 1, 1), ("a", "A", "b", "B"), 21)
@@ -464,6 +466,52 @@ def test_trace_identity_on_exact_blocks(terms):
     scale = math.prod(phi.sup_norm() for phi, _ in terms)
     assert identity.gap <= 1e-15 * scale
     assert identity.holds
+
+
+def _per_block_oracle(inp, trunc):
+    """The oracle's loop with every point built, the chain exit read off the
+    points' lengths and ``fiber_runs`` called once per block, no walk
+    shared: (value, chain_exits, inexact_blocks, traces)."""
+    suffixes = chern._suffix_products(inp)
+    w = operators.fiber_unit(trunc)[0][1] ** 2
+    total, exits, inexact, traces = 0j, 0, 0, {}
+    for h in trunc.group_basis:
+        points = [mul(s, h) for s in suffixes]
+        if max(map(len, points)) > trunc.R:
+            exits += 1
+            continue
+        exact = all(phi.depth + len(x) <= trunc.m for (phi, _), x in zip(inp.terms, points))
+        inexact += not exact
+        runs = [operators.fiber_runs(phi, x, trunc) for (phi, _), x in zip(inp.terms, points)]
+        trace = chern._fiber_trace(runs, w, trunc.dim_fiber)
+        total += trace
+        if exact:
+            traces[h] = trace
+    return total, exits, inexact, traces
+
+
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("R, m", [(5, 5), (3, 6)])
+@pytest.mark.parametrize(
+    "terms",
+    [REGRESSION_TERMS, COMPLEX_TERMS, DENSE_TERMS, CLASS_CASES["F2 degree 3 depths 1-2"][0].terms],
+    ids=["regression", "complex", "dense", "depths 1-2"],
+)
+def test_oracle_walks_and_exit_test_match_the_per_block_loop(terms, R, m):
+    # one walk per (point, depth) and the exit decided from letters give
+    # the same bits as a walk per block and the exit read off built points;
+    # the depths 1-2 terms put two depths at one point
+    inp, trunc = CocycleInput(3, terms), Truncation(F2, R, m)
+    report = trace_oracle_report(inp, trunc)
+    value, exits, inexact, traces = _per_block_oracle(inp, trunc)
+    assert (report.chain_exits, report.inexact_blocks) == (exits, inexact)
+    assert exits > 0 and len(traces) > 0
+    assert _bits(report.value) == _bits(value)
+    assert list(report.traces) == list(traces)
+    assert [_bits(t) for t in report.traces.values()] == [_bits(t) for t in traces.values()]
 
 
 # the benchmark's seed-1 terms: dense depth-1 functions times a, A, b, B
@@ -551,11 +599,15 @@ def test_series_check_sphere_has_teeth(monkeypatch, tmp_path):
 def test_series_budget_charges_its_classes():
     from treeboundary import BudgetError
 
-    # K = 2 and powers 1..3: spheres 2..5, 4 x |S_2| = 48 classes
+    # K = 2 and powers 1..3: spheres 2..5, 4 x |S_2| = 48 classes past
+    # radius 1; at radius 0 the head sphere 1 adds its |S_1| = 4 classes
     inp = CocycleInput(3, REGRESSION_TERMS)
     with pytest.raises(BudgetError, match="48 prefix classes exceed budget 47"):
-        cocycle_value(inp, 0, budget=47).total
-    assert cocycle_value(inp, 0, budget=48).total == GaussianRational(Fraction(1, 72))
+        cocycle_value(inp, 1, budget=47).total
+    assert cocycle_value(inp, 1, budget=48).total == GaussianRational(Fraction(1, 72))
+    with pytest.raises(BudgetError, match="52 prefix classes exceed budget 51"):
+        cocycle_value(inp, 0, budget=51).total
+    assert cocycle_value(inp, 0, budget=52).total == GaussianRational(Fraction(1, 72))
 
 
 def _perturbed(monkeypatch):
@@ -563,8 +615,8 @@ def _perturbed(monkeypatch):
     out of its run."""
     original = chern.fiber_runs
 
-    def perturbed(phi, h, trunc):
-        (end, value), *rest = original(phi, h, trunc)
+    def perturbed(phi, h, trunc, *walks):
+        (end, value), *rest = original(phi, h, trunc, *walks)
         head = [(1, value + 1e-8)] + ([(end, value)] if end > 1 else [])
         return head + rest
 

@@ -29,10 +29,13 @@ from treeboundary import (
     lp_report,
     mul,
     pushforward_mass,
+    pushforward_weights,
+    random_unit_function,
     sigma_envelope,
     word_to_str,
 )
-from treeboundary.deviation import _expectation_abs_sq, mean_and_deviation_sq
+from treeboundary.deviation import _expectation_abs_sq, _sums, mean_and_deviation_sq
+from treeboundary.words import common_prefix_len
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -215,6 +218,91 @@ def test_integer_sums_fail_with_a_weight_off_by_one(monkeypatch, ell):
     monkeypatch.setattr(deviation_module, "pushforward_weights", broken)
     failed = {name for name, _ in _integer_route_mismatches(phi)}
     assert failed == {"expectation", "abs_sq", "deviation_sq"}
+
+
+def _cell_sums(phi, g):
+    """The integer sums of ``_sums``, one cell at a time: each nonzero cell w
+    times the weight of its common prefix length with g.  The pass over the
+    cells that the prefix sums replace, kept here as the oracle."""
+    den, cells = phi.numerators
+    total, weights = pushforward_weights(len(g), phi.depth, phi.group)
+    re = im = sq = 0
+    for w, (a, b) in cells.items():
+        if a or b:
+            c = weights[common_prefix_len(g.letters, w)]
+            re += a * c
+            im += b * c
+            sq += (a * a + b * b) * c
+    return re, im, sq, den, total
+
+
+def _random_word(group, length, rng):
+    letters = []
+    for _ in range(length):
+        letters.append(rng.choice(
+            [x for x in range(group.alphabet_size) if not letters or x != letters[-1] ^ 1]
+        ))
+    return Word(tuple(letters))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("group", [F2, F3], ids=["F2", "F3"])
+def test_prefix_sums_equal_the_cell_by_cell_pass(group, depth):
+    # tables with every cell zero, with some and with none; g over B_2 and
+    # words of length k and k + 3, so |g| < k and |g| >= k both occur
+    rng = random.Random(10 * group.n + depth)
+    parts = [Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 7)]
+    cells = group.sphere(depth)
+    tables = [
+        {w: 0 for w in cells},
+        {w: GaussianRational(rng.choice(parts), rng.choice(parts)) for w in cells},
+        {w: GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                             Fraction(rng.randint(-9, -1), 11)) for w in cells},
+    ]
+    elements = [*group.iter_ball(2)]
+    elements += [_random_word(group, length, rng) for length in (depth, depth + 3) for _ in range(8)]
+    for values in tables:
+        phi = LocallyConstantFunction(group, depth, values)
+        # S(p) for every reduced prefix p of length 0..k, summed cell by cell
+        oracle = {}
+        for w, (a, b) in phi.numerators[1].items():
+            for ell in range(depth + 1):
+                x, y, z = oracle.get(w[:ell], (0, 0, 0))
+                oracle[w[:ell]] = (x + a, y + b, z + a * a + b * b)
+        assert phi.prefix_sums == oracle
+        assert sorted(oracle) == sorted(g.letters for g in group.iter_ball(depth))
+        for g in elements:
+            assert _sums(phi, g) == _cell_sums(phi, g), (values, g)
+
+
+class _CountedReads(dict):
+    """A dict that counts its reads: each subscript and each item iterated."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def items(self):
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+
+def test_an_expectation_at_depth_5_reads_at_most_6_prefix_entries():
+    # a pass over the cells would read all |S_5| = 324 of them
+    phi = random_unit_function(F2, 5, random.Random(5))
+    den, cells = phi.numerators
+    phi.__dict__["numerators"] = (den, _CountedReads(cells))
+    phi.__dict__["prefix_sums"] = _CountedReads(phi.prefix_sums)  # once per function
+    tables = (phi.numerators[1], phi.prefix_sums)
+    fresh = random_unit_function(F2, 5, random.Random(5))
+    for s in ("1", "ab", "aBBab", "BBabaBab"):
+        g = F2.word(s)
+        before = sum(t.reads for t in tables)
+        assert expectation(phi, g) == expectation(fresh, g)
+        assert sum(t.reads for t in tables) - before == min(len(g), 5) + 1 <= 6
 
 
 def test_covariance_equals_the_fraction_oracle():

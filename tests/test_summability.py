@@ -21,6 +21,7 @@ from treeboundary import (
     sphere_series,
     summability_threshold,
 )
+from treeboundary import deviation
 from treeboundary.cli import main
 
 F2 = FreeGroup(2)
@@ -244,3 +245,23 @@ def test_even_total_charges_its_series_classes(tmp_path, capsys):
     assert main([*argv, "--budget", "971"]) == 3
     assert "972 prefix classes exceed budget 971" in capsys.readouterr().err
     assert main([*argv, "--budget", "972"]) == 0
+def test_even_total_charges_the_head_spheres_past_the_radius(monkeypatch):
+    # depth 6, R = 4 and p = 4: powers 1..3 past K = 6 read spheres 6..9,
+    # 4 x |S_6| = 3,888 classes, and the head sphere 5, past the profile's
+    # radius, another |S_5| = 324: all 4,212 are charged, and evaluated
+    phi = random_unit_function(F2, 6, random.Random(0))
+    with pytest.raises(BudgetError, match="4212 prefix classes exceed budget 3888"):
+        lp_report(DeviationProfile.compute(phi, 4, budget=3888), 4.0, VS2)
+    profile = DeviationProfile.compute(phi, 4, budget=4212)
+    calls = []
+    evaluate = deviation.mean_and_deviation_sq
+
+    def counted(f, g):
+        calls.append(g)
+        return evaluate(f, g)
+
+    monkeypatch.setattr(deviation, "mean_and_deviation_sq", counted)
+    assert lp_report(profile, 4.0, VS2).total is not None
+    assert len(calls) == 4212
+
+
