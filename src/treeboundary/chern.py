@@ -38,10 +38,12 @@ Two independent routes to the same number:
   uses no pushforward closed form, so the oracle stays independent of
   ``cocycle_value``.  A chain's exit from B_R is decided from letters,
   |s_i h| = |s_i| + |h| - 2 cpl(s_i^-1, h), and the points s_i h are built
-  only for the h whose chain stays; the part of a block that does not
-  depend on phi_i (the cancellation cylinder, the ``product_runs`` walk and
-  the extensions of unfixed cells) is walked once per distinct (point,
-  depth) and kept for the one oracle call.  v is constant, so each dot
+  on letter tuples only for the h whose chain stays; the walk of a block's
+  cancellation cylinder (the ``product_runs`` walk and the extensions of
+  unfixed cells) depends on the point only through its shape
+  (``operators.fiber_shape``), so it is made once per shape, valued once
+  per shape and function, and kept for the one oracle call; each further
+  block of that shape is shifted into place.  v is constant, so each dot
   product with v is a sum over the runs of one block and each dot product
   of two blocks a merge of their run ends (``operators.run_sum``,
   ``operators.run_dot``): a fiber costs O(runs), not O(dim_fiber), and no
@@ -80,7 +82,9 @@ from .operators import (
     run_sum,
 )
 from .summability import group_sum
-from .words import DEFAULT_BUDGET, IDENTITY, FreeGroup, Frozen, Word, common_prefix_len, mul
+from .words import (
+    DEFAULT_BUDGET, IDENTITY, FreeGroup, Frozen, Word, common_prefix_len, mul, reduced_word,
+)
 
 # the per-h identity's tolerance per fiber cell, relative to
 # prod_i ||phi_i||_sup, which bounds both sides: the gap on exact blocks is
@@ -322,26 +326,26 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
         # every chain lands in an off-diagonal block: the trace is exactly 0
         return TraceOracleReport(0j, 0, 0, {})
 
-    suffixes = _suffix_products(inp)
-    # |s_i h| = |s_i| + |h| - 2 cpl(s_i^-1, h): the letters that cancel
-    inverses = [(len(s), s.inverse().letters) for s in suffixes]
+    # s_i h = s_i[:|s_i| - c] + h[c:], c = cpl(s_i^-1, h) the letters that cancel
+    chains = [(s.letters, s.inverse().letters) for s in _suffix_products(inp)]
     w = fiber_unit(trunc)[0][1] ** 2
     total = 0j
     chain_exits = 0
     inexact_blocks = 0
     traces: dict[Word, complex] = {}
     phis = [phi for phi, _ in inp.terms]
-    walks: dict = {}  # fiber walks by (point, depth), for this call only
+    walks: dict = {}  # fiber walks by shape, for this call only
     for h in trunc.group_basis:
         letters = h.letters
-        lengths = [n + len(letters) - 2 * common_prefix_len(inv, letters) for n, inv in inverses]
-        if max(lengths) > trunc.R:
+        cancel = [common_prefix_len(inv, letters) for _, inv in chains]
+        if max([len(s) + len(letters) - 2 * c for (s, _), c in zip(chains, cancel)]) > trunc.R:
             chain_exits += 1
             continue
-        exact = all(phi.depth + n <= trunc.m for phi, n in zip(phis, lengths))
+        points = [s[: len(s) - c] + letters[c:] for (s, _), c in zip(chains, cancel)]
+        exact = all(phi.depth + len(x) <= trunc.m for phi, x in zip(phis, points))
         if not exact:
             inexact_blocks += 1
-        runs = [fiber_runs(phi, mul(s, h), trunc, walks) for phi, s in zip(phis, suffixes)]
+        runs = [fiber_runs(phi, reduced_word(x), trunc, walks) for phi, x in zip(phis, points)]
         trace = _fiber_trace(runs, w, trunc.dim_fiber)
         total += trace
         if exact:

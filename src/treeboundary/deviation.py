@@ -251,6 +251,7 @@ class DeviationProfile:
         self.phi = phi
         self.spheres = spheres
         self.budget = budget
+        self.beyond: dict[int, list[ProfileClass]] = {}  # the spheres read past the radius
 
     @classmethod
     def compute(
@@ -275,8 +276,14 @@ class DeviationProfile:
         return self.phi.group
 
     def sphere(self, m: int) -> list[ProfileClass]:
-        """Sphere m's classes, evaluated anew past the profile's radius."""
-        return self.spheres[m] if m <= self.radius else sphere_classes(self.phi, m)
+        """Sphere m's classes; past the profile's radius they are evaluated
+        on first use and kept in ``beyond``, so that the series of several
+        p read each sphere once."""
+        if m <= self.radius:
+            return self.spheres[m]
+        if m not in self.beyond:
+            self.beyond[m] = sphere_classes(self.phi, m)
+        return self.beyond[m]
 
     def sphere_max_sq(self) -> list[Fraction]:
         """max sigma^2 per sphere, index = word length."""

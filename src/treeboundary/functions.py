@@ -172,6 +172,18 @@ class LocallyConstantFunction:
     # constructors
 
     @classmethod
+    def _of_table(
+        cls, group: FreeGroup, depth: int, values: dict[Word, GaussianRational]
+    ) -> "LocallyConstantFunction":
+        """The function of a table that is valid by construction, as the
+        algebra and ``translate`` build them from valid tables: one
+        GaussianRational for each depth-k cell, keyed in canonical order.
+        Nothing is checked; the public constructor checks everything."""
+        phi = cls.__new__(cls)
+        phi.group, phi.depth, phi.values = group, depth, values
+        return phi
+
+    @classmethod
     def constant(cls, group: FreeGroup, value: RationalLike) -> "LocallyConstantFunction":
         return cls(group, 0, {Word(): value})
 
@@ -238,7 +250,7 @@ class LocallyConstantFunction:
             u: self.values[u.prefix(self.depth)]
             for u in self.group.sphere(depth)
         }
-        return LocallyConstantFunction(self.group, depth, vals)
+        return LocallyConstantFunction._of_table(self.group, depth, vals)
 
     def _pair(self, other: "LocallyConstantFunction"):
         if other.group != self.group:
@@ -253,14 +265,14 @@ class LocallyConstantFunction:
         if not isinstance(other, LocallyConstantFunction):
             other = LocallyConstantFunction.constant(self.group, other)
         f, g = self._pair(other)
-        return LocallyConstantFunction(
+        return LocallyConstantFunction._of_table(
             f.group, f.depth, {w: f.values[w] + g.values[w] for w in f.values}
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "LocallyConstantFunction":
-        return LocallyConstantFunction(
+        return LocallyConstantFunction._of_table(
             self.group, self.depth, {w: -v for w, v in self.values.items()}
         )
 
@@ -271,18 +283,18 @@ class LocallyConstantFunction:
     def __mul__(self, other) -> "LocallyConstantFunction":
         if not isinstance(other, LocallyConstantFunction):
             c = GaussianRational.of(other)
-            return LocallyConstantFunction(
+            return LocallyConstantFunction._of_table(
                 self.group, self.depth, {w: v * c for w, v in self.values.items()}
             )
         f, g = self._pair(other)
-        return LocallyConstantFunction(
+        return LocallyConstantFunction._of_table(
             f.group, f.depth, {w: f.values[w] * g.values[w] for w in f.values}
         )
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "LocallyConstantFunction":
-        return LocallyConstantFunction(
+        return LocallyConstantFunction._of_table(
             self.group, self.depth, {w: v.conjugate() for w, v in self.values.items()}
         )
 
@@ -367,7 +379,7 @@ def translate(g: Word, phi: LocallyConstantFunction) -> LocallyConstantFunction:
         u: phi.values[mul(ginv, u).prefix(phi.depth)]
         for u in phi.group.sphere(d)
     }
-    return LocallyConstantFunction(phi.group, d, vals)
+    return LocallyConstantFunction._of_table(phi.group, d, vals)
 
 
 def random_unit_function(

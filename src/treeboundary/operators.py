@@ -24,7 +24,9 @@ cancellation cylinder has the key h[:k], and inside it the runs of
 ``FreeGroup.product_runs`` give each depth-m cylinder c the key
 prefix_k(h c), or the exact average over its extensions where no key is
 fixed; no translated table is built, and P(eta) reads eta as the block at
-the identity.
+the identity.  The runs inside the cylinder depend on h only through its
+shape (``fiber_shape``), so a route that reads many blocks walks each shape
+once and shifts its runs to each point of that shape.
 
 Every identity, inequality and spectrum here is a rank-one identity or a
 2 x 2 Gram problem in each fiber, evaluated in plain complex arithmetic as
@@ -120,25 +122,13 @@ def fiber_unit(trunc: Truncation) -> Runs:
 def segments(a: Runs, b: Runs) -> Iterator[tuple[int, complex, complex]]:
     """(count, a_c, b_c) over the maximal cell ranges on which two run lists
     of one fiber are both constant, in order: a merge of their run ends."""
-    start = 0
-    runs_a, runs_b = iter(a), iter(b)
-    (end_a, x), (end_b, y) = next(runs_a), next(runs_b)
-    while True:
-        if end_a < end_b:
-            yield end_a - start, x, y
-            start = end_a
-            end_a, x = next(runs_a)
-        elif end_b < end_a:
-            yield end_b - start, x, y
-            start = end_b
-            end_b, y = next(runs_b)
-        else:
-            yield end_a - start, x, y
-            following = next(runs_a, None)
-            if following is None:
-                return
-            start = end_a
-            (end_a, x), (end_b, y) = following, next(runs_b)
+    start, j = 0, 0
+    for end, x in a:
+        while start < end:
+            end_b, y = b[j]
+            stop = end if end < end_b else end_b
+            yield stop - start, x, y
+            start, j = stop, j + (stop == end_b)
 
 
 def run_sum(runs: Runs) -> complex:
@@ -152,8 +142,15 @@ def run_sum(runs: Runs) -> complex:
 
 def run_dot(a: Runs, b: Runs) -> complex:
     """sum_c a_c b_c over the cells of two run lists of one fiber (no
-    conjugation)."""
-    return sum((n * (x * y) for n, x, y in segments(a, b)), 0j)
+    conjugation), summed over ``segments(a, b)`` in order, written out."""
+    total, start, j = 0j, 0, 0
+    for end, x in a:
+        while start < end:
+            end_b, y = b[j]
+            stop = end if end < end_b else end_b
+            total += (stop - start) * (x * y)
+            start, j = stop, j + (stop == end_b)
+    return total
 
 
 def run_map(f: Callable[[complex, complex], complex], a: Runs, b: Runs) -> Runs:
@@ -231,23 +228,48 @@ def fiber_runs(
     k + |h| (``_extension_average``).  A depth-1 block has at most 2n + 1
     runs.
 
-    The walk (``_fiber_walk``) depends on phi only through k; with
-    ``walks``, a dict, it is looked up there by (h, k), or made and kept
-    there, so that a caller reading several blocks at one point walks once.
+    The walk of [q] depends on h only through its shape (``fiber_shape``),
+    up to a shift by the position of [q].  With ``walks``, a dict for one
+    truncation, each shape is walked once (``_shape_walk``) and its runs are
+    valued and merged once per function, kept there with the function.
     """
     walks = {} if walks is None else walks
-    walk = walks.get((h, phi.depth))
-    if walk is None:
-        walk = walks[h, phi.depth] = _fiber_walk(h, phi.depth, trunc)
-    as_complex = phi.letter_complex
-    out: Runs = []
-    for end, cell_key, extension in walk:
-        value = as_complex[cell_key] if extension is None else _extension_average(phi, extension)
-        if out and _same(value, out[-1][1]):
-            out[-1] = (end, value)
+    k, letters = phi.depth, h.letters
+    q, start = trunc.group.cancellation_cylinder(h, k, trunc.m)
+    shape = fiber_shape(letters, len(q), k)
+    known = walks.get((shape, id(phi)))
+    if known is None:
+        if shape not in walks:
+            walks[shape] = _shape_walk(h, k, q, trunc)
+        as_complex, inner = phi.letter_complex, []
+        for end, key, ext in walks[shape]:
+            x = as_complex[key] if ext is None else _extension_average(phi, ext)
+            if inner and _same(x, inner[-1][1]):
+                inner[-1] = (end, x)
+            else:
+                inner.append((end, x))
+        # phi rides along, so that its id names it while ``walks`` lives
+        known = walks[shape, id(phi)] = (phi, as_complex[letters[:k]] if q else None, inner)
+    _, head, inner = known
+    out = [(start + end, x) for end, x in inner]
+    if start and not _same(head, out[0][1]):
+        out.insert(0, (start, head))
+    cells = trunc.group.run_sizes(trunc.m)[0]
+    if out[-1][0] < cells:
+        if _same(head, out[-1][1]):
+            out[-1] = (cells, head)
         else:
-            out.append((end, value))
+            out.append((cells, head))
     return out
+
+
+def fiber_shape(letters: tuple[int, ...], t: int, k: int) -> tuple:
+    """The shape (h[:|h| - t + 1], |h|, k) of the point h = ``letters`` for a
+    depth-k function whose cancellation cylinder [q] has length t: the keys
+    of the cells q c' read h only through h[:|h| - t], and the letters c'
+    may start with through h[|h| - t]."""
+    L = len(letters)
+    return letters[: L - t + 1], L, k
 
 
 # the runs under one depth-m cell at depth k + |h|, each as (key, cells in
@@ -255,20 +277,18 @@ def fiber_runs(
 Extension = tuple[list[tuple[tuple[int, ...], int]], int]
 
 
-def _fiber_walk(
-    h: Word, k: int, trunc: Truncation
+def _shape_walk(
+    h: Word, k: int, q: tuple[int, ...], trunc: Truncation
 ) -> list[tuple[int, tuple[int, ...] | None, Extension | None]]:
-    """The pieces (end, key, extension) of the fiber at h for a depth-k
-    function, in lexicographic order, before equal values merge: the cells
-    up to ``end`` have the table key ``key``, or ``end`` closes one cell whose
-    key is not fixed (key None) and ``extension`` lists its keys at depth
+    """The pieces (end, key, extension) of the cylinder [q] of the fiber at
+    h for a depth-k function, in lexicographic order, before equal values
+    merge, ``end`` counted from the first cell of [q]: the cells up to
+    ``end`` have the table key ``key``, or ``end`` closes one cell whose key
+    is not fixed (key None) and ``extension`` lists its keys at depth
     k + |h|."""
     group, m = trunc.group, trunc.m
     sizes, deep = group.run_sizes(m), group.run_sizes(k + len(h))
-    q, start = group.cancellation_cylinder(h, k, m)
-    head = h.letters[:k]
-    pieces = [(start, head, None)] if start else []
-    end = start
+    pieces, end = [], 0
     for p, key in group.product_runs(h, k, m, q):
         if key is None:
             end += 1
@@ -277,8 +297,6 @@ def _fiber_walk(
         else:
             end += sizes[len(p)]
             pieces.append((end, key, None))
-    if end < sizes[0]:
-        pieces.append((sizes[0], head, None))
     return pieces
 
 
@@ -430,8 +448,9 @@ def verify_pi_identity(
     scale = max(_abs_sq(x) for _, x in v)
     pi_error = 0.0
     compression_error = 0.0
+    walks: dict = {}
     for h in trunc.group_basis:
-        d = fiber_runs(phi, h, trunc)
+        d = fiber_runs(phi, h, trunc, walks)
         u_sq = _off_constants_sq(run_map(_conj_times, d, v), v)
         pi_error = max(pi_error, abs(u_sq - float(deviation_sq(phi, h))) * scale)
         compression_error = max(
@@ -459,8 +478,9 @@ def commutator_singular_values(
     trunc.require_window(phi.depth)
     v = fiber_unit(trunc)
     values: list[float] = []
+    walks: dict = {}
     for h in trunc.group_basis:
-        vv, r = _gram(v, run_map(operator.mul, fiber_runs(phi, h, trunc), v))
+        vv, r = _gram(v, run_map(operator.mul, fiber_runs(phi, h, trunc, walks), v))
         s = math.sqrt(vv * r)
         values += [s, s]
     values.sort(reverse=True)
@@ -573,11 +593,12 @@ def pi_delta_norms(terms: CrossedTerms, trunc: Truncation) -> dict[Word, float]:
             raise ValueError("exactness window requires depth(phi) + R//2 <= m")
     v = fiber_unit(trunc)
     norms = {}
+    walks: dict = {}
     for h in trunc.group.iter_ball(half):
         fibers: dict[Word, Runs] = {}
         for phi, g in terms:
             target = mul(g.inverse(), h)
-            x = run_map(_conj_times, fiber_runs(phi, h, trunc), v)
+            x = run_map(_conj_times, fiber_runs(phi, h, trunc, walks), v)
             fibers[target] = run_map(operator.add, fibers[target], x) if target in fibers else x
         norms[h] = math.sqrt(sum(_off_constants_sq(x, v) for x in fibers.values()))
     return norms
@@ -613,13 +634,14 @@ def verify_compression_identity(terms: CrossedTerms, trunc: Truncation) -> float
     trunc.require_window(*(phi.depth for phi, _ in terms))
     v = fiber_unit(trunc)
     error: dict[tuple[int, int], complex] = {}
+    walks: dict = {}
     for phi, g in terms:
         for j, h in enumerate(trunc.group_basis):
             target = mul(g, h)
             i = trunc.group_index.get(target)
             if i is not None:
                 entry = error.get((i, j), 0j)
-                entry += _compress(fiber_runs(phi, target, trunc), v)
+                entry += _compress(fiber_runs(phi, target, trunc, walks), v)
                 entry -= expectation(phi, target).to_complex()
                 error[i, j] = entry
     return max(map(abs, error.values()), default=0.0)

@@ -127,9 +127,17 @@ def reduce_letters(letters: Iterable[int]) -> Word:
     return Word(tuple(stack))
 
 
+def reduced_word(letters: tuple[int, ...]) -> Word:
+    """The word of a letter tuple that is reduced by construction, such as
+    a product of reduced words cancelled at the junction; not checked."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 def mul(g: Word, h: Word) -> Word:
     """Reduced product.  Only the junction can cancel for reduced inputs."""
-    return Word(_product_letters(g.letters, h.letters))
+    return reduced_word(_product_letters(g.letters, h.letters))
 
 
 def _product_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -330,7 +338,7 @@ class FreeGroup(Frozen):
         """
         L = len(h)
         t = max(0, min(L - k + 1, L, m))
-        q = tuple(x ^ 1 for x in reversed(h.letters[L - t :]))
+        q = tuple([x ^ 1 for x in reversed(h.letters[L - t :])])
         return q, self.lex_rank(q) * self.run_sizes(m)[t]
 
     def product_runs(
@@ -406,7 +414,7 @@ class FreeGroup(Frozen):
 
     def iter_sphere(self, m: int) -> Iterator[Word]:
         """All reduced words of length m, lexicographic."""
-        yield from map(Word, self.iter_sphere_letters(m))
+        yield from map(reduced_word, self.iter_sphere_letters(m))
 
     def sphere(self, m: int, budget: int = DEFAULT_BUDGET) -> list[Word]:
         self.check_budget(budget, m=m)

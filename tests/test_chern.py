@@ -501,9 +501,9 @@ def _bits(z):
     ids=["regression", "complex", "dense", "depths 1-2"],
 )
 def test_oracle_walks_and_exit_test_match_the_per_block_loop(terms, R, m):
-    # one walk per (point, depth) and the exit decided from letters give
-    # the same bits as a walk per block and the exit read off built points;
-    # the depths 1-2 terms put two depths at one point
+    # one walk per shape and the exit decided from letters give the same
+    # bits as a walk per block and the exit read off built points; the
+    # depths 1-2 terms put two depths at one point
     inp, trunc = CocycleInput(3, terms), Truncation(F2, R, m)
     report = trace_oracle_report(inp, trunc)
     value, exits, inexact, traces = _per_block_oracle(inp, trunc)
@@ -524,6 +524,21 @@ BENCHMARK_TERMS = [
         ("B", {"A": ["-4/7", "6/11"], "B": ["-1/13", "-13/17"], "a": ["-3/5", "2/7"], "b": ["-10/11", "-1/13"]}),
     )
 ]
+
+
+def test_oracle_walks_each_fiber_shape_once(monkeypatch):
+    # the benchmark's terms at (5, 5) read 644 blocks at 323 distinct
+    # (point, depth), of 19 shapes
+    walks = []
+    walk = operators._shape_walk
+
+    def counted(h, k, q, trunc):
+        walks.append((h, k))
+        return walk(h, k, q, trunc)
+
+    monkeypatch.setattr(operators, "_shape_walk", counted)
+    trace_oracle_report(CocycleInput(3, BENCHMARK_TERMS), Truncation(F2, 5, 5))
+    assert len(walks) <= 19
 
 
 def test_benchmark_terms_total_is_pinned():

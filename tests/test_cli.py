@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeboundary import FreeGroup, LocallyConstantFunction
+from treeboundary import FreeGroup, LocallyConstantFunction, word_to_str
 from treeboundary.cli import COMMANDS, EPSILON_RANGE, P_RANGE, SETTINGS, main
 
 F2 = FreeGroup(2)
@@ -825,6 +825,30 @@ def test_malformed_input_file_is_usage_error(tmp_path, capsys, command, path, va
     assert not (tmp_path / "out").exists()  # rejected before any output
 
 
+@pytest.mark.parametrize(
+    "command, depth, key, match",
+    [
+        ("deviation", 1, "ab", "key Word('ab') does not have depth 1"),
+        ("deviation", 2, "a", "4 values given, the depth-2 partition has 12 cells"),
+        ("chern", 1, "ab", "key Word('ab') does not have depth 1"),
+        ("chern", 2, "a", "4 values given, the depth-2 partition has 12 cells"),
+    ],
+)
+def test_table_with_a_bad_key_or_depth_is_usage_error(tmp_path, capsys, command, depth, key, match):
+    # the cell "a" of a depth-1 table renamed to ``key``, under ``depth``
+    file = write_terms(tmp_path) if command == "chern" else write_phi(tmp_path)
+    obj = json.loads(file.read_text())
+    table = obj["terms"][1]["phi"] if command == "chern" else obj
+    table["values"][key] = table["values"].pop("a")
+    table["depth"] = depth
+    file.write_text(json.dumps(obj))
+    flag = "--input" if command == "chern" else "--phi"
+    assert run_cli([command, flag, file, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert match in err and str(file) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_out_path_that_is_a_file_is_usage_error(tmp_path, capsys):
     (tmp_path / "out").write_text("")
     assert run_cli(["growth", "--out", tmp_path / "out"]) == 2  # FileExistsError
@@ -1070,6 +1094,32 @@ DENSE_VALUES = [
 ]
 
 
+def _deep_terms(tmp_path):
+    """Degree-3 terms with g = a, A, b, B and functions of depths 2, 4, 1, 2:
+    at --oracle-R 3 --oracle-m 6 the depth-4 term's blocks at the points
+    A h of length 3 hold cells whose key is not fixed (extension averages),
+    and the depth-2 and depth-4 terms have blocks whose cancellation
+    cylinder is the whole fiber (t = 0)."""
+    def table(depth, shift):
+        cells = F2.iter_sphere_letters(depth)
+        return {"depth": depth, "values": {
+            word_to_str(u): [f"{(5 * i + shift) % 13 - 6}/{7 + i % 5}",
+                             f"{(3 * i + 2 * shift) % 11 - 5}/{9 + i % 4}"]
+            for i, u in enumerate(cells)
+        }}
+
+    terms = tmp_path / "deep_terms.json"
+    terms.write_text(json.dumps({
+        "rank": 2,
+        "degree": 3,
+        "terms": [
+            {"phi": table(depth, shift), "g": g}
+            for depth, shift, g in ((2, 1, "a"), (4, 4, "A"), (1, 2, "b"), (2, 7, "B"))
+        ],
+    }))
+    return terms
+
+
 def _dense_inputs(tmp_path):
     phi = tmp_path / "phi.json"
     phi.write_text(json.dumps({"rank": 2, "depth": 1, "values": DENSE_VALUES[0]}))
@@ -1082,31 +1132,48 @@ def _dense_inputs(tmp_path):
             for values, g in zip(DENSE_VALUES, ("a", "A", "b", "B"))
         ],
     }))
-    return {"summability": ["--phi", phi], "chern": ["--input", terms]}
+    return {
+        "summability": ["--phi", phi],
+        "spectrum": ["--phi", phi],
+        "chern": ["--input", terms],
+        "chern depths 1-4": ["--input", _deep_terms(tmp_path)],
+    }
 
 
-# sha256 of <command>.json and <command>.csv on the dense inputs above, taken
-# before the cocycle summand read products of consecutive arguments and the
-# whole-group series shared one charged solve
+# sha256 of <command>.json and <command>.csv on the inputs above, by input:
+# chern and summability taken before the cocycle summand read products of
+# consecutive arguments and the whole-group series shared one charged solve,
+# spectrum and chern depths 1-4 before the fiber walks were shared by shape
 REPORT_SHA256 = {
-    ("chern", "--radius", 4, "--oracle-R", 5, "--oracle-m", 5): (
+    "chern": (
+        ("chern", "--radius", 4, "--oracle-R", 5, "--oracle-m", 5),
         "4ce25a704c783959cbc4c8f7bf69fd2f585ad0ffa5fea1ca3ae4827a884cacc5",
         "43d71b9cfc4f7f12832a5b23553cf2f163a157983bb7e10962f05958d8735ad4",
     ),
-    ("summability", "--R", 7, "--p", 2, "--p", 3, "--p", 4): (
+    "summability": (
+        ("summability", "--R", 7, "--p", 2, "--p", 3, "--p", 4),
         "a5750b2976f852997819d4d010d494f1e339da1665564861a4b83dd2237dfe3e",
         "29884514d622e6999036981a5e9c5df809325cb6bbddc93e185c7236d656558f",
+    ),
+    "spectrum": (
+        ("spectrum", "--R", 2, "--m", 3),
+        "d131af2c60d1a3066c29a9b152617f439631656109c8105f094d515872dcea5d",
+        "eb148f279972cc98a6f7356ee06103171b008546509107f7fbc35934364e0945",
+    ),
+    "chern depths 1-4": (
+        ("chern", "--radius", 2, "--oracle-R", 3, "--oracle-m", 6),
+        "741106fbf9ff3beaa962f0c6cec951f64aaf2abad4d1bccfb3dff3483a2019b0",
+        "537a77bcaa6dcc4411dfcca7b23f6640f22928ffafe28c79ad3b3d2b6d2ba638",
     ),
 }
 
 
-@pytest.mark.parametrize("args", list(REPORT_SHA256), ids=["chern", "summability"])
-def test_reports_are_byte_stable(tmp_path, args):
-    command = args[0]
-    inputs = _dense_inputs(tmp_path)[command]
-    assert run_cli([*args, *inputs, "--out", tmp_path / "out"]) == 0
-    digests = tuple(
-        hashlib.sha256((tmp_path / "out" / f"{command}.{ext}").read_bytes()).hexdigest()
+@pytest.mark.parametrize("name", list(REPORT_SHA256))
+def test_reports_are_byte_stable(tmp_path, name):
+    args, *want = REPORT_SHA256[name]
+    assert run_cli([*args, *_dense_inputs(tmp_path)[name], "--out", tmp_path / "out"]) == 0
+    digests = [
+        hashlib.sha256((tmp_path / "out" / f"{args[0]}.{ext}").read_bytes()).hexdigest()
         for ext in ("json", "csv")
-    )
-    assert digests == REPORT_SHA256[args]
+    ]
+    assert digests == want

@@ -68,6 +68,44 @@ def test_function_table_validation():
         )  # key depth mismatch
 
 
+def _cells(depth):
+    return {
+        w: GaussianRational(Fraction(i, 7), Fraction(-i, 5)) for i, w in enumerate(F2.sphere(depth))
+    }
+
+
+# the cells a, A, b of F2 and one more key
+_THREE = {Word((0,)): 1, Word((1,)): 1, Word((2,)): 1}
+
+
+@pytest.mark.parametrize(
+    "depth, values, match",
+    [
+        (-1, {IDENTITY: 1}, "depth must be nonnegative"),
+        (2, _cells(1), "4 values given, the depth-2 partition has 12 cells"),
+        (1, {**_THREE, Word((4,)): 1}, "letter 4 outside alphabet"),
+        (1, {**_THREE, F2.word("ab"): 1}, "does not have depth 1"),
+    ],
+)
+def test_public_constructor_checks_the_depth_and_every_key(depth, values, match):
+    with pytest.raises(ValueError, match=match):
+        LocallyConstantFunction(F2, depth, values)
+
+
+def test_unchecked_tables_are_the_checked_ones():
+    # translate, refine and the algebra skip the constructor's checks: each
+    # table they build must pass them and come in canonical key order
+    phi, psi = LocallyConstantFunction(F2, 2, _cells(2)), LocallyConstantFunction(F2, 1, _cells(1))
+    built = [
+        translate(F2.word("aB"), phi), phi.refine(4), phi + psi, -phi, phi * psi,
+        phi * GaussianRational(Fraction(2), Fraction(3)), phi.conjugate(),
+    ]
+    for f in built:
+        checked = LocallyConstantFunction(f.group, f.depth, f.values)
+        assert list(f.values.items()) == list(checked.values.items())
+        assert all(type(v) is GaussianRational for v in f.values.values())
+
+
 def test_indicator_partition_of_unity():
     total = LocallyConstantFunction.constant(F2, 0)
     for w in F2.sphere(2):

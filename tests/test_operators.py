@@ -346,6 +346,71 @@ def test_fiber_runs_fail_with_the_cancellation_cylinder_one_letter_short(monkeyp
         assert _fiber_runs_mismatches(F2, 3, depth, 3)
 
 
+def _same_runs(a, b):
+    """Equal ends and bitwise equal values (``_same``)."""
+    return [end for end, _ in a] == [end for end, _ in b] and all(
+        map(operators._same, [x for _, x in a], [x for _, x in b])
+    )
+
+
+def _shared_walk_mismatches(monkeypatch, group, radius, depths):
+    """Read every block of B_radius for two complex functions of each depth
+    and every m from 1 to depth + radius through one ``walks`` memo per
+    (depth, m), and compare each with ``fiber_runs`` on a fresh memo.
+    Return the mismatched (depth, m, h), and the numbers of blocks read with
+    t = 0 and with extension cells."""
+    rng = random.Random(group.n)
+    values = [
+        QQ_ZERO, GaussianRational(Fraction(1)), GaussianRational(Fraction(1, 3), Fraction(-2, 7))
+    ]
+    averages = []
+    average = operators._extension_average
+
+    def counted(phi, extension):
+        averages.append(extension)
+        return average(phi, extension)
+
+    monkeypatch.setattr(operators, "_extension_average", counted)
+    bad, whole, extended = [], 0, 0
+    for depth in depths:
+        cells = group.sphere(depth)
+        phis = [
+            LocallyConstantFunction(group, depth, {w: rng.choice(values) for w in cells})
+            for _ in range(2)
+        ]
+        for m in range(1, depth + radius + 1):
+            trunc, walks = Truncation(group, 0, m), {}
+            for h in group.iter_ball(radius):
+                whole += not group.cancellation_cylinder(h, depth, m)[0]
+                for phi in phis:
+                    before = len(averages)
+                    fresh = operators.fiber_runs(phi, h, trunc)
+                    extended += len(averages) > before
+                    if not _same_runs(operators.fiber_runs(phi, h, trunc, walks), fresh):
+                        bad.append((depth, m, h))
+    return bad, whole, extended
+
+
+@pytest.mark.parametrize("group, radius", [(F2, 4), (FreeGroup(3), 3)], ids=["F2", "F3"])
+def test_shared_shape_walks_give_the_fresh_walk_runs(group, radius, monkeypatch):
+    bad, whole, extended = _shared_walk_mismatches(monkeypatch, group, radius, range(4))
+    assert bad == []
+    assert whole > 0 and extended > 0
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda letters, t, k: (letters[: len(letters) - t + 1], k),  # without |h|
+        lambda letters, t, k: (letters[: len(letters) - t], len(letters), k),  # without h[|h| - t]
+    ],
+    ids=["no length", "no last letter"],
+)
+def test_shared_shape_walks_fail_with_a_shape_short_of_a_part(shape, monkeypatch):
+    monkeypatch.setattr(operators, "fiber_shape", shape)
+    assert _shared_walk_mismatches(monkeypatch, F2, 3, (1, 2))[0]
+
+
 def test_pi_identity_has_teeth(t12, monkeypatch):
     exact_sq, exact_mean = operators.deviation_sq, operators.expectation
     with monkeypatch.context() as m:
@@ -506,7 +571,7 @@ def test_crossed_product_routes_have_teeth(t24, crossed_oracle, monkeypatch):
     monkeypatch.setattr(
         operators,
         "fiber_runs",
-        lambda phi, h, trunc: exact(moved if phi is DENSE else phi, h, trunc),
+        lambda phi, h, trunc, *walks: exact(moved if phi is DENSE else phi, h, trunc, *walks),
     )
     assert verify_compression_identity(CROSSED, t24) > 1e-10
     norms = operators.pi_delta_norms(CROSSED, t24)

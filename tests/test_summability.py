@@ -265,3 +265,25 @@ def test_even_total_charges_the_head_spheres_past_the_radius(monkeypatch):
     assert len(calls) == 4212
 
 
+
+
+def test_even_totals_at_several_p_read_each_series_sphere_once(monkeypatch):
+    # depth 6, R = 4: p = 2 reads spheres 6..8 (2,916 classes) and diverges
+    # before its head sphere; p = 4 then needs spheres 5..9, of which only
+    # sphere 5 (324) and sphere 9 (972) are new: 4,212 in all, not 7,128
+    phi = random_unit_function(F2, 6, random.Random(0))
+    profile = DeviationProfile.compute(phi, 4, budget=4212)
+    calls = []
+    evaluate = deviation.mean_and_deviation_sq
+
+    def counted(f, g):
+        calls.append(g)
+        return evaluate(f, g)
+
+    monkeypatch.setattr(deviation, "mean_and_deviation_sq", counted)
+    assert lp_report(profile, 2.0, VS2).total is None
+    assert len(calls) == 2916
+    report = lp_report(profile, 4.0, VS2)
+    assert len(calls) == 4212 == len(set(calls))
+    # the kept spheres give the total of a fresh profile
+    assert report.total == lp_report(DeviationProfile.compute(phi, 4, budget=4212), 4.0, VS2).total
