@@ -42,8 +42,8 @@ Two independent routes to the same number:
   cancellation cylinder (the ``product_runs`` walk and the extensions of
   unfixed cells) depends on the point only through its shape
   (``operators.fiber_shape``), so it is made once per shape, valued once
-  per shape and function, and kept for the one oracle call; each further
-  block of that shape is shifted into place.  v is constant, so each dot
+  per shape and function, and kept on the truncation; each further block
+  of that shape is shifted into place.  v is constant, so each dot
   product with v is a sum over the runs of one block and each dot product
   of two blocks a merge of their run ends (``operators.run_sum``,
   ``operators.run_dot``): a fiber costs O(runs), not O(dim_fiber), and no
@@ -238,12 +238,13 @@ def cocycle_value(
     ``total``, computed on first access.
 
     Each sphere is summed per prefix class (see the module docstring); the
-    class sums are exact, so the result equals the sum over every h.
+    class sums are exact, so the result equals the sum over every h.  Each
+    class is charged m times at sphere m, as its arithmetic grows with m.
     """
-    inp.group.check_budget(budget, R=radius)
     if inp.group_product != IDENTITY:
         return CocycleValue(0j, radius, QQ_ZERO, [], budget=budget)
     summand = CocycleSummand(inp)
+    inp.group.check_class_budget(budget, summand.depth, 0, radius, by_length=True)
     spheres = [summand.sphere(m) for m in range(radius + 1)]
     partial = sum(spheres, QQ_ZERO)
     return CocycleValue(partial.to_complex(), radius, partial, spheres, summand, budget)
@@ -334,7 +335,6 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
     inexact_blocks = 0
     traces: dict[Word, complex] = {}
     phis = [phi for phi, _ in inp.terms]
-    walks: dict = {}  # fiber walks by shape, for this call only
     for h in trunc.group_basis:
         letters = h.letters
         cancel = [common_prefix_len(inv, letters) for _, inv in chains]
@@ -345,7 +345,7 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
         exact = all(phi.depth + len(x) <= trunc.m for phi, x in zip(phis, points))
         if not exact:
             inexact_blocks += 1
-        runs = [fiber_runs(phi, reduced_word(x), trunc, walks) for phi, x in zip(phis, points)]
+        runs = [fiber_runs(phi, reduced_word(x), trunc) for phi, x in zip(phis, points)]
         trace = _fiber_trace(runs, w, trunc.dim_fiber)
         total += trace
         if exact:

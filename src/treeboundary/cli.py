@@ -438,7 +438,7 @@ def _cmd_spectrum(s: SimpleNamespace) -> int:
 def _cmd_chern(s: SimpleNamespace) -> int:
     inp = _cocycle_input(s)
     group = inp.group
-    trunc = None
+    trunc = identity = None
     if (s.oracle_R is None) != (s.oracle_m is None):
         missing = "--oracle-m" if s.oracle_m is None else "--oracle-R"
         raise ValueError(f"the trace oracle needs --oracle-R and --oracle-m; {missing} is missing")
@@ -480,9 +480,8 @@ def _cmd_chern(s: SimpleNamespace) -> int:
             "consistent": identity.holds,
         }
     _write_report(s, "chern", report, ["m", "sphere_abs"], spheres)
-    checked = report.get("oracle")
-    if checked and not checked["consistent"]:
-        gap, tol = checked["identity_gap"], checked["identity_tolerance"]
+    if identity is not None and not identity.holds:
+        gap, tol = float_str(identity.gap), float_str(identity.tolerance)
         print(f"trace oracle off the cocycle summand at some h by {gap} > {tol}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK

@@ -252,6 +252,7 @@ class DeviationProfile:
         self.spheres = spheres
         self.budget = budget
         self.beyond: dict[int, list[ProfileClass]] = {}  # the spheres read past the radius
+        self.totals: dict[int, Fraction | None] = {}  # the even-p sums over the group
 
     @classmethod
     def compute(

@@ -25,8 +25,9 @@ cancellation cylinder has the key h[:k], and inside it the runs of
 prefix_k(h c), or the exact average over its extensions where no key is
 fixed; no translated table is built, and P(eta) reads eta as the block at
 the identity.  The runs inside the cylinder depend on h only through its
-shape (``fiber_shape``), so a route that reads many blocks walks each shape
-once and shifts its runs to each point of that shape.
+shape (``fiber_shape``), so each shape is walked once per truncation
+(``Truncation.walks``), shared by every route that reads it, and its runs
+are shifted to each point of that shape.
 
 Every identity, inequality and spectrum here is a rank-one identity or a
 2 x 2 Gram problem in each fiber, evaluated in plain complex arithmetic as
@@ -88,6 +89,11 @@ class Truncation(Frozen):
     def group_index(self) -> dict[Word, int]:
         return {h: i for i, h in enumerate(self.group_basis)}
 
+    @cached_property
+    def walks(self) -> dict:
+        """``fiber_runs``' memo: each shape's walk, and its runs per function."""
+        return {}
+
     @property
     def dim_group(self) -> int:
         return self.group.growth_count(self.R)
@@ -101,7 +107,7 @@ class Truncation(Frozen):
         return self.dim_group * self.dim_fiber
 
     def check_dense_budget(self, budget: int = OPERATOR_BUDGET) -> None:
-        """Guard dense materialization; block-wise algorithms skip this."""
+        """Cap dim = |B_R| |S_m|: a dense operator's size, or the values spectrum writes."""
         self.group.check_budget(budget, R=self.R, m=self.m)
 
     def window_exact(self, depth: int) -> bool:
@@ -212,9 +218,7 @@ def _same(a: complex, b: complex) -> bool:
     )
 
 
-def fiber_runs(
-    phi: LocallyConstantFunction, h: Word, trunc: Truncation, walks: dict | None = None
-) -> Runs:
+def fiber_runs(phi: LocallyConstantFunction, h: Word, trunc: Truncation) -> Runs:
     """The fiber diagonal at h (``fiber_diagonal``) as lexicographic runs
     (end, value): the cells from the previous run's end (0 for the first) up
     to ``end`` all take ``value``, and adjacent runs differ in value.
@@ -229,11 +233,11 @@ def fiber_runs(
     runs.
 
     The walk of [q] depends on h only through its shape (``fiber_shape``),
-    up to a shift by the position of [q].  With ``walks``, a dict for one
-    truncation, each shape is walked once (``_shape_walk``) and its runs are
-    valued and merged once per function, kept there with the function.
+    up to a shift by the position of [q].  Each shape is walked once per
+    truncation (``_shape_walk``) and its runs are valued and merged once per
+    function, kept in ``trunc.walks`` with the function.
     """
-    walks = {} if walks is None else walks
+    walks = trunc.walks
     k, letters = phi.depth, h.letters
     q, start = trunc.group.cancellation_cylinder(h, k, trunc.m)
     shape = fiber_shape(letters, len(q), k)
@@ -248,7 +252,7 @@ def fiber_runs(
                 inner[-1] = (end, x)
             else:
                 inner.append((end, x))
-        # phi rides along, so that its id names it while ``walks`` lives
+        # phi rides along, so that its id names it while the truncation lives
         known = walks[shape, id(phi)] = (phi, as_complex[letters[:k]] if q else None, inner)
     _, head, inner = known
     out = [(start + end, x) for end, x in inner]
@@ -440,23 +444,20 @@ def verify_pi_identity(
     from fiber vectors: Pi_h = outer(u, v) with u = (1 - vv*)(conj d_h * v),
     d_h the fiber diagonal of phi at h, so Pi_h* Pi_h = ||u||^2 outer(v, v),
     whose max-abs gap to sigma^2(h) outer(v, v) is |||u||^2 - sigma^2(h)|
-    max_c v_c^2; the compression at h is v* diag(d_h) v.  The errors are
-    maxima over h; off-diagonal blocks vanish on both sides.
+    max_c v_c^2, maximized over h, as off-diagonal blocks vanish on both
+    sides.  The compression error is ``verify_compression_identity`` of the
+    one term phi . 1, on the blocks that the Pi loop has walked.
     """
     trunc.require_window(phi.depth)
     v = fiber_unit(trunc)
     scale = max(_abs_sq(x) for _, x in v)
     pi_error = 0.0
-    compression_error = 0.0
-    walks: dict = {}
     for h in trunc.group_basis:
-        d = fiber_runs(phi, h, trunc, walks)
-        u_sq = _off_constants_sq(run_map(_conj_times, d, v), v)
+        u_sq = _off_constants_sq(run_map(_conj_times, fiber_runs(phi, h, trunc), v), v)
         pi_error = max(pi_error, abs(u_sq - float(deviation_sq(phi, h))) * scale)
-        compression_error = max(
-            compression_error, abs(_compress(d, v) - expectation(phi, h).to_complex())
-        )
-    return PiIdentityReport(pi_error=pi_error, compression_error=compression_error)
+    return PiIdentityReport(
+        pi_error=pi_error, compression_error=verify_compression_identity([(phi, IDENTITY)], trunc)
+    )
 
 
 def commutator_singular_values(
@@ -478,9 +479,8 @@ def commutator_singular_values(
     trunc.require_window(phi.depth)
     v = fiber_unit(trunc)
     values: list[float] = []
-    walks: dict = {}
     for h in trunc.group_basis:
-        vv, r = _gram(v, run_map(operator.mul, fiber_runs(phi, h, trunc, walks), v))
+        vv, r = _gram(v, run_map(operator.mul, fiber_runs(phi, h, trunc), v))
         s = math.sqrt(vv * r)
         values += [s, s]
     values.sort(reverse=True)
@@ -593,12 +593,11 @@ def pi_delta_norms(terms: CrossedTerms, trunc: Truncation) -> dict[Word, float]:
             raise ValueError("exactness window requires depth(phi) + R//2 <= m")
     v = fiber_unit(trunc)
     norms = {}
-    walks: dict = {}
     for h in trunc.group.iter_ball(half):
         fibers: dict[Word, Runs] = {}
         for phi, g in terms:
             target = mul(g.inverse(), h)
-            x = run_map(_conj_times, fiber_runs(phi, h, trunc, walks), v)
+            x = run_map(_conj_times, fiber_runs(phi, h, trunc), v)
             fibers[target] = run_map(operator.add, fibers[target], x) if target in fibers else x
         norms[h] = math.sqrt(sum(_off_constants_sq(x, v) for x in fibers.values()))
     return norms
@@ -634,14 +633,13 @@ def verify_compression_identity(terms: CrossedTerms, trunc: Truncation) -> float
     trunc.require_window(*(phi.depth for phi, _ in terms))
     v = fiber_unit(trunc)
     error: dict[tuple[int, int], complex] = {}
-    walks: dict = {}
     for phi, g in terms:
         for j, h in enumerate(trunc.group_basis):
             target = mul(g, h)
             i = trunc.group_index.get(target)
             if i is not None:
                 entry = error.get((i, j), 0j)
-                entry += _compress(fiber_runs(phi, target, trunc, walks), v)
+                entry += _compress(fiber_runs(phi, target, trunc), v)
                 entry -= expectation(phi, target).to_complex()
                 error[i, j] = entry
     return max(map(abs, error.values()), default=0.0)

@@ -21,7 +21,6 @@ each class's float sigma^p.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
@@ -156,15 +155,16 @@ def _sphere_sum(classes: Sequence[ProfileClass], p: float) -> float:
     return float(sum(terms, Fraction(0)))
 
 
-@functools.lru_cache(maxsize=4)
 def _even_total(profile: DeviationProfile, p: int) -> Fraction | None:
-    """The exact sum of sigma^p over the group, p even, once per profile:
-    powers p/2 - 1 .. p - 1 past depth(phi), charged against the profile's
-    budget."""
-    return group_sum(
-        lambda m: exact_sphere_sum(profile.sphere(m), p // 2),
-        profile.group, profile.phi.depth, profile.radius, p // 2 - 1, p - 1, profile.budget,
-    )
+    """The exact sum of sigma^p over the group, p even, once per profile and
+    kept in ``profile.totals``: powers p/2 - 1 .. p - 1 past depth(phi),
+    charged against the profile's budget."""
+    if p not in profile.totals:
+        profile.totals[p] = group_sum(
+            lambda m: exact_sphere_sum(profile.sphere(m), p // 2),
+            profile.group, profile.phi.depth, profile.radius, p // 2 - 1, p - 1, profile.budget,
+        )
+    return profile.totals[p]
 
 
 def lp_report(profile: DeviationProfile, p: float, vs: VisualStructure) -> SummabilityReport:

@@ -630,8 +630,8 @@ def _perturbed(monkeypatch):
     out of its run."""
     original = chern.fiber_runs
 
-    def perturbed(phi, h, trunc, *walks):
-        (end, value), *rest = original(phi, h, trunc, *walks)
+    def perturbed(phi, h, trunc):
+        (end, value), *rest = original(phi, h, trunc)
         head = [(1, value + 1e-8)] + ([(end, value)] if end > 1 else [])
         return head + rest
 

@@ -564,6 +564,19 @@ def test_trace_oracle_beyond_budget_exits_three(tmp_path, oracle_R, oracle_m):
     assert not (tmp_path / "out").exists()
 
 
+def test_chern_is_charged_for_the_classes_it_sums(tmp_path, capsys):
+    # depth-1 terms times a, A, b, B: K = 2, and radius R sums 12 classes
+    # per sphere past 2, charged 12 m at sphere m; |B_16| = 86,093,441 is
+    # past the default budget, but no element of the ball is enumerated
+    terms = write_terms(tmp_path)
+    assert run_cli(["chern", "--input", terms, "--radius", 16, "--out", tmp_path / "16"]) == 0
+    assert json.loads((tmp_path / "16" / "chern.json").read_text())["radius"] == 16
+    capsys.readouterr()
+    assert run_cli(["chern", "--input", terms, "--radius", 2000, "--out", tmp_path / "2000"]) == 3
+    assert "24011992 class sphere radii exceed budget 10000000" in capsys.readouterr().err
+    assert not (tmp_path / "2000").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -355,8 +355,8 @@ def _same_runs(a, b):
 
 def _shared_walk_mismatches(monkeypatch, group, radius, depths):
     """Read every block of B_radius for two complex functions of each depth
-    and every m from 1 to depth + radius through one ``walks`` memo per
-    (depth, m), and compare each with ``fiber_runs`` on a fresh memo.
+    and every m from 1 to depth + radius through one shared truncation per
+    (depth, m), and compare each with ``fiber_runs`` on a fresh truncation.
     Return the mismatched (depth, m, h), and the numbers of blocks read with
     t = 0 and with extension cells."""
     rng = random.Random(group.n)
@@ -379,14 +379,14 @@ def _shared_walk_mismatches(monkeypatch, group, radius, depths):
             for _ in range(2)
         ]
         for m in range(1, depth + radius + 1):
-            trunc, walks = Truncation(group, 0, m), {}
+            shared = Truncation(group, 0, m)
             for h in group.iter_ball(radius):
                 whole += not group.cancellation_cylinder(h, depth, m)[0]
                 for phi in phis:
                     before = len(averages)
-                    fresh = operators.fiber_runs(phi, h, trunc)
+                    fresh = operators.fiber_runs(phi, h, Truncation(group, 0, m))
                     extended += len(averages) > before
-                    if not _same_runs(operators.fiber_runs(phi, h, trunc, walks), fresh):
+                    if not _same_runs(operators.fiber_runs(phi, h, shared), fresh):
                         bad.append((depth, m, h))
     return bad, whole, extended
 
@@ -429,6 +429,24 @@ def test_pi_identity_has_teeth(t12, monkeypatch):
         report = verify_pi_identity(DENSE, t12)
         assert report.compression_error > 1e-10
         assert report.pi_error <= 1e-12
+
+
+def test_pi_and_commutator_routes_share_the_truncation_walks(monkeypatch):
+    # the spectrum report's two routes on one truncation walk its 9 fiber
+    # shapes once, not once per route
+    walks = []
+    walk = operators._shape_walk
+
+    def counted(h, k, q, trunc):
+        walks.append((h, k))
+        return walk(h, k, q, trunc)
+
+    monkeypatch.setattr(operators, "_shape_walk", counted)
+    trunc = Truncation(F2, 2, 3)
+    verify_pi_identity(DENSE, trunc)
+    assert len(walks) == 9
+    commutator_singular_values(DENSE, trunc)
+    assert len(walks) == 9
 
 
 def test_pi_identity_window_enforced():
@@ -571,7 +589,7 @@ def test_crossed_product_routes_have_teeth(t24, crossed_oracle, monkeypatch):
     monkeypatch.setattr(
         operators,
         "fiber_runs",
-        lambda phi, h, trunc, *walks: exact(moved if phi is DENSE else phi, h, trunc, *walks),
+        lambda phi, h, trunc: exact(moved if phi is DENSE else phi, h, trunc),
     )
     assert verify_compression_identity(CROSSED, t24) > 1e-10
     norms = operators.pi_delta_norms(CROSSED, t24)

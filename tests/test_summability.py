@@ -1,8 +1,10 @@
 """Schatten summability diagnostics against the growth/decay arithmetic."""
 
+import gc
 import json
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from treeboundary import (
     sphere_series,
     summability_threshold,
 )
-from treeboundary import deviation
+from treeboundary import deviation, summability
 from treeboundary.cli import main
 
 F2 = FreeGroup(2)
@@ -287,3 +289,24 @@ def test_even_totals_at_several_p_read_each_series_sphere_once(monkeypatch):
     assert len(calls) == 4212 == len(set(calls))
     # the kept spheres give the total of a fresh profile
     assert report.total == lp_report(DeviationProfile.compute(phi, 4, budget=4212), 4.0, VS2).total
+
+
+def test_even_totals_live_and_die_with_their_profile(monkeypatch):
+    # the totals are kept on the profile, not in a cache that outlives it
+    profile = DeviationProfile.compute(IA, 4)
+    sums = []
+    series = summability.group_sum
+
+    def counted(sphere, *rest):  # keeps no reference to the sphere closure
+        sums.append(rest)
+        return series(sphere, *rest)
+
+    monkeypatch.setattr(summability, "group_sum", counted)
+    lp_report(profile, 2.0, VS2)
+    lp_report(profile, 4.0, VS2)
+    lp_report(profile, 2.0, VS2)
+    assert len(sums) == 2 and set(profile.totals) == {2, 4}
+    ref = weakref.ref(profile)
+    del profile
+    gc.collect()
+    assert ref() is None

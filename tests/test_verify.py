@@ -182,8 +182,8 @@ def test_commutator_spectrum_fails_on_a_moved_fiber_cell(monkeypatch):
     assert verify._commutator(make_ctx())[0]
     runs = operators.fiber_runs
 
-    def moved(phi, h, trunc, *walks):
-        out = runs(phi, h, trunc, *walks)
+    def moved(phi, h, trunc):
+        out = runs(phi, h, trunc)
         if not h.is_identity:
             return out
         end, x = out[0]
