@@ -10,20 +10,20 @@ Two independent routes to the same number:
   where cov_i pairs the consecutive arguments i and i+1 (mod n+1).  In the
   crossed product they multiply to a^i a^(i+1) = pair_i . g_i g_(i+1),
   pair_i = phi_i (g_i.phi_(i+1)), and cov_i is the bilinear pairing
-  E(pair_i) - E(phi_i) E(g_i.phi_(i+1)) read at p_i^-1 h, p_i = g_0 ...
-  g_(i-1), where E(g_i.phi_(i+1)) is E(phi_(i+1)) at p_(i+1)^-1 h (the
-  trace of a product of commutators is multilinear in the phi_i, so no
-  conjugation enters).  The partial sum over B_R is exact rational, and so
-  is the sum over the whole group (``CocycleValue.total``, a series that
-  ``summability.group_sum`` charges, solves and checks).  The signed
-  summand at h (``CocycleSummand``) depends on h only through the prefix
-  class (prefix_K h, |h|), K = max_i depth(phi_i) + |p_i|, so sphere m is
-  summed over ``FreeGroup.prefix_classes(m, K)``: |S_min(m,K)| class
-  terms, each evaluated once at the class's member and weighted by its
-  size |S_m| / |S_min(m,K)|, the same walk that deviation profiles use.  A
-  class reads the integer sums of its expectations (O(depth) prefix
-  lookups each, see ``deviation``), combines them as Gaussian integers over
-  one denominator and makes one Gaussian rational.
+  E(pair_i) - E(phi_i) E(g_i.phi_(i+1)) read at s_i h, s_i = g_i ... g_n
+  (``CocycleInput.suffixes``), and E(g_i.phi_(i+1)) is E(phi_(i+1)) at
+  s_(i+1) h (the trace of a product of commutators is multilinear in the
+  phi_i, so no conjugation enters).  The partial sum over B_R is exact
+  rational, and so is the sum over the whole group (``CocycleValue.total``,
+  a series that ``summability.group_sum`` charges, solves and checks).  The
+  signed summand at h (a ``CocycleValue`` called at h) depends on h only
+  through the prefix class (prefix_K h, |h|), K = max_i depth(phi_i) +
+  |s_i|, so sphere m is summed over ``FreeGroup.prefix_classes(m, K)``:
+  |S_min(m,K)| class terms, each evaluated once at the class's member and
+  weighted by its size |S_m| / |S_min(m,K)|, the same walk that deviation
+  profiles use.  A class reads the integer sums of its expectations
+  (O(depth) prefix lookups each, see ``deviation``), combines them as
+  Gaussian integers over one denominator and makes one Gaussian rational.
 
 * ``trace_oracle_report`` computes the truncated trace of
   (2P - 1)[P, lambda(a^0)] ... [P, lambda(a^n)] directly.  Every commutator
@@ -32,10 +32,10 @@ Two independent routes to the same number:
   a product of 2x2 transfer matrices made of 2n + 2 dot products, and the
   dense matrix is never materialized (the dense budget does not apply;
   only enumeration budgets do).  The fiber blocks come from
-  ``operators.fiber_runs``, which evaluates (s_i h)^-1 . phi_i, s_i = g_i
-  ... g_n, on the depth-m cylinders as a few lexicographic runs of cells
-  with one value, from phi_i's own table, not from a translated table, and
-  uses no pushforward closed form, so the oracle stays independent of
+  ``operators.fiber_runs``, which evaluates (s_i h)^-1 . phi_i on the
+  depth-m cylinders as a few lexicographic runs of cells with one value,
+  from phi_i's own table, not from a translated table, and uses no
+  pushforward closed form, so the oracle stays independent of
   ``cocycle_value``.  A chain's exit from B_R is decided from letters,
   |s_i h| = |s_i| + |h| - 2 cpl(s_i^-1, h), and the points s_i h are built
   on letter tuples only for the h whose chain stays; the walk of a block's
@@ -51,12 +51,12 @@ Two independent routes to the same number:
   ``trace_oracle_report`` enumerates B_R with no budget of its own;
   callers charge it and the depth-m sphere against their budget.
 
-The two routes meet one group element at a time (``trace_identity``): at
-every h whose chain stays in B_R on exact fiber blocks (depth(phi_i) +
-|s_i h| <= m), the fiber trace at h is the signed summand at h, up to
-rounding.  ``trace_oracle_dense`` forms the same traces from dim_fiber x
-dim_fiber products; it is a test oracle that imports numpy in its own body,
-and no route here calls it.
+Both routes read phi_i at s_i h, and they meet one group element at a
+time (``trace_identity``): at every h whose chain stays in B_R on exact
+fiber blocks (depth(phi_i) + |s_i h| <= m), the fiber trace at h is the
+signed summand at h, up to rounding.  ``trace_oracle_dense`` forms the
+same traces from dim_fiber x dim_fiber products; it is a test oracle that
+imports numpy in its own body, and no route here calls it.
 
 For degree 1 the two pairings are one, cov_0 = cov_1 (the pair tables
 phi_0 (g_0.phi_1) and phi_1 (g_1.phi_0) agree after the shift by g_0), so
@@ -87,9 +87,10 @@ from .words import (
 )
 
 # the per-h identity's tolerance per fiber cell, relative to
-# prod_i ||phi_i||_sup, which bounds both sides: the gap on exact blocks is
-# rounding alone, and it grows with dim_fiber; measured on the benchmark's
-# terms it stays below 1e-18 per cell (2e-16 at m = 5, 5e-14 at m = 11)
+# prod_i ||phi_i||_sup, which bounds both sides.  The gap on exact blocks is
+# rounding alone and does not grow with dim_fiber: on the benchmark's seed-1
+# terms it stays 3e-17 to 7e-17 from m = 5 to 80, while the tolerance grows
+# as 3^m (7.8e-14 at m = 5, 3.9e3 at m = 40), so past m = 33 it cannot fail
 IDENTITY_TOLERANCE = 2.0**-52
 
 
@@ -113,19 +114,26 @@ class CocycleInput(Frozen):
     def group(self) -> FreeGroup:
         return self.terms[0][0].group
 
+    @cached_property
+    def suffixes(self) -> tuple[Word, ...]:
+        """The chain s_i = g_i g_(i+1) ... g_n, i = 0..n."""
+        out, suffix = [], IDENTITY
+        for _, g in reversed(self.terms):
+            suffix = mul(g, suffix)
+            out.append(suffix)
+        return tuple(reversed(out))
+
     @property
     def group_product(self) -> Word:
-        out = IDENTITY
-        for _, g in self.terms:
-            out = mul(out, g)
-        return out
+        return self.suffixes[0]
 
 
-class CocycleSummand:
-    """The signed summand sign * (term_a - term_b) of the cocycle sum at h,
-    from the n+1 functions phi_i and the n+1 pair tables
-    pair_i = phi_i (g_i.phi_(i+1)), each read at p_i^-1 h (see the module
-    docstring): term_a multiplies the cov_i of even i, term_b those of odd i.
+class CocycleValue:
+    """The cocycle sum of ``inp``.  Called at h, it gives the signed summand
+    sign * (term_a - term_b) at h, from the n+1 functions phi_i and the n+1
+    pair tables pair_i = phi_i (g_i.phi_(i+1)), each read at s_i h (see the
+    module docstring): term_a multiplies the cov_i of even i, term_b those
+    of odd i.
 
     Every expectation depends on h only through (prefix_K h, |h|),
     K = ``depth``, so each class is evaluated at the first of its elements
@@ -135,20 +143,28 @@ class CocycleSummand:
     D M, with no Fraction in between; the covariances are then Gaussian
     integers over T^2 and each term over T^(degree+1), and the class makes
     one ``GaussianRational``.
+
+    For a group product other than 1 no pair table is built (``pairs`` is
+    None), and every sum is exactly 0.
     """
 
-    def __init__(self, inp: CocycleInput):
-        self.phis = [phi for phi, _ in inp.terms]
-        # pair_i, p_i^-1 and K = max_i depth(phi_i) + |p_i|
-        self.pairs, self.shifts, prefix, self.depth = [], [], IDENTITY, 0
-        for i, (phi, g) in enumerate(inp.terms):
-            self.pairs.append(phi * translate(g, self.phis[(i + 1) % len(self.phis)]))
-            self.shifts.append(prefix.inverse())
-            self.depth = max(self.depth, phi.depth + len(prefix))
-            prefix = mul(prefix, g)
-        self.group, self.degree = inp.group, inp.degree
+    def __init__(self, inp: CocycleInput, radius: int, budget: int = DEFAULT_BUDGET):
+        self.group, self.degree, self.radius, self.budget = inp.group, inp.degree, radius, budget
         self.sign = 1 if ((inp.degree + 1) // 2) % 2 == 0 else -1
         self.classes: dict[tuple[tuple[int, ...], int], GaussianRational] = {}
+        self.spheres: list[GaussianRational] = []  # the exact sphere sums, m = 0..radius
+        self.pairs: list[LocallyConstantFunction] | None = None
+        if inp.group_product == IDENTITY:
+            self.phis, self.suffixes = [phi for phi, _ in inp.terms], inp.suffixes
+            self.pairs = [
+                phi * translate(g, self.phis[(i + 1) % len(self.phis)])
+                for i, (phi, g) in enumerate(inp.terms)
+            ]
+            self.depth = max(phi.depth + len(s) for phi, s in zip(self.phis, self.suffixes))
+            self.group.check_class_budget(budget, self.depth, 0, radius, by_length=True)
+            self.spheres = [self.sphere(m) for m in range(radius + 1)]
+        self.exact_partial = sum(self.spheres, QQ_ZERO)
+        self.value = self.exact_partial.to_complex()
 
     def __call__(self, h: Word) -> GaussianRational:
         key = (h.letters[: self.depth], len(h))
@@ -158,14 +174,17 @@ class CocycleSummand:
         return value
 
     def sphere(self, m: int) -> GaussianRational:
-        """The exact sum over sphere m, class by class."""
+        """The exact sum over sphere m: kept up to the radius, and summed
+        class by class past it."""
+        if m < len(self.spheres):
+            return self.spheres[m]
         total = QQ_ZERO
         for _, h, size in self.group.prefix_classes(m, self.depth):
             total = total + self(h) * size
         return total
 
     def _evaluate(self, h: Word) -> GaussianRational:
-        points = [mul(shift, h) for shift in self.shifts]
+        points = [mul(s, h) for s in self.suffixes]
         # the integer sums of the 2(n+1) expectations, E = (re + i im) / (D M)
         sums = [_sums(f, x) for fs in (self.phis, self.pairs) for f, x in zip(fs, points)]
         den = math.lcm(*(d * total for _, _, _, d, total in sums))
@@ -190,50 +209,26 @@ class CocycleSummand:
             Fraction(self.sign * (ar - br), scale), Fraction(self.sign * (ai - bi), scale)
         )
 
-
-class CocycleValue:
-    def __init__(
-        self,
-        value: complex,
-        radius: int,
-        exact_partial: GaussianRational,
-        spheres: list[GaussianRational],  # the exact sphere sums, m = 0..radius
-        # the summands, holding every class evaluated so far; None when the
-        # group product is not the identity and every summand vanishes
-        summand: CocycleSummand | None = None,
-        budget: int = DEFAULT_BUDGET,
-    ):
-        self.value = value
-        self.radius = radius
-        self.exact_partial = exact_partial
-        self.spheres = spheres
-        self.summand = summand
-        self.budget = budget
-
     @cached_property
     def total(self) -> GaussianRational:
         """The exact sum over the whole group, from ``group_sum``.
 
-        Past K = depth(summand) a class has size (2n-1)^(m-K) and a summand
-        of (degree + 1)/2 covariances, polynomials in x = (2n-1)^-m with no
+        Past K = ``depth`` a class has size (2n-1)^(m-K) and a summand of
+        (degree + 1)/2 covariances, polynomials in x = (2n-1)^-m with no
         constant term: powers (degree - 1)/2 .. degree of x, J of them, and
         only degree 1, whose summands vanish, has x^0.  The classes of the
         spheres past the radius that the series reads, up to K+J, are
         charged against the budget first.
         """
-        summand = self.summand
-        if summand is None:
+        if self.pairs is None:
             return QQ_ZERO
         return group_sum(
-            lambda m: self.spheres[m] if m <= self.radius else summand.sphere(m),
-            summand.group, summand.depth, self.radius,
-            (summand.degree - 1) // 2, summand.degree, self.budget,
+            self.sphere, self.group, self.depth, self.radius,
+            (self.degree - 1) // 2, self.degree, self.budget,
         )
 
 
-def cocycle_value(
-    inp: CocycleInput, radius: int, budget: int = DEFAULT_BUDGET
-) -> CocycleValue:
+def cocycle_value(inp: CocycleInput, radius: int, budget: int = DEFAULT_BUDGET) -> CocycleValue:
     """Exact partial sum over B_radius; the exact total over the group is
     ``total``, computed on first access.
 
@@ -241,13 +236,7 @@ def cocycle_value(
     class sums are exact, so the result equals the sum over every h.  Each
     class is charged m times at sphere m, as its arithmetic grows with m.
     """
-    if inp.group_product != IDENTITY:
-        return CocycleValue(0j, radius, QQ_ZERO, [], budget=budget)
-    summand = CocycleSummand(inp)
-    inp.group.check_class_budget(budget, summand.depth, 0, radius, by_length=True)
-    spheres = [summand.sphere(m) for m in range(radius + 1)]
-    partial = sum(spheres, QQ_ZERO)
-    return CocycleValue(partial.to_complex(), radius, partial, spheres, summand, budget)
+    return CocycleValue(inp, radius, budget)
 
 
 # ----------------------------------------------------------------------
@@ -266,16 +255,6 @@ class TraceOracleReport:
         self.chain_exits = chain_exits
         self.inexact_blocks = inexact_blocks
         self.traces = traces
-
-
-def _suffix_products(inp: CocycleInput) -> list[Word]:
-    """p_i = g_i g_{i+1} ... g_n; p_0 is the full product."""
-    out = [IDENTITY] * (inp.degree + 1)
-    suffix = IDENTITY
-    for i in range(inp.degree, -1, -1):
-        suffix = mul(inp.terms[i][1], suffix)
-        out[i] = suffix
-    return out
 
 
 def _check_oracle_terms(inp: CocycleInput, trunc: Truncation) -> None:
@@ -328,7 +307,7 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
         return TraceOracleReport(0j, 0, 0, {})
 
     # s_i h = s_i[:|s_i| - c] + h[c:], c = cpl(s_i^-1, h) the letters that cancel
-    chains = [(s.letters, s.inverse().letters) for s in _suffix_products(inp)]
+    chains = [(s.letters, s.inverse().letters) for s in inp.suffixes]
     w = fiber_unit(trunc)[0][1] ** 2
     total = 0j
     chain_exits = 0
@@ -380,10 +359,10 @@ def trace_identity(
     inp: CocycleInput, trunc: Truncation, value: CocycleValue, oracle: TraceOracleReport
 ) -> TraceIdentity:
     """Compare each of ``oracle.traces``, the oracle of ``inp`` on ``trunc``,
-    with the signed summand at its h, read from ``value.summand`` (a class
-    past its radius is evaluated once)."""
+    with the signed summand at its h, ``value(h)`` (a class past its radius
+    is evaluated once)."""
     gap = max(
-        (abs(trace - value.summand(h).to_complex()) for h, trace in oracle.traces.items()),
+        (abs(trace - value(h).to_complex()) for h, trace in oracle.traces.items()),
         default=0.0,
     )
     scale = trunc.dim_fiber * math.prod(phi.sup_norm() for phi, _ in inp.terms)
@@ -401,12 +380,11 @@ def trace_oracle_dense(inp: CocycleInput, trunc: Truncation) -> complex:
     _check_oracle_terms(inp, trunc)
     if inp.group_product != IDENTITY:
         return 0j
-    suffixes = _suffix_products(inp)
     p_fiber = fiber_projection(trunc)
     sign_block = 2.0 * p_fiber - np.eye(trunc.dim_fiber, dtype=complex)
     total = 0j
     for h in trunc.group_basis:
-        points = [mul(p, h) for p in suffixes]
+        points = [mul(s, h) for s in inp.suffixes]
         if any(len(point) > trunc.R for point in points):
             continue
         block = sign_block

@@ -449,7 +449,7 @@ def _cmd_chern(s: SimpleNamespace) -> int:
         group.check_budget(s.budget, m=s.oracle_m)
     value = cocycle_value(inp, s.radius, budget=s.budget)
     total = value.total
-    spheres = [(m, float_str(math.sqrt(float(s.abs2())))) for m, s in enumerate(value.spheres)]
+    spheres = [(m, float_str(math.sqrt(float(z.abs2())))) for m, z in enumerate(value.spheres)]
     report = {
         "rank": group.n,
         "degree": inp.degree,

@@ -403,16 +403,26 @@ def test_cocycle_value_evaluates_each_prefix_class_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CLASS_CASES))
-def test_summand_is_the_per_h_formula_at_every_h(name):
+def test_summand_is_the_per_h_formula_at_every_h(name, monkeypatch):
     # classes past the cocycle's radius are evaluated on demand
     inp, radius, _ = CLASS_CASES[name]
+    translated = []
+
+    def counted(g, phi):
+        translated.append(g)
+        return translate(g, phi)
+
+    monkeypatch.setattr(chern, "translate", counted)
     if inp.group_product != IDENTITY:
-        assert cocycle_value(inp, radius).summand is None
+        # no pair table is built and no class is evaluated
+        cv = cocycle_value(inp, radius)
+        assert (cv.classes, cv.total, translated) == ({}, QQ_ZERO, [])
         return
-    summand = cocycle_value(inp, 1).summand
+    cv = cocycle_value(inp, 1)
+    assert translated == [g for _, g in inp.terms]  # one pair table per term
     per_h = _per_h_summand(inp)
     for h in inp.group.iter_ball(min(radius, 3)):
-        assert summand(h) == per_h(h)
+        assert cv(h) == per_h(h)
 
 
 def test_summand_evaluates_a_class_past_the_radius_once(monkeypatch):
@@ -424,12 +434,12 @@ def test_summand_evaluates_a_class_past_the_radius_once(monkeypatch):
         return sums(phi, h)
 
     monkeypatch.setattr(chern, "_sums", counted)
-    summand = cocycle_value(CocycleInput(3, REGRESSION_TERMS), 2).summand
+    cv = cocycle_value(CocycleInput(3, REGRESSION_TERMS), 2)
     before = len(calls)
     # K = 2: aab and aaB are one class (aa, 3) of sphere 3; aa and ab are
     # classes of B_2, evaluated already
     for s in ("aab", "aaB", "aa", "ab", "aab"):
-        summand(F2.word(s))
+        cv(F2.word(s))
     assert len(calls) - before == 8  # 4 phi_i and 4 pair tables, once
 
 
@@ -444,16 +454,16 @@ def test_summand_classes_equal_a_fraction_recomputation(terms):
     # expectations summed cell by cell and combined in Gaussian rationals;
     # only the dense terms pair two complex means
     inp = CocycleInput(3, terms)
-    summand = cocycle_value(inp, 5).summand
+    cv = cocycle_value(inp, 5)
     oracle = _per_h_summand(inp, _fraction_expectation)
     classes = [
         (prefix, m, member)
         for m in range(6)
-        for prefix, member, _ in F2.prefix_classes(m, summand.depth)
+        for prefix, member, _ in F2.prefix_classes(m, cv.depth)
     ]
-    assert len(summand.classes) == len(classes) == 1 + 4 + 12 * 4
+    assert len(cv.classes) == len(classes) == 1 + 4 + 12 * 4
     for prefix, m, member in classes:
-        assert summand.classes[(prefix, m)] == oracle(member)
+        assert cv.classes[(prefix, m)] == oracle(member)
 
 
 @pytest.mark.parametrize("terms", [COMPLEX_TERMS, DENSE_TERMS], ids=["complex", "dense"])
@@ -472,11 +482,10 @@ def _per_block_oracle(inp, trunc):
     """The oracle's loop with every point built, the chain exit read off the
     points' lengths and ``fiber_runs`` called once per block, no walk
     shared: (value, chain_exits, inexact_blocks, traces)."""
-    suffixes = chern._suffix_products(inp)
     w = operators.fiber_unit(trunc)[0][1] ** 2
     total, exits, inexact, traces = 0j, 0, 0, {}
     for h in trunc.group_basis:
-        points = [mul(s, h) for s in suffixes]
+        points = [mul(s, h) for s in inp.suffixes]
         if max(map(len, points)) > trunc.R:
             exits += 1
             continue
@@ -567,17 +576,16 @@ def test_series_predicts_spheres_K_to_K_plus_8(name):
     # start+J; sliding start from K covers spheres K+J..K+8, each predicted
     # by the one series fitted on K..K+J-1, and the total never moves
     inp = SERIES_CASES[name]
-    cv = cocycle_value(inp, 0)
-    summand, q = cv.summand, 2 * inp.group.n - 1
-    K, lo, hi = max(summand.depth, 1), (inp.degree - 1) // 2, inp.degree
+    cv, q = cocycle_value(inp, 0), 2 * inp.group.n - 1
+    K, lo, hi = max(cv.depth, 1), (inp.degree - 1) // 2, inp.degree
     assert cv.total != QQ_ZERO
     for start in range(K, K + 9 - (hi - lo + 1)):
-        assert sphere_series(summand.sphere, q, start, lo, hi) == cv.total
+        assert sphere_series(cv.sphere, q, start, lo, hi) == cv.total
 
 
 def _nudged(monkeypatch, length):
     """The summand of one class, (aa, length), off by 1e-9."""
-    evaluate = chern.CocycleSummand._evaluate
+    evaluate = chern.CocycleValue._evaluate
 
     def nudged(self, h):
         value = evaluate(self, h)
@@ -585,16 +593,16 @@ def _nudged(monkeypatch, length):
             value = value + Fraction(1, 10**9)
         return value
 
-    monkeypatch.setattr(chern.CocycleSummand, "_evaluate", nudged)
+    monkeypatch.setattr(chern.CocycleValue, "_evaluate", nudged)
 
 
 def test_series_check_sphere_has_teeth(monkeypatch, tmp_path):
     inp = CocycleInput(3, REGRESSION_TERMS)
-    summand = cocycle_value(inp, 0).summand
-    assert summand.depth == 2
+    cv = cocycle_value(inp, 0)
+    assert cv.depth == 2
     # the lowest power dropped
     with pytest.raises(AssertionError, match="sphere 4 is off the series"):
-        sphere_series(summand.sphere, 3, 2, 2, 3)
+        sphere_series(cv.sphere, 3, 2, 2, 3)
     # one class of sphere K = 2, or of the check sphere 5, moved by 1e-9
     for length in (2, 5):
         monkeypatch.undo()

@@ -12,13 +12,17 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import reduce
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeboundary import FreeGroup, LocallyConstantFunction, word_to_str
+from treeboundary import (
+    IDENTITY, CocycleInput, FreeGroup, LocallyConstantFunction, Truncation, chern, mul,
+    word_to_str,
+)
 from treeboundary.cli import COMMANDS, EPSILON_RANGE, P_RANGE, SETTINGS, main
 
 F2 = FreeGroup(2)
@@ -1190,3 +1194,40 @@ def test_reports_are_byte_stable(tmp_path, name):
         for ext in ("json", "csv")
     ]
     assert digests == want
+
+
+@pytest.mark.parametrize("name, R, m", [("chern", 5, 5), ("chern depths 1-4", 3, 6)])
+def test_both_chern_routes_read_one_chain(tmp_path, monkeypatch, name, R, m):
+    # at every exact h the trace oracle reads the fiber block of phi_i at
+    # s_i h, s_i = g_i ... g_n, and the cocycle value reads E(phi_i) and
+    # E(pair_i) at that same point
+    obj = json.loads(Path(_dense_inputs(tmp_path)[name][1]).read_text())
+    terms = [
+        (LocallyConstantFunction.from_json_obj(t["phi"], F2), F2.word(t["g"])) for t in obj["terms"]
+    ]
+    inp, trunc = CocycleInput(obj["degree"], terms), Truncation(F2, R, m)
+    reads = []
+    runs, sums = chern.fiber_runs, chern._sums
+    monkeypatch.setattr(
+        chern, "fiber_runs", lambda f, x, t: reads.append((id(f), x)) or runs(f, x, t)
+    )
+    monkeypatch.setattr(chern, "_sums", lambda f, x: reads.append((id(f), x)) or sums(f, x))
+    report = chern.trace_oracle_report(inp, trunc)
+    # the oracle reads n + 1 blocks for each h whose chain stays in B_R
+    chains = [reads[i : i + len(terms)] for i in range(0, len(reads), len(terms))]
+    exact = [
+        chain for chain in chains
+        if all(phi.depth + len(x) <= m for (phi, _), (_, x) in zip(terms, chain))
+    ]
+    assert len(exact) == len(report.traces) > 0
+    # the chain multiplied out here, apart from CocycleInput.suffixes
+    suffixes = [reduce(mul, [g for _, g in terms[i:]], IDENTITY) for i in range(len(terms))]
+    value = chern.cocycle_value(inp, 0)
+    phis = [id(phi) for phi, _ in terms]
+    for h, oracle_reads in zip(report.traces, exact):
+        reads.clear()
+        value.classes.clear()
+        value(h)
+        points = [mul(s, h) for s in suffixes]
+        assert oracle_reads == list(zip(phis, points))
+        assert reads == list(zip(phis + [id(pair) for pair in value.pairs], points + points))
