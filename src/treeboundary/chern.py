@@ -22,8 +22,10 @@ Two independent routes to the same number:
   |S_min(m,K)| class terms, each evaluated once at the class's member and
   weighted by its size |S_m| / |S_min(m,K)|, the same walk that deviation
   profiles use.  A class reads the integer sums of its expectations
-  (O(depth) prefix lookups each, see ``deviation``), combines them as
-  Gaussian integers over one denominator and makes one Gaussian rational.
+  (O(depth) prefix lookups each, see ``deviation``) and combines them into
+  Gaussian-integer numerators over one scale; a sphere adds size times
+  numerators over the lcm of its classes' scales and makes one Gaussian
+  rational.
 
 * ``trace_oracle_report`` computes the truncated trace of
   (2P - 1)[P, lambda(a^0)] ... [P, lambda(a^n)] directly.  Every commutator
@@ -36,27 +38,31 @@ Two independent routes to the same number:
   depth-m cylinders as a few lexicographic runs of cells with one value,
   from phi_i's own table, not from a translated table, and uses no
   pushforward closed form, so the oracle stays independent of
-  ``cocycle_value``.  A chain's exit from B_R is decided from letters,
-  |s_i h| = |s_i| + |h| - 2 cpl(s_i^-1, h), and the points s_i h are built
-  on letter tuples only for the h whose chain stays; the walk of a block's
-  cancellation cylinder (the ``product_runs`` walk and the extensions of
-  unfixed cells) depends on the point only through its shape
-  (``operators.fiber_shape``), so it is made once per shape, valued once
-  per shape and function, and kept on the truncation; each further block
-  of that shape is shifted into place.  v is constant, so each dot
-  product with v is a sum over the runs of one block and each dot product
-  of two blocks a merge of their run ends (``operators.run_sum``,
-  ``operators.run_dot``): a fiber costs O(runs), not O(dim_fiber), and no
-  array is built.
-  ``trace_oracle_report`` enumerates B_R with no budget of its own;
-  callers charge it and the depth-m sphere against their budget.
+  ``cocycle_value``.  Only the h whose chain stays in B_R are enumerated
+  (``staying_h``): |s_i h| = |s_i| + |h| - 2 cpl(s_i^-1, h), so on each
+  sphere they are the words that extend one prefix read off the chain, and
+  the other h of B_R are counted, not walked.  The points s_i h are built
+  on letter tuples.  The walk of a block's cancellation cylinder (the
+  ``product_runs`` walk and the extensions of unfixed cells) depends on the
+  point only through its shape (``operators.fiber_shape``), so it is made
+  once per shape, valued once per shape and function, and kept on the
+  truncation; each further block of that shape is shifted into place, and
+  a point that comes back with another function reads its cylinder from
+  the truncation.  v is constant, so each dot product with v is a sum over
+  the runs of one block and each dot product of two blocks a merge of their
+  run ends (``operators.run_sum``, ``operators.run_dot``): a fiber costs
+  O(runs), not O(dim_fiber), and no array is built.
+  ``trace_oracle_report`` enumerates the staying h of B_R with no budget
+  of its own; callers charge B_R and the depth-m sphere against their
+  budget.
 
 Both routes read phi_i at s_i h, and they meet one group element at a
 time (``trace_identity``): at every h whose chain stays in B_R on exact
 fiber blocks (depth(phi_i) + |s_i h| <= m), the fiber trace at h is the
-signed summand at h, up to rounding.  ``trace_oracle_dense`` forms the
-same traces from dim_fiber x dim_fiber products; it is a test oracle that
-imports numpy in its own body, and no route here calls it.
+signed summand at h, up to rounding; a comparison of no h holds nothing.
+``trace_oracle_dense`` forms the same traces from dim_fiber x dim_fiber
+products; it is a test oracle that imports numpy in its own body, and no
+route here calls it.
 
 For degree 1 the two pairings are one, cov_0 = cov_1 (the pair tables
 phi_0 (g_0.phi_1) and phi_1 (g_1.phi_0) agree after the shift by g_0), so
@@ -68,6 +74,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 from .deviation import _sums
 from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
@@ -141,8 +148,11 @@ class CocycleValue:
     class reads the integer sums of its 2(n+1) expectations from
     ``deviation._sums`` and puts them over the lcm T of their denominators
     D M, with no Fraction in between; the covariances are then Gaussian
-    integers over T^2 and each term over T^(degree+1), and the class makes
-    one ``GaussianRational``.
+    integers over T^2 and each term over T^(degree+1), and the class keeps
+    its Gaussian-integer numerators over that scale (``numerators``).  A
+    sphere sums size times numerators over the lcm of its classes' scales
+    and makes one ``GaussianRational``; only a call at h makes the class's
+    own.
 
     For a group product other than 1 no pair table is built (``pairs`` is
     None), and every sum is exactly 0.
@@ -151,7 +161,7 @@ class CocycleValue:
     def __init__(self, inp: CocycleInput, radius: int, budget: int = DEFAULT_BUDGET):
         self.group, self.degree, self.radius, self.budget = inp.group, inp.degree, radius, budget
         self.sign = 1 if ((inp.degree + 1) // 2) % 2 == 0 else -1
-        self.classes: dict[tuple[tuple[int, ...], int], GaussianRational] = {}
+        self.classes: dict[tuple[tuple[int, ...], int], tuple[int, int, int]] = {}
         self.spheres: list[GaussianRational] = []  # the exact sphere sums, m = 0..radius
         self.pairs: list[LocallyConstantFunction] | None = None
         if inp.group_product == IDENTITY:
@@ -167,6 +177,12 @@ class CocycleValue:
         self.value = self.exact_partial.to_complex()
 
     def __call__(self, h: Word) -> GaussianRational:
+        re, im, scale = self.numerators(h)
+        return GaussianRational(Fraction(re, scale), Fraction(im, scale))
+
+    def numerators(self, h: Word) -> tuple[int, int, int]:
+        """The signed summand at h as (re, im, scale), the Gaussian integer
+        re + i im over scale, evaluated once per class."""
         key = (h.letters[: self.depth], len(h))
         value = self.classes.get(key)
         if value is None:
@@ -175,15 +191,21 @@ class CocycleValue:
 
     def sphere(self, m: int) -> GaussianRational:
         """The exact sum over sphere m: kept up to the radius, and summed
-        class by class past it."""
+        class by class past it, size times numerators over the lcm of the
+        class scales."""
         if m < len(self.spheres):
             return self.spheres[m]
-        total = QQ_ZERO
-        for _, h, size in self.group.prefix_classes(m, self.depth):
-            total = total + self(h) * size
-        return total
+        classes = self.group.prefix_classes(m, self.depth)
+        terms = [(self.numerators(h), size) for _, h, size in classes]
+        den = math.lcm(*(scale for (_, _, scale), _ in terms))
+        re = im = 0
+        for (r, i, scale), size in terms:
+            weight = size * (den // scale)
+            re += r * weight
+            im += i * weight
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
 
-    def _evaluate(self, h: Word) -> GaussianRational:
+    def _evaluate(self, h: Word) -> tuple[int, int, int]:
         points = [mul(s, h) for s in self.suffixes]
         # the integer sums of the 2(n+1) expectations, E = (re + i im) / (D M)
         sums = [_sums(f, x) for fs in (self.phis, self.pairs) for f, x in zip(fs, points)]
@@ -204,10 +226,7 @@ class CocycleValue:
 
         (ar, ai), (br, bi) = term(covs[0::2]), term(covs[1::2])
         # both terms have (degree + 1) / 2 factors over den^2
-        scale = den ** len(covs)
-        return GaussianRational(
-            Fraction(self.sign * (ar - br), scale), Fraction(self.sign * (ai - bi), scale)
-        )
+        return self.sign * (ar - br), self.sign * (ai - bi), den ** len(covs)
 
     @cached_property
     def total(self) -> GaussianRational:
@@ -293,13 +312,40 @@ def _fiber_trace(runs: list[Runs], w: float, dim_fiber: int) -> complex:
     return complex(a * h00 + b * h10 + c * h01 + e * h11)
 
 
+def staying_h(inp: CocycleInput, trunc: Truncation) -> Iterator[tuple[int, ...]]:
+    """The letters of every h in B_R whose chain stays in B_R, |s_i h| <= R
+    for every i, in the canonical order of ``trunc.group_basis``.
+
+    At |h| = L, |s_i h| = |s_i| + L - 2 cpl(s_i^-1, h), so the chain stays
+    exactly when h starts with s_i^-1[:need_i] for every i,
+    need_i = ceil((|s_i| + L - R) / 2).  Sphere L's staying h are the words
+    that extend the longest of those prefixes; there are none when some
+    need_i exceeds min(|s_i|, L) or two prefixes disagree.
+    """
+    inverses = [s.inverse().letters for s in inp.suffixes]
+    R = trunc.R
+    for L in range(R + 1):
+        prefix: tuple[int, ...] = ()
+        for inv in inverses:
+            need = max(0, (len(inv) + L - R + 1) // 2)
+            if need > min(len(inv), L):
+                break
+            short, long = sorted((inv[:need], prefix), key=len)
+            if long[: len(short)] != short:
+                break
+            prefix = long
+        else:
+            yield from trunc.group.iter_sphere_letters(L, prefix)
+
+
 def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleReport:
     """Transfer-matrix evaluation of the truncated trace, fiber by fiber.
 
-    A chain that leaves B_R is dropped (zero padding) and counted in
-    ``chain_exits``; an h with a block past the exactness window still adds
-    its fiber trace to the value, is counted in ``inexact_blocks`` and is
-    left out of ``traces``.
+    Only the h whose chain stays in B_R are walked (``staying_h``); the
+    others are dropped (zero padding) and counted in ``chain_exits``.  An h
+    with a block past the exactness window still adds its fiber trace to
+    the value, is counted in ``inexact_blocks`` and is left out of
+    ``traces``.
     """
     _check_oracle_terms(inp, trunc)
     if inp.group_product != IDENTITY:
@@ -307,31 +353,29 @@ def trace_oracle_report(inp: CocycleInput, trunc: Truncation) -> TraceOracleRepo
         return TraceOracleReport(0j, 0, 0, {})
 
     # s_i h = s_i[:|s_i| - c] + h[c:], c = cpl(s_i^-1, h) the letters that cancel
-    chains = [(s.letters, s.inverse().letters) for s in inp.suffixes]
+    chains = [
+        (s.letters, s.inverse().letters, phi) for s, (phi, _) in zip(inp.suffixes, inp.terms)
+    ]
     w = fiber_unit(trunc)[0][1] ** 2
     total = 0j
-    chain_exits = 0
     inexact_blocks = 0
     traces: dict[Word, complex] = {}
-    phis = [phi for phi, _ in inp.terms]
-    for h in trunc.group_basis:
-        letters = h.letters
-        cancel = [common_prefix_len(inv, letters) for _, inv in chains]
-        if max([len(s) + len(letters) - 2 * c for (s, _), c in zip(chains, cancel)]) > trunc.R:
-            chain_exits += 1
-            continue
-        points = [s[: len(s) - c] + letters[c:] for (s, _), c in zip(chains, cancel)]
-        exact = all(phi.depth + len(x) <= trunc.m for phi, x in zip(phis, points))
-        if not exact:
-            inexact_blocks += 1
-        runs = [fiber_runs(phi, reduced_word(x), trunc) for phi, x in zip(phis, points)]
+    for letters in staying_h(inp, trunc):
+        runs, exact = [], True
+        for s, inv, phi in chains:
+            c = common_prefix_len(inv, letters)
+            point = s[: len(s) - c] + letters[c:]
+            exact = exact and phi.depth + len(point) <= trunc.m
+            runs.append(fiber_runs(phi, reduced_word(point), trunc))
         trace = _fiber_trace(runs, w, trunc.dim_fiber)
         total += trace
         if exact:
-            traces[h] = trace
+            traces[reduced_word(letters)] = trace
+        else:
+            inexact_blocks += 1
     return TraceOracleReport(
         value=complex(total),
-        chain_exits=chain_exits,
+        chain_exits=trunc.dim_group - len(traces) - inexact_blocks,
         inexact_blocks=inexact_blocks,
         traces=traces,
     )
@@ -352,19 +396,22 @@ class TraceIdentity:
 
     @property
     def holds(self) -> bool:
-        return self.gap <= self.tolerance
+        """The gap is within the tolerance on at least one h: an empty
+        comparison holds nothing."""
+        return self.compared > 0 and self.gap <= self.tolerance
 
 
 def trace_identity(
     inp: CocycleInput, trunc: Truncation, value: CocycleValue, oracle: TraceOracleReport
 ) -> TraceIdentity:
     """Compare each of ``oracle.traces``, the oracle of ``inp`` on ``trunc``,
-    with the signed summand at its h, ``value(h)`` (a class past its radius
-    is evaluated once)."""
-    gap = max(
-        (abs(trace - value(h).to_complex()) for h, trace in oracle.traces.items()),
-        default=0.0,
-    )
+    with the signed summand at its h, from ``value.numerators(h)`` (a class
+    past its radius is evaluated once)."""
+    def summand(h: Word) -> complex:
+        re, im, scale = value.numerators(h)
+        return complex(re / scale, im / scale)  # each part correctly rounded
+
+    gap = max((abs(trace - summand(h)) for h, trace in oracle.traces.items()), default=0.0)
     scale = trunc.dim_fiber * math.prod(phi.sup_norm() for phi, _ in inp.terms)
     return TraceIdentity(len(oracle.traces), gap, IDENTITY_TOLERANCE * scale)
 

@@ -467,6 +467,15 @@ def _cmd_chern(s: SimpleNamespace) -> int:
     if trunc is not None:
         oracle = trace_oracle_report(inp, trunc)
         identity = trace_identity(inp, trunc, value, oracle)
+        if not identity.compared:  # an empty comparison holds nothing
+            why = (
+                "the terms' group product is not 1" if inp.group_product != IDENTITY
+                else "no h keeps its chain in B_R on exact fiber blocks"
+            )
+            raise ValueError(
+                f"the trace oracle at --oracle-R {s.oracle_R} --oracle-m {s.oracle_m} "
+                f"compares no h: {why}"
+            )
         report["oracle"] = {
             "R": s.oracle_R,
             "m": s.oracle_m,

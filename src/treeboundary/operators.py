@@ -94,11 +94,17 @@ class Truncation(Frozen):
         """``fiber_runs``' memo: each shape's walk, and its runs per function."""
         return {}
 
+    @cached_property
+    def cylinders(self) -> dict:
+        """``fiber_runs``' memo of (q, start, shape) per (point letters, depth):
+        the cancellation cylinder of the point and its shape."""
+        return {}
+
     @property
     def dim_group(self) -> int:
         return self.group.growth_count(self.R)
 
-    @property
+    @cached_property
     def dim_fiber(self) -> int:
         return self.group.sphere_count(self.m)
 
@@ -235,12 +241,17 @@ def fiber_runs(phi: LocallyConstantFunction, h: Word, trunc: Truncation) -> Runs
     The walk of [q] depends on h only through its shape (``fiber_shape``),
     up to a shift by the position of [q].  Each shape is walked once per
     truncation (``_shape_walk``) and its runs are valued and merged once per
-    function, kept in ``trunc.walks`` with the function.
+    function, kept in ``trunc.walks`` with the function.  A point that comes
+    back with another function of its depth reads [q], its position and its
+    shape from ``trunc.cylinders``.
     """
     walks = trunc.walks
     k, letters = phi.depth, h.letters
-    q, start = trunc.group.cancellation_cylinder(h, k, trunc.m)
-    shape = fiber_shape(letters, len(q), k)
+    cylinder = trunc.cylinders.get((letters, k))
+    if cylinder is None:
+        q, start = trunc.group.cancellation_cylinder(h, k, trunc.m)
+        cylinder = trunc.cylinders[letters, k] = (q, start, fiber_shape(letters, len(q), k))
+    q, start, shape = cylinder
     known = walks.get((shape, id(phi)))
     if known is None:
         if shape not in walks:
@@ -258,7 +269,7 @@ def fiber_runs(phi: LocallyConstantFunction, h: Word, trunc: Truncation) -> Runs
     out = [(start + end, x) for end, x in inner]
     if start and not _same(head, out[0][1]):
         out.insert(0, (start, head))
-    cells = trunc.group.run_sizes(trunc.m)[0]
+    cells = trunc.dim_fiber
     if out[-1][0] < cells:
         if _same(head, out[-1][1]):
             out[-1] = (cells, head)

@@ -264,6 +264,71 @@ def test_report_counts():
     assert identity.compared == len(report.traces) > 0 and identity.holds
 
 
+def test_an_empty_comparison_holds_nothing(monkeypatch):
+    # a zero gap over no h is no verdict, for chern and for verify-all
+    assert not chern.TraceIdentity(0, 0.0, 1.0).holds
+    assert chern.TraceIdentity(1, 0.0, 1.0).holds
+    ctx = VerifyContext(F2, VisualStructure(F2, math.log(3)), 2, 0, 1.0)
+    oracle = chern.trace_oracle_report
+    monkeypatch.setattr(
+        chern, "trace_oracle_report",
+        lambda inp, trunc: TraceOracleReport(oracle(inp, trunc).value, 0, 0, {}),
+    )
+    assert verify._chern(ctx) == (False, "no group element has an exact chain to compare")
+
+
+# ----------------------------------------------------------------------
+# the staying chains: the oracle walks only the h whose chain stays in B_R
+
+
+def _staying_brute_force(inp, trunc):
+    return [
+        h.letters for h in trunc.group_basis
+        if max(len(mul(s, h)) for s in inp.suffixes) <= trunc.R
+    ]
+
+
+@pytest.mark.parametrize("degree", [1, 3, 5])
+def test_staying_h_are_the_ball_filtered_in_order(degree):
+    # product-1 chains of translations drawn from B_3, |s_i| <= 3; the
+    # oracle counts every other h of B_R as a chain exit
+    rng = random.Random(degree)
+    words = list(F2.iter_ball(3))
+    cases, longest = 0, 0
+    while cases < 5:
+        gs = [rng.choice(words) for _ in range(degree)]
+        product = IDENTITY
+        for g in gs:
+            product = mul(product, g)
+        inp = CocycleInput(degree, [(IND["a"], g) for g in gs + [product.inverse()]])
+        top = max(map(len, inp.suffixes))
+        if top > 3:
+            continue
+        cases, longest = cases + 1, max(longest, top)
+        for R in range(5):
+            trunc = Truncation(F2, R, 1)
+            want = _staying_brute_force(inp, trunc)
+            assert list(chern.staying_h(inp, trunc)) == want
+            if all(len(g) <= R for _, g in inp.terms):
+                exits = trace_oracle_report(inp, trunc).chain_exits
+                assert exits == trunc.dim_group - len(want)
+    assert longest == 3
+
+
+def test_staying_h_skip_a_sphere_where_two_required_prefixes_disagree():
+    # s_1 = A and s_3 = B: at |h| = R each chain needs one letter to cancel,
+    # h[:1] = a for one and h[:1] = b for the other, though each alone keeps
+    # some h of sphere R
+    inp = CocycleInput(3, REGRESSION_TERMS)
+    for R in (1, 2, 3):
+        trunc = Truncation(F2, R, 1)
+        staying = list(chern.staying_h(inp, trunc))
+        assert staying == _staying_brute_force(inp, trunc)
+        assert staying and not any(len(h) == R for h in staying)
+        for s in ("A", "B"):
+            assert any(len(mul(F2.word(s), h)) <= R for h in F2.iter_sphere(R))
+
+
 # ----------------------------------------------------------------------
 # per-prefix-class sums against the per-h loop
 
@@ -463,7 +528,9 @@ def test_summand_classes_equal_a_fraction_recomputation(terms):
     ]
     assert len(cv.classes) == len(classes) == 1 + 4 + 12 * 4
     for prefix, m, member in classes:
-        assert cv.classes[(prefix, m)] == oracle(member)
+        assert (prefix, m) in cv.classes
+        assert cv(member) == oracle(member)
+    assert len(cv.classes) == 53  # no call evaluated a class anew
 
 
 @pytest.mark.parametrize("terms", [COMPLEX_TERMS, DENSE_TERMS], ids=["complex", "dense"])
@@ -584,14 +651,15 @@ def test_series_predicts_spheres_K_to_K_plus_8(name):
 
 
 def _nudged(monkeypatch, length):
-    """The summand of one class, (aa, length), off by 1e-9."""
+    """The summand of one class, (aa, length), off by 1e-9: its numerators
+    moved by scale / 10^9 (over 10^9 times the scale)."""
     evaluate = chern.CocycleValue._evaluate
 
     def nudged(self, h):
-        value = evaluate(self, h)
+        re, im, scale = evaluate(self, h)
         if len(h) == length and h.letters[: self.depth] == (0, 0):
-            value = value + Fraction(1, 10**9)
-        return value
+            return re * 10**9 + scale, im * 10**9, scale * 10**9
+        return re, im, scale
 
     monkeypatch.setattr(chern.CocycleValue, "_evaluate", nudged)
 

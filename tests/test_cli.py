@@ -165,6 +165,29 @@ def test_chern_lone_oracle_setting_is_usage_error(tmp_path, capsys, given, missi
     assert not out.exists()
 
 
+def test_chern_oracle_that_compares_no_h_is_a_usage_error(tmp_path, capsys):
+    # at --oracle-R 1 --oracle-m 1 no chain of the depth-1 terms stays on
+    # exact blocks; one level deeper the identity compares h = 1
+    terms = write_terms(tmp_path)
+    argv = ["chern", "--input", terms, "--radius", 2, "--oracle-R", 1]
+    assert run_cli(argv + ["--oracle-m", 1, "--out", tmp_path / "empty"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--oracle-R 1 --oracle-m 1 compares no h" in err
+    assert not (tmp_path / "empty").exists()
+    assert run_cli(argv + ["--oracle-m", 2, "--out", tmp_path / "one"]) == 0
+    oracle = json.loads((tmp_path / "one" / "chern.json").read_text())["oracle"]
+    assert (oracle["identity_h"], oracle["consistent"]) == (1, True)
+    # a group product other than 1 leaves every chain off the diagonal
+    obj = json.loads(terms.read_text())
+    obj["terms"][1]["g"] = "b"
+    terms.write_text(json.dumps(obj))
+    argv = ["chern", "--input", terms, "--radius", 2, "--oracle-R", 2, "--oracle-m", 3]
+    assert run_cli(argv + ["--out", tmp_path / "off"]) == 2
+    err = capsys.readouterr().err
+    assert "compares no h: the terms' group product is not 1" in err
+    assert not (tmp_path / "off").exists()
+
+
 def test_chern_n_flag_is_rank(tmp_path):
     # --n must mean rank here like everywhere else, not collide with --degree.
     terms = write_terms(tmp_path)
