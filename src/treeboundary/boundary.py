@@ -19,9 +19,11 @@ that is depth_mass(L + k - 2l) for l < k and 1 - depth_mass(L - k + 1) for
 l = k.  So the mass depends on g only through l and L; in particular, for
 L >= k it depends only on (prefix_k g, L).  ``pushforward_weights`` gives M
 and the c_l, so that an expectation is a sum of integers over the one
-denominator M; ``pushforward_mass`` is c_l / M.  ``preimage_cylinder``
-writes the preimage out as disjoint cylinders; it is the independent
-decomposition that tests and ``verify-all`` check the closed form against.
+denominator M; ``pushforward_mass`` is c_l / M, and ``pushforward_table``
+the c_l of every depth-k cell.  ``cylinder_image`` (on letter tuples) and
+``preimage_cylinder`` write the preimage out as disjoint cylinders; it is
+the independent decomposition that tests and ``verify-all`` check the
+closed form against.
 
 Measures are exact ``fractions.Fraction`` values throughout; the visual
 metric is the only float-valued object in the module.  Distances carry a
@@ -40,12 +42,14 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .words import (
+    DEFAULT_BUDGET,
     FreeGroup,
     Frozen,
     IDENTITY,
     Word,
     common_prefix_len,
     mul,
+    reduced_word,
     word_to_str,
 )
 
@@ -197,38 +201,37 @@ def visual_distance(
 
 
 def preimage_cylinder(g: Word, c: Cylinder, group: FreeGroup) -> list[Cylinder]:
-    """Pairwise disjoint cylinders with union {xi : g.xi in c}.
+    """Pairwise disjoint cylinders with union {xi : g.xi in c}: the pieces of
+    ``cylinder_image`` for g^-1 and the prefix of c, as cylinders."""
+    pieces = cylinder_image(g.inverse().letters, c.prefix.letters, group)
+    return [Cylinder(reduced_word(p)) for p in pieces]
 
-    Case analysis on how much of c's prefix w survives against g:
 
-    * w not a full prefix of g: the preimage is the single cylinder
-      [g^-1 w] (reduced product), because the cancellation in g.xi is
-      pinned at the first disagreement of g and w.
-    * w a full prefix of g (including w = g): g.xi keeps the prefix w
-      exactly when the cancellation does not reach past |g| - |w|, i.e.
-      the preimage is the complement of [prefix_{|g|-|w|+1}(g^-1)],
-      written out as its canonical disjoint cylinder cover.
-    """
-    w = c.prefix.letters
-    k, m = len(w), len(g.letters)
+def cylinder_image(
+    h: tuple[int, ...], w: tuple[int, ...], group: FreeGroup
+) -> list[tuple[int, ...]]:
+    """h[w], the preimage of [w] under g = h^-1, as the letter tuples of
+    pairwise disjoint cylinders.  With j <= |w| the letters of w that cancel
+    against h (the common prefix length of g and w): for j < |w| it is the
+    single cylinder [h w]; for j = |w|, g.xi keeps the prefix w exactly when
+    the cancellation stops before |g| - |w|, so it is the complement of [u],
+    u = prefix_{|g|-|w|+1}(g^-1), as its canonical cover: u[:t] + (x,) for
+    t < |u| and each letter x other than u[t] that may follow u[:t]."""
+    k, m = len(w), len(h)
     if k == 0:
-        return [Cylinder(IDENTITY)]
-    ginv = tuple(x ^ 1 for x in reversed(g.letters))
-    ell = common_prefix_len(g.letters, w)
-    if ell < k:
-        # g^-1 w cancels at the junction exactly the ell letters w shares with g
-        return [Cylinder(Word(ginv[: m - ell] + w[ell:]))]
-    # complement of [u], u = prefix_{m-k+1}(g^-1), of positive length
-    u = ginv[: m - k + 1]
-    out = []
-    for t in range(len(u)):
-        for x in range(2 * group.n):
-            if x == u[t]:
-                continue
-            if t >= 1 and x == u[t - 1] ^ 1:
-                continue
-            out.append(Cylinder(Word(u[:t] + (x,))))
-    return out
+        return [()]
+    j = 0
+    while j < k and j < m and h[m - 1 - j] == w[j] ^ 1:
+        j += 1
+    if j < k:
+        return [h[: m - j] + w[j:]]
+    u, follow = h[: m - k + 1], group.follow
+    return [
+        u[:t] + (x,)
+        for t in range(len(u))
+        for x in (follow[u[t - 1]] if t else range(2 * group.n))
+        if x != u[t]
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -250,18 +253,13 @@ def pushforward_mass(g: Word, c: Cylinder, group: FreeGroup) -> Fraction:
     """(g_* mu)(c) = mu{xi : g.xi in c}, exact: c_l / M by the closed form of
     ``pushforward_weights``.
 
-    Same case split as ``preimage_cylinder``: for l < k the single cylinder
+    Same case split as ``cylinder_image``: for l < k the single cylinder
     [g^-1 w] has depth |g| + k - 2l, and for l = k the complement of
     [prefix_{|g|-k+1}(g^-1)] has mass 1 - depth_mass(|g| - k + 1).
     """
     w = c.prefix.letters
-    return _pushforward_masses(len(g), len(w), group.n)[common_prefix_len(g.letters, w)]
-
-
-@lru_cache(maxsize=None)
-def _pushforward_masses(length: int, depth: int, n: int) -> tuple[Fraction, ...]:
-    total, weights = pushforward_weights(length, depth, FreeGroup(n))
-    return tuple(Fraction(c, total) for c in weights)
+    total, weights = pushforward_weights(len(g), len(w), group)
+    return Fraction(weights[common_prefix_len(g.letters, w)], total)
 
 
 def mass_sum(masses: Iterable[Fraction]) -> tuple[int, int]:
@@ -296,24 +294,36 @@ class CylinderMeasure:
         self.table = dict(sorted(table.items()))
 
 
+def pushforward_table(g: Word, depth: int, group: FreeGroup) -> tuple[int, list[int]]:
+    """M and the weight c_l of each depth-k cell in lexicographic order,
+    (g_*mu)([w]) = c_l / M: c_0 everywhere, then the block of the cells
+    that extend g[:l] overwritten with c_l for l = 1, 2, ...."""
+    group.check_budget(DEFAULT_BUDGET, m=depth)
+    total, weights = pushforward_weights(len(g), depth, group)
+    sizes = group.run_sizes(depth)
+    table = [weights[0]] * sizes[0]
+    for ell in range(1, min(len(g), depth) + 1):
+        start = group.lex_rank(g.letters[:ell]) * sizes[ell]
+        table[start : start + sizes[ell]] = [weights[ell]] * sizes[ell]
+    return total, table
+
+
 def pushforward(g: Word, depth: int, group: FreeGroup) -> CylinderMeasure:
     """The measure g_*mu on the depth-k partition, exact."""
     if depth < 1:
         raise ValueError("pushforward needs depth >= 1")
-    table = {w: pushforward_mass(g, Cylinder(w), group) for w in group.sphere(depth)}
-    return CylinderMeasure(group, depth, table)
+    total, table = pushforward_table(g, depth, group)
+    masses = {w: Fraction(c, total) for w, c in zip(group.sphere(depth), table)}
+    return CylinderMeasure(group, depth, masses)
 
 
 def comparability_constants(g: Word, depth: int, group: FreeGroup) -> tuple[Fraction, Fraction]:
     """min and max of (g_*mu)([w]) / mu([w]) over depth-k cylinders."""
     if depth < 1:
         raise ValueError("comparability needs depth >= 1")
-    base = depth_mass(depth, group)
-    ratios = [
-        pushforward_mass(g, Cylinder(w), group) / base
-        for w in group.sphere(depth)
-    ]
-    return min(ratios), max(ratios)
+    total, table = pushforward_table(g, depth, group)
+    base = depth_mass(depth, group) * total
+    return min(table) / base, max(table) / base
 
 
 def weak_distance_to_delta(g: Word, omega: BoundaryPoint, depth: int, group: FreeGroup) -> Fraction:

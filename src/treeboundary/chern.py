@@ -44,7 +44,7 @@ Two independent routes to the same number:
   the other h of B_R are counted, not walked.  The points s_i h are built
   on letter tuples.  The walk of a block's cancellation cylinder (the
   ``product_runs`` walk and the extensions of unfixed cells) depends on the
-  point only through its shape (``operators.fiber_shape``), so it is made
+  point only through its shape (``words.fiber_shape``), so it is made
   once per shape, valued once per shape and function, and kept on the
   truncation; each further block of that shape is shifted into place, and
   a point that comes back with another function reads its cylinder from
@@ -77,7 +77,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .deviation import _sums
-from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
+from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction
 from .operators import (
     Runs,
     Truncation,
@@ -90,7 +90,8 @@ from .operators import (
 )
 from .summability import group_sum
 from .words import (
-    DEFAULT_BUDGET, IDENTITY, FreeGroup, Frozen, Word, common_prefix_len, mul, reduced_word,
+    DEFAULT_BUDGET, IDENTITY, FreeGroup, Frozen, Word, _product_letters, common_prefix_len, mul,
+    reduced_word,
 )
 
 # the per-h identity's tolerance per fiber cell, relative to
@@ -167,7 +168,7 @@ class CocycleValue:
         if inp.group_product == IDENTITY:
             self.phis, self.suffixes = [phi for phi, _ in inp.terms], inp.suffixes
             self.pairs = [
-                phi * translate(g, self.phis[(i + 1) % len(self.phis)])
+                _pair_table(phi, g, self.phis[(i + 1) % len(self.phis)])
                 for i, (phi, g) in enumerate(inp.terms)
             ]
             self.depth = max(phi.depth + len(s) for phi, s in zip(self.phis, self.suffixes))
@@ -245,6 +246,20 @@ class CocycleValue:
             self.sphere, self.group, self.depth, self.radius,
             (self.degree - 1) // 2, self.degree, self.budget,
         )
+
+
+def _pair_table(
+    phi: LocallyConstantFunction, g: Word, psi: LocallyConstantFunction
+) -> LocallyConstantFunction:
+    """phi (g.psi) over D_phi D_psi: at each cell u, phi's numerators at
+    u[:k_phi] times psi's at (g^-1 u)[:k_psi], as in ``translate``."""
+    (dp, nums), (dq, shifted) = phi.numerators, psi.numerators
+    k, l, ginv = phi.depth, psi.depth, g.inverse().letters
+    depth, cells = max(k, l + len(g)), {}
+    for u in phi.group.iter_sphere_letters(depth):
+        (a, b), (c, e) = nums[u[:k]], shifted[_product_letters(ginv, u)[:l]]
+        cells[u] = (a * c - b * e, a * e + b * c)
+    return LocallyConstantFunction._of_numerators(phi.group, depth, dp * dq, cells)
 
 
 def cocycle_value(inp: CocycleInput, radius: int, budget: int = DEFAULT_BUDGET) -> CocycleValue:

@@ -124,26 +124,17 @@ def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
     prefix of the reduced product g u, so the double integral collapses to
     a finite sum over distinct value pairs weighted by their masses.
 
-    The cells are counted by that prefix: those outside the cancellation
-    cylinder [q] of ``FreeGroup.cancellation_cylinder`` all have g[:k] and
-    are counted by arithmetic, those of [q] along the runs of
-    ``FreeGroup.product_runs(g, k, k + |g|, q)``; each prefix is then
-    mapped to its value's numerators once.
+    The cells are counted by that prefix (``FreeGroup.key_counts``, walked
+    once per shape of g); each prefix is then mapped to its value's
+    numerators once.
     """
     group = phi.group
-    k = phi.depth
-    d = k + len(g)
+    d = phi.depth + len(g)
     group.check_budget(DEFAULT_BUDGET, m=d)
-    sizes = group.run_sizes(d)
-    q, _ = group.cancellation_cylinder(g, k, d)
-    outside = sizes[0] - sizes[len(q)]
-    prefixes: dict[tuple[int, ...], int] = {g.letters[:k]: outside} if outside else {}
-    for p, key in group.product_runs(g, k, d, q):
-        prefixes[key] = prefixes.get(key, 0) + sizes[len(p)]
     # values as Gaussian-integer numerators (a, b) over one denominator D
     den, numerators = phi.numerators
     counts: dict[tuple[int, int], int] = {}
-    for key, c in prefixes.items():
+    for key, c in group.key_counts(g, phi.depth).items():
         v = numerators[key]
         counts[v] = counts.get(v, 0) + c
     total = sum(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Union
 
-from .words import FreeGroup, Frozen, Word, mul, word_from_str, word_to_str
+from .words import FreeGroup, Frozen, Word, mul, reduced_word, word_from_str, word_to_str
 from .boundary import BoundaryPoint, Cylinder, depth_mass
 
 RationalLike = Union[int, Fraction, "GaussianRational", tuple, complex]
@@ -184,6 +184,21 @@ class LocallyConstantFunction:
         return phi
 
     @classmethod
+    def _of_numerators(cls, group: FreeGroup, depth: int, den: int, cells: dict):
+        """The function of ``numerators`` (den, cells), cells in canonical
+        order; its table is made when read.  Nothing is checked."""
+        phi = cls.__new__(cls)
+        phi.group, phi.depth, phi.numerators = group, depth, (den, cells)
+        return phi
+
+    @cached_property
+    def values(self) -> dict[Word, GaussianRational]:
+        """The table of a function made by ``_of_numerators``."""
+        den, cells = self.numerators
+        return {reduced_word(w): GaussianRational(Fraction(a, den), Fraction(b, den))
+                for w, (a, b) in cells.items()}
+
+    @classmethod
     def constant(cls, group: FreeGroup, value: RationalLike) -> "LocallyConstantFunction":
         return cls(group, 0, {Word(): value})
 
@@ -214,9 +229,10 @@ class LocallyConstantFunction:
 
     @cached_property
     def numerators(self) -> tuple[int, dict[tuple[int, ...], tuple[int, int]]]:
-        """D, the lcm of the denominators of the values' parts, and the
-        Gaussian-integer numerator (a, b) of each cell's value (a + ib) / D,
-        keyed by the cell's letter tuple."""
+        """D, the lcm of the denominators of the values' parts (a common
+        denominator for ``_of_numerators``), and the Gaussian-integer
+        numerator (a, b) of each cell's value (a + ib) / D, keyed by the
+        cell's letter tuple."""
         den = math.lcm(*(x.denominator for v in self.values.values() for x in (v.re, v.im)))
         return den, {
             w.letters: (v.re.numerator * (den // v.re.denominator),

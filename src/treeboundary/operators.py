@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 from .boundary import depth_mass
 from .deviation import deviation_sq, expectation
 from .functions import LocallyConstantFunction
-from .words import IDENTITY, FreeGroup, Frozen, Word, mul
+from .words import IDENTITY, FreeGroup, Frozen, Word, fiber_shape, mul
 
 if TYPE_CHECKING:
     import numpy as np
@@ -276,15 +276,6 @@ def fiber_runs(phi: LocallyConstantFunction, h: Word, trunc: Truncation) -> Runs
         else:
             out.append((cells, head))
     return out
-
-
-def fiber_shape(letters: tuple[int, ...], t: int, k: int) -> tuple:
-    """The shape (h[:|h| - t + 1], |h|, k) of the point h = ``letters`` for a
-    depth-k function whose cancellation cylinder [q] has length t: the keys
-    of the cells q c' read h only through h[:|h| - t], and the letters c'
-    may start with through h[|h| - t]."""
-    L = len(letters)
-    return letters[: L - t + 1], L, k
 
 
 # the runs under one depth-m cell at depth k + |h|, each as (key, cells in

@@ -6,6 +6,10 @@ triples.  Details are deterministic strings (exact rationals or 17-digit
 floats, never timings), so two runs with the same configuration produce
 identical reports.
 
+The word and measure checks enumerate every case on letter tuples and
+integers and leave none out by the tree's symmetry; what they share is
+computed once per shape: the closed-form weights and the pair-sum walks.
+
 The operator and cocycle checks read fiber vectors as runs:
 ``operator-pi-identity`` checks P through the rank-one identities of
 outer(v, v) and compares ||u||^2 with the exact sigma^2 per h, and
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import repeat
 from typing import Callable
 
 from . import chern as chern_mod
@@ -33,10 +37,11 @@ from .boundary import (
     Cylinder,
     CylinderMeasure,
     VisualStructure,
+    cylinder_image,
     cylinder_measure,
     mass_sum,
-    preimage_cylinder,
-    pushforward_mass,
+    pushforward_table,
+    pushforward_weights,
     weak_distance_to_delta,
 )
 from .deviation import (
@@ -60,8 +65,10 @@ from .words import (
     FreeGroup,
     Frozen,
     Word,
-    gromov_product,
+    common_prefix_len,
+    gromov_inverse,
     mul,
+    word_to_str,
 )
 
 
@@ -135,24 +142,19 @@ def _growth(ctx: VerifyContext) -> tuple[bool, str]:
 @_check("hyperbolicity")
 def _hyperbolicity(ctx: VerifyContext) -> tuple[bool, str]:
     """(x, y) >= min((x, z), (y, z)) on every triple of B_2, from the matrix
-    G of Gromov products: the pair (x, y) fails iff S_t(x) & S_t(y) != 0,
-    with t = G[x][y] + 1 and S_t(x) the bit set {z : G[x][z] >= t}, and the
-    lowest set bit names the first failing z in (x, y, z) order."""
+    G of Gromov products, one ``gromov_inverse`` call per pair on letters:
+    the pair (x, y) fails iff S_t(x) & S_t(y) != 0, with t = G[x][y] + 1 and
+    S_t(x) the bit set {z : G[x][z] >= t}, and the lowest set bit names the
+    first failing z in (x, y, z) order."""
     _charge(ctx, ctx.group.growth_count(2) ** 2, "Gromov pairs")
     ball = ctx.group.ball(2, budget=ctx.budget)
-    G = [[gromov_product(x, y) for y in ball] for x in ball]
-    top = max(map(max, G)) + 1
-    # above[x][t] = S_t(x)
-    above = []
-    for row in G:
-        masks = [0] * (top + 1)
-        for z, value in enumerate(row):
-            masks[value] |= 1 << z
-        for t in range(top - 1, -1, -1):
-            masks[t] |= masks[t + 1]
-        above.append(masks)
+    letters = [x.letters for x in ball]
+    # row x of G as bytes; reversed, each value >= t read as a 1, it is S_t(x)
+    rows = [bytes(map(gromov_inverse, repeat(x.inverse().letters), letters)) for x in ball]
+    ones = [bytes(48 + (v >= t) for v in range(256)) for t in range(max(map(max, rows)) + 2)]
+    above = [[int(row[::-1].translate(table), 2) for table in ones] for row in rows]
     for i, x in enumerate(ball):
-        for j, t in enumerate(G[i]):
+        for j, t in enumerate(rows[i]):
             fails = above[i][t + 1] & above[j][t + 1]
             if fails:
                 z = (fails & -fails).bit_length() - 1
@@ -164,40 +166,56 @@ def _hyperbolicity(ctx: VerifyContext) -> tuple[bool, str]:
 def _measure(ctx: VerifyContext) -> tuple[bool, str]:
     group = ctx.group
     _charge(ctx, group.growth_count(2) * (group.growth_count(2) - 1), "(g, w) cases")
+    masses = {}
     for depth in range(1, 4):
-        total, den = mass_sum(cylinder_measure(Cylinder(w), group) for w in group.sphere(depth))
+        level = {w.letters: cylinder_measure(Cylinder(w), group) for w in group.sphere(depth)}
+        total, den = mass_sum(level.values())
         if total != den:
             return False, f"depth-{depth} masses sum to {Fraction(total, den)}"
-    cells = [(w, Cylinder(w)) for w in group.sphere(2)]
-    for w, c in cells:
-        mass = cylinder_measure(c, group)
-        total, den = mass_sum(
-            cylinder_measure(Cylinder(Word(u)), group)
-            for u in group.iter_sphere_letters(3, w.letters)
-        )
+        masses.update(level)
+    cells = group.sphere(2)
+    for w in cells:
+        mass = masses[w.letters]
+        total, den = mass_sum(masses[u] for u in group.iter_sphere_letters(3, w.letters))
         if total * mass.denominator != mass.numerator * den:
             return False, f"children of [{w}] do not partition it"
     for g in group.ball(2):
-        # pushforward(g, 2) on one list of cells; it validates sum-to-1 exactly
-        CylinderMeasure(group, 2, {w: pushforward_mass(g, c, group) for w, c in cells})
+        # only a failing table makes the CylinderMeasure, to name the fault
+        total, weights = pushforward_table(g, 2, group)
+        if min(weights) < 0 or sum(weights) != total:
+            CylinderMeasure(group, 2, {w: Fraction(c, total) for w, c in zip(cells, weights)})
     return True, "partitions of unity and pushforward tables exact at depths 1-3"
 
 
 @_check("preimage-decomposition")
 def _preimage(ctx: VerifyContext) -> tuple[bool, str]:
+    """The pieces of each case (g, w), sorted, must be prefix-free (the
+    verdict of testing all pairs for disjointness), and their mass,
+    sum q^(D - |p|) over 2n q^(D-1), must be c_l / M, q = 2n - 1."""
     group = ctx.group
     _charge(ctx, group.growth_count(2) * (group.growth_count(2) - 1), "(g, w) cases")
-    cylinders = [Cylinder(w) for depth in (1, 2) for w in group.sphere(depth)]
+    q, deep = 2 * group.n - 1, 4  # |g| + |w|, the deepest piece
+    den = 2 * group.n * q ** (deep - 1)
+    scaled = [den] + [q ** (deep - d) for d in range(1, deep + 1)]  # den * mu of a depth-d piece
+    # the closed form once per shape (|g|, |w|, l): M and the weight c_l
+    shapes = {(m, k): pushforward_weights(m, k, group) for m in range(3) for k in (1, 2)}
+    cells = [w.letters for depth in (1, 2) for w in group.sphere(depth)]
     cases = 0
     for g in group.ball(2):
-        for c in cylinders:
-            pieces = preimage_cylinder(g, c, group)
-            if not all(p.disjoint(q) for p, q in combinations(pieces, 2)):
-                return False, f"overlap in preimage of [{c.prefix}] under {g}"
-            total, den = mass_sum(cylinder_measure(p, group) for p in pieces)
-            mass = pushforward_mass(g, c, group)
-            if total * mass.denominator != mass.numerator * den:
-                return False, f"mass mismatch for g={g}, w={c.prefix}"
+        a, ginv = g.letters, g.inverse().letters
+        first = a[0] if a else None
+        for w in cells:
+            pieces = cylinder_image(ginv, w, group)
+            if len(pieces) == 1:
+                mass = scaled[len(pieces[0])]
+            else:
+                pieces.sort()
+                if any(p == r[: len(p)] for p, r in zip(pieces, pieces[1:])):
+                    return False, f"overlap in preimage of [{word_to_str(w)}] under {g}"
+                mass = sum([scaled[len(p)] for p in pieces])
+            total, weights = shapes[len(a), len(w)]
+            if mass * total != weights[common_prefix_len(a, w) if w[0] == first else 0] * den:
+                return False, f"mass mismatch for g={g}, w={word_to_str(w)}"
             cases += 1
     return True, f"preimage covers disjoint with exact mass on {cases} cases"
 

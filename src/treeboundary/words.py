@@ -19,8 +19,9 @@ need only walk one cylinder: every cell outside the cancellation cylinder
 ``FreeGroup.cancellation_cylinder`` has the key h[:k], so those cells are
 one or two intervals counted by arithmetic.
 
-Everything here is immutable and every operation is a pure function, so the
-module is safe to use from concurrent contexts.
+Everything here is immutable and every operation is a pure function (a
+``FreeGroup``'s memos only cache), so the module is safe to use from
+concurrent contexts.
 """
 
 from __future__ import annotations
@@ -163,11 +164,24 @@ def gromov_product(g: Word, h: Word) -> int:
     On the tree this equals the longest common prefix length of g and h,
     which tests verify independently.
     """
-    ginv = tuple(x ^ 1 for x in reversed(g.letters))
-    d = len(g) + len(h) - len(_product_letters(ginv, h.letters))
+    return gromov_inverse(tuple(x ^ 1 for x in reversed(g.letters)), h.letters)
+
+
+def gromov_inverse(ginv: tuple[int, ...], h: tuple[int, ...]) -> int:
+    """(g, h) from the letter tuples of g^-1 and h, for a g met with many h."""
+    d = len(ginv) + len(h) - len(_product_letters(ginv, h))
     if d % 2:  # impossible for genuine reduced words
-        raise AssertionError(f"odd Gromov product numerator for {g}, {h}")
+        raise AssertionError(f"odd Gromov product numerator for g^-1 = {ginv}, h = {h}")
     return d // 2
+
+
+def fiber_shape(letters: tuple[int, ...], t: int, k: int) -> tuple:
+    """The shape (h[:|h| - t + 1], |h|, k) of the point h = ``letters`` for a
+    depth-k function whose cancellation cylinder [q] has length t: the keys
+    of the cells q c' read h only through h[:|h| - t], and the letters c'
+    may start with through h[|h| - t]."""
+    L = len(letters)
+    return letters[: L - t + 1], L, k
 
 
 # letter x serializes as _LETTER_CHARS[x]: a A b B ... z Z
@@ -211,7 +225,7 @@ class FreeGroup(Frozen):
     def __init__(self, n: int):
         if not isinstance(n, int) or not (2 <= n <= 26):
             raise ValueError(f"rank must be an integer in 2..26, got {n}")
-        self.__dict__.update(n=n)
+        self.__dict__.update(n=n, shape_counts={})  # the memo of ``key_counts``
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -383,6 +397,24 @@ class FreeGroup(Frozen):
             i = common_prefix_len(ainv, prefix)
             walk(prefix, None if i == len(prefix) else i)
         return out
+
+    def key_counts(self, h: Word, k: int) -> dict[tuple[int, ...], int]:
+        """The depth-(k + |h|) cells c counted by key prefix_k(h c): those
+        outside the cancellation cylinder [q] (key h[:k]) by arithmetic,
+        those of [q] along ``product_runs``, once per shape of h (kept in
+        ``shape_counts``, whose dict is returned)."""
+        d = k + len(h)
+        q, _ = self.cancellation_cylinder(h, k, d)
+        shape = fiber_shape(h.letters, len(q), k)
+        counts = self.shape_counts.get(shape)
+        if counts is None:
+            sizes = self.run_sizes(d)
+            outside = sizes[0] - sizes[len(q)]
+            counts = {h.letters[:k]: outside} if outside else {}
+            for p, key in self.product_runs(h, k, d, q):
+                counts[key] = counts.get(key, 0) + sizes[len(p)]
+            self.shape_counts[shape] = counts
+        return counts
 
     @cached_property
     def follow(self) -> tuple[tuple[int, ...], ...]:

@@ -26,6 +26,7 @@ from treeboundary import (
     expectation,
     mul,
     pushforward_mass,
+    random_unit_function,
     sphere_series,
     trace_identity,
     trace_oracle_dense,
@@ -472,12 +473,13 @@ def test_summand_is_the_per_h_formula_at_every_h(name, monkeypatch):
     # classes past the cocycle's radius are evaluated on demand
     inp, radius, _ = CLASS_CASES[name]
     translated = []
+    pair_table = chern._pair_table
 
-    def counted(g, phi):
+    def counted(phi, g, psi):
         translated.append(g)
-        return translate(g, phi)
+        return pair_table(phi, g, psi)
 
-    monkeypatch.setattr(chern, "translate", counted)
+    monkeypatch.setattr(chern, "_pair_table", counted)
     if inp.group_product != IDENTITY:
         # no pair table is built and no class is evaluated
         cv = cocycle_value(inp, radius)
@@ -488,6 +490,26 @@ def test_summand_is_the_per_h_formula_at_every_h(name, monkeypatch):
     per_h = _per_h_summand(inp)
     for h in inp.group.iter_ball(min(radius, 3)):
         assert cv(h) == per_h(h)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_table_is_the_product_with_the_translate(seed):
+    # the integer pair table against phi (g.psi) through translate and the
+    # function product, on random tables of depth 1-3 and |g| <= 2
+    rng = random.Random(seed)
+    for group in (F2, FreeGroup(3)):
+        phi = random_unit_function(group, rng.randint(1, 3), rng)
+        psi = random_unit_function(group, rng.randint(1, 3), rng)
+        (dp, _), (dq, _) = phi.numerators, psi.numerators
+        for g in rng.sample(group.ball(2), 8):
+            pair = chern._pair_table(phi, g, psi)
+            oracle = phi * translate(g, psi)
+            assert (pair.depth, pair.values) == (oracle.depth, oracle.values)
+            # over D_phi D_psi, not the lcm of the values' denominators, the
+            # expectations that read the table are the same
+            assert pair.numerators[0] == dp * dq
+            for h in (IDENTITY, g, group.word("aab")):
+                assert expectation(pair, h) == expectation(oracle, h)
 
 
 def test_summand_evaluates_a_class_past_the_radius_once(monkeypatch):

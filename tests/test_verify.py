@@ -14,9 +14,11 @@ from treeboundary import (
     FreeGroup,
     VerifyContext,
     VisualStructure,
+    Word,
     check_names,
     gromov_product,
     run_all,
+    word_to_str,
 )
 
 F2 = FreeGroup(2)
@@ -100,6 +102,9 @@ def test_hyperbolicity_names_the_first_failing_triple(monkeypatch):
     def broken(g, h):
         return 0 if (g, h) == (x0, y0) else gromov_product(g, h)
 
+    def broken_inverse(ginv, h):
+        return broken(Word(ginv).inverse(), Word(h))
+
     first = next(
         (x, y, z)
         for x in ball
@@ -107,7 +112,7 @@ def test_hyperbolicity_names_the_first_failing_triple(monkeypatch):
         for z in ball
         if broken(x, y) < min(broken(x, z), broken(y, z))
     )
-    monkeypatch.setattr(verify, "gromov_product", broken)
+    monkeypatch.setattr(verify, "gromov_inverse", broken_inverse)
     ok, detail = verify._hyperbolicity(make_ctx())
     assert not ok
     assert detail == f"0-hyperbolicity fails at ({first[0]}, {first[1]}, {first[2]})"
@@ -200,13 +205,14 @@ def test_commutator_spectrum_fails_on_a_moved_fiber_cell(monkeypatch):
 
 
 def _broken_preimage(monkeypatch, g0, w0, change):
-    real = verify.preimage_cylinder
+    real = verify.cylinder_image
+    case = (g0.inverse().letters, w0.letters)
 
-    def broken(g, c, group):
-        pieces = real(g, c, group)
-        return change(pieces) if (g, c.prefix) == (g0, w0) else pieces
+    def broken(ginv, w, group):
+        pieces = real(ginv, w, group)
+        return change(pieces) if (ginv, w) == case else pieces
 
-    monkeypatch.setattr(verify, "preimage_cylinder", broken)
+    monkeypatch.setattr(verify, "cylinder_image", broken)
 
 
 @pytest.mark.parametrize("g, w", [("ab", "a"), ("ab", "ab"), ("b", "a"), ("aB", "Ba")])
@@ -219,6 +225,55 @@ def test_preimage_decomposition_fails_on_a_dropped_piece(monkeypatch, g, w):
 def test_preimage_decomposition_fails_on_a_duplicated_piece(monkeypatch, g, w):
     _broken_preimage(monkeypatch, F2.word(g), F2.word(w), lambda pieces: pieces + pieces[-1:])
     assert verify._preimage(make_ctx()) == (False, f"overlap in preimage of [{w}] under {g}")
+
+
+def test_preimage_decomposition_fails_on_an_overlap_of_equal_mass(monkeypatch):
+    # in F3 the preimage of [a] under ab is the complement of [BA]: the
+    # letters other than B, then BA's siblings Ba, BB, Bc, BC.  Trading
+    # [Bc] for the five depth-3 cylinders under [Ba], appended at the end
+    # of the list, keeps the mass, so only the disjointness test can fail
+    F3 = FreeGroup(3)
+    g0, w0 = F3.word("ab"), F3.word("a")
+    pieces = verify.cylinder_image(g0.inverse().letters, w0.letters, F3)
+    assert [word_to_str(p) for p in pieces] == ["a", "A", "b", "c", "C", "Ba", "BB", "Bc", "BC"]
+
+    def overlapping(pieces):
+        under = list(F3.iter_sphere_letters(3, F3.word("Ba").letters))
+        return [p for p in pieces if p != F3.word("Bc").letters] + under
+
+    _broken_preimage(monkeypatch, g0, w0, overlapping)
+    assert verify._preimage(make_ctx(group=F3, vs=VisualStructure(F3))) == (
+        False, "overlap in preimage of [a] under ab"
+    )
+
+
+def test_preimage_decomposition_fails_on_a_perturbed_pushforward_weight(monkeypatch):
+    # c_1 for |g| = 2, |w| = 1, one more: the first case of that shape,
+    # g = aa with w = a, has the wrong closed-form mass
+    real = verify.pushforward_weights
+
+    def perturbed(length, depth, group):
+        total, weights = real(length, depth, group)
+        if (length, depth) == (2, 1):
+            weights = (weights[0], weights[1] + 1)
+        return total, weights
+
+    monkeypatch.setattr(verify, "pushforward_weights", perturbed)
+    assert verify._preimage(make_ctx()) == (False, "mass mismatch for g=aa, w=a")
+
+
+def test_deviation_identity_fails_on_a_perturbed_walk_count(monkeypatch):
+    # one more cell for the key a in the pair-sum walk of g = ab: the pair
+    # sum of the first indicator 1_[a] grows by the cells of value 0
+    real = FreeGroup.key_counts
+    g0 = F2.word("ab")
+
+    def perturbed(self, h, k):
+        counts = real(self, h, k)
+        return {**counts, (0,): counts[(0,)] + 1} if h == g0 else counts
+
+    monkeypatch.setattr(FreeGroup, "key_counts", perturbed)
+    assert verify._deviation_identity(make_ctx()) == (False, "pair-sum identity fails at g=ab")
 
 
 def test_measure_partition_fails_on_a_scaled_depth(monkeypatch):
@@ -241,19 +296,21 @@ def test_measure_partition_fails_on_mass_moved_between_parents(monkeypatch):
 
 
 def test_measure_partition_fails_on_a_perturbed_pushforward_mass(monkeypatch):
-    from treeboundary import boundary
-
-    real = boundary.pushforward_mass
+    # one integer weight of g = aB, at its cell Ba, one more: the table of
+    # aB sums to 109/108 and the check says so as CylinderMeasure does
+    real = verify.pushforward_table
     g0, w0 = F2.word("aB"), F2.word("Ba")
+    position = F2.sphere(2).index(w0)
 
-    def perturbed(g, c, group):
-        mass = real(g, c, group)
-        return mass + Fraction(1, 10**9) if (g, c.prefix) == (g0, w0) else mass
+    def perturbed(g, depth, group):
+        total, weights = real(g, depth, group)
+        if g == g0:
+            weights = weights[:position] + [weights[position] + 1] + weights[position + 1 :]
+        return total, weights
 
-    # the check reads the masses through its own import or through pushforward
-    monkeypatch.setattr(boundary, "pushforward_mass", perturbed)
-    monkeypatch.setattr(verify, "pushforward_mass", perturbed)
-    with pytest.raises(ValueError, match=r"^masses sum to 1000000001/1000000000, not 1$"):
+    monkeypatch.setattr(verify, "pushforward_table", perturbed)
+    assert real(g0, 2, F2)[0] == 108
+    with pytest.raises(ValueError, match=r"^masses sum to 109/108, not 1$"):
         verify._measure(make_ctx())
 
 
@@ -285,11 +342,12 @@ def test_costly_checks_charge_the_budget_before_enumerating(monkeypatch, check, 
     class Enumerated(Exception):
         pass
 
-    def enumerate_words(self, radius, budget=DEFAULT_BUDGET):
+    def enumerate_words(self, radius, *args, **kwargs):
         raise Enumerated
 
-    monkeypatch.setattr(FreeGroup, "ball", enumerate_words)
-    monkeypatch.setattr(FreeGroup, "sphere", enumerate_words)
+    # every enumerator the checks call, on words or on letter tuples
+    for name in ("ball", "sphere", "iter_ball", "iter_sphere", "iter_sphere_letters"):
+        monkeypatch.setattr(FreeGroup, name, enumerate_words)
     group = FreeGroup(26)
     ctx = make_ctx(group=group, vs=VisualStructure(group))
     with pytest.raises(Enumerated):
