@@ -9,7 +9,8 @@ Two independent routes to the same number:
 
   where cov_i pairs the consecutive arguments i and i+1 (mod n+1).  In the
   crossed product they multiply to a^i a^(i+1) = pair_i . g_i g_(i+1),
-  pair_i = phi_i (g_i.phi_(i+1)), and cov_i is the bilinear pairing
+  pair_i = phi_i (g_i.phi_(i+1)), the table ``phi_i * translate(g_i,
+  phi_(i+1))`` of the function algebra, and cov_i is the bilinear pairing
   E(pair_i) - E(phi_i) E(g_i.phi_(i+1)) read at s_i h, s_i = g_i ... g_n
   (``CocycleInput.suffixes``), and E(g_i.phi_(i+1)) is E(phi_(i+1)) at
   s_(i+1) h (the trace of a product of commutators is multilinear in the
@@ -77,7 +78,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .deviation import _sums
-from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction
+from .functions import QQ_ZERO, GaussianRational, LocallyConstantFunction, translate
 from .operators import (
     Runs,
     Truncation,
@@ -90,8 +91,7 @@ from .operators import (
 )
 from .summability import group_sum
 from .words import (
-    DEFAULT_BUDGET, IDENTITY, FreeGroup, Frozen, Word, _product_letters, common_prefix_len, mul,
-    reduced_word,
+    DEFAULT_BUDGET, IDENTITY, FreeGroup, Frozen, Word, common_prefix_len, mul, reduced_word,
 )
 
 # the per-h identity's tolerance per fiber cell, relative to
@@ -139,9 +139,10 @@ class CocycleInput(Frozen):
 class CocycleValue:
     """The cocycle sum of ``inp``.  Called at h, it gives the signed summand
     sign * (term_a - term_b) at h, from the n+1 functions phi_i and the n+1
-    pair tables pair_i = phi_i (g_i.phi_(i+1)), each read at s_i h (see the
-    module docstring): term_a multiplies the cov_i of even i, term_b those
-    of odd i.
+    pair tables pair_i = ``phi_i * translate(g_i, phi_(i+1))``, Gaussian
+    integers over D_i D_(i+1), each read at s_i h (see the module
+    docstring): term_a multiplies the cov_i of even i, term_b those of odd
+    i.
 
     Every expectation depends on h only through (prefix_K h, |h|),
     K = ``depth``, so each class is evaluated at the first of its elements
@@ -168,7 +169,7 @@ class CocycleValue:
         if inp.group_product == IDENTITY:
             self.phis, self.suffixes = [phi for phi, _ in inp.terms], inp.suffixes
             self.pairs = [
-                _pair_table(phi, g, self.phis[(i + 1) % len(self.phis)])
+                phi * translate(g, self.phis[(i + 1) % len(self.phis)])
                 for i, (phi, g) in enumerate(inp.terms)
             ]
             self.depth = max(phi.depth + len(s) for phi, s in zip(self.phis, self.suffixes))
@@ -246,20 +247,6 @@ class CocycleValue:
             self.sphere, self.group, self.depth, self.radius,
             (self.degree - 1) // 2, self.degree, self.budget,
         )
-
-
-def _pair_table(
-    phi: LocallyConstantFunction, g: Word, psi: LocallyConstantFunction
-) -> LocallyConstantFunction:
-    """phi (g.psi) over D_phi D_psi: at each cell u, phi's numerators at
-    u[:k_phi] times psi's at (g^-1 u)[:k_psi], as in ``translate``."""
-    (dp, nums), (dq, shifted) = phi.numerators, psi.numerators
-    k, l, ginv = phi.depth, psi.depth, g.inverse().letters
-    depth, cells = max(k, l + len(g)), {}
-    for u in phi.group.iter_sphere_letters(depth):
-        (a, b), (c, e) = nums[u[:k]], shifted[_product_letters(ginv, u)[:l]]
-        cells[u] = (a * c - b * e, a * e + b * c)
-    return LocallyConstantFunction._of_numerators(phi.group, depth, dp * dq, cells)
 
 
 def cocycle_value(inp: CocycleInput, radius: int, budget: int = DEFAULT_BUDGET) -> CocycleValue:

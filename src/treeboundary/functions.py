@@ -1,11 +1,15 @@
 """Locally constant functions on the boundary with Gaussian-rational values.
 
-A level-k function is a table over the depth-k cylinder partition.  Values
-are complex numbers with rational real and imaginary parts, so every algebra
-operation, integral and statistic downstream stays exact.  The group acts by
-``(g.phi)(xi) = phi(g^-1 xi)``; translating a level-k function gives a level
-``k + |g|`` function.  Tables are never pruned back to a coarser level
-(translations stay cheap); equality refines both sides first.
+A level-k function is one table over the depth-k cylinder partition: a
+common denominator D and a Gaussian-integer numerator per cell
+(``LocallyConstantFunction.numerators``), so every algebra operation,
+integral and statistic downstream stays exact and runs on Python ints.  Only
+this module builds that table; other modules read it.  The table of
+``GaussianRational`` values (``values``) is a view made from it when read.
+The group acts by ``(g.phi)(xi) = phi(g^-1 xi)``; translating a level-k
+function gives a level ``k + |g|`` function.  Tables are never pruned back
+to a coarser level (translations stay cheap); sums, products and equality
+refine both sides to the finer level first.
 
 ``frac_str`` ("p/q") and ``float_str`` (17 significant digits) are the one
 rendering of each kind of number that the reports hold.
@@ -19,8 +23,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Union
 
-from .words import FreeGroup, Frozen, Word, mul, reduced_word, word_from_str, word_to_str
-from .boundary import BoundaryPoint, Cylinder, depth_mass
+from .words import (
+    DEFAULT_BUDGET, FreeGroup, Frozen, Word, _product_letters, reduced_word, word_from_str,
+    word_to_str,
+)
+from .boundary import BoundaryPoint, Cylinder
 
 RationalLike = Union[int, Fraction, "GaussianRational", tuple, complex]
 
@@ -140,7 +147,15 @@ def float_str(x: float) -> str:
 
 
 class LocallyConstantFunction:
-    """A level-k table of Gaussian-rational values, one per depth-k cylinder.
+    """A level-k function, one Gaussian-rational value per depth-k cylinder.
+
+    Its one table is ``numerators`` = (D, cells): a positive common
+    denominator D and, keyed by the letter tuple of each depth-k cell in
+    canonical order, the Gaussian-integer numerator (a, b) of the cell's
+    value (a + ib) / D.  D need not be the least one; the public constructor
+    takes the lcm of the values' denominators, ``+`` and ``-`` the lcm of
+    the operands' D and ``*`` their product.  ``values``, the table of
+    ``GaussianRational``s keyed by ``Word``, is a view made from it when read.
 
     Instances are immutable by convention; all operations return new objects.
     """
@@ -158,42 +173,39 @@ class LocallyConstantFunction:
             raise ValueError(
                 f"{len(values)} values given, the depth-{depth} partition has {expected} cells"
             )
-        table: dict[Word, GaussianRational] = {}
+        table: dict[tuple[int, ...], GaussianRational] = {}
         for w, v in values.items():
             if len(w) != depth:
                 raise ValueError(f"key {w!r} does not have depth {depth}")
             group.check_letters(w.letters)
-            table[w] = GaussianRational.of(v)
+            table[w.letters] = GaussianRational.of(v)
+        den = math.lcm(*(x.denominator for v in table.values() for x in (v.re, v.im)))
         self.group = group
         self.depth = depth
-        self.values = dict(sorted(table.items()))
+        self.numerators = den, {
+            u: (v.re.numerator * (den // v.re.denominator),
+                v.im.numerator * (den // v.im.denominator))
+            for u, v in sorted(table.items())
+        }
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
-    def _of_table(
-        cls, group: FreeGroup, depth: int, values: dict[Word, GaussianRational]
-    ) -> "LocallyConstantFunction":
-        """The function of a table that is valid by construction, as the
-        algebra and ``translate`` build them from valid tables: one
-        GaussianRational for each depth-k cell, keyed in canonical order.
-        Nothing is checked; the public constructor checks everything."""
-        phi = cls.__new__(cls)
-        phi.group, phi.depth, phi.values = group, depth, values
-        return phi
-
-    @classmethod
     def _of_numerators(cls, group: FreeGroup, depth: int, den: int, cells: dict):
-        """The function of ``numerators`` (den, cells), cells in canonical
-        order; its table is made when read.  Nothing is checked."""
+        """The function of ``numerators`` (den, cells), valid by
+        construction, as the algebra and ``translate`` build them from valid
+        tables: den > 0 and one Gaussian integer for each depth-k cell, in
+        canonical order.  Nothing is checked; the public constructor checks
+        everything."""
         phi = cls.__new__(cls)
         phi.group, phi.depth, phi.numerators = group, depth, (den, cells)
         return phi
 
     @cached_property
     def values(self) -> dict[Word, GaussianRational]:
-        """The table of a function made by ``_of_numerators``."""
+        """The table as Gaussian rationals keyed by ``Word``, made from
+        ``numerators`` when first read."""
         den, cells = self.numerators
         return {reduced_word(w): GaussianRational(Fraction(a, den), Fraction(b, den))
                 for w, (a, b) in cells.items()}
@@ -204,41 +216,34 @@ class LocallyConstantFunction:
 
     @classmethod
     def indicator(cls, group: FreeGroup, c: Cylinder | Word) -> "LocallyConstantFunction":
-        w = c.prefix if isinstance(c, Cylinder) else c
-        vals = {u: (1 if u == w else 0) for u in group.sphere(len(w))}
-        return cls(group, len(w), vals)
+        w = (c.prefix if isinstance(c, Cylinder) else c).letters
+        group.check_letters(w)
+        cells = {u.letters: (int(u.letters == w), 0) for u in group.sphere(len(w))}
+        return cls._of_numerators(group, len(w), 1, cells)
 
     # ------------------------------------------------------------------
     # evaluation and refinement
 
     def eval(self, xi: Union[BoundaryPoint, Cylinder, Word]) -> GaussianRational:
         if isinstance(xi, BoundaryPoint):
-            return self.values[xi.prefix(self.depth)]
-        w = xi.prefix if isinstance(xi, Cylinder) else xi
-        if len(w) < self.depth:
-            raise ValueError(
-                f"cylinder of depth {len(w)} does not determine a level-{self.depth} value"
-            )
-        return self.values[w.prefix(self.depth)]
+            w = xi.prefix(self.depth)
+        else:
+            w = xi.prefix if isinstance(xi, Cylinder) else xi
+            if len(w) < self.depth:
+                raise ValueError(
+                    f"cylinder of depth {len(w)} does not determine a level-{self.depth} value"
+                )
+        den, cells = self.numerators
+        a, b = cells[w.letters[: self.depth]]
+        return GaussianRational(Fraction(a, den), Fraction(b, den))
 
     @cached_property
     def letter_complex(self) -> dict[tuple[int, ...], complex]:
         """The table keyed by the letter tuples of its cells, each value
-        converted to complex once."""
-        return {w.letters: v.to_complex() for w, v in self.values.items()}
-
-    @cached_property
-    def numerators(self) -> tuple[int, dict[tuple[int, ...], tuple[int, int]]]:
-        """D, the lcm of the denominators of the values' parts (a common
-        denominator for ``_of_numerators``), and the Gaussian-integer
-        numerator (a, b) of each cell's value (a + ib) / D, keyed by the
-        cell's letter tuple."""
-        den = math.lcm(*(x.denominator for v in self.values.values() for x in (v.re, v.im)))
-        return den, {
-            w.letters: (v.re.numerator * (den // v.re.denominator),
-                         v.im.numerator * (den // v.im.denominator))
-            for w, v in self.values.items()
-        }
+        converted to complex once: a / D and b / D are correctly rounded
+        integer divisions, the bits of ``GaussianRational.to_complex``."""
+        den, cells = self.numerators
+        return {w: complex(a / den, b / den) for w, (a, b) in cells.items()}
 
     @cached_property
     def prefix_sums(self) -> dict[tuple[int, ...], tuple[int, int, int]]:
@@ -262,34 +267,41 @@ class LocallyConstantFunction:
             raise ValueError("cannot refine to a coarser level")
         if depth == self.depth:
             return self
-        vals = {
-            u: self.values[u.prefix(self.depth)]
-            for u in self.group.sphere(depth)
-        }
-        return LocallyConstantFunction._of_table(self.group, depth, vals)
+        self.group.check_budget(DEFAULT_BUDGET, m=depth)
+        k, (den, cells) = self.depth, self.numerators
+        return self._of_numerators(
+            self.group, depth, den, {u: cells[u[:k]] for u in self.group.iter_sphere_letters(depth)}
+        )
 
-    def _pair(self, other: "LocallyConstantFunction"):
+    def _pair(self, other):
+        """Both numerator tables at the finer depth d, a scalar ``other`` as
+        a constant function: (d, D_self, D_other, the pairs of cell
+        numerators in canonical order)."""
+        if not isinstance(other, LocallyConstantFunction):
+            other = LocallyConstantFunction.constant(self.group, other)
         if other.group != self.group:
             raise ValueError("functions live over different groups")
         d = max(self.depth, other.depth)
-        return self.refine(d), other.refine(d)
+        (df, f), (dg, g) = self.refine(d).numerators, other.refine(d).numerators
+        return d, df, dg, zip(f.items(), g.values())
 
     # ------------------------------------------------------------------
-    # *-algebra operations, all exact
+    # *-algebra operations, all exact on the numerators
 
     def __add__(self, other) -> "LocallyConstantFunction":
-        if not isinstance(other, LocallyConstantFunction):
-            other = LocallyConstantFunction.constant(self.group, other)
-        f, g = self._pair(other)
-        return LocallyConstantFunction._of_table(
-            f.group, f.depth, {w: f.values[w] + g.values[w] for w in f.values}
-        )
+        d, df, dg, cells = self._pair(other)
+        den = math.lcm(df, dg)
+        x, y = den // df, den // dg
+        return self._of_numerators(self.group, d, den, {
+            u: (a * x + c * y, b * x + e * y) for (u, (a, b)), (c, e) in cells
+        })
 
     __radd__ = __add__
 
     def __neg__(self) -> "LocallyConstantFunction":
-        return LocallyConstantFunction._of_table(
-            self.group, self.depth, {w: -v for w, v in self.values.items()}
+        den, cells = self.numerators
+        return self._of_numerators(
+            self.group, self.depth, den, {u: (-a, -b) for u, (a, b) in cells.items()}
         )
 
     def __sub__(self, other) -> "LocallyConstantFunction":
@@ -297,74 +309,58 @@ class LocallyConstantFunction:
                        else -GaussianRational.of(other))
 
     def __mul__(self, other) -> "LocallyConstantFunction":
-        if not isinstance(other, LocallyConstantFunction):
-            c = GaussianRational.of(other)
-            return LocallyConstantFunction._of_table(
-                self.group, self.depth, {w: v * c for w, v in self.values.items()}
-            )
-        f, g = self._pair(other)
-        return LocallyConstantFunction._of_table(
-            f.group, f.depth, {w: f.values[w] * g.values[w] for w in f.values}
-        )
+        d, df, dg, cells = self._pair(other)
+        return self._of_numerators(self.group, d, df * dg, {
+            u: (a * c - b * e, a * e + b * c) for (u, (a, b)), (c, e) in cells
+        })
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "LocallyConstantFunction":
-        return LocallyConstantFunction._of_table(
-            self.group, self.depth, {w: v.conjugate() for w, v in self.values.items()}
+        den, cells = self.numerators
+        return self._of_numerators(
+            self.group, self.depth, den, {u: (a, -b) for u, (a, b) in cells.items()}
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocallyConstantFunction):
             return NotImplemented
-        f, g = self._pair(other)
-        return f.values == g.values
+        _, df, dg, cells = self._pair(other)
+        return all(a * dg == c * df and b * dg == e * df for (_, (a, b)), (c, e) in cells)
 
     __hash__ = None  # refinement-based equality; not usable as a dict key
 
     # ------------------------------------------------------------------
-    # norms and integrals
+    # norms and integrals; each depth-k cell has mass 1 / |S_k|
 
     def sup_norm_sq(self) -> Fraction:
-        return max(v.abs2() for v in self.values.values())
+        den, cells = self.numerators
+        return Fraction(max(a * a + b * b for a, b in cells.values()), den * den)
 
     def sup_norm(self) -> float:
         return float(self.sup_norm_sq()) ** 0.5
 
     def integral(self) -> GaussianRational:
-        m = depth_mass(self.depth, self.group)
-        total = QQ_ZERO
-        for v in self.values.values():
-            total = total + v * m
-        return total
+        den, cells = self.numerators
+        den *= self.group.sphere_count(self.depth)
+        return GaussianRational(Fraction(sum(a for a, _ in cells.values()), den),
+                                Fraction(sum(b for _, b in cells.values()), den))
 
     def l2_norm_sq(self) -> Fraction:
-        """sum |v|^2 mu on the numerators; each depth-k cell has mass 1 / |S_k|."""
-        den, nums = self.numerators
-        total = sum(a * a + b * b for a, b in nums.values())
+        den, cells = self.numerators
+        total = sum(a * a + b * b for a, b in cells.values())
         return Fraction(total, den * den * self.group.sphere_count(self.depth))
-
-    def l2_distance_sq(self, other: "LocallyConstantFunction") -> Fraction:
-        """||self - other||^2 from both numerator tables at the finer depth."""
-        if other.group != self.group:
-            raise ValueError("functions live over different groups")
-        (df, f), (dg, g) = self.numerators, other.numerators
-        k, l, total = self.depth, other.depth, 0
-        for u in self.group.iter_sphere_letters(max(k, l)):
-            (a, b), (c, e) = f[u[:k]], g[u[:l]]
-            x, y = a * dg - c * df, b * dg - e * df
-            total += x * x + y * y
-        return Fraction(total, (df * dg) ** 2 * self.group.sphere_count(max(k, l)))
 
     # ------------------------------------------------------------------
     # serialization
 
     def to_json_obj(self) -> dict:
+        den, cells = self.numerators
         return {
             "depth": self.depth,
             "values": {
-                word_to_str(w): [frac_str(v.re), frac_str(v.im)]
-                for w, v in self.values.items()
+                word_to_str(w): [frac_str(Fraction(a, den)), frac_str(Fraction(b, den))]
+                for w, (a, b) in cells.items()
             },
         }
 
@@ -389,13 +385,13 @@ def translate(g: Word, phi: LocallyConstantFunction) -> LocallyConstantFunction:
     """
     if g.is_identity:
         return phi
-    d = phi.depth + len(g)
-    ginv = g.inverse()
-    vals = {
-        u: phi.values[mul(ginv, u).prefix(phi.depth)]
-        for u in phi.group.sphere(d)
-    }
-    return LocallyConstantFunction._of_table(phi.group, d, vals)
+    group, k = phi.group, phi.depth
+    d, ginv, (den, cells) = k + len(g), g.inverse().letters, phi.numerators
+    group.check_budget(DEFAULT_BUDGET, m=d)
+    return LocallyConstantFunction._of_numerators(
+        group, d, den,
+        {u: cells[_product_letters(ginv, u)[:k]] for u in group.iter_sphere_letters(d)},
+    )
 
 
 def random_unit_function(
@@ -417,8 +413,8 @@ def random_unit_function(
         q, s = sum(a * a + b * b for a, b in nums), sum(a for a, _ in nums)
         if q == 0 or s == 0:
             continue
-        vals = {w: GaussianRational(Fraction(q - 2 * s * a, q), Fraction(-2 * s * b, q))
-                for w, (a, b) in zip(cells, nums)}
-        phi = LocallyConstantFunction(group, depth, vals)
+        phi = LocallyConstantFunction._of_numerators(group, depth, q, {
+            w.letters: (q - 2 * s * a, -2 * s * b) for w, (a, b) in zip(cells, nums)
+        })
         assert phi.l2_norm_sq() == 1
         return phi

@@ -571,7 +571,7 @@ def homotopy_projection_check(
     norm_diff = rank_one_difference_norm(
         homotopy_vector(eta1, trunc), homotopy_vector(eta2, trunc)
     )
-    bound = 2.0 * math.sqrt(float(eta1.l2_distance_sq(eta2)))
+    bound = 2.0 * math.sqrt(float((eta1 - eta2).l2_norm_sq()))
     if not norm_diff <= bound + 1e-12:
         raise AssertionError((norm_diff, bound))
     return norm_diff, bound

@@ -473,13 +473,13 @@ def test_summand_is_the_per_h_formula_at_every_h(name, monkeypatch):
     # classes past the cocycle's radius are evaluated on demand
     inp, radius, _ = CLASS_CASES[name]
     translated = []
-    pair_table = chern._pair_table
+    translate_ = chern.translate
 
-    def counted(phi, g, psi):
+    def counted(g, phi):
         translated.append(g)
-        return pair_table(phi, g, psi)
+        return translate_(g, phi)
 
-    monkeypatch.setattr(chern, "_pair_table", counted)
+    monkeypatch.setattr(chern, "translate", counted)
     if inp.group_product != IDENTITY:
         # no pair table is built and no class is evaluated
         cv = cocycle_value(inp, radius)
@@ -494,22 +494,27 @@ def test_summand_is_the_per_h_formula_at_every_h(name, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_pair_table_is_the_product_with_the_translate(seed):
-    # the integer pair table against phi (g.psi) through translate and the
-    # function product, on random tables of depth 1-3 and |g| <= 2
+    # phi (g.psi) on the numerators against Gaussian-rational products of
+    # the values, cell by cell, on random tables of depth 1-3 and |g| <= 2
     rng = random.Random(seed)
     for group in (F2, FreeGroup(3)):
         phi = random_unit_function(group, rng.randint(1, 3), rng)
         psi = random_unit_function(group, rng.randint(1, 3), rng)
         (dp, _), (dq, _) = phi.numerators, psi.numerators
         for g in rng.sample(group.ball(2), 8):
-            pair = chern._pair_table(phi, g, psi)
-            oracle = phi * translate(g, psi)
-            assert (pair.depth, pair.values) == (oracle.depth, oracle.values)
+            pair = phi * translate(g, psi)
+            depth = max(phi.depth, psi.depth + len(g))
+            oracle = {
+                u: phi.values[u.prefix(phi.depth)] * psi.values[mul(g.inverse(), u).prefix(psi.depth)]
+                for u in group.sphere(depth)
+            }
+            assert (pair.depth, list(pair.values.items())) == (depth, list(oracle.items()))
             # over D_phi D_psi, not the lcm of the values' denominators, the
             # expectations that read the table are the same
             assert pair.numerators[0] == dp * dq
+            reduced = LocallyConstantFunction(group, depth, oracle)
             for h in (IDENTITY, g, group.word("aab")):
-                assert expectation(pair, h) == expectation(oracle, h)
+                assert expectation(pair, h) == expectation(reduced, h)
 
 
 def test_summand_evaluates_a_class_past_the_radius_once(monkeypatch):

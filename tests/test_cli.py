@@ -753,6 +753,30 @@ sys.exit(cli.main(["verify-all", "--n", "2", "--R", "2", "--seed", "0", "--out",
     assert digests == VERIFY_ALL_SHA256["--n", 2, "--R", 2]
 
 
+def test_chern_runs_under_the_benchmark_tracer(tmp_path):
+    # the tracer wraps translate and counts the cells of every
+    # LocallyConstantFunction.__init__; the cocycle value's pair tables are
+    # products with translates, so traced, chern still writes its pinned bytes
+    root = Path(__file__).resolve().parent.parent
+    args, *want = REPORT_SHA256["chern oracle 3"]
+    argv = [*map(str, args), *map(str, _dense_inputs(tmp_path)["chern oracle 3"])]
+    script = f"""
+import sys
+sys.path[:0] = [{str(root / "benchmarks")!r}, {str(root / "src")!r}]
+import tracing
+from treeboundary import cli
+tracing.install(tracing.Tracer())
+sys.exit(cli.main({argv!r} + ["--out", {str(tmp_path / "out")!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    digests = [
+        hashlib.sha256((tmp_path / "out" / f"chern.{ext}").read_bytes()).hexdigest()
+        for ext in ("json", "csv")
+    ]
+    assert digests == want
+
+
 def _with_large_value(obj):
     obj["values"]["a"] = ["1e200", "0"]  # sigma^2 near 10^400 has no binary64 value
     return obj
@@ -1189,6 +1213,32 @@ def _deep_terms(tmp_path):
     return terms
 
 
+def _shared_terms(tmp_path):
+    """Degree-3 terms with g = a, A, b, B whose tables, of depths 1, 2, 1, 1,
+    have denominators 4, 6, 9, 12 and 18, which share factors: a product's
+    common denominator D_f D_g is then not the lcm of its values'."""
+    dens = (4, 6, 9, 12, 18)
+
+    def table(depth, shift):
+        cells = F2.iter_sphere_letters(depth)
+        return {"depth": depth, "values": {
+            word_to_str(u): [f"{(7 * i + shift) % 11 - 5}/{dens[(i + shift) % 5]}",
+                             f"{(5 * i + 3 * shift) % 13 - 6}/{dens[(2 * i + shift) % 5]}"]
+            for i, u in enumerate(cells)
+        }}
+
+    terms = tmp_path / "shared_terms.json"
+    terms.write_text(json.dumps({
+        "rank": 2,
+        "degree": 3,
+        "terms": [
+            {"phi": table(depth, shift), "g": g}
+            for depth, shift, g in ((1, 1, "a"), (2, 2, "A"), (1, 3, "b"), (1, 4, "B"))
+        ],
+    }))
+    return terms
+
+
 def _dense_inputs(tmp_path):
     phi = tmp_path / "phi.json"
     phi.write_text(json.dumps({"rank": 2, "depth": 1, "values": DENSE_VALUES[0]}))
@@ -1202,22 +1252,42 @@ def _dense_inputs(tmp_path):
         ],
     }))
     return {
+        "deviation": ["--phi", phi],
         "summability": ["--phi", phi],
         "spectrum": ["--phi", phi],
         "chern": ["--input", terms],
+        "chern oracle 3": ["--input", terms],
         "chern depths 1-4": ["--input", _deep_terms(tmp_path)],
+        "chern shared denominators": ["--input", _shared_terms(tmp_path)],
     }
 
 
 # sha256 of <command>.json and <command>.csv on the inputs above, by input:
 # chern and summability taken before the cocycle summand read products of
 # consecutive arguments and the whole-group series shared one charged solve,
-# spectrum and chern depths 1-4 before the fiber walks were shared by shape
+# spectrum and chern depths 1-4 before the fiber walks were shared by shape,
+# deviation, chern oracle 3 and chern shared denominators before the tables
+# of locally constant functions were kept as integer numerators alone
 REPORT_SHA256 = {
+    "deviation": (
+        ("deviation", "--R", 5),
+        "5e36f61e8f5767f1787f7ebc999c817360ea9221153ac38a950d409765cb5886",
+        "f7df22bd64397b573dfabf08ae70bdf86c9d4a92469ffa8910ed6296ae7c0e1a",
+    ),
     "chern": (
         ("chern", "--radius", 4, "--oracle-R", 5, "--oracle-m", 5),
         "4ce25a704c783959cbc4c8f7bf69fd2f585ad0ffa5fea1ca3ae4827a884cacc5",
         "43d71b9cfc4f7f12832a5b23553cf2f163a157983bb7e10962f05958d8735ad4",
+    ),
+    "chern oracle 3": (
+        ("chern", "--radius", 4, "--oracle-R", 3, "--oracle-m", 3),
+        "56f6d1b879ae9ec35d944d619b2e41b7c7d229c6aecdf84e0323a1e2bfe1db30",
+        "43d71b9cfc4f7f12832a5b23553cf2f163a157983bb7e10962f05958d8735ad4",
+    ),
+    "chern shared denominators": (
+        ("chern", "--radius", 4, "--oracle-R", 3, "--oracle-m", 3),
+        "7fd4319a0ebb582565645feb3ef7c96e7463faca79dbcbb4e2e420589699f846",
+        "7865755a77d7ae7f3a3edc0d343ce6eb9fb501d1b258c183d9de39013fca3704",
     ),
     "summability": (
         ("summability", "--R", 7, "--p", 2, "--p", 3, "--p", 4),

@@ -1,15 +1,17 @@
 """Gaussian-rational scalars and locally constant boundary functions."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeboundary import (
     BoundaryPoint,
+    BudgetError,
     Cylinder,
     FreeGroup,
     GaussianRational,
@@ -21,6 +23,7 @@ from treeboundary import (
     Word,
     boundary_action,
     depth_mass,
+    mul,
     random_unit_function,
     translate,
 )
@@ -99,11 +102,28 @@ def test_unchecked_tables_are_the_checked_ones():
     built = [
         translate(F2.word("aB"), phi), phi.refine(4), phi + psi, -phi, phi * psi,
         phi * GaussianRational(Fraction(2), Fraction(3)), phi.conjugate(),
+        LocallyConstantFunction.indicator(F2, F2.word("aB")),
+        random_unit_function(F2, 2, random.Random(1)),
     ]
     for f in built:
         checked = LocallyConstantFunction(f.group, f.depth, f.values)
         assert list(f.values.items()) == list(checked.values.items())
         assert all(type(v) is GaussianRational for v in f.values.values())
+        den, cells = f.numerators
+        assert den > 0 and list(cells) == list(F2.iter_sphere_letters(f.depth))
+
+
+@pytest.mark.parametrize("letters", [(5,), (0, 5), (-1,)])
+def test_indicator_rejects_letters_outside_the_alphabet(letters):
+    with pytest.raises(ValueError, match="outside alphabet"):
+        LocallyConstantFunction.indicator(F2, Word(letters))
+    with pytest.raises(ValueError, match="outside alphabet"):
+        LocallyConstantFunction.indicator(F2, Cylinder(Word(letters)))
+
+
+def test_indicator_charges_its_sphere_against_the_budget():
+    with pytest.raises(BudgetError):
+        LocallyConstantFunction.indicator(F2, Word((0,) * 20))
 
 
 def test_indicator_partition_of_unity():
@@ -259,22 +279,25 @@ def test_l2_norm_sq_equals_the_fraction_sum(n, depth):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_l2_distance_sq_equals_the_norm_of_the_difference(n):
+    # ||f - g||^2 against the direct sum of |f(u) - g(u)|^2 mu([u]) over the
+    # cells u of the finer depth
     group, rng = FreeGroup(n), random.Random(n)
     for k in range(4):
         for l in range(4):
             f = _random_function(group, k, rng, 0.3)
             g = _random_function(group, l, rng, 0.3)
-            expected = _l2_norm_sq_oracle(f - g)
-            assert f.l2_distance_sq(g) == expected == g.l2_distance_sq(f)
-            assert f.l2_distance_sq(g) == (f - g).l2_norm_sq()
-            assert f.l2_distance_sq(f) == 0
+            d = max(k, l)
+            expected = sum(
+                ((f.eval(u) - g.eval(u)).abs2() * depth_mass(d, group) for u in group.sphere(d)),
+                Fraction(0),
+            )
+            assert (f - g).l2_norm_sq() == expected == (g - f).l2_norm_sq()
+            assert (f - f).l2_norm_sq() == 0
 
 
 def test_l2_distance_sq_rejects_another_group():
     with pytest.raises(ValueError, match="different groups"):
-        LocallyConstantFunction.constant(F2, 1).l2_distance_sq(
-            LocallyConstantFunction.constant(FreeGroup(3), 1)
-        )
+        LocallyConstantFunction.constant(F2, 1) - LocallyConstantFunction.constant(FreeGroup(3), 1)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -288,3 +311,61 @@ def test_random_unit_function_matches_the_fraction_formula(depth):
             F2, depth, old_rng
         )
         assert new_rng.random() == old_rng.random()
+
+
+# parts over denominators that share factors, so that D_f D_g is not
+# lcm(D_f, D_g) and a scale taken from the wrong one shows
+_SHARED = (1, 4, 6, 9)
+_shared_parts = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_SHARED))
+
+
+@st.composite
+def _shared_tables(draw, group):
+    depth = draw(st.integers(0, 3))
+    parts = st.lists(_shared_parts, min_size=2, max_size=2)
+    cells = draw(st.lists(parts, min_size=group.sphere_count(depth),
+                          max_size=group.sphere_count(depth)))
+    values = {w: GaussianRational(re, im) for w, (re, im) in zip(group.sphere(depth), cells)}
+    return LocallyConstantFunction(group, depth, values)
+
+
+@st.composite
+def _algebra_cases(draw):
+    group = draw(st.sampled_from((F2, FreeGroup(3))))
+    f, g = draw(_shared_tables(group)), draw(_shared_tables(group))
+    z = GaussianRational(draw(_shared_parts), draw(_shared_parts))
+    h = draw(st.sampled_from(group.ball(2)))
+    return group, f, g, z, h
+
+
+def _table(phi):
+    return list(phi.values.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_algebra_cases())
+def test_the_integer_algebra_is_the_gaussian_rational_one(case):
+    # every operation on the numerators against Gaussian-rational arithmetic
+    # on the values of its operands, cell by cell at the finer depth
+    group, f, g, z, h = case
+    d = max(f.depth, g.depth)
+    cells = group.sphere(d)
+    assert _table(f + g) == [(u, f.eval(u) + g.eval(u)) for u in cells]
+    assert _table(f - g) == [(u, f.eval(u) - g.eval(u)) for u in cells]
+    assert _table(f * g) == [(u, f.eval(u) * g.eval(u)) for u in cells]
+    assert _table(z * f) == _table(f * z) == [(u, z * v) for u, v in f.values.items()]
+    assert _table(f.conjugate()) == [(u, v.conjugate()) for u, v in f.values.items()]
+    assert _table(f.refine(f.depth + 1)) == [
+        (u, f.eval(u)) for u in group.sphere(f.depth + 1)
+    ]
+    assert _table(translate(h, f)) == [
+        (u, f.eval(mul(h.inverse(), u))) for u in group.sphere(f.depth + len(h))
+    ]
+    # sums stay over the lcm of the operands' denominators, products over
+    # their product
+    (df, _), (dg, _) = f.numerators, g.numerators
+    assert ((f + g).numerators[0], (f * g).numerators[0]) == (math.lcm(df, dg), df * dg)
+    # equality across depths and scales
+    assert (f == g) == all(f.eval(u) == g.eval(u) for u in cells)
+    assert f == f.refine(d + 1) == (f + g) - g == f * 6 * Fraction(1, 6)
+    assert (f == f + LocallyConstantFunction.indicator(group, cells[-1]) * z) == (not z)
