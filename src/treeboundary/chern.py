@@ -43,19 +43,19 @@ Two independent routes to the same number:
   (``staying_h``): |s_i h| = |s_i| + |h| - 2 cpl(s_i^-1, h), so on each
   sphere they are the words that extend one prefix read off the chain, and
   the other h of B_R are counted, not walked.  The points s_i h are built
-  on letter tuples.  The walk of a block's cancellation cylinder (the
-  ``product_runs`` walk and the extensions of unfixed cells) depends on the
-  point only through its shape (``words.fiber_shape``), so it is made
-  once per shape, valued once per shape and function, and kept on the
-  truncation; each further block of that shape is shifted into place, and
-  a point that comes back with another function reads its cylinder from
-  the truncation.  v is constant, so each dot product with v is a sum over
+  on letter tuples.  The walk of a block's cancellation cylinder (one
+  ``product_runs`` walk at depth k + |h|) depends on the point only
+  through its shape (``words.fiber_shape``), so it is made once per shape,
+  valued once per shape and function, and kept on the truncation; each
+  further block of that shape is shifted into place, and a point that
+  comes back with another function reads its cylinder from the
+  truncation.  v is constant, so each dot product with v is a sum over
   the runs of one block and each dot product of two blocks a merge of their
   run ends (``operators.run_sum``, ``operators.run_dot``): a fiber costs
   O(runs), not O(dim_fiber), and no array is built.
   ``trace_oracle_report`` enumerates the staying h of B_R with no budget
   of its own; callers charge B_R and the depth-m sphere against their
-  budget.
+  budget as caps on the truncation, though the oracle enumerates neither.
 
 Both routes read phi_i at s_i h, and they meet one group element at a
 time (``trace_identity``): at every h whose chain stays in B_R on exact

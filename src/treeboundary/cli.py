@@ -444,7 +444,8 @@ def _cmd_chern(s: SimpleNamespace) -> int:
         raise ValueError(f"the trace oracle needs --oracle-R and --oracle-m; {missing} is missing")
     if s.oracle_R is not None:
         trunc = Truncation(group, s.oracle_R, s.oracle_m)
-        # the oracle enumerates B_R and the depth-m sphere
+        # the contract's caps on the truncation B_R x S_m; the oracle itself
+        # walks only the staying h and one cylinder per fiber shape
         group.check_budget(s.budget, R=s.oracle_R)
         group.check_budget(s.budget, m=s.oracle_m)
     value = cocycle_value(inp, s.radius, budget=s.budget)

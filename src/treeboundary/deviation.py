@@ -99,22 +99,29 @@ def _expectation_abs_sq(phi: LocallyConstantFunction, g: Word) -> Fraction:
     return Fraction(sq, den * den * total)
 
 
-def mean_and_deviation_sq(
-    phi: LocallyConstantFunction, g: Word
-) -> tuple[GaussianRational, Fraction]:
-    """E(phi)(g) and sigma^2(phi)(g) from one pass of ``_sums``:
-    sigma^2 = (M sum (a^2 + b^2) c - |sum (a + ib) c|^2) / (D M)^2."""
+def _gap(phi: LocallyConstantFunction, g: Word) -> tuple[int, int, int, int]:
+    """(sum a c, sum b c, M sum (a^2 + b^2) c - |sum (a + ib) c|^2, D M)
+    from one pass of ``_sums``, so that E = (re + i im) / (D M) and sigma^2
+    = gap / (D M)^2; a negative gap raises AssertionError."""
     re, im, sq, den, total = _sums(phi, g)
     gap = sq * total - re * re - im * im
     if gap < 0:
         raise AssertionError(f"negative deviation {Fraction(gap, (den * total) ** 2)} at {g}")
-    den *= total
+    return re, im, gap, den * total
+
+
+def mean_and_deviation_sq(
+    phi: LocallyConstantFunction, g: Word
+) -> tuple[GaussianRational, Fraction]:
+    """E(phi)(g) and sigma^2(phi)(g) from one pass of ``_sums`` (``_gap``)."""
+    re, im, gap, den = _gap(phi, g)
     return GaussianRational(Fraction(re, den), Fraction(im, den)), Fraction(gap, den * den)
 
 
 def deviation_sq(phi: LocallyConstantFunction, g: Word) -> Fraction:
-    """sigma^2(phi)(g) = E(|phi|^2)(g) - |E(phi)(g)|^2."""
-    return mean_and_deviation_sq(phi, g)[1]
+    """sigma^2(phi)(g) = E(|phi|^2)(g) - |E(phi)(g)|^2, with no mean built."""
+    _, _, gap, den = _gap(phi, g)
+    return Fraction(gap, den * den)
 
 
 def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
@@ -125,12 +132,11 @@ def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
     a finite sum over distinct value pairs weighted by their masses.
 
     The cells are counted by that prefix (``FreeGroup.key_counts``, walked
-    once per shape of g); each prefix is then mapped to its value's
-    numerators once.
+    once per shape of g, which charges the depth-(k + |g|) sphere against
+    ``DEFAULT_BUDGET`` when the shape is new); each prefix is then mapped to
+    its value's numerators once.
     """
     group = phi.group
-    d = phi.depth + len(g)
-    group.check_budget(DEFAULT_BUDGET, m=d)
     # values as Gaussian-integer numerators (a, b) over one denominator D
     den, numerators = phi.numerators
     counts: dict[tuple[int, int], int] = {}
@@ -141,7 +147,7 @@ def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
         ((a1 - a2) ** 2 + (b1 - b2) ** 2) * c1 * c2
         for ((a1, b1), c1), ((a2, b2), c2) in combinations(counts.items(), 2)
     )
-    mass = depth_mass(d, group)
+    mass = depth_mass(phi.depth + len(g), group)
     return Fraction(total * mass.numerator**2, (den * mass.denominator) ** 2)
 
 

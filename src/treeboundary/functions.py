@@ -325,6 +325,8 @@ class LocallyConstantFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocallyConstantFunction):
             return NotImplemented
+        if other.group != self.group:  # functions on different boundaries
+            return False
         _, df, dg, cells = self._pair(other)
         return all(a * dg == c * df and b * dg == e * df for (_, (a, b)), (c, e) in cells)
 

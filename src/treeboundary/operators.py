@@ -21,9 +21,10 @@ lambda(g) permutes blocks with zero padding.  Every fiber vector is a list
 of lexicographic runs of cells with one value.  The diagonal block at h is
 read off phi's own table (``fiber_runs``): every cell outside one
 cancellation cylinder has the key h[:k], and inside it the runs of
-``FreeGroup.product_runs`` give each depth-m cylinder c the key
-prefix_k(h c), or the exact average over its extensions where no key is
-fixed; no translated table is built, and P(eta) reads eta as the block at
+``FreeGroup.product_runs``, walked at depth k + |h| where every key
+prefix_k(h c) is fixed, give each depth-m cylinder c the value at its key,
+or, where the walk splits c, the exact average of the runs under c; no
+translated table is built, and P(eta) reads eta as the block at
 the identity.  The runs inside the cylinder depend on h only through its
 shape (``fiber_shape``), so each shape is walked once per truncation
 (``Truncation.walks``), shared by every route that reads it, and its runs
@@ -91,7 +92,8 @@ class Truncation(Frozen):
 
     @cached_property
     def walks(self) -> dict:
-        """``fiber_runs``' memo: each shape's walk, and its runs per function."""
+        """``fiber_runs``' memo: each shape's ``product_runs`` list, and its
+        valued runs per function."""
         return {}
 
     @cached_property
@@ -233,32 +235,55 @@ def fiber_runs(phi: LocallyConstantFunction, h: Word, trunc: Truncation) -> Runs
     ``FreeGroup.cancellation_cylinder(h, k, m)``, k = depth(phi), takes
     phi(h[:k]), so those cells are at most two runs, counted by arithmetic;
     only the cells of [q] are walked, along ``FreeGroup.product_runs(h, k,
-    m, q)``, each run taking phi(prefix_k(h c)).  A cell whose key is not
-    fixed takes the exact average of phi(h .) over its extensions to depth
-    k + |h| (``_extension_average``).  A depth-1 block has at most 2n + 1
-    runs.
+    q)`` at depth k + |h|, where every key is fixed.  A walk run (p, key)
+    with |p| <= m covers ``run_sizes(m)[|p|]`` depth-m cells, each taking
+    phi(key); the walk runs with |p| > m lie in the one depth-m cell p[:m],
+    which takes their exact average: ``run_sizes(k + |h|)[|p|]`` times
+    phi's Gaussian-integer numerators over D ``run_sizes(k + |h|)[m]``, one
+    correctly rounded integer division per part.  A depth-1 block has at
+    most 2n + 1 runs.
 
     The walk of [q] depends on h only through its shape (``fiber_shape``),
     up to a shift by the position of [q].  Each shape is walked once per
-    truncation (``_shape_walk``) and its runs are valued and merged once per
-    function, kept in ``trunc.walks`` with the function.  A point that comes
+    truncation and its runs are valued and merged once per function, both
+    kept in ``trunc.walks``, the function with its runs.  A point that comes
     back with another function of its depth reads [q], its position and its
     shape from ``trunc.cylinders``.
     """
     walks = trunc.walks
-    k, letters = phi.depth, h.letters
+    group, k, letters = trunc.group, phi.depth, h.letters
     cylinder = trunc.cylinders.get((letters, k))
     if cylinder is None:
-        q, start = trunc.group.cancellation_cylinder(h, k, trunc.m)
+        q, start = group.cancellation_cylinder(h, k, trunc.m)
         cylinder = trunc.cylinders[letters, k] = (q, start, fiber_shape(letters, len(q), k))
     q, start, shape = cylinder
     known = walks.get((shape, id(phi)))
     if known is None:
         if shape not in walks:
-            walks[shape] = _shape_walk(h, k, q, trunc)
-        as_complex, inner = phi.letter_complex, []
-        for end, key, ext in walks[shape]:
-            x = as_complex[key] if ext is None else _extension_average(phi, ext)
+            walks[shape] = group.product_runs(h, k, q)
+        runs, m = walks[shape], trunc.m
+        sizes, deep = group.run_sizes(m), group.run_sizes(k + len(h))
+        as_complex, (den, numerators) = phi.letter_complex, phi.numerators
+        inner, end, i = [], 0, 0
+        while i < len(runs):
+            p, key = runs[i]
+            if len(p) <= m:
+                i += 1
+                end += sizes[len(p)]
+                x = as_complex[key]
+            else:
+                # one depth-m cell: the exact average of the runs under it,
+                # each weighted by its cell count at depth k + |h|
+                cell, re, im = p[:m], 0, 0
+                while i < len(runs) and runs[i][0][:m] == cell:
+                    p, key = runs[i]
+                    i += 1
+                    a, b = numerators[key]
+                    re += a * deep[len(p)]
+                    im += b * deep[len(p)]
+                end += 1
+                count = den * deep[m]
+                x = complex(re / count, im / count)
             if inner and _same(x, inner[-1][1]):
                 inner[-1] = (end, x)
             else:
@@ -276,50 +301,6 @@ def fiber_runs(phi: LocallyConstantFunction, h: Word, trunc: Truncation) -> Runs
         else:
             out.append((cells, head))
     return out
-
-
-# the runs under one depth-m cell at depth k + |h|, each as (key, cells in
-# the run), and the number of depth-(k + |h|) cells under the cell
-Extension = tuple[list[tuple[tuple[int, ...], int]], int]
-
-
-def _shape_walk(
-    h: Word, k: int, q: tuple[int, ...], trunc: Truncation
-) -> list[tuple[int, tuple[int, ...] | None, Extension | None]]:
-    """The pieces (end, key, extension) of the cylinder [q] of the fiber at
-    h for a depth-k function, in lexicographic order, before equal values
-    merge, ``end`` counted from the first cell of [q]: the cells up to
-    ``end`` have the table key ``key``, or ``end`` closes one cell whose key
-    is not fixed (key None) and ``extension`` lists its keys at depth
-    k + |h|."""
-    group, m = trunc.group, trunc.m
-    sizes, deep = group.run_sizes(m), group.run_sizes(k + len(h))
-    pieces, end = [], 0
-    for p, key in group.product_runs(h, k, m, q):
-        if key is None:
-            end += 1
-            runs = group.product_runs(h, k, len(deep) - 1, p)
-            pieces.append((end, None, ([(u_key, deep[len(u)]) for u, u_key in runs], deep[m])))
-        else:
-            end += sizes[len(p)]
-            pieces.append((end, key, None))
-    return pieces
-
-
-def _extension_average(phi: LocallyConstantFunction, extension: Extension) -> complex:
-    """The exact average of phi(h .) over one depth-m cell, from the runs
-    under it at depth k + |h|, where every key is fixed, as integer cell
-    counts times phi's Gaussian-integer numerators; each part is one
-    correctly rounded integer division."""
-    den, numerators = phi.numerators
-    runs, cells = extension
-    re = im = 0
-    for key, n in runs:
-        a, b = numerators[key]
-        re += a * n
-        im += b * n
-    count = den * cells
-    return complex(re / count, im / count)
 
 
 def expand_runs(runs: Runs) -> np.ndarray:

@@ -13,9 +13,10 @@ Words serialize as strings over ``a..z`` (generators) and ``A..Z``
 ``FreeGroup.prefix_classes`` walks a sphere by classes of a common depth-k
 prefix, the unit that deviation profiles and cocycle sums are built from.
 ``FreeGroup.product_runs`` is the one walk of the tree action on cells: it
-splits the depth-m cells c into lexicographic runs that share the key
-prefix_k(h c), which operator fibers and the pair-sum deviation read.  It
-need only walk one cylinder: every cell outside the cancellation cylinder
+splits the depth-(k + |h|) cells c, the depth at which every key is fixed,
+into lexicographic runs that share the key prefix_k(h c), which operator
+fibers and the pair-sum deviation read.  It need only walk one cylinder:
+every cell outside the cancellation cylinder
 ``FreeGroup.cancellation_cylinder`` has the key h[:k], so those cells are
 one or two intervals counted by arithmetic.
 
@@ -356,36 +357,34 @@ class FreeGroup(Frozen):
         return q, self.lex_rank(q) * self.run_sizes(m)[t]
 
     def product_runs(
-        self, h: Word, k: int, m: int, prefix: tuple[int, ...] = ()
-    ) -> list[tuple[tuple[int, ...], tuple[int, ...] | None]]:
-        """The depth-m cells c that extend ``prefix``, lexicographic, in runs
-        (p, key): the ``run_sizes(m)[len(p)]`` cells that extend p all have
-        key = prefix_k(h c).
+        self, h: Word, k: int, prefix: tuple[int, ...] = ()
+    ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The depth-(k + |h|) cells c that extend ``prefix``, lexicographic,
+        in runs (p, key): the ``run_sizes(k + |h|)[len(p)]`` cells that
+        extend p all have key = prefix_k(h c).
 
         The letters of c that cancel against h are the common prefix of
-        h^-1 and c, of length j; then h c = h[:|h|-j] + c[j:], and the key
-        depends on c only through j and c[j : j + max(0, k - (|h| - j))],
-        so the walk down the prefix tree stops as soon as p fixes both.  A
-        cell whose key is not fixed (k >= 1 and all of c cancels, or
-        |h c| < k) is its own run, with key None; at m = k + |h| no such
-        cell exists.
+        h^-1 and c, of length j <= |h|; then h c = h[:|h|-j] + c[j:], and
+        the key depends on c only through j and c[j : j + max(0, k - (|h| -
+        j))], so the walk down the prefix tree stops as soon as p fixes both.
+        At depth k + |h| every key is fixed: |h c| >= k, and for k >= 1 some
+        letter of c is left after the cancellation.
         """
         a = h.letters
         ainv = tuple(x ^ 1 for x in reversed(a))
         L = len(a)
+        if len(prefix) > k + L:
+            return []
         follow, letters = self.follow, range(2 * self.n)
-        out: list[tuple[tuple[int, ...], tuple[int, ...] | None]] = []
+        out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
         def walk(p: tuple[int, ...], j: int | None) -> None:
             # j is None while p still agrees with h^-1, so the
             # cancellation length is not fixed yet
             t = len(p)
-            if j is None and t == min(L, m):
+            if j is None and t == L:
                 j = t
             if j is not None:
-                if (j == m and k > 0) or L + m - 2 * j < k:
-                    out.extend((c, None) for c in self.iter_sphere_letters(m, p))
-                    return
                 end = j + max(0, k - (L - j))
                 if t >= end:
                     out.append((p, (a[: L - j] + p[j:end])[:k]))
@@ -393,25 +392,29 @@ class FreeGroup(Frozen):
             for y in follow[p[-1]] if p else letters:
                 walk(p + (y,), j if j is not None or y == ainv[t] else t)
 
-        if len(prefix) <= m:
-            i = common_prefix_len(ainv, prefix)
-            walk(prefix, None if i == len(prefix) else i)
+        i = common_prefix_len(ainv, prefix)
+        walk(prefix, None if i == len(prefix) else i)
         return out
 
     def key_counts(self, h: Word, k: int) -> dict[tuple[int, ...], int]:
         """The depth-(k + |h|) cells c counted by key prefix_k(h c): those
         outside the cancellation cylinder [q] (key h[:k]) by arithmetic,
         those of [q] along ``product_runs``, once per shape of h (kept in
-        ``shape_counts``, whose dict is returned)."""
-        d = k + len(h)
-        q, _ = self.cancellation_cylinder(h, k, d)
-        shape = fiber_shape(h.letters, len(q), k)
+        ``shape_counts``, whose dict is returned).  The shape needs only the
+        length of q, max(0, min(|h| - k + 1, |h|)); q is built, and the
+        depth-(k + |h|) sphere charged against ``DEFAULT_BUDGET``, only when
+        the shape is new."""
+        L = len(h)
+        shape = fiber_shape(h.letters, max(0, min(L - k + 1, L)), k)
         counts = self.shape_counts.get(shape)
         if counts is None:
+            d = k + L
+            self.check_budget(DEFAULT_BUDGET, m=d)
+            q, _ = self.cancellation_cylinder(h, k, d)
             sizes = self.run_sizes(d)
             outside = sizes[0] - sizes[len(q)]
             counts = {h.letters[:k]: outside} if outside else {}
-            for p, key in self.product_runs(h, k, d, q):
+            for p, key in self.product_runs(h, k, q):
                 counts[key] = counts.get(key, 0) + sizes[len(p)]
             self.shape_counts[shape] = counts
         return counts

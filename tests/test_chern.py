@@ -633,13 +633,13 @@ def test_oracle_walks_each_fiber_shape_once(monkeypatch):
     # the benchmark's terms at (5, 5) read 644 blocks at 323 distinct
     # (point, depth), of 19 shapes
     walks = []
-    walk = operators._shape_walk
+    walk = FreeGroup.product_runs
 
-    def counted(h, k, q, trunc):
+    def counted(self, h, k, prefix=()):
         walks.append((h, k))
-        return walk(h, k, q, trunc)
+        return walk(self, h, k, prefix)
 
-    monkeypatch.setattr(operators, "_shape_walk", counted)
+    monkeypatch.setattr(FreeGroup, "product_runs", counted)
     trace_oracle_report(CocycleInput(3, BENCHMARK_TERMS), Truncation(F2, 5, 5))
     assert len(walks) <= 19
 

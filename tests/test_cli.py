@@ -777,6 +777,29 @@ sys.exit(cli.main({argv!r} + ["--out", {str(tmp_path / "out")!r}]))
     assert digests == want
 
 
+def test_spectrum_runs_under_the_benchmark_tracer(tmp_path):
+    # the tracer wraps verify_pi_identity and commutator_singular_values,
+    # which read the fiber runs; traced, spectrum still writes its pinned bytes
+    root = Path(__file__).resolve().parent.parent
+    args, *want = REPORT_SHA256["spectrum"]
+    argv = [*map(str, args), *map(str, _dense_inputs(tmp_path)["spectrum"])]
+    script = f"""
+import sys
+sys.path[:0] = [{str(root / "benchmarks")!r}, {str(root / "src")!r}]
+import tracing
+from treeboundary import cli
+tracing.install(tracing.Tracer())
+sys.exit(cli.main({argv!r} + ["--out", {str(tmp_path / "out")!r}]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    digests = [
+        hashlib.sha256((tmp_path / "out" / f"spectrum.{ext}").read_bytes()).hexdigest()
+        for ext in ("json", "csv")
+    ]
+    assert digests == want
+
+
 def _with_large_value(obj):
     obj["values"]["a"] = ["1e200", "0"]  # sigma^2 near 10^400 has no binary64 value
     return obj
@@ -1190,8 +1213,8 @@ DENSE_VALUES = [
 def _deep_terms(tmp_path):
     """Degree-3 terms with g = a, A, b, B and functions of depths 2, 4, 1, 2:
     at --oracle-R 3 --oracle-m 6 the depth-4 term's blocks at the points
-    A h of length 3 hold cells whose key is not fixed (extension averages),
-    and the depth-2 and depth-4 terms have blocks whose cancellation
+    A h of length 3 hold depth-6 cells that the depth-7 walk splits (exact
+    averages of the runs under them), and the depth-2 and depth-4 terms have blocks whose cancellation
     cylinder is the whole fiber (t = 0)."""
     def table(depth, shift):
         cells = F2.iter_sphere_letters(depth)

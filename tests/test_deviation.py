@@ -98,6 +98,34 @@ def test_deviation_identity_random_depth2(vals, gi):
     assert deviation_sq(phi, g) == deviation_sq_pairsum(phi, g)
 
 
+def test_pairsum_charges_its_depth_before_walking(monkeypatch):
+    # F26 at |g| = 5 on a depth-1 function: the depth-6 sphere holds
+    # 52 * 51^5 cells, past the default budget, so the pair sum raises
+    # before it walks; a shape met again reads the memo, charged once
+    from treeboundary import BudgetError
+
+    F26 = FreeGroup(26)
+    walks = []
+    walk = FreeGroup.product_runs
+
+    def counted(self, h, k, prefix=()):
+        walks.append((h, k))
+        return walk(self, h, k, prefix)
+
+    monkeypatch.setattr(FreeGroup, "product_runs", counted)
+    phi = LocallyConstantFunction.indicator(F26, F26.word("a"))
+    with pytest.raises(BudgetError):
+        deviation_sq_pairsum(phi, F26.word("abcde"))
+    assert walks == [] and F26.shape_counts == {}
+    g = F26.word("abc")  # depth 4: 52 * 51^3 cells, inside the budget
+    assert deviation_sq_pairsum(phi, g) == deviation_sq(phi, g)
+    assert len(walks) == 1
+    charges = []
+    monkeypatch.setattr(FreeGroup, "check_budget", lambda *args, **kw: charges.append(args))
+    assert deviation_sq_pairsum(phi, F26.word("abc")) == deviation_sq(phi, g)
+    assert (len(walks), charges) == (1, [])
+
+
 def test_deviation_invariant_under_inverse_direction():
     # sigma^2 depends on g through g^-1's action; check a != A symmetry holds
     # only where the geometry forces it: |g| is what the envelope sees.

@@ -225,6 +225,18 @@ def test_cross_group_operations_rejected():
         ia2 + ia3
 
 
+def test_functions_over_different_groups_are_unequal():
+    # equal values on different boundaries: == is False, not an error, while
+    # the algebra still rejects the pair
+    F3 = FreeGroup(3)
+    one2, one3 = LocallyConstantFunction.constant(F2, 1), LocallyConstantFunction.constant(F3, 1)
+    assert not one2 == one3 and one2 != one3 and not one3 == one2
+    assert one2 == LocallyConstantFunction.constant(F2, 1)
+    for op in ("__add__", "__sub__", "__mul__"):
+        with pytest.raises(ValueError, match="different groups"):
+            getattr(one2, op)(one3)
+
+
 # The Fraction formulas that the integer routes replaced, kept here as
 # oracles: Sum |v|^2 mu cell by cell, and the unit function built from
 # Fraction draws and Fraction masses.

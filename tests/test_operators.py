@@ -353,24 +353,17 @@ def _same_runs(a, b):
     )
 
 
-def _shared_walk_mismatches(monkeypatch, group, radius, depths):
+def _shared_walk_mismatches(group, radius, depths):
     """Read every block of B_radius for two complex functions of each depth
     and every m from 1 to depth + radius through one shared truncation per
     (depth, m), and compare each with ``fiber_runs`` on a fresh truncation.
     Return the mismatched (depth, m, h), and the numbers of blocks read with
-    t = 0 and with extension cells."""
+    t = 0 and with extended cells: blocks whose walk has a run longer than
+    m, so that a depth-m cell takes the average of the runs under it."""
     rng = random.Random(group.n)
     values = [
         QQ_ZERO, GaussianRational(Fraction(1)), GaussianRational(Fraction(1, 3), Fraction(-2, 7))
     ]
-    averages = []
-    average = operators._extension_average
-
-    def counted(phi, extension):
-        averages.append(extension)
-        return average(phi, extension)
-
-    monkeypatch.setattr(operators, "_extension_average", counted)
     bad, whole, extended = [], 0, 0
     for depth in depths:
         cells = group.sphere(depth)
@@ -383,17 +376,18 @@ def _shared_walk_mismatches(monkeypatch, group, radius, depths):
             for h in group.iter_ball(radius):
                 whole += not group.cancellation_cylinder(h, depth, m)[0]
                 for phi in phis:
-                    before = len(averages)
-                    fresh = operators.fiber_runs(phi, h, Truncation(group, 0, m))
-                    extended += len(averages) > before
+                    trunc = Truncation(group, 0, m)
+                    fresh = operators.fiber_runs(phi, h, trunc)
+                    (_, _, shape), = trunc.cylinders.values()
+                    extended += any(len(p) > m for p, _ in trunc.walks[shape])
                     if not _same_runs(operators.fiber_runs(phi, h, shared), fresh):
                         bad.append((depth, m, h))
     return bad, whole, extended
 
 
 @pytest.mark.parametrize("group, radius", [(F2, 4), (FreeGroup(3), 3)], ids=["F2", "F3"])
-def test_shared_shape_walks_give_the_fresh_walk_runs(group, radius, monkeypatch):
-    bad, whole, extended = _shared_walk_mismatches(monkeypatch, group, radius, range(4))
+def test_shared_shape_walks_give_the_fresh_walk_runs(group, radius):
+    bad, whole, extended = _shared_walk_mismatches(group, radius, range(4))
     assert bad == []
     assert whole > 0 and extended > 0
 
@@ -408,7 +402,7 @@ def test_shared_shape_walks_give_the_fresh_walk_runs(group, radius, monkeypatch)
 )
 def test_shared_shape_walks_fail_with_a_shape_short_of_a_part(shape, monkeypatch):
     monkeypatch.setattr(operators, "fiber_shape", shape)
-    assert _shared_walk_mismatches(monkeypatch, F2, 3, (1, 2))[0]
+    assert _shared_walk_mismatches(F2, 3, (1, 2))[0]
 
 
 def test_pi_identity_has_teeth(t12, monkeypatch):
@@ -435,13 +429,13 @@ def test_pi_and_commutator_routes_share_the_truncation_walks(monkeypatch):
     # the spectrum report's two routes on one truncation walk its 9 fiber
     # shapes once, not once per route
     walks = []
-    walk = operators._shape_walk
+    walk = FreeGroup.product_runs
 
-    def counted(h, k, q, trunc):
+    def counted(self, h, k, prefix=()):
         walks.append((h, k))
-        return walk(h, k, q, trunc)
+        return walk(self, h, k, prefix)
 
-    monkeypatch.setattr(operators, "_shape_walk", counted)
+    monkeypatch.setattr(FreeGroup, "product_runs", counted)
     trunc = Truncation(F2, 2, 3)
     verify_pi_identity(DENSE, trunc)
     assert len(walks) == 9
