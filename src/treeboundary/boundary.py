@@ -42,7 +42,6 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .words import (
-    DEFAULT_BUDGET,
     FreeGroup,
     Frozen,
     IDENTITY,
@@ -298,7 +297,7 @@ def pushforward_table(g: Word, depth: int, group: FreeGroup) -> tuple[int, list[
     """M and the weight c_l of each depth-k cell in lexicographic order,
     (g_*mu)([w]) = c_l / M: c_0 everywhere, then the block of the cells
     that extend g[:l] overwritten with c_l for l = 1, 2, ...."""
-    group.check_budget(DEFAULT_BUDGET, m=depth)
+    group.check_budget(m=depth)
     total, weights = pushforward_weights(len(g), depth, group)
     sizes = group.run_sizes(depth)
     table = [weights[0]] * sizes[0]

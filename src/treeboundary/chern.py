@@ -53,9 +53,9 @@ Two independent routes to the same number:
   the runs of one block and each dot product of two blocks a merge of their
   run ends (``operators.run_sum``, ``operators.run_dot``): a fiber costs
   O(runs), not O(dim_fiber), and no array is built.
-  ``trace_oracle_report`` enumerates the staying h of B_R with no budget
-  of its own; callers charge B_R and the depth-m sphere against their
-  budget as caps on the truncation, though the oracle enumerates neither.
+  ``trace_oracle_report`` enumerates the staying h of B_R and charges
+  nothing; the ``chern`` command caps |B_R| and |S_m| against the group's
+  budget, though the oracle enumerates neither.
 
 Both routes read phi_i at s_i h, and they meet one group element at a
 time (``trace_identity``): at every h whose chain stays in B_R on exact
@@ -90,9 +90,7 @@ from .operators import (
     run_sum,
 )
 from .summability import group_sum
-from .words import (
-    DEFAULT_BUDGET, IDENTITY, FreeGroup, Frozen, Word, common_prefix_len, mul, reduced_word,
-)
+from .words import IDENTITY, FreeGroup, Frozen, Word, common_prefix_len, mul, reduced_word
 
 # the per-h identity's tolerance per fiber cell, relative to
 # prod_i ||phi_i||_sup, which bounds both sides.  The gap on exact blocks is
@@ -160,8 +158,8 @@ class CocycleValue:
     None), and every sum is exactly 0.
     """
 
-    def __init__(self, inp: CocycleInput, radius: int, budget: int = DEFAULT_BUDGET):
-        self.group, self.degree, self.radius, self.budget = inp.group, inp.degree, radius, budget
+    def __init__(self, inp: CocycleInput, radius: int):
+        self.group, self.degree, self.radius = inp.group, inp.degree, radius
         self.sign = 1 if ((inp.degree + 1) // 2) % 2 == 0 else -1
         self.classes: dict[tuple[tuple[int, ...], int], tuple[int, int, int]] = {}
         self.spheres: list[GaussianRational] = []  # the exact sphere sums, m = 0..radius
@@ -173,7 +171,7 @@ class CocycleValue:
                 for i, (phi, g) in enumerate(inp.terms)
             ]
             self.depth = max(phi.depth + len(s) for phi, s in zip(self.phis, self.suffixes))
-            self.group.check_class_budget(budget, self.depth, 0, radius, by_length=True)
+            self.group.check_class_budget(self.depth, 0, radius, by_length=True)
             self.spheres = [self.sphere(m) for m in range(radius + 1)]
         self.exact_partial = sum(self.spheres, QQ_ZERO)
         self.value = self.exact_partial.to_complex()
@@ -244,12 +242,11 @@ class CocycleValue:
         if self.pairs is None:
             return QQ_ZERO
         return group_sum(
-            self.sphere, self.group, self.depth, self.radius,
-            (self.degree - 1) // 2, self.degree, self.budget,
+            self.sphere, self.group, self.depth, self.radius, (self.degree - 1) // 2, self.degree
         )
 
 
-def cocycle_value(inp: CocycleInput, radius: int, budget: int = DEFAULT_BUDGET) -> CocycleValue:
+def cocycle_value(inp: CocycleInput, radius: int) -> CocycleValue:
     """Exact partial sum over B_radius; the exact total over the group is
     ``total``, computed on first access.
 
@@ -257,7 +254,7 @@ def cocycle_value(inp: CocycleInput, radius: int, budget: int = DEFAULT_BUDGET) 
     class sums are exact, so the result equals the sum over every h.  Each
     class is charged m times at sphere m, as its arithmetic grows with m.
     """
-    return CocycleValue(inp, radius, budget)
+    return CocycleValue(inp, radius)
 
 
 # ----------------------------------------------------------------------

@@ -282,11 +282,11 @@ def _table(obj: Any, group: FreeGroup, where: str) -> LocallyConstantFunction:
 def _function(settings: SimpleNamespace) -> tuple[LocallyConstantFunction, str]:
     """The --phi function and its label; without --phi, the indicator of [a]."""
     if settings.phi is None:
-        group = FreeGroup(2 if settings.rank is None else settings.rank)
+        group = FreeGroup(2 if settings.rank is None else settings.rank, settings.budget)
         return LocallyConstantFunction.indicator(group, Word((0,))), "indicator_a"
     where = f"function file {settings.phi}"
     obj = _read_json(settings.phi, "function")
-    group = FreeGroup(_file_setting(settings, "rank", obj, 2, where))
+    group = FreeGroup(_file_setting(settings, "rank", obj, 2, where), settings.budget)
     return _table(obj, group, where), Path(settings.phi).stem
 
 
@@ -301,7 +301,7 @@ def _cocycle_input(settings: SimpleNamespace) -> CocycleInput:
     entries = obj.get("terms")
     if not (isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries)):
         raise ValueError(f"{where} needs a non-empty 'terms' list of objects")
-    group = FreeGroup(_file_setting(settings, "rank", obj, 2, where))
+    group = FreeGroup(_file_setting(settings, "rank", obj, 2, where), settings.budget)
     degree = _file_setting(settings, "degree", obj, len(entries) - 1, where)
     terms = []
     for i, entry in enumerate(entries):
@@ -320,8 +320,8 @@ def _cocycle_input(settings: SimpleNamespace) -> CocycleInput:
 
 
 def _cmd_growth(s: SimpleNamespace) -> int:
-    group = FreeGroup(s.rank)
-    group.check_budget(s.budget, R=s.radius)
+    group = FreeGroup(s.rank, s.budget)
+    group.check_budget(R=s.radius)
     # one walk of each sphere's letter tuples, counted; row r enumerates
     # the spheres up to r
     rows = []
@@ -348,8 +348,8 @@ def _cmd_deviation(s: SimpleNamespace) -> int:
     if s.phi is None:
         raise ValueError("deviation needs --phi FILE")
     phi, label = _function(s)
-    phi.group.check_budget(s.budget, R=s.radius)  # the writers expand every row of B_R
-    profile = DeviationProfile.compute(phi, s.radius, label=label, budget=s.budget)
+    phi.group.check_budget(R=s.radius)  # the writers expand every row of B_R
+    profile = DeviationProfile.compute(phi, s.radius, label=label)
     out = _out_dir(s)
     with (out / "deviation.json").open("w") as fp:
         profile.write_json(fp, rank=phi.group.n)
@@ -364,8 +364,8 @@ def _cmd_summability(s: SimpleNamespace) -> int:
     phi, label = _function(s)
     group = phi.group
     vs = VisualStructure(group, s.epsilon)
-    group.check_class_budget(s.budget, phi.depth, 0, s.radius, by_length=True)
-    profile = DeviationProfile.compute(phi, s.radius, label=label, budget=s.budget)
+    group.check_class_budget(phi.depth, 0, s.radius, by_length=True)
+    profile = DeviationProfile.compute(phi, s.radius, label=label)
     reports = [lp_report(profile, p, vs) for p in s.p]
     surrogate = dplus_surrogate_check(group, vs, s.radius)
     obj = {
@@ -402,7 +402,7 @@ def _cmd_spectrum(s: SimpleNamespace) -> int:
     vs = VisualStructure(group, s.epsilon)
     level = phi.depth + s.radius if s.m is None else s.m
     trunc = Truncation(group, s.radius, level)
-    trunc.check_dense_budget(s.budget)
+    group.check_budget(R=s.radius, m=level)  # caps the dim singular values written
     report = verify_pi_identity(phi, trunc)
     values = commutator_singular_values(phi, trunc)
     match = match_deviation_table(phi, trunc, values)
@@ -446,9 +446,9 @@ def _cmd_chern(s: SimpleNamespace) -> int:
         trunc = Truncation(group, s.oracle_R, s.oracle_m)
         # the contract's caps on the truncation B_R x S_m; the oracle itself
         # walks only the staying h and one cylinder per fiber shape
-        group.check_budget(s.budget, R=s.oracle_R)
-        group.check_budget(s.budget, m=s.oracle_m)
-    value = cocycle_value(inp, s.radius, budget=s.budget)
+        group.check_budget(R=s.oracle_R)
+        group.check_budget(m=s.oracle_m)
+    value = cocycle_value(inp, s.radius)
     total = value.total
     spheres = [(m, float_str(math.sqrt(float(z.abs2())))) for m, z in enumerate(value.spheres)]
     report = {
@@ -507,7 +507,7 @@ def _check_powers(group: FreeGroup, length: int, s: SimpleNamespace) -> None:
     versions before 3.10.7 do not have.  The depth's sphere budget is
     checked first, so a huge ``--depth`` is named as such.
     """
-    group.check_budget(s.budget, m=s.depth)
+    group.check_budget(m=s.depth)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     exponent = s.max_power * length + s.depth - 1
     if limit and exponent > (limit - math.log10(2 * group.n)) / math.log10(2 * group.n - 1):
@@ -520,7 +520,7 @@ def _check_powers(group: FreeGroup, length: int, s: SimpleNamespace) -> None:
 
 
 def _cmd_furstenberg(s: SimpleNamespace) -> int:
-    group = FreeGroup(s.rank)
+    group = FreeGroup(s.rank, s.budget)
     g = group.word(s.g)
     if g.is_identity:
         raise ValueError("the driving element must not be the identity")
@@ -547,16 +547,9 @@ def _cmd_furstenberg(s: SimpleNamespace) -> int:
 
 
 def _cmd_verify_all(s: SimpleNamespace) -> int:
-    group = FreeGroup(s.rank)
+    group = FreeGroup(s.rank, s.budget)
     vs = VisualStructure(group, s.epsilon)
-    ctx = VerifyContext(
-        group=group,
-        vs=vs,
-        radius=s.radius,
-        seed=s.seed,
-        tol_scale=s.tol_scale,
-        budget=s.budget,
-    )
+    ctx = VerifyContext(group=group, vs=vs, radius=s.radius, seed=s.seed, tol_scale=s.tol_scale)
     results = run_all(ctx)
     ok = all(r.ok for r in results)
     obj = {

@@ -56,7 +56,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import IO, Callable, Iterator, NamedTuple
 
-from .words import DEFAULT_BUDGET, FreeGroup, Word, word_to_str
+from .words import FreeGroup, Word, word_to_str
 from .boundary import depth_mass, pushforward_weights
 from .functions import GaussianRational, LocallyConstantFunction, frac_str
 
@@ -133,7 +133,7 @@ def deviation_sq_pairsum(phi: LocallyConstantFunction, g: Word) -> Fraction:
 
     The cells are counted by that prefix (``FreeGroup.key_counts``, walked
     once per shape of g, which charges the depth-(k + |g|) sphere against
-    ``DEFAULT_BUDGET`` when the shape is new); each prefix is then mapped to
+    the group's budget when the shape is new); each prefix is then mapped to
     its value's numerators once.
     """
     group = phi.group
@@ -241,13 +241,11 @@ class DeviationProfile:
         radius: int,
         phi: LocallyConstantFunction,
         spheres: list[list[ProfileClass]],
-        budget: int = DEFAULT_BUDGET,  # the budget the classes were charged against
     ):
         self.phi_label = phi_label
         self.radius = radius
         self.phi = phi
         self.spheres = spheres
-        self.budget = budget
         self.beyond: dict[int, list[ProfileClass]] = {}  # the spheres read past the radius
         self.totals: dict[int, Fraction | None] = {}  # the even-p sums over the group
 
@@ -257,17 +255,16 @@ class DeviationProfile:
         phi: LocallyConstantFunction,
         radius: int,
         label: str = "phi",
-        budget: int = DEFAULT_BUDGET,
     ) -> "DeviationProfile":
         """One evaluation per prefix class of each sphere of B_radius.
 
-        The budget caps the number of classes evaluated, here and by the
-        sums over the whole group that read the profile; no element of the
-        ball is enumerated here, so |B_R| is charged only by the callers
+        The group's budget caps the number of classes evaluated, here and by
+        the sums over the whole group that read the profile; no element of
+        the ball is enumerated here, so |B_R| is charged only by the callers
         that expand the rows (the ``deviation`` writers).
         """
-        phi.group.check_class_budget(budget, phi.depth, 0, radius)
-        return cls(label, radius, phi, [sphere_classes(phi, m) for m in range(radius + 1)], budget)
+        phi.group.check_class_budget(phi.depth, 0, radius)
+        return cls(label, radius, phi, [sphere_classes(phi, m) for m in range(radius + 1)])
 
     @property
     def group(self) -> FreeGroup:

@@ -24,8 +24,7 @@ from functools import cached_property
 from typing import Mapping, Union
 
 from .words import (
-    DEFAULT_BUDGET, FreeGroup, Frozen, Word, _product_letters, reduced_word, word_from_str,
-    word_to_str,
+    FreeGroup, Frozen, Word, _product_letters, reduced_word, word_from_str, word_to_str,
 )
 from .boundary import BoundaryPoint, Cylinder
 
@@ -267,7 +266,7 @@ class LocallyConstantFunction:
             raise ValueError("cannot refine to a coarser level")
         if depth == self.depth:
             return self
-        self.group.check_budget(DEFAULT_BUDGET, m=depth)
+        self.group.check_budget(m=depth)
         k, (den, cells) = self.depth, self.numerators
         return self._of_numerators(
             self.group, depth, den, {u: cells[u[:k]] for u in self.group.iter_sphere_letters(depth)}
@@ -389,7 +388,7 @@ def translate(g: Word, phi: LocallyConstantFunction) -> LocallyConstantFunction:
         return phi
     group, k = phi.group, phi.depth
     d, ginv, (den, cells) = k + len(g), g.inverse().letters, phi.numerators
-    group.check_budget(DEFAULT_BUDGET, m=d)
+    group.check_budget(m=d)
     return LocallyConstantFunction._of_numerators(
         group, d, den,
         {u: cells[_product_letters(ginv, u)[:k]] for u in group.iter_sphere_letters(d)},

@@ -44,9 +44,10 @@ exact deviation table can still fail.  No route here needs numpy.
 and of the fiber runs), ``fiber_projection`` and the constructors
 ``projection_P``, ``rep_function``, ``rep_group``, ``rep_crossed`` and
 ``homotopy_projection``, which materialize dense complex binary64 dim x dim
-matrices guarded by ``check_dense_budget`` against ``OPERATOR_BUDGET``, are
-a small test oracle: they import numpy in their own bodies, and no route
-here calls them.  Everything is single-threaded.
+matrices guarded by ``check_dense_budget`` against the fixed
+``OPERATOR_BUDGET``, whatever the group's budget, are a small test oracle:
+they import numpy in their own bodies, and no route here calls them.
+Everything is single-threaded.
 """
 
 from __future__ import annotations
@@ -114,9 +115,10 @@ class Truncation(Frozen):
     def dim(self) -> int:
         return self.dim_group * self.dim_fiber
 
-    def check_dense_budget(self, budget: int = OPERATOR_BUDGET) -> None:
-        """Cap dim = |B_R| |S_m|: a dense operator's size, or the values spectrum writes."""
-        self.group.check_budget(budget, R=self.R, m=self.m)
+    def check_dense_budget(self) -> None:
+        """Cap a dense test oracle's size dim = |B_R| |S_m| at ``OPERATOR_BUDGET``,
+        whatever the group's budget."""
+        FreeGroup(self.group.n, OPERATOR_BUDGET).check_budget(R=self.R, m=self.m)
 
     def window_exact(self, depth: int) -> bool:
         return depth + self.R <= self.m

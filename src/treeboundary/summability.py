@@ -82,16 +82,15 @@ def group_sum(
     radius: int,
     lo: int,
     hi: int,
-    budget: int,
 ) -> T | None:
     """``sphere_series`` over ``group`` (q = 2n - 1) from K = max(depth, 1),
     where ``sphere`` has spheres 0..``radius`` summed already, after
-    charging the classes it evaluates against ``budget``: the depth-K
+    charging the classes it evaluates against the group's budget: the depth-K
     classes of spheres min(radius + 1, K)..K+J, J = hi - lo + 1, that is
     the head spheres past the radius, the J solving spheres and the check
     sphere."""
     K = max(depth, 1)
-    group.check_class_budget(budget, K, min(radius + 1, K), K + hi - lo + 1)
+    group.check_class_budget(K, min(radius + 1, K), K + hi - lo + 1)
     return sphere_series(sphere, 2 * group.n - 1, K, lo, hi)
 
 
@@ -158,11 +157,11 @@ def _sphere_sum(classes: Sequence[ProfileClass], p: float) -> float:
 def _even_total(profile: DeviationProfile, p: int) -> Fraction | None:
     """The exact sum of sigma^p over the group, p even, once per profile and
     kept in ``profile.totals``: powers p/2 - 1 .. p - 1 past depth(phi),
-    charged against the profile's budget."""
+    charged against the group's budget."""
     if p not in profile.totals:
         profile.totals[p] = group_sum(
             lambda m: exact_sphere_sum(profile.sphere(m), p // 2),
-            profile.group, profile.phi.depth, profile.radius, p // 2 - 1, p - 1, profile.budget,
+            profile.group, profile.phi.depth, profile.radius, p // 2 - 1, p - 1
         )
     return profile.totals[p]
 

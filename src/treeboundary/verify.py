@@ -59,7 +59,6 @@ from .summability import (
     summability_threshold,
 )
 from .words import (
-    DEFAULT_BUDGET,
     IDENTITY,
     BudgetError,
     FreeGroup,
@@ -73,18 +72,13 @@ from .words import (
 
 
 class VerifyContext(Frozen):
+    """The checks' settings; ``group`` carries the budget that every check
+    charges."""
+
     def __init__(
-        self,
-        group: FreeGroup,
-        vs: VisualStructure,
-        radius: int,
-        seed: int,
-        tol_scale: float,
-        budget: int = DEFAULT_BUDGET,
+        self, group: FreeGroup, vs: VisualStructure, radius: int, seed: int, tol_scale: float
     ):
-        self.__dict__.update(
-            group=group, vs=vs, radius=radius, seed=seed, tol_scale=tol_scale, budget=budget
-        )
+        self.__dict__.update(group=group, vs=vs, radius=radius, seed=seed, tol_scale=tol_scale)
 
 
 class CheckResult:
@@ -117,24 +111,17 @@ def _indicators(group: FreeGroup) -> list[LocallyConstantFunction]:
     ]
 
 
-def _charge(ctx: VerifyContext, count: int, unit: str) -> None:
-    """Charge a check's work before it enumerates anything (exit 3).  The
-    measure checks have |B_2| (|S_1| + |S_2|) = |B_2| (|B_2| - 1) cases."""
-    if count > ctx.budget:
-        raise BudgetError(count, ctx.budget, f"{count} {unit} exceed budget {ctx.budget}")
-
-
 @_check("growth-closed-form")
 def _growth(ctx: VerifyContext) -> tuple[bool, str]:
     rmax = max(ctx.radius, 4)
-    groups = [FreeGroup(n) for n in (2, 3)]
+    groups = [FreeGroup(n, ctx.group.budget) for n in (2, 3)]
     # |B_r| grows with r and n, so the largest ball of each rank is charged
     # before any ball is enumerated
     for group in groups:
-        group.check_budget(ctx.budget, R=rmax)
+        group.check_budget(R=rmax)
     for group in groups:
         for r in range(rmax + 1):
-            if len(group.ball(r, budget=ctx.budget)) != group.growth_count(r):
+            if len(group.ball(r)) != group.growth_count(r):
                 return False, f"ball enumeration mismatch at n={group.n}, R={r}"
     return True, f"enumerated balls match the closed form for n=2,3 up to R={rmax}"
 
@@ -146,8 +133,8 @@ def _hyperbolicity(ctx: VerifyContext) -> tuple[bool, str]:
     the pair (x, y) fails iff S_t(x) & S_t(y) != 0, with t = G[x][y] + 1 and
     S_t(x) the bit set {z : G[x][z] >= t}, and the lowest set bit names the
     first failing z in (x, y, z) order."""
-    _charge(ctx, ctx.group.growth_count(2) ** 2, "Gromov pairs")
-    ball = ctx.group.ball(2, budget=ctx.budget)
+    ctx.group.charge(ctx.group.growth_count(2) ** 2, "Gromov pairs")
+    ball = ctx.group.ball(2)
     letters = [x.letters for x in ball]
     # row x of G as bytes; reversed, each value >= t read as a 1, it is S_t(x)
     rows = [bytes(map(gromov_inverse, repeat(x.inverse().letters), letters)) for x in ball]
@@ -165,7 +152,8 @@ def _hyperbolicity(ctx: VerifyContext) -> tuple[bool, str]:
 @_check("measure-partition")
 def _measure(ctx: VerifyContext) -> tuple[bool, str]:
     group = ctx.group
-    _charge(ctx, group.growth_count(2) * (group.growth_count(2) - 1), "(g, w) cases")
+    # |B_2| (|S_1| + |S_2|) = |B_2| (|B_2| - 1) cases, charged before any is built
+    group.charge(group.growth_count(2) * (group.growth_count(2) - 1), "(g, w) cases")
     masses = {}
     for depth in range(1, 4):
         level = {w.letters: cylinder_measure(Cylinder(w), group) for w in group.sphere(depth)}
@@ -193,7 +181,7 @@ def _preimage(ctx: VerifyContext) -> tuple[bool, str]:
     verdict of testing all pairs for disjointness), and their mass,
     sum q^(D - |p|) over 2n q^(D-1), must be c_l / M, q = 2n - 1."""
     group = ctx.group
-    _charge(ctx, group.growth_count(2) * (group.growth_count(2) - 1), "(g, w) cases")
+    group.charge(group.growth_count(2) * (group.growth_count(2) - 1), "(g, w) cases")
     q, deep = 2 * group.n - 1, 4  # |g| + |w|, the deepest piece
     den = 2 * group.n * q ** (deep - 1)
     scaled = [den] + [q ** (deep - d) for d in range(1, deep + 1)]  # den * mu of a depth-d piece
@@ -240,7 +228,7 @@ def _envelope(ctx: VerifyContext) -> tuple[bool, str]:
     rmax = max(ctx.radius, 4)
     worst = 0.0
     for phi in (_indicators(group)[0], _indicators(group)[0] * QQ_I + _indicators(group)[1]):
-        profile = DeviationProfile.compute(phi, rmax, budget=ctx.budget)
+        profile = DeviationProfile.compute(phi, rmax)
         for m, s in enumerate(profile.sphere_max_sq()):
             bound = sigma_envelope(phi, m) ** 2
             if float(s) > bound:
@@ -287,7 +275,7 @@ def _summability(ctx: VerifyContext) -> tuple[bool, str]:
     vs = ctx.vs
     phi = _indicators(group)[0]
     radius = max(ctx.radius, 5)
-    profile = DeviationProfile.compute(phi, radius, budget=ctx.budget)
+    profile = DeviationProfile.compute(phi, radius)
     above = lp_report(profile, 3.0, vs)
     limit = (2 * group.n - 1) ** -0.5 + 0.1
     tail = above.tail_ratios[2:]
@@ -418,7 +406,7 @@ def _chern(ctx: VerifyContext) -> tuple[bool, str]:
 
     off = [(ind[0], a), (ind[1], e), (ind[0], e), (ind[1], e)]
     for name, terms in (("identical-argument", [(ind[0], e)] * 4), ("nontrivial-product", off)):
-        cv = chern_mod.cocycle_value(chern_mod.CocycleInput(3, terms), 3, budget=ctx.budget)
+        cv = chern_mod.cocycle_value(chern_mod.CocycleInput(3, terms), 3)
         if cv.exact_partial or cv.total:
             return False, f"{name} cocycle: partial sum or total not exactly 0"
 
@@ -426,7 +414,7 @@ def _chern(ctx: VerifyContext) -> tuple[bool, str]:
     terms = [(ind[0], a), (ind[2], A), (ind[1], b), (ind[3], B)]
     nonzero = chern_mod.CocycleInput(3, terms)
     report = chern_mod.trace_oracle_report(nonzero, trunc)
-    value = chern_mod.cocycle_value(nonzero, 2, budget=ctx.budget)
+    value = chern_mod.cocycle_value(nonzero, 2)
     identity = chern_mod.trace_identity(nonzero, trunc, value, report)
     if not identity.compared:
         return False, "no group element has an exact chain to compare"

@@ -37,14 +37,14 @@ class BudgetError(Exception):
     """An enumeration would exceed the configured element budget; see
     ``FreeGroup.check_budget`` for ``requested`` past its cutoff."""
 
-    def __init__(self, requested: int, budget: int, message: str | None = None):
+    def __init__(self, requested: int, limit: int, message: str | None = None):
         # a count past 1000 bits is named by its binary order, so that the
         # message never meets the int-to-str digit limit
         bits = requested.bit_length()
         count = requested if bits <= 1000 else f"more than 2^{bits - 1}"
-        super().__init__(message or f"enumeration of {count} elements exceeds budget {budget}")
+        super().__init__(message or f"enumeration of {count} elements exceeds budget {limit}")
         self.requested = requested
-        self.budget = budget
+        self.budget = limit
 
 
 class Frozen:
@@ -218,15 +218,17 @@ def word_from_str(s: str, n: int | None = None) -> Word:
 
 
 class FreeGroup(Frozen):
-    """Rank and alphabet bookkeeping for F_n, n >= 2.
+    """Rank and alphabet bookkeeping for F_n, n >= 2, and the run's budget.
 
     The rank is capped at 26 so that the a..z serialization is total.
+    ``budget`` is the one cap on a run's work, which every charge reads;
+    equality and hashing read the rank alone.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, budget: int = DEFAULT_BUDGET):
         if not isinstance(n, int) or not (2 <= n <= 26):
             raise ValueError(f"rank must be an integer in 2..26, got {n}")
-        self.__dict__.update(n=n, shape_counts={})  # the memo of ``key_counts``
+        self.__dict__.update(n=n, budget=budget, shape_counts={})  # the memo of ``key_counts``
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -273,8 +275,13 @@ class FreeGroup(Frozen):
         depth-t prefix, for t = 0 .. m."""
         return tuple(self.sphere_count(m) // self.sphere_count(t) for t in range(m + 1))
 
-    def check_budget(self, budget: int, R: int | None = None, m: int | None = None) -> None:
-        """Raise BudgetError if |B_R| * |S_m| exceeds ``budget``; a factor
+    def charge(self, count: int, unit: str) -> None:
+        """Raise BudgetError if ``count`` units of work exceed the budget."""
+        if count > self.budget:
+            raise BudgetError(count, self.budget, f"{count} {unit} exceed budget {self.budget}")
+
+    def check_budget(self, R: int | None = None, m: int | None = None) -> None:
+        """Raise BudgetError if |B_R| * |S_m| exceeds the budget; a factor
         whose radius is None is left out.
 
         The count is at least (2n-1)^(R+m) >= 3^(R+m).  So once R + m
@@ -285,14 +292,14 @@ class FreeGroup(Frozen):
         radii = [r for r in (R, m) if r is not None]
         if any(r < 0 for r in radii):
             raise ValueError("negative radius")
-        cutoff = budget.bit_length() + 1000
+        cutoff = self.budget.bit_length() + 1000
         if sum(radii) >= cutoff:
-            raise BudgetError(1 << cutoff, budget)
+            raise BudgetError(1 << cutoff, self.budget)
         count = 1 if R is None else self.growth_count(R)
         if m is not None:
             count *= self.sphere_count(m)
-        if count > budget:
-            raise BudgetError(count, budget)
+        if count > self.budget:
+            raise BudgetError(count, self.budget)
 
     def prefix_class_count(self, R: int, k: int) -> int:
         """The number of prefix classes (prefix_k g, |g|) in B_R: sum over
@@ -300,24 +307,21 @@ class FreeGroup(Frozen):
         t = min(R, k)
         return self.growth_count(t) + (R - t) * self.sphere_count(t)
 
-    def check_class_budget(
-        self, budget: int, k: int, first: int, last: int, by_length: bool = False
-    ) -> None:
-        """Raise BudgetError if spheres ``first`` .. ``last`` hold more than
-        ``budget`` prefix classes of depth k: the classes that a profile or
-        a series evaluates, once each.  With ``by_length`` a class at sphere
-        m also counts m times, for its O(m)-digit arithmetic."""
+    def check_class_budget(self, k: int, first: int, last: int, by_length: bool = False) -> None:
+        """Raise BudgetError if spheres ``first`` .. ``last`` hold more
+        prefix classes of depth k than the budget: the classes that a
+        profile or a series evaluates, once each.  With ``by_length`` a
+        class at sphere m also counts m times, for its O(m)-digit
+        arithmetic."""
         classes = self.prefix_class_count(last, k)
         if first:
             classes -= self.prefix_class_count(first - 1, k)
-        if classes > budget:
-            raise BudgetError(classes, budget, f"{classes} prefix classes exceed budget {budget}")
+        self.charge(classes, "prefix classes")
         if by_length:  # each sphere past t holds |S_t| classes
             t, lo = min(last, k), max(first, min(last, k) + 1)
             radii = sum(m * self.sphere_count(m) for m in range(first, t + 1))
             radii += self.sphere_count(t) * (last * (last + 1) - lo * (lo - 1)) // 2
-            if radii > budget:
-                raise BudgetError(radii, budget, f"{radii} class sphere radii exceed budget {budget}")
+            self.charge(radii, "class sphere radii")
 
     def prefix_classes(self, m: int, k: int) -> Iterator[tuple[tuple[int, ...], Word, int]]:
         """The classes of sphere m under g ~ g' iff prefix_k g = prefix_k g',
@@ -402,14 +406,14 @@ class FreeGroup(Frozen):
         those of [q] along ``product_runs``, once per shape of h (kept in
         ``shape_counts``, whose dict is returned).  The shape needs only the
         length of q, max(0, min(|h| - k + 1, |h|)); q is built, and the
-        depth-(k + |h|) sphere charged against ``DEFAULT_BUDGET``, only when
-        the shape is new."""
+        depth-(k + |h|) sphere charged against the budget, only when the
+        shape is new."""
         L = len(h)
         shape = fiber_shape(h.letters, max(0, min(L - k + 1, L)), k)
         counts = self.shape_counts.get(shape)
         if counts is None:
             d = k + L
-            self.check_budget(DEFAULT_BUDGET, m=d)
+            self.check_budget(m=d)
             q, _ = self.cancellation_cylinder(h, k, d)
             sizes = self.run_sizes(d)
             outside = sizes[0] - sizes[len(q)]
@@ -451,8 +455,8 @@ class FreeGroup(Frozen):
         """All reduced words of length m, lexicographic."""
         yield from map(reduced_word, self.iter_sphere_letters(m))
 
-    def sphere(self, m: int, budget: int = DEFAULT_BUDGET) -> list[Word]:
-        self.check_budget(budget, m=m)
+    def sphere(self, m: int) -> list[Word]:
+        self.check_budget(m=m)
         words = list(self.iter_sphere(m))
         assert len(words) == self.sphere_count(m)
         return words
@@ -461,6 +465,6 @@ class FreeGroup(Frozen):
         for m in range(R + 1):
             yield from self.iter_sphere(m)
 
-    def ball(self, R: int, budget: int = DEFAULT_BUDGET) -> list[Word]:
-        self.check_budget(budget, R=R)
+    def ball(self, R: int) -> list[Word]:
+        self.check_budget(R=R)
         return list(self.iter_ball(R))

@@ -1210,6 +1210,23 @@ DENSE_VALUES = [
 ]
 
 
+def test_chern_charges_its_translations_against_the_budget(tmp_path, capsys):
+    # the dense depth-1 tables times a^9, A^9, b, B: the first pair table
+    # translates a depth-1 table by a^9, a depth-10 table of 4 x 3^9 cells,
+    # charged against --budget before it is built
+    terms = tmp_path / "terms.json"
+    terms.write_text(json.dumps({"rank": 2, "degree": 3, "terms": [
+        {"phi": {"depth": 1, "values": values}, "g": g}
+        for values, g in zip(DENSE_VALUES, ("a" * 9, "A" * 9, "b", "B"))
+    ]}))
+    argv = ["chern", "--input", terms, "--radius", 0, "--budget", 100, "--out", tmp_path / "out"]
+    start = time.perf_counter()
+    assert run_cli(argv) == 3
+    assert time.perf_counter() - start < 0.3
+    assert "enumeration of 78732 elements exceeds budget 100" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _deep_terms(tmp_path):
     """Degree-3 terms with g = a, A, b, B and functions of depths 2, 4, 1, 2:
     at --oracle-R 3 --oracle-m 6 the depth-4 term's blocks at the points

@@ -468,9 +468,13 @@ def test_profile_budget():
     # the budget charges the 1 + 9 x 4 = 37 prefix classes of B_9, not
     # the 14,581 elements that no profile enumerates
     assert F2.prefix_class_count(9, 1) == 37
-    assert sum(len(s) for s in DeviationProfile.compute(IA, 9, budget=37).spheres) == 37
+
+    def ia(budget):
+        return LocallyConstantFunction.indicator(FreeGroup(2, budget), F2.word("a"))
+
+    assert sum(len(s) for s in DeviationProfile.compute(ia(37), 9).spheres) == 37
     with pytest.raises(BudgetError, match="37 prefix classes"):
-        DeviationProfile.compute(IA, 9, budget=36)
+        DeviationProfile.compute(ia(36), 9)
     # a depth-3 function: 1 + 4 + 12 + 36 x 7 classes at radius 9
     assert F2.prefix_class_count(9, 3) == 269 == sum(
         F2.sphere_count(min(m, 3)) for m in range(10)
@@ -490,10 +494,13 @@ def test_class_budget_by_length_counts_each_class_by_its_sphere(group):
             for last in range(first, 9):
                 classes = sum(group.sphere_count(min(m, k)) for m in range(first, last + 1))
                 radii = sum(m * group.sphere_count(min(m, k)) for m in range(first, last + 1))
-                group.check_class_budget(max(classes, radii), k, first, last, by_length=True)
+                capped = FreeGroup(group.n, max(classes, radii))
+                capped.check_class_budget(k, first, last, by_length=True)
                 if radii > classes:
                     with pytest.raises(BudgetError, match=f"^{radii} class sphere radii exceed"):
-                        group.check_class_budget(radii - 1, k, first, last, by_length=True)
+                        FreeGroup(group.n, radii - 1).check_class_budget(
+                            k, first, last, by_length=True
+                        )
 
 # a label that JSON must escape: a quote, a backslash and a non-ASCII letter
 ODD_LABEL = 'we"ird\\lab\u00e9l'

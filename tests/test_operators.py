@@ -64,9 +64,10 @@ def test_dimensions(t23, t12):
 
 
 def test_dense_budget_guard(t23):
+    # a dense oracle past OPERATOR_BUDGET = 6000: dim = |B_3| |S_5| = 53 x 324
     with pytest.raises(BudgetError) as err:
-        t23.check_dense_budget(100)
-    assert err.value.requested == 612
+        projection_P(Truncation(F2, 3, 5))
+    assert err.value.requested == 17172
     # block-wise paths ignore the dense budget
     values = commutator_singular_values(IA, t23)
     assert len(values) == 612

@@ -202,6 +202,11 @@ PHI_F2 = LocallyConstantFunction.from_json_obj(
 )
 
 
+def with_budget(phi, budget):
+    """``phi`` over a group of its rank that carries ``budget``."""
+    return LocallyConstantFunction(FreeGroup(phi.group.n, budget), phi.depth, phi.values)
+
+
 def _sigma_p(profile, m, half):
     """The exact sum of sigma^(2 half) over sphere m."""
     return sum((c.multiplicity * c.deviation_sq**half for c in profile.sphere(m)), Fraction(0))
@@ -209,7 +214,7 @@ def _sigma_p(profile, m, half):
 
 def test_even_p_total_is_the_limit_of_the_partial_sums():
     total = lp_report(DeviationProfile.compute(PHI_F2, 4), 4.0, VS2).total
-    deep = DeviationProfile.compute(PHI_F2, 40, budget=10**20)
+    deep = DeviationProfile.compute(with_budget(PHI_F2, 10**20), 40)
     report = lp_report(deep, 4.0, VS2)
     assert report.total == total
     assert float(total) == report.partial_sum == pytest.approx(0.96933314264895, abs=1e-14)
@@ -238,7 +243,7 @@ def test_even_total_charges_its_series_classes(tmp_path, capsys):
     # check on 7, 3 x |S_5| = 972 classes, charged before any is evaluated
     phi = random_unit_function(F2, 5, random.Random(0))
     with pytest.raises(BudgetError, match="972 prefix classes exceed budget 971"):
-        lp_report(DeviationProfile.compute(phi, 4, budget=971), 2.0, VS2)
+        lp_report(DeviationProfile.compute(with_budget(phi, 971), 4), 2.0, VS2)
     obj = phi.to_json_obj()
     obj["rank"] = 2
     path = tmp_path / "phi.json"
@@ -253,8 +258,8 @@ def test_even_total_charges_the_head_spheres_past_the_radius(monkeypatch):
     # radius, another |S_5| = 324: all 4,212 are charged, and evaluated
     phi = random_unit_function(F2, 6, random.Random(0))
     with pytest.raises(BudgetError, match="4212 prefix classes exceed budget 3888"):
-        lp_report(DeviationProfile.compute(phi, 4, budget=3888), 4.0, VS2)
-    profile = DeviationProfile.compute(phi, 4, budget=4212)
+        lp_report(DeviationProfile.compute(with_budget(phi, 3888), 4), 4.0, VS2)
+    profile = DeviationProfile.compute(with_budget(phi, 4212), 4)
     calls = []
     evaluate = deviation.mean_and_deviation_sq
 
@@ -273,8 +278,8 @@ def test_even_totals_at_several_p_read_each_series_sphere_once(monkeypatch):
     # depth 6, R = 4: p = 2 reads spheres 6..8 (2,916 classes) and diverges
     # before its head sphere; p = 4 then needs spheres 5..9, of which only
     # sphere 5 (324) and sphere 9 (972) are new: 4,212 in all, not 7,128
-    phi = random_unit_function(F2, 6, random.Random(0))
-    profile = DeviationProfile.compute(phi, 4, budget=4212)
+    phi = with_budget(random_unit_function(F2, 6, random.Random(0)), 4212)
+    profile = DeviationProfile.compute(phi, 4)
     calls = []
     evaluate = deviation.mean_and_deviation_sq
 
@@ -288,7 +293,7 @@ def test_even_totals_at_several_p_read_each_series_sphere_once(monkeypatch):
     report = lp_report(profile, 4.0, VS2)
     assert len(calls) == 4212 == len(set(calls))
     # the kept spheres give the total of a fresh profile
-    assert report.total == lp_report(DeviationProfile.compute(phi, 4, budget=4212), 4.0, VS2).total
+    assert report.total == lp_report(DeviationProfile.compute(phi, 4), 4.0, VS2).total
 
 
 def test_even_totals_live_and_die_with_their_profile(monkeypatch):

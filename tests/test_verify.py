@@ -9,7 +9,6 @@ import pytest
 from treeboundary import operators, verify
 from treeboundary.deviation import ProfileClass
 from treeboundary import (
-    DEFAULT_BUDGET,
     BudgetError,
     FreeGroup,
     VerifyContext,
@@ -31,7 +30,6 @@ def make_ctx(**overrides):
         radius=2,
         seed=0,
         tol_scale=1.0,
-        budget=DEFAULT_BUDGET,
     )
     base.update(overrides)
     return VerifyContext(**base)
@@ -85,7 +83,7 @@ def test_details_are_reproducible_text(serial_results):
 def test_growth_charges_its_largest_balls_before_enumerating(monkeypatch):
     # |B_10| is 118,097 for F2 and 14,648,437 for F3, past the default
     # budget: the check must say so before it enumerates any ball
-    def ball(self, R, budget=DEFAULT_BUDGET):
+    def ball(self, R):
         raise AssertionError(f"enumerated B_{R} of F{self.n}")
 
     monkeypatch.setattr(FreeGroup, "ball", ball)
@@ -352,5 +350,6 @@ def test_costly_checks_charge_the_budget_before_enumerating(monkeypatch, check, 
     ctx = make_ctx(group=group, vs=VisualStructure(group))
     with pytest.raises(Enumerated):
         check(ctx)
+    group = FreeGroup(26, 7_000_000)
     with pytest.raises(BudgetError, match=f"^{re.escape(message)}$"):
-        check(make_ctx(group=group, vs=VisualStructure(group), budget=7_000_000))
+        check(make_ctx(group=group, vs=VisualStructure(group)))

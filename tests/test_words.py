@@ -188,33 +188,34 @@ def test_lex_rank_is_the_position_in_the_sphere(group):
 
 def test_budget_check_never_builds_a_count_far_past_the_budget():
     # |B_R| |S_m| on the edge of the budget keeps its exact count
-    F2.check_budget(F2.growth_count(3) * F2.sphere_count(2), R=3, m=2)
+    edge = F2.growth_count(3) * F2.sphere_count(2)
+    FreeGroup(2, edge).check_budget(R=3, m=2)
     with pytest.raises(BudgetError) as err:
-        F2.check_budget(F2.growth_count(3) * F2.sphere_count(2) - 1, R=3, m=2)
+        FreeGroup(2, edge - 1).check_budget(R=3, m=2)
     assert err.value.requested == F2.growth_count(3) * F2.sphere_count(2)
     # a count past 2^1024 with b = budget.bit_length() = 24: exact count up
     # to the cutoff R + m = 1024, a power of two past it
     with pytest.raises(BudgetError) as err:
-        F2.check_budget(10**7, R=1000, m=23)
+        FreeGroup(2, 10**7).check_budget(R=1000, m=23)
     assert err.value.requested == F2.growth_count(1000) * F2.sphere_count(23)
     with pytest.raises(BudgetError) as err:
-        F2.check_budget(10**7, R=10**100, m=1)
+        FreeGroup(2, 10**7).check_budget(R=10**100, m=1)
     assert err.value.requested == 2**1024
     assert "more than 2^1024 elements" in str(err.value)
     with pytest.raises(ValueError):
-        F2.check_budget(10**7, m=-1)
+        FreeGroup(2, 10**7).check_budget(m=-1)
 
 
 def test_sphere_budget_enforced():
     with pytest.raises(BudgetError) as err:
-        F2.sphere(10, budget=100)
+        FreeGroup(2, budget=100).sphere(10)
     assert err.value.requested == F2.sphere_count(10)
     assert err.value.budget == 100
 
 
 def test_ball_budget_enforced():
     with pytest.raises(BudgetError):
-        F2.ball(10, budget=1000)
+        FreeGroup(2, budget=1000).ball(10)
 
 
 def test_gromov_product_is_common_prefix_exhaustive_b3():
