@@ -54,8 +54,8 @@ Two independent routes to the same number:
   run ends (``operators.run_sum``, ``operators.run_dot``): a fiber costs
   O(runs), not O(dim_fiber), and no array is built.
   ``trace_oracle_report`` enumerates the staying h of B_R and charges
-  nothing; the ``chern`` command caps |B_R| and |S_m| against the group's
-  budget, though the oracle enumerates neither.
+  nothing itself; its ``Truncation`` charged |B_R| and |S_m| when it was
+  built.
 
 Both routes read phi_i at s_i h, and they meet one group element at a
 time (``trace_identity``): at every h whose chain stays in B_R on exact
@@ -171,7 +171,7 @@ class CocycleValue:
                 for i, (phi, g) in enumerate(inp.terms)
             ]
             self.depth = max(phi.depth + len(s) for phi, s in zip(self.phis, self.suffixes))
-            self.group.check_class_budget(self.depth, 0, radius, by_length=True)
+            self.group.check_class_budget(self.depth, 0, radius)
             self.spheres = [self.sphere(m) for m in range(radius + 1)]
         self.exact_partial = sum(self.spheres, QQ_ZERO)
         self.value = self.exact_partial.to_complex()
@@ -236,8 +236,8 @@ class CocycleValue:
         (degree + 1)/2 covariances, polynomials in x = (2n-1)^-m with no
         constant term: powers (degree - 1)/2 .. degree of x, J of them, and
         only degree 1, whose summands vanish, has x^0.  The classes of the
-        spheres past the radius that the series reads, up to K+J, are
-        charged against the budget first.
+        spheres past the radius that the series reads, up to K+J, and their
+        sphere radii are charged against the budget first.
         """
         if self.pairs is None:
             return QQ_ZERO

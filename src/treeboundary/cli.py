@@ -364,7 +364,6 @@ def _cmd_summability(s: SimpleNamespace) -> int:
     phi, label = _function(s)
     group = phi.group
     vs = VisualStructure(group, s.epsilon)
-    group.check_class_budget(phi.depth, 0, s.radius, by_length=True)
     profile = DeviationProfile.compute(phi, s.radius, label=label)
     reports = [lp_report(profile, p, vs) for p in s.p]
     surrogate = dplus_surrogate_check(group, vs, s.radius)
@@ -402,7 +401,6 @@ def _cmd_spectrum(s: SimpleNamespace) -> int:
     vs = VisualStructure(group, s.epsilon)
     level = phi.depth + s.radius if s.m is None else s.m
     trunc = Truncation(group, s.radius, level)
-    group.check_budget(R=s.radius, m=level)  # caps the dim singular values written
     report = verify_pi_identity(phi, trunc)
     values = commutator_singular_values(phi, trunc)
     match = match_deviation_table(phi, trunc, values)
@@ -444,10 +442,6 @@ def _cmd_chern(s: SimpleNamespace) -> int:
         raise ValueError(f"the trace oracle needs --oracle-R and --oracle-m; {missing} is missing")
     if s.oracle_R is not None:
         trunc = Truncation(group, s.oracle_R, s.oracle_m)
-        # the contract's caps on the truncation B_R x S_m; the oracle itself
-        # walks only the staying h and one cylinder per fiber shape
-        group.check_budget(R=s.oracle_R)
-        group.check_budget(m=s.oracle_m)
     value = cocycle_value(inp, s.radius)
     total = value.total
     spheres = [(m, float_str(math.sqrt(float(z.abs2())))) for m, z in enumerate(value.spheres)]
@@ -524,7 +518,10 @@ def _cmd_furstenberg(s: SimpleNamespace) -> int:
     g = group.word(s.g)
     if g.is_identity:
         raise ValueError("the driving element must not be the identity")
-    omega = BoundaryPoint(IDENTITY, g)  # checks that g is cyclically reduced
+    try:
+        omega = BoundaryPoint(IDENTITY, g)
+    except ValueError:  # g's last letter inverts its first, so g g cancels
+        raise ValueError(f"--g {s.g} must be cyclically reduced") from None
     _check_powers(group, len(g), s)
     rows = []
     for m in range(1, s.max_power + 1):

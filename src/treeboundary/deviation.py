@@ -258,10 +258,10 @@ class DeviationProfile:
     ) -> "DeviationProfile":
         """One evaluation per prefix class of each sphere of B_radius.
 
-        The group's budget caps the number of classes evaluated, here and by
-        the sums over the whole group that read the profile; no element of
-        the ball is enumerated here, so |B_R| is charged only by the callers
-        that expand the rows (the ``deviation`` writers).
+        The group's budget is charged the classes and their sphere radii,
+        here and by the sums over the whole group that read the profile; no
+        element of the ball is enumerated here, so |B_R| is charged only by
+        the callers that expand the rows (the ``deviation`` writers).
         """
         phi.group.check_class_budget(phi.depth, 0, radius)
         return cls(label, radius, phi, [sphere_classes(phi, m) for m in range(radius + 1)])

@@ -341,12 +341,6 @@ class LocallyConstantFunction:
     def sup_norm(self) -> float:
         return float(self.sup_norm_sq()) ** 0.5
 
-    def integral(self) -> GaussianRational:
-        den, cells = self.numerators
-        den *= self.group.sphere_count(self.depth)
-        return GaussianRational(Fraction(sum(a for a, _ in cells.values()), den),
-                                Fraction(sum(b for _, b in cells.values()), den))
-
     def l2_norm_sq(self) -> Fraction:
         den, cells = self.numerators
         total = sum(a * a + b * b for a, b in cells.values())

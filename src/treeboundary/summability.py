@@ -85,10 +85,10 @@ def group_sum(
 ) -> T | None:
     """``sphere_series`` over ``group`` (q = 2n - 1) from K = max(depth, 1),
     where ``sphere`` has spheres 0..``radius`` summed already, after
-    charging the classes it evaluates against the group's budget: the depth-K
-    classes of spheres min(radius + 1, K)..K+J, J = hi - lo + 1, that is
-    the head spheres past the radius, the J solving spheres and the check
-    sphere."""
+    charging the classes it evaluates, and their sphere radii, against the
+    group's budget: the depth-K classes of spheres min(radius + 1, K)..K+J,
+    J = hi - lo + 1, that is the head spheres past the radius, the J
+    solving spheres and the check sphere."""
     K = max(depth, 1)
     group.check_class_budget(K, min(radius + 1, K), K + hi - lo + 1)
     return sphere_series(sphere, 2 * group.n - 1, K, lo, hi)

@@ -307,21 +307,20 @@ class FreeGroup(Frozen):
         t = min(R, k)
         return self.growth_count(t) + (R - t) * self.sphere_count(t)
 
-    def check_class_budget(self, k: int, first: int, last: int, by_length: bool = False) -> None:
-        """Raise BudgetError if spheres ``first`` .. ``last`` hold more
-        prefix classes of depth k than the budget: the classes that a
-        profile or a series evaluates, once each.  With ``by_length`` a
-        class at sphere m also counts m times, for its O(m)-digit
-        arithmetic."""
+    def check_class_budget(self, k: int, first: int, last: int) -> None:
+        """Charge the prefix classes of depth k on spheres ``first`` ..
+        ``last``, the classes that a profile or a series evaluates once
+        each, and then their sphere radii, sum of m |S_min(m,k)|: a class
+        at sphere m costs O(m)-digit arithmetic."""
         classes = self.prefix_class_count(last, k)
         if first:
             classes -= self.prefix_class_count(first - 1, k)
         self.charge(classes, "prefix classes")
-        if by_length:  # each sphere past t holds |S_t| classes
-            t, lo = min(last, k), max(first, min(last, k) + 1)
-            radii = sum(m * self.sphere_count(m) for m in range(first, t + 1))
-            radii += self.sphere_count(t) * (last * (last + 1) - lo * (lo - 1)) // 2
-            self.charge(radii, "class sphere radii")
+        # each sphere past t holds |S_t| classes
+        t, lo = min(last, k), max(first, min(last, k) + 1)
+        radii = sum(m * self.sphere_count(m) for m in range(first, t + 1))
+        radii += self.sphere_count(t) * (last * (last + 1) - lo * (lo - 1)) // 2
+        self.charge(radii, "class sphere radii")
 
     def prefix_classes(self, m: int, k: int) -> Iterator[tuple[tuple[int, ...], Word, int]]:
         """The classes of sphere m under g ~ g' iff prefix_k g = prefix_k g',

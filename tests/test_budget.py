@@ -110,3 +110,19 @@ def test_only_the_group_takes_a_budget():
         if isinstance(n, ast.Assign) and [t.id for t in n.targets] == ["_COMMON"]
     ]
     assert len(uses) == 1 and uses[0] in set(ast.walk(common[0]))
+
+
+def test_the_cli_charges_only_its_own_loops_and_writers():
+    # every other charge sits in the library routine that does the work:
+    # the truncation, the profile, the cocycle value and the group sum
+    charges = {"check_budget", "check_class_budget", "charge"}
+    callers = {
+        scope
+        for scope, node in _scopes(ast.parse((SRC / "cli.py").read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in charges
+    }
+    assert callers == {"_cmd_growth", "_cmd_deviation", "_check_powers"}
+    # one rule per unit: a class is always charged with its sphere radius
+    assert [path.name for path in SRC.glob("*.py") if "by_length" in path.read_text()] == []

@@ -729,14 +729,19 @@ def test_series_budget_charges_its_classes():
     from treeboundary import BudgetError
 
     # K = 2 and powers 1..3: spheres 2..5, 4 x |S_2| = 48 classes past
-    # radius 1; at radius 0 the head sphere 1 adds its |S_1| = 4 classes
+    # radius 1, at radii 12 (2 + 3 + 4 + 5) = 168; at radius 0 the head
+    # sphere 1 adds its |S_1| = 4 classes at radius 1: 52 and 172
     inp = CocycleInput(3, REGRESSION_TERMS)
     with pytest.raises(BudgetError, match="48 prefix classes exceed budget 47"):
         cocycle_value(with_budget(inp, 47), 1).total
-    assert cocycle_value(with_budget(inp, 48), 1).total == GaussianRational(Fraction(1, 72))
+    with pytest.raises(BudgetError, match="168 class sphere radii exceed budget 167"):
+        cocycle_value(with_budget(inp, 167), 1).total
+    assert cocycle_value(with_budget(inp, 168), 1).total == GaussianRational(Fraction(1, 72))
     with pytest.raises(BudgetError, match="52 prefix classes exceed budget 51"):
         cocycle_value(with_budget(inp, 51), 0).total
-    assert cocycle_value(with_budget(inp, 52), 0).total == GaussianRational(Fraction(1, 72))
+    with pytest.raises(BudgetError, match="172 class sphere radii exceed budget 171"):
+        cocycle_value(with_budget(inp, 171), 0).total
+    assert cocycle_value(with_budget(inp, 172), 0).total == GaussianRational(Fraction(1, 72))
 
 
 def _perturbed(monkeypatch):

@@ -256,6 +256,15 @@ def test_furstenberg_rejects_identity(tmp_path):
     assert run_cli(["furstenberg", "--g", "1", "--out", tmp_path]) == 2
 
 
+def test_furstenberg_names_a_g_that_is_not_cyclically_reduced(tmp_path, capsys):
+    # abA is reduced, but g^2 = abAabA cancels at the junction A.a
+    assert run_cli(["furstenberg", "--g", "abA", "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "error: --g abA must be cyclically reduced" in err
+    assert "junction" not in err
+    assert run_cli(["furstenberg", "--g", "abAB", "--max-power", 2, "--out", tmp_path]) == 0
+
+
 def test_verify_all_green(tmp_path):
     assert run_cli(["verify-all", "--n", 2, "--R", 2, "--out", tmp_path]) == 0
     obj = json.loads((tmp_path / "verify-all.json").read_text())
@@ -282,10 +291,25 @@ def test_budget_exit_code(tmp_path):
 
 
 def test_spectrum_dense_budget_exit_code(tmp_path, capsys):
-    # dim 612 over an explicit budget of 100: exit 3, not an invariant failure
-    args = ["spectrum", "--R", 2, "--m", 3, "--budget", 100, "--out", tmp_path]
-    assert run_cli(args) == 3
-    assert "budget exceeded" in capsys.readouterr().err
+    # the truncation charges |B_2| = 17 and |S_3| = 36, not dim 612: exit 3
+    # below 36, not an invariant failure, and a report at 36
+    args = ["spectrum", "--R", 2, "--m", 3, "--out", tmp_path]
+    for budget in (30, 35):
+        assert run_cli([*args, "--budget", budget]) == 3
+        err = capsys.readouterr().err
+        assert f"budget exceeded: enumeration of 36 elements exceeds budget {budget}" in err
+    assert run_cli([*args, "--budget", 36]) == 0
+    assert json.loads((tmp_path / "spectrum.json").read_text())["dim"] == 612
+
+
+def test_spectrum_lists_the_fiber_values_past_the_dense_size(tmp_path):
+    # dim 471,420 is far past the default budget of 6000, but |B_5| = 485
+    # and |S_6| = 972 are not: 2 |B_5| values, and "dim" for the zeros
+    args = ["spectrum", "--R", 5, "--m", 6, "--out", tmp_path]
+    assert run_cli(args) == 0
+    obj = json.loads((tmp_path / "spectrum.json").read_text())
+    assert obj["dim"] == 471420
+    assert len(obj["singular_values"]) == 970
 
 
 def test_bad_budget_is_usage_error(tmp_path):
@@ -1307,7 +1331,9 @@ def _dense_inputs(tmp_path):
 # consecutive arguments and the whole-group series shared one charged solve,
 # spectrum and chern depths 1-4 before the fiber walks were shared by shape,
 # deviation, chern oracle 3 and chern shared denominators before the tables
-# of locally constant functions were kept as integer numerators alone
+# of locally constant functions were kept as integer numerators alone;
+# spectrum re-pinned when its list lost the dim - 2|B_R| padded zeros (the
+# new bytes are the first 34 of the old 612 values, every other field equal)
 REPORT_SHA256 = {
     "deviation": (
         ("deviation", "--R", 5),
@@ -1336,8 +1362,8 @@ REPORT_SHA256 = {
     ),
     "spectrum": (
         ("spectrum", "--R", 2, "--m", 3),
-        "d131af2c60d1a3066c29a9b152617f439631656109c8105f094d515872dcea5d",
-        "eb148f279972cc98a6f7356ee06103171b008546509107f7fbc35934364e0945",
+        "b691c98d4ed43c1bf946811daa49ae51a117de9f4a07cfa5b64c498649863664",
+        "3f4dd7ad69b4c931dbe3a944a85b5990e90dd7b9ef431f49bdb5ac51ee590de6",
     ),
     "chern depths 1-4": (
         ("chern", "--radius", 2, "--oracle-R", 3, "--oracle-m", 6),

@@ -465,14 +465,17 @@ def test_profile_json_shape():
 def test_profile_budget():
     from treeboundary import BudgetError
 
-    # the budget charges the 1 + 9 x 4 = 37 prefix classes of B_9, not
-    # the 14,581 elements that no profile enumerates
+    # the budget charges the 1 + 9 x 4 = 37 prefix classes of B_9, and
+    # their radii 4 (1 + 2 + ... + 9) = 180, not the 14,581 elements that
+    # no profile enumerates
     assert F2.prefix_class_count(9, 1) == 37
 
     def ia(budget):
         return LocallyConstantFunction.indicator(FreeGroup(2, budget), F2.word("a"))
 
-    assert sum(len(s) for s in DeviationProfile.compute(ia(37), 9).spheres) == 37
+    assert sum(len(s) for s in DeviationProfile.compute(ia(180), 9).spheres) == 37
+    with pytest.raises(BudgetError, match="180 class sphere radii"):
+        DeviationProfile.compute(ia(179), 9)
     with pytest.raises(BudgetError, match="37 prefix classes"):
         DeviationProfile.compute(ia(36), 9)
     # a depth-3 function: 1 + 4 + 12 + 36 x 7 classes at radius 9
@@ -482,25 +485,39 @@ def test_profile_budget():
     assert F2.prefix_class_count(2, 3) == F2.growth_count(2)
 
 
+def test_profile_charges_its_class_sphere_radii():
+    from treeboundary import BudgetError
+
+    # depth 3 at radius 3: every element of B_3 is its own class, 53 of
+    # them, within a budget of 100, at radii 4 + 2 x 12 + 3 x 36 = 136
+    def iaba(budget):
+        return LocallyConstantFunction.indicator(FreeGroup(2, budget), F2.word("aba"))
+
+    assert F2.prefix_class_count(3, 3) == 53
+    with pytest.raises(BudgetError, match="^136 class sphere radii exceed budget 100$"):
+        DeviationProfile.compute(iaba(100), 3)
+    assert sum(len(s) for s in DeviationProfile.compute(iaba(136), 3).spheres) == 53
+
+
 
 @pytest.mark.parametrize("group", [F2, FreeGroup(3)], ids=["F2", "F3"])
 def test_class_budget_by_length_counts_each_class_by_its_sphere(group):
     from treeboundary import BudgetError
 
-    # spheres first..last are charged their classes and sum m |S_min(m,k)|,
-    # both from the radii alone; it raises exactly when one passes the budget
+    # spheres first..last are charged their classes and then sum
+    # m |S_min(m,k)|, both from the radii alone; it raises exactly when one
+    # passes the budget
     for k in range(4):
         for first in range(6):
             for last in range(first, 9):
                 classes = sum(group.sphere_count(min(m, k)) for m in range(first, last + 1))
                 radii = sum(m * group.sphere_count(min(m, k)) for m in range(first, last + 1))
-                capped = FreeGroup(group.n, max(classes, radii))
-                capped.check_class_budget(k, first, last, by_length=True)
+                FreeGroup(group.n, max(classes, radii)).check_class_budget(k, first, last)
+                with pytest.raises(BudgetError, match=f"^{classes} prefix classes exceed"):
+                    FreeGroup(group.n, classes - 1).check_class_budget(k, first, last)
                 if radii > classes:
                     with pytest.raises(BudgetError, match=f"^{radii} class sphere radii exceed"):
-                        FreeGroup(group.n, radii - 1).check_class_budget(
-                            k, first, last, by_length=True
-                        )
+                        FreeGroup(group.n, radii - 1).check_class_budget(k, first, last)
 
 # a label that JSON must escape: a quote, a backslash and a non-ASCII letter
 ODD_LABEL = 'we"ird\\lab\u00e9l'

@@ -23,6 +23,7 @@ from treeboundary import (
     Word,
     boundary_action,
     depth_mass,
+    expectation,
     mul,
     random_unit_function,
     translate,
@@ -157,7 +158,7 @@ def test_eval_refinement_consistency():
 
 def test_integral_and_l2_norm():
     ia = LocallyConstantFunction.indicator(F2, F2.word("a"))
-    assert ia.integral() == GaussianRational(Fraction(1, 4))
+    assert expectation(ia, IDENTITY) == GaussianRational(Fraction(1, 4))  # the integral
     assert ia.l2_norm_sq() == Fraction(1, 4)
     one = LocallyConstantFunction.constant(F2, 1)
     assert one.l2_norm_sq() == 1

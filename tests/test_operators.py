@@ -63,14 +63,25 @@ def test_dimensions(t23, t12):
     assert tiny.dim == 4
 
 
+def test_truncation_charges_its_ball_and_its_sphere():
+    # |B_0| = 1 and |S_3| = 36 are charged one at a time, ball first
+    with pytest.raises(BudgetError, match="^enumeration of 36 elements exceeds budget 35$"):
+        Truncation(FreeGroup(2, 35), 0, 3)
+    assert Truncation(FreeGroup(2, 36), 0, 3).dim == 36
+    with pytest.raises(BudgetError, match="^enumeration of 5 elements exceeds budget 4$"):
+        Truncation(FreeGroup(2, 4), 1, 1)  # |S_1| = 4 fits, |B_1| = 5 does not
+    # and not their product: dim 5 x 36 = 180
+    assert Truncation(FreeGroup(2, 36), 1, 3).dim == 180
+
+
 def test_dense_budget_guard(t23):
     # a dense oracle past OPERATOR_BUDGET = 6000: dim = |B_3| |S_5| = 53 x 324
     with pytest.raises(BudgetError) as err:
         projection_P(Truncation(F2, 3, 5))
     assert err.value.requested == 17172
-    # block-wise paths ignore the dense budget
+    # block-wise paths ignore the dense budget: 2 |B_2| values of dim 612
     values = commutator_singular_values(IA, t23)
-    assert len(values) == 612
+    assert len(values) == 2 * t23.dim_group == 34
 
 
 def test_projection_is_projection(t12):
@@ -171,8 +182,9 @@ def test_commutator_values_match_dense_svd(t23):
     L = rep_function(DENSE, t23).matrix
     want = np.linalg.svd(P @ L - L @ P, compute_uv=False)
     got = np.array(commutator_singular_values(DENSE, t23))
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-12
+    assert got.size == 2 * t23.dim_group
+    assert np.max(np.abs(got - want[: got.size])) <= 1e-12
+    assert np.max(want[got.size :]) <= 1e-12  # the rest of the 612 are zeros
 
 
 def _translated_fiber_diagonal(phi, h, trunc):
@@ -703,10 +715,11 @@ def test_commutator_values_match_dense_block_svds(rank):
         want.extend(np.linalg.svd(P @ D - D @ P, compute_uv=False))
     want.sort(reverse=True)
     got = commutator_singular_values(phi, trunc)
-    assert len(got) == len(want) == trunc.dim
+    assert len(want) == trunc.dim
+    assert len(got) == 2 * trunc.dim_group
     assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-12
-    assert got.count(0.0) == trunc.dim - 2 * trunc.dim_group  # exact zeros
-    assert min(got[: 2 * trunc.dim_group]) > 1e-3
+    assert max(want[len(got) :]) <= 1e-12  # the other dim - 2 |B_1| are zeros
+    assert min(got) > 1e-3
 
 
 @pytest.mark.parametrize("rank", [2, 3])

@@ -240,10 +240,13 @@ def test_even_p_series_check_sphere_has_teeth():
 
 def test_even_total_charges_its_series_classes(tmp_path, capsys):
     # depth 5 and p = 2: powers 0..1 past K = 5 solve from spheres 5, 6 and
-    # check on 7, 3 x |S_5| = 972 classes, charged before any is evaluated
+    # check on 7, 3 x |S_5| = 972 classes at radii 324 (5 + 6 + 7) = 5,832,
+    # charged before any is evaluated
     phi = random_unit_function(F2, 5, random.Random(0))
     with pytest.raises(BudgetError, match="972 prefix classes exceed budget 971"):
         lp_report(DeviationProfile.compute(with_budget(phi, 971), 4), 2.0, VS2)
+    with pytest.raises(BudgetError, match="5832 class sphere radii exceed budget 5831"):
+        lp_report(DeviationProfile.compute(with_budget(phi, 5831), 4), 2.0, VS2)
     obj = phi.to_json_obj()
     obj["rank"] = 2
     path = tmp_path / "phi.json"
@@ -251,15 +254,20 @@ def test_even_total_charges_its_series_classes(tmp_path, capsys):
     argv = ["summability", "--phi", str(path), "--R", "4", "--p", "2", "--out", str(tmp_path)]
     assert main([*argv, "--budget", "971"]) == 3
     assert "972 prefix classes exceed budget 971" in capsys.readouterr().err
-    assert main([*argv, "--budget", "972"]) == 0
+    assert main([*argv, "--budget", "5831"]) == 3
+    assert "5832 class sphere radii exceed budget 5831" in capsys.readouterr().err
+    assert main([*argv, "--budget", "5832"]) == 0
 def test_even_total_charges_the_head_spheres_past_the_radius(monkeypatch):
     # depth 6, R = 4 and p = 4: powers 1..3 past K = 6 read spheres 6..9,
     # 4 x |S_6| = 3,888 classes, and the head sphere 5, past the profile's
-    # radius, another |S_5| = 324: all 4,212 are charged, and evaluated
+    # radius, another |S_5| = 324: all 4,212 are charged, at radii
+    # 5 x 324 + 972 (6 + 7 + 8 + 9) = 30,780, and evaluated
     phi = random_unit_function(F2, 6, random.Random(0))
     with pytest.raises(BudgetError, match="4212 prefix classes exceed budget 3888"):
         lp_report(DeviationProfile.compute(with_budget(phi, 3888), 4), 4.0, VS2)
-    profile = DeviationProfile.compute(with_budget(phi, 4212), 4)
+    with pytest.raises(BudgetError, match="30780 class sphere radii exceed budget 30779"):
+        lp_report(DeviationProfile.compute(with_budget(phi, 30779), 4), 4.0, VS2)
+    profile = DeviationProfile.compute(with_budget(phi, 30780), 4)
     calls = []
     evaluate = deviation.mean_and_deviation_sq
 
@@ -277,8 +285,9 @@ def test_even_total_charges_the_head_spheres_past_the_radius(monkeypatch):
 def test_even_totals_at_several_p_read_each_series_sphere_once(monkeypatch):
     # depth 6, R = 4: p = 2 reads spheres 6..8 (2,916 classes) and diverges
     # before its head sphere; p = 4 then needs spheres 5..9, of which only
-    # sphere 5 (324) and sphere 9 (972) are new: 4,212 in all, not 7,128
-    phi = with_budget(random_unit_function(F2, 6, random.Random(0)), 4212)
+    # sphere 5 (324) and sphere 9 (972) are new: 4,212 in all, not 7,128;
+    # the p = 4 series charges those classes at radii 30,780
+    phi = with_budget(random_unit_function(F2, 6, random.Random(0)), 30780)
     profile = DeviationProfile.compute(phi, 4)
     calls = []
     evaluate = deviation.mean_and_deviation_sq
